@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
@@ -168,24 +168,39 @@ class ResponseCache:
     Each line holds {key_hash, model, label, rationale, timestamp}.
     Later lines win on duplicate keys. Writes are serialized through a
     lock so concurrent workers never interleave partial lines.
+
+    A final line with no newline is what a crash in the middle of an
+    append leaves behind: it is ignored on load and cut from the file
+    before the next append. Any other unreadable line is an error.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, tuple[str, str]] = {}
         self._lock = threading.Lock()
+        # Byte length of the file without its torn final line, if it has one.
+        self._intact_size: int | None = None
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
+            with self.path.open("rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(
-                            f"{self.path}: line {lineno}: invalid JSON ({exc.msg})"
-                        ) from exc
-                    self._entries[obj["key_hash"]] = (obj["label"], obj["rationale"])
+                    if not line.endswith(b"\n"):
+                        self._intact_size = fh.tell() - len(line)
+                        break
+                    self._load_line(lineno, line)
+
+    def _load_line(self, lineno: int, line: bytes) -> None:
+        if not line.strip():
+            return
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: line {lineno}: invalid JSON ({exc})") from exc
+        missing = [k for k in ("key_hash", "label", "rationale")
+                   if not isinstance(obj, dict) or k not in obj]
+        if missing:
+            raise ValueError(
+                f"{self.path}: line {lineno}: missing field(s) {', '.join(missing)}")
+        self._entries[obj["key_hash"]] = (obj["label"], obj["rationale"])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -205,6 +220,9 @@ class ResponseCache:
         line = json.dumps(record, ensure_ascii=False)
         with self._lock:
             with self.path.open("a", encoding="utf-8", newline="\n") as fh:
+                if self._intact_size is not None:
+                    fh.truncate(self._intact_size)
+                    self._intact_size = None
                 fh.write(line)
                 fh.write("\n")
             self._entries[key] = (label, rationale)
@@ -404,20 +422,21 @@ class AgreementReport:
 
 def agreement_report(
     classifications: Iterable[Classification],
-    gold_records: Iterable[PaperRecord],
+    gold_labels: Mapping[str, str | None],
 ) -> AgreementReport:
-    """Score predictions against gold labels, per label and overall."""
+    """Score predictions against gold labels (paper id -> gold label),
+    per label and overall. Papers whose gold label is None are skipped."""
     by_id = {c.paper_id: c for c in classifications}
     gold_counts: dict[str, int] = {}
     correct_counts: dict[str, int] = {}
-    for rec in gold_records:
-        if rec.gold_label is None:
+    for paper_id, gold in gold_labels.items():
+        if gold is None:
             continue
-        pred = by_id.get(rec.id)
+        pred = by_id.get(paper_id)
         if pred is None:
-            raise ValueError(f"no classification for gold-labeled record {rec.id!r}")
-        gold_counts[rec.gold_label] = gold_counts.get(rec.gold_label, 0) + 1
-        correct_counts.setdefault(rec.gold_label, 0)
-        if pred.label.lower() == rec.gold_label:
-            correct_counts[rec.gold_label] += 1
+            raise ValueError(f"no classification for gold-labeled record {paper_id!r}")
+        gold_counts[gold] = gold_counts.get(gold, 0) + 1
+        correct_counts.setdefault(gold, 0)
+        if pred.label.lower() == gold:
+            correct_counts[gold] += 1
     return AgreementReport(gold_counts=gold_counts, correct_counts=correct_counts)

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    disruptkit run      --config pipeline.conf [--stub] [--out-dir D] [--seed N]
+    disruptkit run      --config pipeline.conf [--stub] [--out-dir D]
     disruptkit <stage>  --config pipeline.conf ...     one of the six stages
     disruptkit synth    --out corpus.jsonl --n-papers 5000 --seed 7 [--effect 1.0]
 
@@ -24,8 +24,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="key = value configuration file")
     parser.add_argument("--stub", action="store_true", default=None,
                         help="force the offline classifier stub")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="override the configured output directory")
 
@@ -34,8 +32,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     overrides: dict = {}
     if args.stub:
         overrides["stub"] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     return load_config(args.config, overrides=overrides)

@@ -12,7 +12,6 @@ import enum
 import json
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -122,7 +121,6 @@ class PaperRecord:
 @dataclass(frozen=True)
 class Provenance:
     sources: tuple[str, ...] = ()
-    ingested_at: str = ""
 
 
 @dataclass
@@ -180,11 +178,7 @@ def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
         if record.id in records:
             raise ValueError(f"{source_name}: line {lineno}: duplicate id {record.id!r}")
         records[record.id] = record
-    provenance = Provenance(
-        sources=(source_name,),
-        ingested_at=datetime.now(timezone.utc).isoformat(),
-    )
-    return Corpus(records=records, provenance=provenance)
+    return Corpus(records=records, provenance=Provenance(sources=(source_name,)))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -180,21 +180,48 @@ def write_scores(scores: Sequence[DisruptionScore], path: str | Path) -> None:
             writer.writerow([s.paper_id, p.l, p.n_f, p.n_b, p.n_r, format_score(s.d)])
 
 
-def read_scores(path: str | Path) -> list[DisruptionScore]:
-    """Parse a table written by write_scores. Mode is not stored in the
-    file, so partitions are tagged with the default mode."""
-    out: list[DisruptionScore] = []
+@dataclass(frozen=True)
+class ScoreTable:
+    """A disruption.csv table as columns, one entry per row. ``d`` is
+    NaN where the score is Undefined."""
+
+    ids: tuple[str, ...]
+    l: np.ndarray
+    n_f: np.ndarray
+    n_b: np.ndarray
+    n_r: np.ndarray
+    d: np.ndarray
+
+    @classmethod
+    def from_scores(cls, scores: Sequence[DisruptionScore]) -> "ScoreTable":
+        parts = [s.partition for s in scores]
+        return cls(
+            ids=tuple(s.paper_id for s in scores),
+            l=np.array([p.l for p in parts], dtype=np.int64),
+            n_f=np.array([p.n_f for p in parts], dtype=np.int64),
+            n_b=np.array([p.n_b for p in parts], dtype=np.int64),
+            n_r=np.array([p.n_r for p in parts], dtype=np.int64),
+            d=np.array([np.nan if s.d is None else s.d for s in scores], dtype=np.float64),
+        )
+
+
+def read_scores(path: str | Path) -> ScoreTable:
+    """Parse a table written by write_scores."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(SCORE_COLUMNS):
             raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            paper_id, l, n_f, n_b, n_r, d_text = row
-            part = CiterPartition(n_f=int(n_f), n_b=int(n_b), n_r=int(n_r),
-                                  l=int(l), mode="ref_indegree")
-            d = None if d_text == "NA" else float(d_text)
-            out.append(DisruptionScore(paper_id=paper_id, partition=part, d=d))
-    return out
+        rows = [row for row in reader if row]
+    bad = next((row for row in rows if len(row) != len(SCORE_COLUMNS)), None)
+    if bad is not None:
+        raise ValueError(f"{path}: malformed row {bad}")
+
+    def column(j: int) -> list[str]:
+        return [row[j] for row in rows]
+
+    l, n_f, n_b, n_r = (np.array(column(j), dtype=np.int64) for j in range(1, 5))
+    return ScoreTable(
+        ids=tuple(column(0)), l=l, n_f=n_f, n_b=n_b, n_r=n_r,
+        d=np.array([np.nan if v == "NA" else float(v) for v in column(5)], dtype=np.float64),
+    )

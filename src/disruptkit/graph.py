@@ -8,12 +8,17 @@ Node ids are sorted lexicographically and mapped to dense integer
 indices; all adjacency arrays are expressed in those indices, and each
 neighbor run is itself sorted, so two corpora with identical records
 always produce identical arrays.
+
+``save_graph`` writes the network and the record fields later stages
+need as plain ``.npy`` arrays, and ``load_graph`` reads them back, so
+only the stage that builds the graph has to parse the corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -80,8 +85,11 @@ def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.
         raise ValueError("self-citation edge")
     fwd_indptr, fwd_indices = _csr_from_pairs(n, src, dst)
     bwd_indptr, bwd_indices = _csr_from_pairs(n, dst, src)
-    in_deg = np.diff(fwd_indptr).astype(np.int64)
-    out_deg = np.diff(bwd_indptr).astype(np.int64)
+    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices)
+
+
+def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndarray,
+              bwd_indptr: np.ndarray, bwd_indices: np.ndarray) -> CitationGraph:
     return CitationGraph(
         ids=ids,
         index={pid: i for i, pid in enumerate(ids)},
@@ -89,8 +97,8 @@ def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.
         fwd_indices=fwd_indices,
         bwd_indptr=bwd_indptr,
         bwd_indices=bwd_indices,
-        in_deg=in_deg,
-        out_deg=out_deg,
+        in_deg=np.diff(fwd_indptr).astype(np.int64),
+        out_deg=np.diff(bwd_indptr).astype(np.int64),
     )
 
 
@@ -140,27 +148,96 @@ def degree_stats(graph: CitationGraph) -> dict:
     }
 
 
-def write_edges(graph: CitationGraph, path: str | Path) -> None:
-    """Edge list as tab-separated ``referenced_id<TAB>citing_id`` lines,
-    sorted by referenced id then citing id."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for r_idx in range(graph.n_nodes):
-            r_id = graph.ids[r_idx]
-            for i_idx in graph.citer_row(r_idx):
-                fh.write(f"{r_id}\t{graph.ids[int(i_idx)]}\n")
+@dataclass(frozen=True)
+class NodeAttributes:
+    """Record fields the stages after ``graph`` need, one entry per node
+    in graph index order. ``gold_label`` is None where a record has
+    none."""
+
+    year: np.ndarray
+    n_authors: np.ndarray
+    journal: tuple[str, ...]
+    gold_label: tuple[str | None, ...]
 
 
-def read_edges(path: str | Path) -> list[tuple[str, str]]:
-    """Parse an edge-list file back into (referenced_id, citing_id) pairs."""
-    pairs: list[tuple[str, str]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}: line {lineno}: expected two tab-separated ids")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+def node_attributes(corpus: Corpus, graph: CitationGraph) -> NodeAttributes:
+    records = [corpus[pid] for pid in graph.ids]
+    return NodeAttributes(
+        year=np.array([r.year for r in records], dtype=np.int64),
+        n_authors=np.array([r.n_authors for r in records], dtype=np.int64),
+        journal=tuple(r.journal for r in records),
+        gold_label=tuple(r.gold_label for r in records),
+    )
+
+
+# The arrays save_graph writes, one np.save file each. A string column
+# is stored as its UTF-8 bytes plus int64 offsets: numpy's own str
+# dtype drops trailing NULs, and object arrays would need pickle.
+GRAPH_FILES = (
+    "graph_ids.npy", "graph_ids_offsets.npy",
+    "graph_fwd_indptr.npy", "graph_fwd_indices.npy",
+    "graph_bwd_indptr.npy", "graph_bwd_indices.npy",
+    "graph_year.npy", "graph_n_authors.npy",
+    "graph_journal.npy", "graph_journal_offsets.npy",
+    "graph_gold_label.npy", "graph_gold_label_offsets.npy",
+)
+
+
+def _encode_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    encoded = [s.encode("utf-8") for s in strings]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
+    blob = data.tobytes()
+    bounds = offsets.tolist()
+    return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
+
+
+def save_graph(graph: CitationGraph, nodes: NodeAttributes,
+               out_dir: str | Path) -> list[Path]:
+    """Write the graph and its node attributes as the GRAPH_FILES arrays
+    in out_dir and return their paths. ``np.save`` output depends only
+    on the array, so equal graphs give byte-identical files."""
+    ids, ids_offsets = _encode_strings(graph.ids)
+    journal, journal_offsets = _encode_strings(nodes.journal)
+    gold, gold_offsets = _encode_strings(g or "" for g in nodes.gold_label)
+    arrays = {
+        "graph_ids.npy": ids, "graph_ids_offsets.npy": ids_offsets,
+        "graph_fwd_indptr.npy": graph.fwd_indptr,
+        "graph_fwd_indices.npy": graph.fwd_indices,
+        "graph_bwd_indptr.npy": graph.bwd_indptr,
+        "graph_bwd_indices.npy": graph.bwd_indices,
+        "graph_year.npy": nodes.year, "graph_n_authors.npy": nodes.n_authors,
+        "graph_journal.npy": journal, "graph_journal_offsets.npy": journal_offsets,
+        "graph_gold_label.npy": gold, "graph_gold_label_offsets.npy": gold_offsets,
+    }
+    paths = [Path(out_dir) / name for name in GRAPH_FILES]
+    for path in paths:
+        np.save(path, arrays[path.name], allow_pickle=False)
+    return paths
+
+
+def load_graph(out_dir: str | Path) -> tuple[CitationGraph, NodeAttributes]:
+    """Read back what save_graph wrote in out_dir."""
+    out_dir = Path(out_dir)
+    arrays = {name: np.load(out_dir / name, allow_pickle=False) for name in GRAPH_FILES}
+
+    def strings(column: str) -> tuple[str, ...]:
+        return _decode_strings(arrays[f"graph_{column}.npy"],
+                               arrays[f"graph_{column}_offsets.npy"])
+
+    ids, journal, gold = strings("ids"), strings("journal"), strings("gold_label")
+    fwd_indptr, fwd_indices = arrays["graph_fwd_indptr.npy"], arrays["graph_fwd_indices.npy"]
+    bwd_indptr, bwd_indices = arrays["graph_bwd_indptr.npy"], arrays["graph_bwd_indices.npy"]
+    nodes = NodeAttributes(year=arrays["graph_year.npy"], n_authors=arrays["graph_n_authors.npy"],
+                           journal=journal, gold_label=tuple(g or None for g in gold))
+    n = len(ids)
+    if not (fwd_indptr.shape == bwd_indptr.shape == (n + 1,)
+            and fwd_indptr[-1] == len(fwd_indices) == bwd_indptr[-1] == len(bwd_indices)
+            and nodes.year.shape == nodes.n_authors.shape == (n,)
+            and len(journal) == len(gold) == n):
+        raise ValueError(f"{out_dir}: graph files disagree on the node or edge count")
+    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices), nodes

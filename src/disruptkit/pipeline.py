@@ -5,11 +5,16 @@ and writes its own, so any stage can be rerun in isolation and the
 full pipeline is nothing more than the six stages in order:
 
     ingest   corpus.jsonl          parse, journal-filter, normalize
-    graph    edges.tsv eligible.txt  citation network and eligibility
+    graph    graph_*.npy           citation network and per-node fields
+             eligible.txt          ids meeting the eligibility criteria
     classify classifications.csv   article types for eligible papers
     disrupt  disruption.csv        scores at each threshold
     regress  regression.csv citations_models.txt disruption_models.txt
     report   report.txt            combined human-readable summary
+
+Only ingest, graph and classify (which needs titles and abstracts)
+parse corpus records; disrupt, regress and report load the graph
+arrays (see graph.GRAPH_FILES) instead.
 
 A manifest.json accumulates input hashes, the config, library
 versions, and artifact hashes; it carries no clock data, so a rerun
@@ -24,7 +29,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import platform
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -36,10 +43,10 @@ from . import __version__
 from .classify import (BackendConfig, Classification, ResponseCache,
                        agreement_report, classify_batch, stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, eligible_ids, filter_journals,
-                     journal_counts, parse_corpus, read_allowlist, write_corpus,
-                     year_group)
-from .disruption import MODES, disruption_batch, read_scores, write_scores
-from .graph import build_graph, degree_stats, write_edges
+                     parse_corpus, read_allowlist, write_corpus, year_group)
+from .disruption import MODES, ScoreTable, disruption_batch, read_scores, write_scores
+from .graph import (GRAPH_FILES, CitationGraph, NodeAttributes, build_graph,
+                    degree_stats, load_graph, node_attributes, save_graph)
 from .regress import (ObservationRow, emit_table, fit_model, layout_for,
                       standard_model_specs, write_results_csv)
 
@@ -49,7 +56,7 @@ STAGES = ("ingest", "graph", "classify", "disrupt", "regress", "report")
 # when a prerequisite file is missing.
 ARTIFACT_STAGE = {
     "corpus.jsonl": "ingest",
-    "edges.tsv": "graph",
+    **{name: "graph" for name in GRAPH_FILES},
     "eligible.txt": "graph",
     "classifications.csv": "classify",
     "disruption.csv": "disrupt",
@@ -104,8 +111,6 @@ class PipelineConfig:
     timeout: float = 30.0
     # which D^l models to fit alongside the three citation models
     model_thresholds: tuple[int, ...] = (2, 3, 5)
-    # synthetic generation
-    seed: int = 0
 
     def __post_init__(self):
         self.corpus = Path(self.corpus)
@@ -194,7 +199,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         "thresholds": tuple, "mode": str, "n_jobs": int,
         "stub": bool, "endpoint": str, "model": str, "api_key_env": str,
         "max_in_flight": int, "retries": int, "backoff_base": float,
-        "timeout": float, "model_thresholds": tuple, "seed": int,
+        "timeout": float, "model_thresholds": tuple,
     }
     values: dict = {}
     with path.open("r", encoding="utf-8") as fh:
@@ -286,6 +291,13 @@ def _load_filtered_corpus(config: PipelineConfig, stage: str) -> Corpus:
     return parse_corpus(_require(config, stage, "corpus.jsonl"))
 
 
+def _load_graph(config: PipelineConfig,
+                stage: str) -> tuple[CitationGraph, NodeAttributes]:
+    for name in GRAPH_FILES:
+        _require(config, stage, name)
+    return load_graph(config.out_dir)
+
+
 def _load_eligible(config: PipelineConfig, stage: str) -> list[str]:
     path = _require(config, stage, "eligible.txt")
     with path.open("r", encoding="utf-8") as fh:
@@ -315,21 +327,21 @@ def stage_ingest(config: PipelineConfig) -> list[Path]:
 
 
 def stage_graph(config: PipelineConfig) -> list[Path]:
-    """Build the citation network, write the edge list, and compute the
-    eligible focal set."""
+    """Build the citation network, save it with the per-node fields later
+    stages need, and compute the eligible focal set."""
 
     def body() -> list[Path]:
         corpus = _load_filtered_corpus(config, "graph")
         graph = build_graph(corpus)
-        edges_path = config.out_dir / "edges.tsv"
-        write_edges(graph, edges_path)
+        paths = save_graph(graph, node_attributes(corpus, graph), config.out_dir)
         eligible = eligible_ids(corpus, graph, config.criteria())
         eligible_path = config.out_dir / "eligible.txt"
         eligible_path.write_text(
             "".join(f"{pid}\n" for pid in eligible), encoding="utf-8",
         )
-        _update_manifest(config, {}, [edges_path, eligible_path])
-        return [edges_path, eligible_path]
+        paths.append(eligible_path)
+        _update_manifest(config, {}, paths)
+        return paths
 
     return _run_stage("graph", config, body)
 
@@ -359,9 +371,8 @@ def stage_disrupt(config: PipelineConfig) -> list[Path]:
     """Score every eligible paper at every configured threshold."""
 
     def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "disrupt")
         eligible = _load_eligible(config, "disrupt")
-        graph = build_graph(corpus)
+        graph, _ = _load_graph(config, "disrupt")
         scores = disruption_batch(graph, eligible, ls=config.thresholds,
                                   mode=config.mode, n_jobs=config.n_jobs)
         out_path = config.out_dir / "disruption.csv"
@@ -396,17 +407,17 @@ def read_classifications(path: str | Path) -> list[Classification]:
     return out
 
 
-def build_observation_rows(corpus: Corpus, graph, eligible: list[str],
+def build_observation_rows(graph: CitationGraph, nodes: NodeAttributes,
+                           eligible: list[str],
                            classifications: list[Classification],
                            thresholds: tuple[int, ...],
-                           scores) -> list[ObservationRow]:
+                           scores: ScoreTable) -> list[ObservationRow]:
     """Join the per-paper artifacts into model-ready rows. Papers whose
     label is neither Conceptual nor Empirical are dropped here, before
     any model sees them."""
     label_by_id = {c.paper_id: c.label for c in classifications}
-    d_by_id: dict[str, dict[int, float | None]] = {}
-    for s in scores:
-        d_by_id.setdefault(s.paper_id, {})[s.partition.l] = s.d
+    d_by_key = {key: None if math.isnan(d) else d
+                for key, d in zip(zip(scores.ids, scores.l.tolist()), scores.d.tolist())}
     rows: list[ObservationRow] = []
     for pid in eligible:
         label = label_by_id.get(pid)
@@ -416,13 +427,13 @@ def build_observation_rows(corpus: Corpus, graph, eligible: list[str],
             conceptual = 0
         else:
             continue
-        rec = corpus[pid]
+        idx = graph.index[pid]
         rows.append(ObservationRow(
             paper_id=pid,
-            y_citations=int(graph.in_deg[graph.index[pid]]),
-            y_d={l: d_by_id.get(pid, {}).get(l) for l in thresholds},
-            year_group=year_group(rec.year),
-            n_authors=rec.n_authors,
+            y_citations=int(graph.in_deg[idx]),
+            y_d={l: d_by_key.get((pid, l)) for l in thresholds},
+            year_group=year_group(int(nodes.year[idx])),
+            n_authors=int(nodes.n_authors[idx]),
             conceptual=conceptual,
         ))
     return rows
@@ -432,13 +443,12 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
     """Fit the citation and disruption models on the eligible papers."""
 
     def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "regress")
         eligible = _load_eligible(config, "regress")
         classifications = read_classifications(
             _require(config, "regress", "classifications.csv"))
         scores = read_scores(_require(config, "regress", "disruption.csv"))
-        graph = build_graph(corpus)
-        rows = build_observation_rows(corpus, graph, eligible, classifications,
+        graph, nodes = _load_graph(config, "regress")
+        rows = build_observation_rows(graph, nodes, eligible, classifications,
                                       config.thresholds, scores)
         specs = standard_model_specs(config.model_thresholds)
         results = [fit_model(rows, spec) for spec in specs]
@@ -470,7 +480,6 @@ def stage_report(config: PipelineConfig) -> list[Path]:
     gold labels, and both model tables into one text report."""
 
     def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "report")
         eligible = _load_eligible(config, "report")
         classifications = read_classifications(
             _require(config, "report", "classifications.csv"))
@@ -478,13 +487,13 @@ def stage_report(config: PipelineConfig) -> list[Path]:
             encoding="utf-8")
         d_table = _require(config, "report", "disruption_models.txt").read_text(
             encoding="utf-8")
-        graph = build_graph(corpus)
+        graph, nodes = _load_graph(config, "report")
         stats = degree_stats(graph)
 
         lines: list[str] = []
         lines.append("Corpus")
-        lines.append(f"  papers: {len(corpus)}")
-        counts = journal_counts(corpus)
+        lines.append(f"  papers: {graph.n_nodes}")
+        counts = Counter(nodes.journal)
         lines.append(f"  journals with papers: {len(counts)}")
         if config.allowlist is not None and config.allowlist.exists():
             allow = read_allowlist(config.allowlist)
@@ -514,10 +523,10 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         lines.append("Label sources")
         for source in sorted(source_counts):
             lines.append(f"  {source}: {source_counts[source]}")
-        gold_records = [corpus[pid] for pid in eligible
-                        if corpus[pid].gold_label is not None]
-        if gold_records:
-            report = agreement_report(classifications, gold_records)
+        gold_labels = {pid: gold for pid in eligible
+                       if (gold := nodes.gold_label[graph.index[pid]]) is not None}
+        if gold_labels:
+            report = agreement_report(classifications, gold_labels)
             lines.append("Agreement with gold labels")
             for label in sorted(report.gold_counts):
                 lines.append(

@@ -14,8 +14,8 @@ import pytest
 
 from disruptkit.classify import Classification, agreement_report
 from disruptkit.corpus import EligibilityCriteria, PaperRecord, eligible_ids
-from disruptkit.disruption import MODES, disruption_batch, disruption_score
-from disruptkit.graph import build_graph
+from disruptkit.disruption import MODES, ScoreTable, disruption_batch, disruption_score
+from disruptkit.graph import build_graph, node_attributes
 from disruptkit.oracle import brute_force_partition
 from disruptkit.pipeline import (
     build_observation_rows,
@@ -269,7 +269,7 @@ def _agreement_fixture(spec):
             predicted = label.capitalize() if j < correct else "Other"
             classifications.append(Classification(
                 paper_id=pid, label=predicted, rationale="", source="stub"))
-    return classifications, records
+    return classifications, {r.id: r.gold_label for r in records}
 
 
 def test_criterion_6_agreement_arithmetic():
@@ -303,8 +303,8 @@ def _conceptual_terms(seed, effect):
                        rationale="", source="stub")
         for rec in corpus if rec.gold_label is not None
     ]
-    rows = build_observation_rows(corpus, graph, eligible, classifications,
-                                  (5,), scores)
+    rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+                                  classifications, (5,), ScoreTable.from_scores(scores))
     cit = fit_model(rows, CITATIONS_SPEC).term("conceptual")
     d5 = fit_model(rows, D5_SPEC).term("conceptual")
     return (cit[0], cit[3]), (d5[0], d5[3])

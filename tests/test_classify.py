@@ -169,6 +169,40 @@ class TestCache:
         with pytest.raises(ValueError, match="line 2"):
             ResponseCache(path)
 
+    def test_line_missing_a_field_names_lineno(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key_hash": "k", "label": "Other", "rationale": ""}\n'
+                        '{"key_hash": "k2", "rationale": ""}\n')
+        with pytest.raises(ValueError, match="line 2: missing field.*label"):
+            ResponseCache(path)
+
+    def test_torn_final_line_is_dropped_then_overwritten(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first = ResponseCache(path)
+        first.put("m", "p", "Conceptual", "kept")
+        first.put("m", "q", "Empirical", "torn")
+        intact = path.read_bytes()
+        # a crash mid-append leaves part of the second line, no newline
+        path.write_bytes(intact[:-25])
+
+        loaded = ResponseCache(path)
+        assert len(loaded) == 1
+        assert loaded.get("m", "p") == ("Conceptual", "kept")
+        assert loaded.get("m", "q") is None
+        loaded.put("m", "r", "Other", "after")
+
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 and path.read_text().endswith("\n")
+        reloaded = ResponseCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("m", "r") == ("Other", "after")
+
+    def test_torn_line_cut_inside_a_multibyte_character(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResponseCache(path).put("m", "p", "Other", "r")
+        path.write_bytes(path.read_bytes() + '{"rationale": "\u00e9'.encode()[:-1])
+        assert len(ResponseCache(path)) == 1
+
 
 class TestStubBackend:
     def test_deterministic(self):
@@ -213,7 +247,7 @@ class TestStubBackend:
         corpus = synth_corpus(n_papers=60, seed=3)
         records = list(corpus)
         results = classify_batch(records, backend=stub_backend)
-        report = agreement_report(results, records)
+        report = agreement_report(results, {r.id: r.gold_label for r in records})
         assert report.overall_accuracy == 1.0
 
 
@@ -391,7 +425,7 @@ class TestAgreement:
             Classification(paper_id="a", label="Conceptual", rationale="", source="stub"),
             Classification(paper_id="b", label="Other", rationale="", source="stub"),
         ]
-        report = agreement_report(predictions, records)
+        report = agreement_report(predictions, {r.id: r.gold_label for r in records})
         assert report.gold_counts == {"conceptual": 1, "empirical": 1}
         assert report.correct_counts == {"conceptual": 1, "empirical": 0}
 
@@ -400,10 +434,10 @@ class TestAgreement:
         predictions = [
             Classification(paper_id="a", label="Conceptual", rationale="", source="stub"),
         ]
-        report = agreement_report(predictions, records)
+        report = agreement_report(predictions, {r.id: r.gold_label for r in records})
         assert report.gold_counts == {"conceptual": 1}
 
     def test_missing_prediction_names_record(self):
         records = [mk("a", gold="conceptual")]
         with pytest.raises(ValueError, match="'a'"):
-            agreement_report([], records)
+            agreement_report([], {r.id: r.gold_label for r in records})

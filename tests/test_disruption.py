@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from disruptkit import _kernels
 from disruptkit.disruption import (
     CiterPartition,
     DisruptionScore,
+    ScoreTable,
     disruption_batch,
     disruption_score,
     format_score,
@@ -266,9 +268,14 @@ class TestKernelParity:
                 np.testing.assert_array_equal(a, b)
 
 
+# A child interpreter imports the same disruptkit as this process, also
+# when pytest put src/ on sys.path rather than PYTHONPATH.
+SRC_DIR = str(Path(_kernels.__file__).resolve().parents[1])
+
+
 class TestEnvironmentFlag:
     def test_flag_disables_compiled_kernels(self):
-        env = dict(os.environ, DISRUPTKIT_NO_NUMBA="1")
+        env = dict(os.environ, DISRUPTKIT_NO_NUMBA="1", PYTHONPATH=SRC_DIR)
         out = subprocess.run(
             [sys.executable, "-c",
              "from disruptkit import _kernels; print(_kernels.NUMBA_ENABLED)"],
@@ -282,6 +289,7 @@ class TestEnvironmentFlag:
         except ImportError:
             pytest.skip("numba not installed")
         env = {k: v for k, v in os.environ.items() if k != "DISRUPTKIT_NO_NUMBA"}
+        env["PYTHONPATH"] = SRC_DIR
         out = subprocess.run(
             [sys.executable, "-c",
              "from disruptkit import _kernels; print(_kernels.NUMBA_ENABLED)"],
@@ -302,15 +310,33 @@ class TestScoreSerialization:
         path = tmp_path / "scores.csv"
         write_scores(scores, path)
         back = read_scores(path)
-        assert [s.paper_id for s in back] == ["a", "a", "lone", "lone"]
-        assert back[0].partition.counts == scores[0].partition.counts
-        assert back[2].d is None and back[3].d is None
+        assert back.ids == ("a", "a", "lone", "lone")
+        assert back.l.tolist() == [1, 2, 1, 2]
+        assert (back.n_f[0], back.n_b[0], back.n_r[0]) == scores[0].partition.counts
+        assert np.isnan(back.d[2]) and np.isnan(back.d[3])
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("id,l,nf\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unexpected header"):
             read_scores(path)
+
+    def test_read_rejects_short_row(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,l,n_f,n_b,n_r,d\na,1,0,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed row"):
+            read_scores(path)
+
+    def test_table_from_scores_matches_file(self, tmp_path):
+        graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])
+        scores = disruption_batch(graph, ["i", "lone"], ls=(1, 2))
+        path = tmp_path / "scores.csv"
+        write_scores(scores, path)
+        table, back = ScoreTable.from_scores(scores), read_scores(path)
+        assert table.ids == back.ids
+        for name in ("l", "n_f", "n_b", "n_r"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(back, name))
+        np.testing.assert_allclose(table.d, back.d, atol=5e-7)  # 6 decimals on disk
 
     def test_written_values_have_six_decimals(self, tmp_path):
         graph = small_graph(EXAMPLE_HIGH)

@@ -3,13 +3,15 @@ import pytest
 
 from disruptkit.corpus import Corpus, PaperRecord
 from disruptkit.graph import (
+    GRAPH_FILES,
     build_graph,
     citers,
     degree_stats,
     from_edge_arrays,
-    read_edges,
+    load_graph,
+    node_attributes,
     references_of,
-    write_edges,
+    save_graph,
 )
 
 
@@ -126,15 +128,58 @@ class TestDegreeStats:
         assert degree_stats(graph)["n_isolated"] == 1
 
 
-class TestEdgeFiles:
-    def test_roundtrip_sorted(self, tmp_path, diamond):
-        path = tmp_path / "edges.tsv"
-        write_edges(diamond, path)
-        assert path.read_text() == "a\tb\na\tc\nb\td\nc\td\n"
-        assert read_edges(path) == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+class TestGraphFiles:
+    def test_roundtrip(self, tmp_path, diamond):
+        corpus = corpus_of(*(mk(pid) for pid in diamond.ids))
+        paths = save_graph(diamond, node_attributes(corpus, diamond), tmp_path)
+        assert [p.name for p in paths] == list(GRAPH_FILES)
+        graph, nodes = load_graph(tmp_path)
+        assert graph.ids == diamond.ids and graph.index == diamond.index
+        for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices",
+                     "in_deg", "out_deg"):
+            np.testing.assert_array_equal(getattr(graph, name), getattr(diamond, name))
+        assert nodes.journal == ("j",) * 4
+        assert nodes.gold_label == (None,) * 4
+        assert nodes.year.tolist() == [2000] * 4
+        assert nodes.n_authors.tolist() == [1] * 4
 
-    def test_read_rejects_malformed_line(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("a\tb\nmalformed\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
-            read_edges(path)
+    def test_strings_roundtrip_exactly(self, tmp_path):
+        # numpy's str dtype would turn "a\x00" into "a", colliding the two ids
+        records = [
+            PaperRecord(id="a", title="t", abstract="a", journal="Revue d\u2019\u00e9tudes",
+                        year=1995, n_authors=2, references=("a\x00",),
+                        gold_label="conceptual"),
+            PaperRecord(id="a\x00", title="t", abstract="a", journal="\u65e5\u672c\x00",
+                        year=2011, n_authors=7, references=()),
+            PaperRecord(id="\u00fc\U0001f600", title="t", abstract="a", journal="",
+                        year=2020, n_authors=1, references=("a",),
+                        gold_label="empirical"),
+        ]
+        corpus = corpus_of(*records)
+        built = build_graph(corpus)
+        save_graph(built, node_attributes(corpus, built), tmp_path)
+        graph, nodes = load_graph(tmp_path)
+        assert graph.ids == ("a", "a\x00", "\u00fc\U0001f600")
+        assert citers(graph, "a\x00") == ["a"]
+        assert citers(graph, "a") == ["\u00fc\U0001f600"]
+        by_id = {pid: i for i, pid in enumerate(graph.ids)}
+        for rec in records:
+            i = by_id[rec.id]
+            assert nodes.journal[i] == rec.journal
+            assert nodes.gold_label[i] == rec.gold_label
+            assert int(nodes.year[i]) == rec.year
+            assert int(nodes.n_authors[i]) == rec.n_authors
+
+    def test_empty_graph(self, tmp_path):
+        empty = build_graph(corpus_of())
+        save_graph(empty, node_attributes(corpus_of(), empty), tmp_path)
+        graph, nodes = load_graph(tmp_path)
+        assert graph.n_nodes == 0 and graph.n_edges == 0
+        assert nodes.journal == () and nodes.year.shape == (0,)
+
+    def test_rejects_mismatched_files(self, tmp_path, diamond):
+        corpus = corpus_of(*(mk(pid) for pid in diamond.ids))
+        save_graph(diamond, node_attributes(corpus, diamond), tmp_path)
+        np.save(tmp_path / "graph_year.npy", np.array([2000], dtype=np.int64))
+        with pytest.raises(ValueError, match="disagree"):
+            load_graph(tmp_path)

@@ -6,8 +6,9 @@ import pytest
 
 from disruptkit.classify import Classification
 from disruptkit.corpus import EligibilityCriteria, parse_corpus, year_group
-from disruptkit.disruption import disruption_batch
-from disruptkit.graph import build_graph
+from disruptkit import pipeline
+from disruptkit.disruption import ScoreTable, disruption_batch
+from disruptkit.graph import build_graph, node_attributes
 from disruptkit.pipeline import (
     ARTIFACT_STAGE,
     STAGE_FUNCTIONS,
@@ -162,8 +163,8 @@ class TestManifest:
         assert set(manifest) == {"artifacts", "config", "inputs", "versions"}
         assert set(manifest["artifacts"]) == set(ARTIFACT_NAMES)
         # hashes are real content hashes
-        edges = (config.out_dir / "edges.tsv").read_bytes()
-        assert manifest["artifacts"]["edges.tsv"] == hashlib.sha256(edges).hexdigest()
+        ids = (config.out_dir / "graph_ids.npy").read_bytes()
+        assert manifest["artifacts"]["graph_ids.npy"] == hashlib.sha256(ids).hexdigest()
         corpus_bytes = (FIXTURES / "corpus.jsonl").read_bytes()
         assert manifest["inputs"]["corpus"] == hashlib.sha256(corpus_bytes).hexdigest()
         assert "allowlist" in manifest["inputs"]
@@ -200,6 +201,35 @@ class TestStageSequencing:
         for stage in ("classify", "disrupt"):
             with pytest.raises(StageError, match="run stage 'graph' first"):
                 STAGE_FUNCTIONS[stage](config)
+
+    @pytest.mark.parametrize("stage", ["disrupt", "regress", "report"])
+    def test_missing_graph_array_names_graph_stage(self, tmp_path, stage):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        (config.out_dir / "graph_fwd_indices.npy").unlink()
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS[stage](config)
+        assert excinfo.value.stage == stage
+        assert ("missing artifact 'graph_fwd_indices.npy'; run stage 'graph' first"
+                in str(excinfo.value))
+        marker = (config.out_dir / "FAILED").read_text()
+        assert marker.startswith(f"{stage}:") and "run stage 'graph' first" in marker
+
+    def test_only_ingest_graph_and_classify_parse_the_corpus(self, tmp_path, monkeypatch):
+        calls = {"parse_corpus": 0, "build_graph": 0}
+
+        def counting(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counting(name))
+        run_pipeline(fixture_config(tmp_path))
+        assert calls == {"parse_corpus": 3, "build_graph": 1}
 
     def test_unexpected_exception_is_wrapped(self, tmp_path):
         bad_corpus = tmp_path / "broken.jsonl"
@@ -265,7 +295,7 @@ class TestObservationRows:
         corpus = parse_corpus(FIXTURES / "corpus.jsonl")
         graph = build_graph(corpus)
         eligible = ["P000050", "P000060", "P000070"]
-        scores = disruption_batch(graph, eligible, ls=(1, 2))
+        scores = ScoreTable.from_scores(disruption_batch(graph, eligible, ls=(1, 2)))
         return corpus, graph, eligible, scores
 
     def test_joins_and_drops_other(self):
@@ -275,8 +305,8 @@ class TestObservationRows:
             Classification(paper_id="P000060", label="Other", rationale="", source="stub"),
             Classification(paper_id="P000070", label="Empirical", rationale="", source="stub"),
         ]
-        rows = build_observation_rows(corpus, graph, eligible, classifications,
-                                      (1, 2), scores)
+        rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+                                      classifications, (1, 2), scores)
         assert [r.paper_id for r in rows] == ["P000050", "P000070"]
         assert rows[0].conceptual == 1 and rows[1].conceptual == 0
         for r in rows:
@@ -291,8 +321,8 @@ class TestObservationRows:
         classifications = [
             Classification(paper_id="P000050", label="Empirical", rationale="", source="stub"),
         ]
-        rows = build_observation_rows(corpus, graph, eligible, classifications,
-                                      (1, 2), scores)
+        rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+                                      classifications, (1, 2), scores)
         assert [r.paper_id for r in rows] == ["P000050"]
 
 
