@@ -1,8 +1,8 @@
-"""Compare the compiled partition kernel against the numpy fallback.
+"""Time the partition kernels: the sparse kernel, and numba when enabled.
 
 Builds a synthetic citation graph, selects the well-connected focals,
-and times both kernel variants over the same CSR arrays for each citer
-partition mode. Run from the repository root:
+and times each available kernel variant over the same CSR arrays for
+each citer partition mode. Run from the repository root:
 
     python3 benchmarks/bench_disruption.py
     python3 benchmarks/bench_disruption.py --n-nodes 20000 --repeat 5
@@ -46,12 +46,12 @@ def main(argv=None):
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
           f"{focals.size} focals, ls = {tuple(int(x) for x in ls)}")
 
-    variants = [("numpy", _kernels.partition_counts_numpy)]
+    variants = [("sparse", _kernels.partition_counts_sparse)]
     if _kernels.NUMBA_ENABLED:
         variants.insert(0, ("numba", _kernels.partition_counts_numba))
     else:
         print("numba kernel unavailable (not installed or disabled via "
-              "DISRUPTKIT_NO_NUMBA); timing the fallback only")
+              "DISRUPTKIT_NO_NUMBA); timing the sparse kernel only")
 
     csr = (graph.fwd_indptr, graph.fwd_indices,
            graph.bwd_indptr, graph.bwd_indices, graph.in_deg)
@@ -70,7 +70,7 @@ def main(argv=None):
         print(f"{name:<10} {row[0]:>13.2f}s {row[1]:>13.2f}s")
     if _kernels.NUMBA_ENABLED:
         for mode in ("ref_indegree", "overlap"):
-            ratio = results["numpy", mode] / results["numba", mode]
+            ratio = results["sparse", mode] / results["numba", mode]
             print(f"numba speedup ({mode}): {ratio:.1f}x")
 
 

@@ -147,8 +147,10 @@ def disruption_batch(graph: CitationGraph, ids: Sequence[str],
                      mode: str = "ref_indegree",
                      n_jobs: int | None = 1) -> list[DisruptionScore]:
     """Score each id at each threshold; rows ordered by input id then
-    ascending l. The citer scan per focal is shared across thresholds,
-    and focal papers are processed in parallel when n_jobs > 1."""
+    ascending l. One kernel pass counts every threshold (one sparse
+    product per block of focals, or one citer scan per focal in the
+    numba kernel), and focal papers are processed in parallel when
+    n_jobs > 1."""
     ls_clean = _validate_mode_and_thresholds(ls, mode)
     focals = _focal_indices(graph, ids)
     if len(ids) == 0:

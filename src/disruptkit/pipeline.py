@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import platform
 from collections import Counter
 from dataclasses import dataclass
@@ -255,8 +256,15 @@ def _update_manifest(config: PipelineConfig, inputs: dict[str, Path],
         data["inputs"][name] = _sha256_file(p)
     for p in artifacts:
         data["artifacts"][p.name] = _sha256_file(p)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # Write aside and rename over, so a crash mid-write leaves the old
+    # manifest whole rather than half a JSON document.
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _require(config: PipelineConfig, stage: str, filename: str) -> Path:

@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disruptkit import _kernels
 from disruptkit.disruption import (
@@ -18,6 +20,7 @@ from disruptkit.disruption import (
     read_scores,
     write_scores,
 )
+from disruptkit.graph import from_edge_arrays
 from disruptkit.oracle import brute_force_partition
 from disruptkit.synth import synth_graph
 
@@ -245,12 +248,29 @@ class TestBatch:
         with pytest.raises(KeyError, match="ghost"):
             disruption_batch(small_graph(EXAMPLE_HIGH), ["i", "ghost"])
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
         graph = synth_graph(500, seed=11)
         ids = list(graph.ids)
+        whole = disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=1)
+        # Small blocks, so every thread's share of the focals spans
+        # several sparse products.
+        monkeypatch.setattr(_kernels, "BLOCK_PAIRS", 256)
+        pairs = int(graph.in_deg[graph.bwd_indices].sum() + graph.in_deg.sum())
+        assert pairs > 16 * _kernels.BLOCK_PAIRS
         seq = disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=1)
         par = disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=4)
-        assert seq == par
+        assert seq == par == whole
+
+
+def kernel_args(graph):
+    return (graph.fwd_indptr, graph.fwd_indices,
+            graph.bwd_indptr, graph.bwd_indices, graph.in_deg)
+
+
+def sparse_counts(graph, focals, ls, mode):
+    return _kernels.partition_counts_sparse(
+        *kernel_args(graph), np.asarray(focals, dtype=np.int64),
+        np.asarray(ls, dtype=np.int64), mode == "overlap")
 
 
 @pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba disabled")
@@ -259,13 +279,124 @@ class TestKernelParity:
         graph = synth_graph(900, seed=5)
         focals = np.arange(graph.n_nodes, dtype=np.int64)
         ls = np.array(THRESHOLDS, dtype=np.int64)
-        args = (graph.fwd_indptr, graph.fwd_indices,
-                graph.bwd_indptr, graph.bwd_indices, graph.in_deg)
         for overlap in (False, True):
-            fast = _kernels.partition_counts_numba(*args, focals, ls, overlap)
-            slow = _kernels.partition_counts_numpy(*args, focals, ls, overlap)
-            for a, b in zip(fast, slow):
+            fast = _kernels.partition_counts_numba(*kernel_args(graph), focals, ls, overlap)
+            sparse = _kernels.partition_counts_sparse(*kernel_args(graph), focals, ls, overlap)
+            for a, b in zip(fast, sparse):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestSparseKernelContract:
+    @pytest.mark.parametrize("mode", ["ref_indegree", "overlap"])
+    def test_empty_focals(self, mode):
+        graph = small_graph(EXAMPLE_HIGH)
+        for arr in sparse_counts(graph, [], (1, 2, 5), mode):
+            assert arr.dtype == np.int64
+            assert arr.shape == (0, 3)
+
+    @pytest.mark.parametrize("mode", ["ref_indegree", "overlap"])
+    def test_focal_without_references(self, mode):
+        graph = small_graph([("i", "p1"), ("i", "p2"), ("r", "x")])
+        n_f, n_b, n_r = sparse_counts(graph, [graph.index["i"]], (1, 2, 5), mode)
+        assert n_f.tolist() == [[2, 2, 2]]
+        assert n_b.tolist() == n_r.tolist() == [[0, 0, 0]]
+
+    def test_focal_without_citers(self):
+        # r is cited by i, x and y: x and y are R-class while r qualifies
+        graph = small_graph([("r", "i"), ("r", "x"), ("r", "y")])
+        focal = [graph.index["i"]]
+        n_f, n_b, n_r = sparse_counts(graph, focal, (1, 3, 4), "ref_indegree")
+        assert n_f.tolist() == n_b.tolist() == [[0, 0, 0]]
+        assert n_r.tolist() == [[2, 2, 0]]
+        n_f, n_b, n_r = sparse_counts(graph, focal, (1, 3, 4), "overlap")
+        assert n_f.tolist() == n_b.tolist() == [[0, 0, 0]]
+        assert n_r.tolist() == [[2, 2, 2]]
+
+    def test_top_field_stays_below_citer_flag(self):
+        # One reference per focal makes the fields 1 bit wide, so 70
+        # thresholds fill a whole 62-field word; r, cited 70 times,
+        # sets every field of its 69 R-class citers.
+        pairs = [("r", "i"), ("i", "c")] + [("r", f"x{k:02d}") for k in range(69)]
+        graph = small_graph(pairs)
+        n_f, n_b, n_r = sparse_counts(graph, [graph.index["i"]], range(1, 71), "ref_indegree")
+        assert n_f.tolist() == [[1] * 70]
+        assert n_b.tolist() == [[0] * 70]
+        assert n_r.tolist() == [[69] * 70]
+
+    @pytest.mark.parametrize("mode", ["ref_indegree", "overlap"])
+    def test_empty_graph(self, mode):
+        empty = np.array([], dtype=np.int64)
+        for arr in sparse_counts(from_edge_arrays((), empty, empty), [], (1, 2), mode):
+            assert arr.dtype == np.int64 and arr.shape == (0, 2)
+        edgeless = from_edge_arrays(("a", "b"), empty, empty)
+        for arr in sparse_counts(edgeless, [1, 0, 1], (1, 2), mode):
+            assert arr.tolist() == [[0, 0]] * 3
+
+
+@st.composite
+def kernel_cases(draw, min_hub_refs=0):
+    """A random graph, a focal list (repeats, any order), an ascending
+    threshold set that may reach above every in-degree, and a block
+    budget. With min_hub_refs, one extra focal cites at least that many
+    papers, so its field width times 9+ thresholds overflows one packed
+    word."""
+    n = draw(st.integers(1, 12))
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = set(draw(st.lists(st.sampled_from(slots), unique=True))) if slots else set()
+    focals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    n_ls = (1, 6)
+    if min_hub_refs:
+        hub, n_leaves = n, draw(st.integers(min_hub_refs, min_hub_refs + 16))
+        leaves = range(n + 1, n + 1 + n_leaves)
+        edges |= {(leaf, hub) for leaf in leaves}
+        edges |= {(i, hub) for i in draw(st.sets(st.integers(0, n - 1)))}
+        edges |= {(hub, i) for i in draw(st.sets(st.integers(0, n - 1)))}
+        edges |= draw(st.sets(st.tuples(st.sampled_from(leaves), st.integers(0, n - 1)),
+                              max_size=40))
+        focals = draw(st.permutations(focals + [hub]))
+        n += 1 + n_leaves
+        n_ls = (9, 16)
+    in_deg = np.bincount([ref for ref, _ in edges], minlength=n)
+    ls = sorted(draw(st.sets(st.integers(1, max(int(in_deg.max()) + 2, 16)),
+                             min_size=n_ls[0], max_size=n_ls[1])))
+    block_pairs = draw(st.one_of(st.integers(1, 32), st.just(_kernels.BLOCK_PAIRS)))
+    ids = tuple(f"n{i:03d}" for i in range(n))
+    pairs = sorted((ids[ref], ids[cit]) for ref, cit in edges)
+    return ids, pairs, focals, ls, block_pairs
+
+
+def check_against_oracle(case, mode):
+    ids, pairs, focals, ls, block_pairs = case
+    graph = graph_from_pairs(ids, pairs)
+    with mock.patch.object(_kernels, "BLOCK_PAIRS", block_pairs):
+        got = sparse_counts(graph, focals, ls, mode)
+    for arr in got:
+        assert arr.dtype == np.int64 and arr.shape == (len(focals), len(ls))
+    want = {}
+    for pos, focal in enumerate(focals):
+        for j, l in enumerate(ls):
+            if (focal, l) not in want:
+                want[focal, l] = brute_force_partition(
+                    pairs, ids[focal], l=l, mode=mode, nodes=ids).counts
+            assert tuple(int(a[pos, j]) for a in got) == want[focal, l], (
+                f"{mode} focal={ids[focal]} l={l}")
+    return graph
+
+
+class TestSparseKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=kernel_cases(), mode=st.sampled_from(["ref_indegree", "overlap"]))
+    def test_matches_oracle(self, case, mode):
+        check_against_oracle(case, mode)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=kernel_cases(min_hub_refs=64),
+           mode=st.sampled_from(["ref_indegree", "overlap"]))
+    def test_hub_needs_several_packed_words(self, case, mode):
+        graph = check_against_oracle(case, mode)
+        _, _, focals, ls, _ = case
+        bits = int(graph.out_deg[focals].max()).bit_length()
+        assert bits * len(ls) > 62
 
 
 # A child interpreter imports the same disruptkit as this process, also

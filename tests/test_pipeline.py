@@ -174,6 +174,27 @@ class TestManifest:
         # the byte-identical rerun test)
         assert "timestamp" not in json.dumps(manifest).lower()
 
+    def test_failed_write_keeps_old_manifest(self, tmp_path, monkeypatch):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        path = config.out_dir / "manifest.json"
+        before = path.read_bytes()
+        listing = sorted(p.name for p in config.out_dir.iterdir())
+        real_write_text = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            if "manifest" in self.name:
+                real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("No space left on device")
+            return real_write_text(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(StageError, match="No space left"):
+            stage_ingest(config)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
+
 
 class TestStageSequencing:
     def test_missing_prerequisite_names_producer(self, tmp_path):
