@@ -35,7 +35,7 @@ from .classify import (
 )
 from .regress import (
     ModelSpec,
-    ObservationRow,
+    Observations,
     RegressionResult,
     build_design_matrix,
     emit_table,
@@ -53,7 +53,7 @@ __all__ = [
     "DisruptionScore",
     "EligibilityCriteria",
     "ModelSpec",
-    "ObservationRow",
+    "Observations",
     "PaperRecord",
     "RegressionResult",
     "YearGroup",

@@ -239,15 +239,3 @@ if NUMBA_ENABLED:
 else:
     partition_counts = partition_counts_sparse
 
-
-def warmup() -> None:
-    """Trigger JIT compilation on a tiny input so timed runs stay clean."""
-    indptr = np.array([0, 1, 1], dtype=np.int64)
-    indices = np.array([1], dtype=np.int64)
-    bwd_indptr = np.array([0, 0, 1], dtype=np.int64)
-    bwd_indices = np.array([0], dtype=np.int64)
-    in_deg = np.array([1, 0], dtype=np.int64)
-    focals = np.array([0, 1], dtype=np.int64)
-    ls = np.array([1, 2], dtype=np.int64)
-    partition_counts(indptr, indices, bwd_indptr, bwd_indices, in_deg, focals, ls, False)
-    partition_counts(indptr, indices, bwd_indptr, bwd_indices, in_deg, focals, ls, True)

@@ -353,10 +353,24 @@ def _extract_texts(prompt: str) -> str:
     return title + "\n" + abstract
 
 
-def _cue_score(text: str, cues: tuple[str, ...]) -> int:
-    words = re.findall(r"[a-z]+", text.lower())
-    cue_set = set(cues)
-    return sum(1 for w in words if w in cue_set)
+# A cue counts where it is a whole run of a-z letters in the lowercased
+# text, so "theory-driven" holds one cue and "theorys" none. Both lists
+# are alternatives of one pattern, read in a single scan.
+_CUE_PATTERN = re.compile(
+    r"(?<![a-z])(?:({})|({}))(?![a-z])".format(
+        "|".join(_CONCEPTUAL_CUES), "|".join(_EMPIRICAL_CUES))
+)
+
+
+def _cue_scores(text: str) -> tuple[int, int]:
+    """(conceptual, empirical) cue-word counts of one text."""
+    conceptual = empirical = 0
+    for is_conceptual, _ in _CUE_PATTERN.findall(text.lower()):
+        if is_conceptual:
+            conceptual += 1
+        else:
+            empirical += 1
+    return conceptual, empirical
 
 
 def stub_backend(prompt: str) -> str:
@@ -368,8 +382,7 @@ def stub_backend(prompt: str) -> str:
     SHA-256 digest. The response always follows the requested template.
     """
     text = _extract_texts(prompt)
-    conceptual = _cue_score(text, _CONCEPTUAL_CUES)
-    empirical = _cue_score(text, _EMPIRICAL_CUES)
+    conceptual, empirical = _cue_scores(text)
     if conceptual > empirical:
         label = "conceptual"
         reason = ("the title and abstract emphasize theoretical development "

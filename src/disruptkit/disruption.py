@@ -72,6 +72,43 @@ class DisruptionScore:
         return self.d is not None
 
 
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """A disruption.csv table as columns, one entry per row. ``d`` is
+    NaN where the score is Undefined. ``mode`` is the partition mode
+    when the table was computed here, and None when it was read from a
+    file, which does not record it."""
+
+    ids: tuple[str, ...]
+    l: np.ndarray
+    n_f: np.ndarray
+    n_b: np.ndarray
+    n_r: np.ndarray
+    d: np.ndarray
+    mode: str | None = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return (self.ids == other.ids and self.mode == other.mode
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("l", "n_f", "n_b", "n_r"))
+                and np.array_equal(self.d, other.d, equal_nan=True))
+
+    def row(self, k: int) -> DisruptionScore:
+        """Row k as a DisruptionScore; needs the table's mode."""
+        if self.mode is None:
+            raise ValueError("the table records no partition mode")
+        d = float(self.d[k])
+        part = CiterPartition(n_f=int(self.n_f[k]), n_b=int(self.n_b[k]),
+                              n_r=int(self.n_r[k]), l=int(self.l[k]), mode=self.mode)
+        return DisruptionScore(paper_id=self.ids[k], partition=part,
+                               d=None if np.isnan(d) else d)
+
+
 def _score_from_counts(n_f: int, n_b: int, n_r: int) -> float | None:
     denom = n_f + n_b + n_r
     if denom == 0:
@@ -145,66 +182,46 @@ def disruption_score(graph: CitationGraph, focal: str, l: int = 1,
 def disruption_batch(graph: CitationGraph, ids: Sequence[str],
                      ls: Sequence[int] = DEFAULT_THRESHOLDS,
                      mode: str = "ref_indegree",
-                     n_jobs: int | None = 1) -> list[DisruptionScore]:
-    """Score each id at each threshold; rows ordered by input id then
-    ascending l. One kernel pass counts every threshold (one sparse
-    product per block of focals, or one citer scan per focal in the
-    numba kernel), and focal papers are processed in parallel when
-    n_jobs > 1."""
+                     n_jobs: int | None = 1) -> ScoreTable:
+    """Score each id at each threshold, as a ScoreTable whose rows are
+    ordered by input id, then ascending l (thresholds are deduplicated).
+
+    One kernel pass counts every threshold (one sparse product per block
+    of focals, or one citer scan per focal in the numba kernel), and
+    focal papers are processed in parallel when n_jobs > 1. The scores
+    and the CiterPartition checks are applied to the count arrays as a
+    whole; ``ScoreTable.row`` gives one row as a DisruptionScore."""
     ls_clean = _validate_mode_and_thresholds(ls, mode)
     focals = _focal_indices(graph, ids)
-    if len(ids) == 0:
-        return []
-    n_f, n_b, n_r = _counts_for(graph, focals, ls_clean, mode, n_jobs=n_jobs)
-    out: list[DisruptionScore] = []
-    for pos, paper_id in enumerate(ids):
-        for j, l in enumerate(ls_clean):
-            part = CiterPartition(n_f=int(n_f[pos, j]), n_b=int(n_b[pos, j]),
-                                  n_r=int(n_r[pos, j]), l=l, mode=mode)
-            out.append(DisruptionScore(paper_id=paper_id, partition=part,
-                                       d=_score_from_counts(*part.counts)))
-    return out
+    n_f, n_b, n_r = (np.asarray(c, dtype=np.int64).reshape(-1)
+                     for c in _counts_for(graph, focals, ls_clean, mode, n_jobs=n_jobs))
+    if (n_f < 0).any() or (n_b < 0).any() or (n_r < 0).any():
+        raise ValueError("partition counts must be >= 0")
+    denom = n_f + n_b + n_r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(denom > 0, (n_f - n_b) / denom, np.nan)
+    return ScoreTable(
+        ids=tuple(paper_id for paper_id in ids for _ in ls_clean),
+        l=np.tile(np.asarray(ls_clean, dtype=np.int64), len(ids)),
+        n_f=n_f, n_b=n_b, n_r=n_r, d=d, mode=mode,
+    )
 
 
 def format_score(d: float | None) -> str:
-    return "NA" if d is None else f"{d:.6f}"
+    """d with 6 decimals; NA when Undefined (None, or NaN in a table)."""
+    return "NA" if d is None or d != d else f"{d:.6f}"
 
 
-def write_scores(scores: Sequence[DisruptionScore], path: str | Path) -> None:
-    """CSV with columns id, l, n_f, n_b, n_r, d (6 decimals, NA when
-    Undefined)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+def write_scores(scores: ScoreTable, path: str | Path) -> None:
+    """Write a ScoreTable as CSV with columns id, l, n_f, n_b, n_r, d:
+    one row per table row, d with 6 decimals and NA where Undefined.
+    read_scores parses it back."""
+    d = [format_score(v) for v in scores.d.tolist()]
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORE_COLUMNS)
-        for s in scores:
-            p = s.partition
-            writer.writerow([s.paper_id, p.l, p.n_f, p.n_b, p.n_r, format_score(s.d)])
-
-
-@dataclass(frozen=True)
-class ScoreTable:
-    """A disruption.csv table as columns, one entry per row. ``d`` is
-    NaN where the score is Undefined."""
-
-    ids: tuple[str, ...]
-    l: np.ndarray
-    n_f: np.ndarray
-    n_b: np.ndarray
-    n_r: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def from_scores(cls, scores: Sequence[DisruptionScore]) -> "ScoreTable":
-        parts = [s.partition for s in scores]
-        return cls(
-            ids=tuple(s.paper_id for s in scores),
-            l=np.array([p.l for p in parts], dtype=np.int64),
-            n_f=np.array([p.n_f for p in parts], dtype=np.int64),
-            n_b=np.array([p.n_b for p in parts], dtype=np.int64),
-            n_r=np.array([p.n_r for p in parts], dtype=np.int64),
-            d=np.array([np.nan if s.d is None else s.d for s in scores], dtype=np.float64),
-        )
+        writer.writerows(zip(scores.ids, scores.l.tolist(), scores.n_f.tolist(),
+                             scores.n_b.tolist(), scores.n_r.tolist(), d))
 
 
 def read_scores(path: str | Path) -> ScoreTable:

@@ -29,7 +29,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import platform
 from collections import Counter
@@ -44,11 +43,11 @@ from . import __version__
 from .classify import (BackendConfig, Classification, ResponseCache,
                        agreement_report, classify_batch, stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, eligible_ids, filter_journals,
-                     parse_corpus, read_allowlist, write_corpus, year_group)
+                     parse_corpus, read_allowlist, write_corpus)
 from .disruption import MODES, ScoreTable, disruption_batch, read_scores, write_scores
 from .graph import (GRAPH_FILES, CitationGraph, NodeAttributes, build_graph,
                     degree_stats, load_graph, node_attributes, save_graph)
-from .regress import (ObservationRow, emit_table, fit_model, layout_for,
+from .regress import (Observations, emit_table, fit_model, layout_for,
                       standard_model_specs, write_results_csv)
 
 STAGES = ("ingest", "graph", "classify", "disrupt", "regress", "report")
@@ -415,36 +414,61 @@ def read_classifications(path: str | Path) -> list[Classification]:
     return out
 
 
+def _score_matrix(eligible: list[str], thresholds: np.ndarray,
+                  scores: ScoreTable) -> np.ndarray:
+    """d as an (eligible paper, threshold) matrix. The score rows must be
+    exactly eligible × thresholds, each once; anything else means
+    disruption.csv predates the current eligible set or thresholds."""
+    n_l = len(thresholds)
+    position = {pid: k for k, pid in enumerate(eligible)}
+    row = np.fromiter((position.get(pid, -1) for pid in scores.ids),
+                      dtype=np.int64, count=len(scores))
+    col = np.minimum(np.searchsorted(thresholds, scores.l), n_l - 1)
+    known = (row >= 0) & (thresholds[col] == scores.l)
+    hits = np.bincount(row[known] * n_l + col[known], minlength=len(eligible) * n_l)
+    problem = None
+    if not known.all():
+        k = int(np.argmin(known))
+        problem = (f"it scores ({scores.ids[k]!r}, l={scores.l[k]}), which is not "
+                   "an eligible paper at a configured threshold")
+    elif (hits != 1).any():
+        cell = int(np.argmax(hits != 1))
+        key = f"({eligible[cell // n_l]!r}, l={thresholds[cell % n_l]})"
+        problem = (f"it scores {key} {hits[cell]} times" if hits[cell]
+                   else f"it has no score for {key}")
+    if problem is not None:
+        raise ValueError(f"disruption.csv does not match eligible.txt and the "
+                         f"thresholds: {problem}; run stage 'disrupt' again")
+    d = np.empty((len(eligible), n_l), dtype=np.float64)
+    d[row, col] = scores.d
+    return d
+
+
 def build_observation_rows(graph: CitationGraph, nodes: NodeAttributes,
                            eligible: list[str],
                            classifications: list[Classification],
                            thresholds: tuple[int, ...],
-                           scores: ScoreTable) -> list[ObservationRow]:
-    """Join the per-paper artifacts into model-ready rows. Papers whose
-    label is neither Conceptual nor Empirical are dropped here, before
-    any model sees them."""
+                           scores: ScoreTable) -> Observations:
+    """Join the per-paper artifacts into model-ready columns, one entry
+    per eligible paper in eligible order. Papers whose label is neither
+    Conceptual nor Empirical are dropped here, before any model sees
+    them. The scores must cover exactly eligible × thresholds."""
+    ls = np.unique(np.asarray(thresholds, dtype=np.int64))
+    d = _score_matrix(eligible, ls, scores)
     label_by_id = {c.paper_id: c.label for c in classifications}
-    d_by_key = {key: None if math.isnan(d) else d
-                for key, d in zip(zip(scores.ids, scores.l.tolist()), scores.d.tolist())}
-    rows: list[ObservationRow] = []
-    for pid in eligible:
-        label = label_by_id.get(pid)
-        if label == "Conceptual":
-            conceptual = 1
-        elif label == "Empirical":
-            conceptual = 0
-        else:
-            continue
-        idx = graph.index[pid]
-        rows.append(ObservationRow(
-            paper_id=pid,
-            y_citations=int(graph.in_deg[idx]),
-            y_d={l: d_by_key.get((pid, l)) for l in thresholds},
-            year_group=year_group(int(nodes.year[idx])),
-            n_authors=int(nodes.n_authors[idx]),
-            conceptual=conceptual,
-        ))
-    return rows
+    indicator = {"Conceptual": 1.0, "Empirical": 0.0}
+    conceptual = np.array([indicator.get(label_by_id.get(pid), np.nan) for pid in eligible])
+    keep = np.flatnonzero(~np.isnan(conceptual))
+    idx = np.fromiter((graph.index[eligible[k]] for k in keep),
+                      dtype=np.int64, count=len(keep))
+    return Observations(
+        ids=tuple(eligible[k] for k in keep),
+        y_citations=graph.in_deg[idx],
+        y_d={int(l): d[keep, j] for j, l in enumerate(ls)},
+        year=nodes.year[idx],
+        n_authors=nodes.n_authors[idx],
+        conceptual=conceptual[keep],
+    )
 
 
 def stage_regress(config: PipelineConfig) -> list[Path]:
@@ -456,10 +480,10 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
             _require(config, "regress", "classifications.csv"))
         scores = read_scores(_require(config, "regress", "disruption.csv"))
         graph, nodes = _load_graph(config, "regress")
-        rows = build_observation_rows(graph, nodes, eligible, classifications,
-                                      config.thresholds, scores)
+        obs = build_observation_rows(graph, nodes, eligible, classifications,
+                                     config.thresholds, scores)
         specs = standard_model_specs(config.model_thresholds)
-        results = [fit_model(rows, spec) for spec in specs]
+        results = [fit_model(obs, spec) for spec in specs]
         citation_results = [r for r in results if r.model.startswith("citations")]
         d_results = [r for r in results if r.model.startswith("disruption")]
 

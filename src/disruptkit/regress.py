@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .corpus import YearGroup
 
@@ -28,30 +28,52 @@ DUMMY_GROUPS = tuple(g for g in YearGroup if g is not YearGroup.G1991_1995)
 OUTCOMES = ("citations", "d")
 
 
-@dataclass(frozen=True)
-class ObservationRow:
-    """One paper's variables for model fitting.
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """The per-paper variables for model fitting, as columns with one
+    entry per paper.
 
-    ``y_d`` maps each threshold to the disruption score at that
-    threshold (None for Undefined). ``conceptual`` is None when the
-    paper carries no usable type label; such rows can feed the
-    citation-only models but not specs that include the indicator.
+    ``y_d`` maps each threshold to the disruption scores at that
+    threshold (NaN where Undefined). ``conceptual`` holds 1.0, 0.0, or
+    NaN (given as None) when the paper carries no usable type label;
+    such papers can feed the citation-only models but not specs that
+    include the indicator. ``year`` must lie in a YearGroup cohort.
     """
 
-    paper_id: str
-    y_citations: int
-    y_d: Mapping[int, float | None]
-    year_group: YearGroup
-    n_authors: int
-    conceptual: int | None
+    ids: tuple[str, ...]
+    y_citations: np.ndarray
+    y_d: Mapping[int, np.ndarray]
+    year: np.ndarray
+    n_authors: np.ndarray
+    conceptual: np.ndarray
 
     def __post_init__(self):
-        if self.conceptual not in (None, 0, 1):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("y_citations", np.int64), ("year", np.int64),
+                            ("n_authors", np.int64), ("conceptual", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "y_d", {int(l): np.asarray(d, dtype=np.float64)
+                                         for l, d in self.y_d.items()})
+        n = len(self.ids)
+        if any(col.shape != (n,) for col in (self.y_citations, self.year, self.n_authors,
+                                             self.conceptual, *self.y_d.values())):
+            raise ValueError(f"every column must hold one entry for each of the {n} papers")
+        conceptual = self.conceptual
+        bad = ~(np.isnan(conceptual) | (conceptual == 0.0) | (conceptual == 1.0))
+        if bad.any():
             raise ValueError(
-                f"row {self.paper_id!r}: conceptual must be 0, 1, or None"
+                f"row {self.ids[int(np.argmax(bad))]!r}: conceptual must be 0, 1, or None"
             )
-        if self.n_authors < 1:
-            raise ValueError(f"row {self.paper_id!r}: n_authors must be >= 1")
+        bad = self.n_authors < 1
+        if bad.any():
+            raise ValueError(f"row {self.ids[int(np.argmax(bad))]!r}: n_authors must be >= 1")
+        lo, hi = YearGroup.G1991_1995.start, YearGroup.G2016_2020.end
+        bad = (self.year < lo) | (self.year > hi)
+        if bad.any():
+            raise ValueError(f"year {int(self.year[np.argmax(bad)])} outside [{lo}, {hi}]")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -97,42 +119,47 @@ def standard_model_specs(thresholds: Sequence[int] = (2, 3, 5)) -> list[ModelSpe
 
 
 def build_design_matrix(
-    rows: Sequence[ObservationRow], spec: ModelSpec,
+    obs: Observations, spec: ModelSpec,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Assemble (X, y, column names) for one model.
+    """Assemble (X, y, column names) for one model from the observation
+    columns, keeping rows in table order.
 
-    Rows whose disruption score is Undefined at the spec's threshold
-    are dropped for the 'd' outcome.
+    Papers whose disruption score is Undefined at the spec's threshold
+    are dropped for the 'd' outcome. A spec with the conceptual
+    indicator needs every paper labelled. Each cohort dummy is the mask
+    of papers whose year falls in that cohort.
     """
-    if not rows:
+    if not len(obs):
         raise ValueError("rows must be non-empty")
     if spec.include_conceptual:
-        unlabeled = [r.paper_id for r in rows if r.conceptual is None]
-        if unlabeled:
+        unlabeled = np.flatnonzero(np.isnan(obs.conceptual))
+        if unlabeled.size:
             raise ValueError(
                 f"model {spec.name!r} includes the conceptual indicator but "
-                f"{len(unlabeled)} row(s) lack a label (first: {unlabeled[0]!r})"
+                f"{unlabeled.size} row(s) lack a label (first: {obs.ids[unlabeled[0]]!r})"
             )
     if spec.outcome == "d":
-        kept = [r for r in rows if r.y_d.get(spec.l) is not None]
-        y = np.array([float(r.y_d[spec.l]) for r in kept], dtype=np.float64)
+        d = obs.y_d.get(spec.l, np.full(len(obs), np.nan))
+        keep = ~np.isnan(d)
+        y = d[keep]
     else:
-        kept = list(rows)
-        y = np.array([float(r.y_citations) for r in kept], dtype=np.float64)
-    if not kept:
+        keep = np.ones(len(obs), dtype=bool)
+        y = obs.y_citations.astype(np.float64)
+    if not keep.any():
         raise ValueError(f"model {spec.name!r}: no rows with a defined outcome")
 
     names = spec.column_names()
-    X = np.zeros((len(kept), len(names)), dtype=np.float64)
+    X = np.zeros((int(keep.sum()), len(names)), dtype=np.float64)
     X[:, 0] = 1.0
-    for j, group in enumerate(DUMMY_GROUPS, start=1):
-        X[:, j] = [1.0 if r.year_group == group else 0.0 for r in kept]
+    year = obs.year[keep, None]
+    X[:, 1:1 + len(DUMMY_GROUPS)] = ((year >= [g.start for g in DUMMY_GROUPS])
+                                     & (year <= [g.end for g in DUMMY_GROUPS]))
     col = 1 + len(DUMMY_GROUPS)
     if spec.include_n_authors:
-        X[:, col] = [float(r.n_authors) for r in kept]
+        X[:, col] = obs.n_authors[keep]
         col += 1
     if spec.include_conceptual:
-        X[:, col] = [float(r.conceptual) for r in kept]
+        X[:, col] = obs.conceptual[keep]
     return X, y, names
 
 
@@ -163,6 +190,14 @@ class RegressionResult:
         j = self.names.index(name)
         return (float(self.coef[j]), float(self.se[j]),
                 float(self.t[j]), float(self.p[j]))
+
+
+def two_sided_p(t: np.ndarray, dof: int) -> np.ndarray:
+    """Two-sided p values of t statistics with ``dof`` degrees of freedom:
+    2 * scipy.stats.t.sf(|t|, dof), from the scipy.special function that
+    t.sf evaluates, so that importing this module does not pull in
+    scipy.stats (about 0.8 s)."""
+    return 2.0 * scipy.special.stdtr(dof, -np.abs(t))
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray,
@@ -213,7 +248,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
     se = np.sqrt(sigma2 * np.diag(xtx_inv))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = 2.0 * scipy.stats.t.sf(np.abs(t), dof)
+    p = two_sided_p(t, dof)
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst > 0:
         r_squared = 1.0 - ssr / sst
@@ -226,8 +261,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
                             adj_r_squared=float(adj_r_squared))
 
 
-def fit_model(rows: Sequence[ObservationRow], spec: ModelSpec) -> RegressionResult:
-    X, y, names = build_design_matrix(rows, spec)
+def fit_model(obs: Observations, spec: ModelSpec) -> RegressionResult:
+    X, y, names = build_design_matrix(obs, spec)
     return ols_fit(X, y, names=names, model=spec.name)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from disruptkit.classify import Classification, agreement_report
 from disruptkit.corpus import EligibilityCriteria, PaperRecord, eligible_ids
-from disruptkit.disruption import MODES, ScoreTable, disruption_batch, disruption_score
+from disruptkit.disruption import MODES, disruption_batch, disruption_score
 from disruptkit.graph import build_graph, node_attributes
 from disruptkit.oracle import brute_force_partition
 from disruptkit.pipeline import (
@@ -119,7 +119,7 @@ def test_criterion_2_brute_force_parity():
             k = 0
             for focal in ids:
                 for l in LS:
-                    got = scores[k].partition
+                    got = scores.row(k).partition
                     k += 1
                     want = brute_force_partition(pairs, focal, l=l,
                                                  mode=mode, nodes=ids)
@@ -162,7 +162,7 @@ def test_criterion_3_threshold_one_collapse():
         ids, pairs = random_digraph(rng, n, p)
         graph = graph_from_pairs(ids, pairs)
         scores = disruption_batch(graph, ids, ls=(1,))
-        for score in scores:
+        for score in map(scores.row, range(len(scores))):
             want = base_disruption(pairs, ids, score.paper_id)
             assert score.d == want, (
                 f"criterion 3: l=1 score {score.d} differs from the "
@@ -178,7 +178,8 @@ def test_criterion_4_bounds_and_partition():
     for ids, pairs in parity_check_graphs():
         graph = graph_from_pairs(ids, pairs)
         for mode in MODES:
-            for score in disruption_batch(graph, ids, ls=LS, mode=mode):
+            scores = disruption_batch(graph, ids, ls=LS, mode=mode)
+            for score in map(scores.row, range(len(scores))):
                 part = score.partition
                 if score.d is not None:
                     assert -1.0 <= score.d <= 1.0, (
@@ -304,7 +305,7 @@ def _conceptual_terms(seed, effect):
         for rec in corpus if rec.gold_label is not None
     ]
     rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                  classifications, (5,), ScoreTable.from_scores(scores))
+                                  classifications, (5,), scores)
     cit = fit_model(rows, CITATIONS_SPEC).term("conceptual")
     d5 = fit_model(rows, D5_SPEC).term("conceptual")
     return (cit[0], cit[3]), (d5[0], d5[3])

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.classify import (
+    _CONCEPTUAL_CUES,
+    _EMPIRICAL_CUES,
     PROMPT_TEMPLATE,
     AgreementReport,
     BackendConfig,
@@ -16,6 +20,7 @@ from disruptkit.classify import (
     parse_response,
     render_prompt,
     stub_backend,
+    _cue_scores,
 )
 from disruptkit.corpus import PaperRecord
 from disruptkit.synth import synth_corpus
@@ -249,6 +254,45 @@ class TestStubBackend:
         results = classify_batch(records, backend=stub_backend)
         report = agreement_report(results, {r.id: r.gold_label for r in records})
         assert report.overall_accuracy == 1.0
+
+
+def two_pass_cue_score(text, cues):
+    """The stub's scorer before it read both cue lists in one scan: kept
+    as the reference the one-pass scorer must match."""
+    words = re.findall(r"[a-z]+", text.lower())
+    cue_set = set(cues)
+    return sum(1 for w in words if w in cue_set)
+
+
+_CUES = _CONCEPTUAL_CUES + _EMPIRICAL_CUES
+_NEAR_MISSES = ("theorys", "datasets", "frameworks", "atheory", "sampled",
+                "empiricals", "paneling", "surveyed", "constructive", "dat")
+# Separators, including none at all (glued words) and characters whose
+# lowercase form holds a-z letters (U+0130, the Kelvin sign U+212A).
+_GLUE = ("", " ", "-", ".", ",", "\n", "'", "_", "7", "\u00e9", "\u0130",
+         "\u212a", "\u00df", "\u03a3", "\u65e5\u672c")
+_pieces = st.one_of(
+    st.sampled_from(_CUES + _NEAR_MISSES),
+    st.sampled_from(_CUES).map(str.upper),
+    st.sampled_from(_CUES).map(str.title),
+    st.sampled_from(_GLUE),
+    st.text(max_size=6),
+)
+
+
+class TestOnePassCueScores:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_pieces, max_size=40).map("".join))
+    @example("theory-driven data")
+    @example("theorys datasets")
+    @example("THEORY\u0130 \u212aonceptual datasurvey")
+    def test_matches_two_pass_scorer(self, text):
+        assert _cue_scores(text) == (two_pass_cue_score(text, _CONCEPTUAL_CUES),
+                                     two_pass_cue_score(text, _EMPIRICAL_CUES))
+
+    def test_cues_glued_to_punctuation_count_and_near_misses_do_not(self):
+        assert _cue_scores("theory-driven, (data); propositions.") == (2, 1)
+        assert _cue_scores("theorys datasets atheory") == (0, 0)
 
 
 @pytest.fixture

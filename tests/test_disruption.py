@@ -1,14 +1,17 @@
+import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from disruptkit import _kernels
+from disruptkit import _kernels, disruption
 from disruptkit.disruption import (
     CiterPartition,
     DisruptionScore,
@@ -87,6 +90,22 @@ class TestPartitionValidation:
         with pytest.raises(KeyError, match="ghost"):
             disruption_score(small_graph(EXAMPLE_HIGH), "ghost")
 
+    def test_batch_checks_the_whole_table(self, monkeypatch):
+        graph = small_graph(EXAMPLE_HIGH)
+        with pytest.raises(ValueError, match=">= 1"):
+            disruption_batch(graph, ["i"], ls=(0, 1))
+        with pytest.raises(ValueError, match="mode"):
+            disruption_batch(graph, ["i"], mode="fancy")
+
+        def negative(*args):
+            counts = np.zeros((2, 1), dtype=np.int64)
+            counts[1, 0] = -1
+            return counts, counts.copy(), counts.copy()
+
+        monkeypatch.setattr(disruption, "partition_counts", negative)
+        with pytest.raises(ValueError, match=">= 0"):
+            disruption_batch(graph, ["i", "p1"], ls=(1,))
+
 
 class TestScoreSemantics:
     def test_isolated_focal_is_undefined_not_zero(self):
@@ -139,7 +158,8 @@ class TestAgainstBruteForce:
             ids, pairs = random_digraph(rng, n, p)
             graph = graph_from_pairs(ids, pairs)
             scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-            by_key = {(s.paper_id, s.partition.l): s.partition for s in scores}
+            by_key = {(s.paper_id, s.partition.l): s.partition
+                      for s in map(scores.row, range(len(scores)))}
             for focal in ids:
                 for l in THRESHOLDS:
                     expected = brute_force_partition(pairs, focal, l=l,
@@ -173,7 +193,7 @@ class TestInvariants:
         for mode in ("ref_indegree", "overlap"):
             for ids, graph in sweep_graphs:
                 scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-                for s in scores:
+                for s in map(scores.row, range(len(scores))):
                     part = s.partition
                     idx = graph.index[s.paper_id]
                     # F and B exactly split the focal paper's citers
@@ -191,7 +211,7 @@ class TestInvariants:
             for ids, graph in sweep_graphs:
                 scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
                 per_id: dict[str, list] = {}
-                for s in scores:
+                for s in map(scores.row, range(len(scores))):
                     per_id.setdefault(s.paper_id, []).append(s.partition)
                 for parts in per_id.values():
                     assert [p.l for p in parts] == list(THRESHOLDS)
@@ -231,14 +251,14 @@ class TestBatch:
     def test_row_order_and_threshold_cleaning(self):
         graph = small_graph(EXAMPLE_HIGH)
         scores = disruption_batch(graph, ["p4", "i"], ls=(5, 1, 3, 3))
-        keys = [(s.paper_id, s.partition.l) for s in scores]
+        keys = [(s.paper_id, s.partition.l) for s in map(scores.row, range(len(scores)))]
         # input id order is preserved; thresholds are deduplicated and
         # sorted ascending
         assert keys == [("p4", 1), ("p4", 3), ("p4", 5),
                         ("i", 1), ("i", 3), ("i", 5)]
 
     def test_empty_ids(self):
-        assert disruption_batch(small_graph(EXAMPLE_HIGH), []) == []
+        assert len(disruption_batch(small_graph(EXAMPLE_HIGH), [])) == 0
 
     def test_rejects_empty_thresholds(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -443,7 +463,7 @@ class TestScoreSerialization:
         back = read_scores(path)
         assert back.ids == ("a", "a", "lone", "lone")
         assert back.l.tolist() == [1, 2, 1, 2]
-        assert (back.n_f[0], back.n_b[0], back.n_r[0]) == scores[0].partition.counts
+        assert (back.n_f[0], back.n_b[0], back.n_r[0]) == scores.row(0).partition.counts
         assert np.isnan(back.d[2]) and np.isnan(back.d[3])
 
     def test_read_rejects_wrong_header(self, tmp_path):
@@ -463,14 +483,112 @@ class TestScoreSerialization:
         scores = disruption_batch(graph, ["i", "lone"], ls=(1, 2))
         path = tmp_path / "scores.csv"
         write_scores(scores, path)
-        table, back = ScoreTable.from_scores(scores), read_scores(path)
+        table, back = scores, read_scores(path)
         assert table.ids == back.ids
         for name in ("l", "n_f", "n_b", "n_r"):
             np.testing.assert_array_equal(getattr(table, name), getattr(back, name))
         np.testing.assert_allclose(table.d, back.d, atol=5e-7)  # 6 decimals on disk
 
+    def test_row_is_the_single_focal_score(self, tmp_path):
+        graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])
+        scores = disruption_batch(graph, ["i", "lone"], ls=(1, 3), mode="overlap")
+        assert len(scores) == 4
+        for k, (focal, l) in enumerate([("i", 1), ("i", 3), ("lone", 1), ("lone", 3)]):
+            assert scores.row(k) == disruption_score(graph, focal, l=l, mode="overlap")
+        path = tmp_path / "scores.csv"
+        write_scores(scores, path)
+        with pytest.raises(ValueError, match="no partition mode"):
+            read_scores(path).row(0)
+
+    def test_tables_compare_by_value(self):
+        graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])
+        scores = disruption_batch(graph, ["i", "lone"], ls=(1, 2))
+        assert scores == disruption_batch(graph, ["i", "lone"], ls=(1, 2))
+        assert scores != disruption_batch(graph, ["i", "lone"], ls=(1, 2), mode="overlap")
+        assert scores != disruption_batch(graph, ["i", "p1"], ls=(1, 2))
+
     def test_written_values_have_six_decimals(self, tmp_path):
         graph = small_graph(EXAMPLE_HIGH)
         path = tmp_path / "scores.csv"
-        write_scores([disruption_score(graph, "i")], path)
+        write_scores(disruption_batch(graph, ["i"], ls=(1,)), path)
         assert path.read_text().splitlines()[1] == "i,1,3,0,1,0.750000"
+
+
+def reference_scores_csv(table):
+    """disruption.csv as the per-row writer wrote it: one csv row per
+    score, d as "%.6f" or NA."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "l", "n_f", "n_b", "n_r", "d"])
+    for k in range(len(table)):
+        d = float(table.d[k])
+        writer.writerow([table.ids[k], int(table.l[k]), int(table.n_f[k]),
+                         int(table.n_b[k]), int(table.n_r[k]),
+                         "NA" if np.isnan(d) else "%.6f" % d])
+    return buf.getvalue().encode("utf-8")
+
+
+_IDS = st.one_of(
+    st.lists(st.one_of(
+        st.sampled_from([",", '"', "'", " ", "\n", "\u00e9", "\u65e5", "\U0001f600"]),
+        st.characters(blacklist_categories=("Cs", "Cc")),
+    ), max_size=6).map("".join),
+    st.sampled_from(["NA", "", "a,b", '"q"']),
+)
+
+
+@st.composite
+def score_tables(draw):
+    """ScoreTables as disruption_batch builds them, with awkward ids and
+    counts small enough that all-zero (NA) rows are common."""
+    n = draw(st.integers(0, 12))
+    ids = tuple(draw(st.lists(_IDS, min_size=n, max_size=n)))
+    counts = [np.array(draw(st.lists(st.integers(0, 3 if j < 3 else 10**6),
+                                     min_size=n, max_size=n)), dtype=np.int64)
+              for j in range(4)]
+    n_f, n_b, n_r, big = counts
+    n_r = np.where(big % 2 == 0, n_r, n_r * big)  # some large denominators
+    denom = n_f + n_b + n_r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(denom > 0, (n_f - n_b) / denom, np.nan)
+    l = np.array(draw(st.lists(st.integers(1, 99), min_size=n, max_size=n)), dtype=np.int64)
+    return ScoreTable(ids=ids, l=l, n_f=n_f, n_b=n_b, n_r=n_r, d=d, mode="ref_indegree")
+
+
+class TestScoreTableFile:
+    @settings(max_examples=150, deadline=None)
+    @given(score_tables())
+    @example(ScoreTable(ids=(), l=np.zeros(0, dtype=np.int64), n_f=np.zeros(0, dtype=np.int64),
+                        n_b=np.zeros(0, dtype=np.int64), n_r=np.zeros(0, dtype=np.int64),
+                        d=np.zeros(0)))
+    def test_round_trip(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.csv"
+            write_scores(table, path)
+            back = read_scores(path)
+        assert back.ids == table.ids
+        for name in ("l", "n_f", "n_b", "n_r"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+            assert getattr(back, name).dtype == np.int64
+        assert np.array_equal(np.isnan(back.d), np.isnan(table.d))
+        defined = ~np.isnan(table.d)
+        assert back.d[defined].tolist() == [float("%.6f" % v) for v in table.d[defined]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(score_tables())
+    @example(ScoreTable(ids=("a",), l=np.array([1]), n_f=np.array([0]), n_b=np.array([1]),
+                        n_r=np.array([3_000_000]), d=np.array([-1 / 3_000_001])))
+    def test_bytes_match_the_per_row_writer(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.csv"
+            write_scores(table, path)
+            assert path.read_bytes() == reference_scores_csv(table)
+
+    def test_batch_bytes_match_the_per_row_writer(self, tmp_path):
+        ids, pairs = random_digraph(np.random.default_rng(4), 300, 0.01)
+        graph = graph_from_pairs(ids, pairs)
+        for mode in ("ref_indegree", "overlap"):
+            table = disruption_batch(graph, list(graph.ids), ls=THRESHOLDS, mode=mode)
+            assert np.isnan(table.d).any()
+            write_scores(table, tmp_path / "scores.csv")
+            assert (tmp_path / "scores.csv").read_bytes() == reference_scores_csv(table)

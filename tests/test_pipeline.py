@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disruptkit.classify import Classification
@@ -316,7 +317,7 @@ class TestObservationRows:
         corpus = parse_corpus(FIXTURES / "corpus.jsonl")
         graph = build_graph(corpus)
         eligible = ["P000050", "P000060", "P000070"]
-        scores = ScoreTable.from_scores(disruption_batch(graph, eligible, ls=(1, 2)))
+        scores = disruption_batch(graph, eligible, ls=(1, 2))
         return corpus, graph, eligible, scores
 
     def test_joins_and_drops_other(self):
@@ -326,25 +327,83 @@ class TestObservationRows:
             Classification(paper_id="P000060", label="Other", rationale="", source="stub"),
             Classification(paper_id="P000070", label="Empirical", rationale="", source="stub"),
         ]
-        rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                      classifications, (1, 2), scores)
-        assert [r.paper_id for r in rows] == ["P000050", "P000070"]
-        assert rows[0].conceptual == 1 and rows[1].conceptual == 0
-        for r in rows:
-            idx = graph.index[r.paper_id]
-            assert r.y_citations == int(graph.in_deg[idx])
-            assert set(r.y_d) == {1, 2}
-            assert r.year_group == year_group(corpus[r.paper_id].year)
-            assert r.n_authors == corpus[r.paper_id].n_authors
+        obs = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+                                     classifications, (1, 2), scores)
+        assert obs.ids == ("P000050", "P000070")
+        assert obs.conceptual[0] == 1 and obs.conceptual[1] == 0
+        for k, pid in enumerate(obs.ids):
+            idx = graph.index[pid]
+            assert obs.y_citations[k] == int(graph.in_deg[idx])
+            assert set(obs.y_d) == {1, 2}
+            assert year_group(int(obs.year[k])) == year_group(corpus[pid].year)
+            assert obs.n_authors[k] == corpus[pid].n_authors
 
     def test_unclassified_papers_are_skipped(self):
         corpus, graph, eligible, scores = self.make_inputs()
         classifications = [
             Classification(paper_id="P000050", label="Empirical", rationale="", source="stub"),
         ]
-        rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                      classifications, (1, 2), scores)
-        assert [r.paper_id for r in rows] == ["P000050"]
+        obs = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+                                     classifications, (1, 2), scores)
+        assert obs.ids == ("P000050",)
+
+
+def take_rows(scores, rows):
+    """The table's rows at the given positions, in that order."""
+    return ScoreTable(ids=tuple(scores.ids[k] for k in rows), l=scores.l[rows],
+                      n_f=scores.n_f[rows], n_b=scores.n_b[rows],
+                      n_r=scores.n_r[rows], d=scores.d[rows])
+
+
+class TestStaleScores:
+    def join(self, scores, thresholds=(1, 2)):
+        corpus, graph, eligible, _ = TestObservationRows().make_inputs()
+        classifications = [Classification(paper_id=pid, label="Empirical",
+                                          rationale="", source="stub") for pid in eligible]
+        return build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+                                      classifications, thresholds, scores)
+
+    def test_exact_rows_in_any_order_join(self):
+        _, _, _, scores = TestObservationRows().make_inputs()
+        forward = self.join(scores)
+        backward = self.join(take_rows(scores, list(range(len(scores)))[::-1]))
+        assert forward.ids == backward.ids
+        for l in (1, 2):
+            np.testing.assert_array_equal(forward.y_d[l], backward.y_d[l])
+
+    @pytest.mark.parametrize("rows, thresholds, problem", [
+        ([0, 1, 2, 3, 4], (1, 2), r"no score for \('P000070', l=2\)"),
+        ([0, 1, 2, 3, 4, 5, 5], (1, 2), r"scores \('P000070', l=2\) 2 times"),
+        ([0, 1, 2, 3, 4, 4], (1, 2), r"scores \('P000070', l=1\) 2 times"),
+        ([0, 1, 2, 3, 4, 5], (1,), r"scores \('P000050', l=2\), which is not"),
+        ([0, 1, 2, 3, 4, 5], (1, 2, 3), r"no score for \('P000050', l=3\)"),
+    ])
+    def test_rows_other_than_eligible_times_thresholds_fail(self, rows, thresholds, problem):
+        _, _, _, scores = TestObservationRows().make_inputs()
+        with pytest.raises(ValueError, match=problem + ".*run stage 'disrupt' again"):
+            self.join(take_rows(scores, rows), thresholds)
+
+    def test_score_for_a_paper_no_longer_eligible_fails(self):
+        _, _, _, scores = TestObservationRows().make_inputs()
+        extra = ScoreTable(ids=scores.ids + ("P000080",), l=np.append(scores.l, 1),
+                           n_f=np.append(scores.n_f, 0), n_b=np.append(scores.n_b, 0),
+                           n_r=np.append(scores.n_r, 0), d=np.append(scores.d, np.nan))
+        with pytest.raises(ValueError, match=r"scores \('P000080', l=1\), which is not"):
+            self.join(extra)
+
+    def test_graph_rerun_with_other_eligibility_needs_disrupt(self, tmp_path):
+        run_pipeline(fixture_config(tmp_path))
+        config = fixture_config(tmp_path, min_out_links=8)
+        stage_graph(config)
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["regress"](config)
+        assert excinfo.value.stage == "regress"
+        assert "run stage 'disrupt' again" in excinfo.value.message
+        marker = (config.out_dir / "FAILED").read_text()
+        assert marker.startswith("regress:") and "run stage 'disrupt' again" in marker
+        STAGE_FUNCTIONS["disrupt"](config)
+        STAGE_FUNCTIONS["regress"](config)
+        assert not (config.out_dir / "FAILED").exists()
 
 
 class TestCli:

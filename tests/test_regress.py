@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
+
+import disruptkit
 
 from disruptkit.corpus import YearGroup
 from disruptkit.regress import (
     DUMMY_GROUPS,
     ModelSpec,
-    ObservationRow,
+    Observations,
     RegressionResult,
     TableLayout,
     build_design_matrix,
@@ -15,6 +23,7 @@ from disruptkit.regress import (
     layout_for,
     ols_fit,
     standard_model_specs,
+    two_sided_p,
     write_results_csv,
 )
 
@@ -25,11 +34,26 @@ GROUP_CYCLE = list(YearGroup)
 
 def row(paper_id, citations=10, d=None, group=YearGroup.G1991_1995,
         n_authors=2, conceptual=0):
+    """One paper's variables; table() turns a list of them into columns."""
     if d is None:
         d = {2: 0.1, 3: 0.1, 5: 0.1}
-    return ObservationRow(
+    return dict(
         paper_id=paper_id, y_citations=citations, y_d=d,
-        year_group=group, n_authors=n_authors, conceptual=conceptual,
+        year=group.start, n_authors=n_authors, conceptual=conceptual,
+    )
+
+
+def table(rows):
+    """Observations with one entry per row dict, in order; a score that
+    is None or absent at a threshold is Undefined there."""
+    ls = sorted({l for r in rows for l in r["y_d"]})
+    return Observations(
+        ids=[r["paper_id"] for r in rows],
+        y_citations=[r["y_citations"] for r in rows],
+        y_d={l: [r["y_d"].get(l) for r in rows] for l in ls},
+        year=[r["year"] for r in rows],
+        n_authors=[r["n_authors"] for r in rows],
+        conceptual=[r["conceptual"] for r in rows],
     )
 
 
@@ -43,10 +67,10 @@ def synthetic_rows(n, seed=0):
         n_authors = int(rng.integers(1, 6))
         citations = int(rng.integers(0, 120))
         d_val = float(rng.uniform(-1, 1))
-        rows.append(ObservationRow(
-            paper_id=f"p{i:03d}", y_citations=citations,
-            y_d={2: d_val, 3: d_val / 2, 5: None if i % 7 == 0 else d_val / 3},
-            year_group=group, n_authors=n_authors, conceptual=conceptual,
+        rows.append(row(
+            f"p{i:03d}", citations=citations,
+            d={2: d_val, 3: d_val / 2, 5: None if i % 7 == 0 else d_val / 3},
+            group=group, n_authors=n_authors, conceptual=conceptual,
         ))
     return rows
 
@@ -54,14 +78,34 @@ def synthetic_rows(n, seed=0):
 class TestObservationRow:
     def test_rejects_bad_conceptual(self):
         with pytest.raises(ValueError, match="conceptual"):
-            row("p", conceptual=2)
+            table([row("p", conceptual=2)])
 
     def test_rejects_bad_author_count(self):
         with pytest.raises(ValueError, match="n_authors"):
-            row("p", n_authors=0)
+            table([row("p", n_authors=0)])
 
     def test_conceptual_may_be_none(self):
-        assert row("p", conceptual=None).conceptual is None
+        assert np.isnan(table([row("p", conceptual=None)]).conceptual[0])
+
+    def test_rejects_year_outside_the_cohorts(self):
+        for year in (1990, 2021):
+            bad = row("q")
+            bad["year"] = year
+            with pytest.raises(ValueError, match=rf"year {year} outside \[1991, 2020\]"):
+                table([row("p"), bad])
+
+    def test_names_the_first_offending_row(self):
+        with pytest.raises(ValueError, match="row 'b': n_authors"):
+            table([row("a"), row("b", n_authors=0), row("c", n_authors=-1)])
+        with pytest.raises(ValueError, match="row 'c': conceptual"):
+            table([row("a"), row("b", conceptual=None), row("c", conceptual=0.5)])
+
+    def test_columns_must_have_one_entry_per_paper(self):
+        obs = table([row("a"), row("b")])
+        assert len(obs) == 2
+        with pytest.raises(ValueError, match="one entry for each of the 2 papers"):
+            Observations(ids=obs.ids, y_citations=obs.y_citations, y_d={2: [0.1]},
+                         year=obs.year, n_authors=obs.n_authors, conceptual=obs.conceptual)
 
 
 class TestModelSpec:
@@ -103,7 +147,7 @@ class TestDesignMatrix:
     def test_baseline_cohort_has_no_dummy(self):
         rows = [row("a", group=YearGroup.G1991_1995),
                 row("b", group=YearGroup.G2016_2020)]
-        X, _, names = build_design_matrix(rows, ModelSpec(name="m", outcome="citations"))
+        X, _, names = build_design_matrix(table(rows), ModelSpec(name="m", outcome="citations"))
         assert names == ("intercept",) + tuple(g.label for g in DUMMY_GROUPS)
         assert X[0].tolist() == [1, 0, 0, 0, 0, 0]
         assert X[1].tolist() == [1, 0, 0, 0, 0, 1]
@@ -112,7 +156,7 @@ class TestDesignMatrix:
         spec = ModelSpec(name="m", outcome="citations",
                          include_n_authors=True, include_conceptual=True)
         X, _, names = build_design_matrix(
-            [row("a", n_authors=4, conceptual=1)], spec)
+            table([row("a", n_authors=4, conceptual=1)]), spec)
         assert names[-2:] == ("n_authors", "conceptual")
         assert X[0].tolist()[-2:] == [4.0, 1.0]
 
@@ -123,30 +167,30 @@ class TestDesignMatrix:
             row("c", d={2: -0.25}),
         ]
         spec = ModelSpec(name="m", outcome="d", l=2)
-        X, y, _ = build_design_matrix(rows, spec)
+        X, y, _ = build_design_matrix(table(rows), spec)
         assert X.shape[0] == 2
         assert y.tolist() == [0.5, -0.25]
 
     def test_citation_outcome_keeps_all_rows(self):
         rows = [row("a", citations=3, d={2: None}), row("b", citations=7)]
-        _, y, _ = build_design_matrix(rows, ModelSpec(name="m", outcome="citations"))
+        _, y, _ = build_design_matrix(table(rows), ModelSpec(name="m", outcome="citations"))
         assert y.tolist() == [3.0, 7.0]
 
     def test_all_undefined_is_an_error(self):
         rows = [row("a", d={2: None})]
         with pytest.raises(ValueError, match="no rows with a defined outcome"):
-            build_design_matrix(rows, ModelSpec(name="m", outcome="d", l=2))
+            build_design_matrix(table(rows), ModelSpec(name="m", outcome="d", l=2))
 
     def test_empty_rows_is_an_error(self):
         with pytest.raises(ValueError, match="non-empty"):
-            build_design_matrix([], ModelSpec(name="m", outcome="citations"))
+            build_design_matrix(table([]), ModelSpec(name="m", outcome="citations"))
 
     def test_missing_label_names_first_offender(self):
         rows = [row("a"), row("b", conceptual=None), row("c", conceptual=None)]
         spec = ModelSpec(name="m", outcome="citations",
                          include_n_authors=True, include_conceptual=True)
         with pytest.raises(ValueError, match=r"2 row\(s\) lack a label \(first: 'b'\)"):
-            build_design_matrix(rows, spec)
+            build_design_matrix(table(rows), spec)
 
 
 class TestOlsFit:
@@ -207,7 +251,7 @@ class TestOlsFit:
         rows = [row(f"p{i}", group=GROUP_CYCLE[i % 5], citations=i) for i in range(30)]
         spec = ModelSpec(name="m", outcome="citations")
         with pytest.raises(ValueError, match="'2016-2020'"):
-            fit_model(rows, spec)
+            fit_model(table(rows), spec)
 
     def test_needs_more_rows_than_columns(self):
         X = np.ones((3, 3))
@@ -239,28 +283,47 @@ class TestOlsFit:
 
     def test_r_squared_never_falls_when_nesting_grows(self):
         rows = synthetic_rows(120, seed=5)
-        fits = [fit_model(rows, spec) for spec in standard_model_specs((2, 3, 5))[:3]]
+        fits = [fit_model(table(rows), spec) for spec in standard_model_specs((2, 3, 5))[:3]]
         assert fits[0].r_squared <= fits[1].r_squared + 1e-12
         assert fits[1].r_squared <= fits[2].r_squared + 1e-12
 
     def test_row_order_does_not_matter(self):
         rows = synthetic_rows(90, seed=6)
         spec = standard_model_specs((2, 3, 5))[2]
-        forward = fit_model(rows, spec)
-        backward = fit_model(list(reversed(rows)), spec)
+        forward = fit_model(table(rows), spec)
+        backward = fit_model(table(list(reversed(rows))), spec)
         np.testing.assert_allclose(forward.coef, backward.coef, atol=1e-10)
         np.testing.assert_allclose(forward.se, backward.se, atol=1e-10)
         np.testing.assert_allclose(forward.p, backward.p, atol=1e-10)
 
     def test_term_lookup(self):
         rows = synthetic_rows(60, seed=7)
-        result = fit_model(rows, standard_model_specs((2, 3, 5))[2])
+        result = fit_model(table(rows), standard_model_specs((2, 3, 5))[2])
         coef, se, t, p = result.term("conceptual")
         j = result.names.index("conceptual")
         assert (coef, se, t, p) == (
             result.coef[j], result.se[j], result.t[j], result.p[j])
         with pytest.raises(ValueError):
             result.term("nonexistent")
+
+
+class TestPValues:
+    def test_matches_scipy_stats_t_sf(self):
+        t = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-8, -0.5, 1.0, 1.96,
+                      -2.5, 8.0, -40.0, 1e3, -1e8, 1e300])
+        for dof in (1, 2, 3, 5, 10, 30, 100, 1_000, 10_000, 100_000, 1_000_000):
+            np.testing.assert_array_equal(
+                two_sided_p(t, dof), 2.0 * scipy.stats.t.sf(np.abs(t), dof))
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(disruptkit.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, disruptkit.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestResultValidation:
@@ -291,7 +354,7 @@ class TestRendering:
     def test_table_contents(self):
         rows = synthetic_rows(120, seed=8)
         specs = standard_model_specs((2, 3, 5))[:3]
-        results = [fit_model(rows, spec) for spec in specs]
+        results = [fit_model(table(rows), spec) for spec in specs]
         layout = layout_for(results, title="Citations", decimals=3)
         assert layout.terms[0] == "intercept"
         assert layout.terms[-2:] == ("n_authors", "conceptual")
@@ -310,7 +373,7 @@ class TestRendering:
 
     def test_table_rejects_terms_outside_layout(self):
         rows = synthetic_rows(60, seed=9)
-        result = fit_model(rows, standard_model_specs((2, 3, 5))[2])
+        result = fit_model(table(rows), standard_model_specs((2, 3, 5))[2])
         layout = TableLayout(title="t", terms=("intercept",))
         with pytest.raises(ValueError, match="outside the layout"):
             emit_table([result], layout)
@@ -318,7 +381,7 @@ class TestRendering:
     def test_results_csv(self, tmp_path):
         rows = synthetic_rows(60, seed=10)
         specs = standard_model_specs((2, 3, 5))
-        results = [fit_model(rows, spec) for spec in specs]
+        results = [fit_model(table(rows), spec) for spec in specs]
         path = tmp_path / "results.csv"
         write_results_csv(results, path)
         lines = path.read_text().splitlines()

@@ -138,9 +138,10 @@ class TestPlantedEffect:
         corpus = synth_corpus(1200, seed=seed, effect=effect)
         graph = build_graph(corpus)
         cited = [r.id for r in corpus if graph.in_deg[graph.index[r.id]] >= 3]
+        scores = disruption_batch(graph, cited, ls=(1,))
         d_by_id = {
             s.paper_id: s.d
-            for s in disruption_batch(graph, cited, ls=(1,))
+            for s in map(scores.row, range(len(scores)))
             if s.d is not None
         }
         con_cites, emp_cites, con_d, emp_d = [], [], [], []
