@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -84,11 +85,15 @@ class PaperRecord:
         rec_id = obj["id"]
         refs: list[str] = []
         seen: set[str] = set()
-        for ref in refs_raw:
-            if ref == rec_id or ref in seen:
-                continue
-            seen.add(ref)
-            refs.append(ref)
+        try:
+            for ref in refs_raw:
+                if ref == rec_id or ref in seen:
+                    continue
+                seen.add(ref)
+                refs.append(ref)
+        except TypeError:  # an unhashable reference: a list or an object
+            raise ValueError(
+                f"record {rec_id!r}: references must be non-empty strings") from None
         gold = obj.get("gold_label")
         if isinstance(gold, str):
             gold = gold.strip().lower()
@@ -182,12 +187,28 @@ def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Serialize records, one JSON object per line, sorted by id."""
+    """Serialize records, one JSON object per line, sorted by id.
+
+    The file is written aside and renamed over ``path``, so a failed
+    write leaves any earlier file whole. A record that cannot be encoded
+    as UTF-8 (a lone surrogate) raises ValueError naming its id.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for paper_id in corpus.sorted_ids():
-            fh.write(json.dumps(corpus.records[paper_id].to_dict(), ensure_ascii=False))
-            fh.write("\n")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for paper_id in corpus.sorted_ids():
+                line = json.dumps(corpus.records[paper_id].to_dict(), ensure_ascii=False)
+                try:
+                    fh.write(line)
+                except UnicodeEncodeError as exc:
+                    raise ValueError(
+                        f"record {paper_id!r}: not encodable as UTF-8 ({exc.reason})"
+                    ) from exc
+                fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_allowlist(path: str | Path) -> set[str]:

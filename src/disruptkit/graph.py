@@ -119,6 +119,9 @@ def build_graph(corpus: Corpus) -> CitationGraph:
             dst_list.append(citing_idx)
     src = np.asarray(src_list, dtype=np.int64)
     dst = np.asarray(dst_list, dtype=np.int64)
+    # The lists hold a Python int object per edge endpoint; free them
+    # before the CSR build, which is where the stage peaks in memory.
+    del src_list, dst_list, index
     return from_edge_arrays(ids, src, dst)
 
 

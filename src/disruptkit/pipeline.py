@@ -13,8 +13,10 @@ full pipeline is nothing more than the six stages in order:
     report   report.txt            combined human-readable summary
 
 Only ingest, graph and classify (which needs titles and abstracts)
-parse corpus records; disrupt, regress and report load the graph
-arrays (see graph.GRAPH_FILES) instead.
+read corpus records; disrupt, regress and report load the graph arrays
+(see graph.GRAPH_FILES) instead. Run alone, graph and classify parse
+corpus.jsonl; under ``run`` only ingest parses the corpus, and it hands
+the filtered records to graph and classify in memory.
 
 A manifest.json accumulates input hashes, the config, library
 versions, and artifact hashes; it carries no clock data, so a rerun
@@ -51,6 +53,9 @@ from .regress import (Observations, emit_table, fit_model, layout_for,
                       standard_model_specs, write_results_csv)
 
 STAGES = ("ingest", "graph", "classify", "disrupt", "regress", "report")
+
+# The stages that read corpus records and take run_pipeline's hand-off.
+CORPUS_STAGES = ("ingest", "graph", "classify")
 
 # Which stage produces each artifact; used to name the needed stage
 # when a prerequisite file is missing.
@@ -294,7 +299,10 @@ def _run_stage(name: str, config: PipelineConfig,
     return artifacts
 
 
-def _load_filtered_corpus(config: PipelineConfig, stage: str) -> Corpus:
+def _load_filtered_corpus(config: PipelineConfig, stage: str,
+                          handoff: dict[str, Corpus] | None) -> Corpus:
+    if handoff is not None and "corpus" in handoff:
+        return handoff["corpus"]
     return parse_corpus(_require(config, stage, "corpus.jsonl"))
 
 
@@ -311,9 +319,11 @@ def _load_eligible(config: PipelineConfig, stage: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def stage_ingest(config: PipelineConfig) -> list[Path]:
+def stage_ingest(config: PipelineConfig,
+                 handoff: dict[str, Corpus] | None = None) -> list[Path]:
     """Parse the raw corpus, apply the journal allowlist, and write the
-    normalized corpus sorted by id."""
+    normalized corpus sorted by id. Given a ``handoff`` dict, also leave
+    the written records in it under "corpus" for graph and classify."""
 
     def body() -> list[Path]:
         if not config.corpus.exists():
@@ -328,17 +338,22 @@ def stage_ingest(config: PipelineConfig) -> list[Path]:
         out_path = config.out_dir / "corpus.jsonl"
         write_corpus(corpus, out_path)
         _update_manifest(config, inputs, [out_path])
+        if handoff is not None:
+            handoff["corpus"] = corpus
         return [out_path]
 
     return _run_stage("ingest", config, body)
 
 
-def stage_graph(config: PipelineConfig) -> list[Path]:
+def stage_graph(config: PipelineConfig,
+                handoff: dict[str, Corpus] | None = None) -> list[Path]:
     """Build the citation network, save it with the per-node fields later
-    stages need, and compute the eligible focal set."""
+    stages need, and compute the eligible focal set. The records come
+    from ``handoff["corpus"]`` when ingest left them there, else from
+    corpus.jsonl."""
 
     def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "graph")
+        corpus = _load_filtered_corpus(config, "graph", handoff)
         graph = build_graph(corpus)
         paths = save_graph(graph, node_attributes(corpus, graph), config.out_dir)
         eligible = eligible_ids(corpus, graph, config.criteria())
@@ -353,11 +368,14 @@ def stage_graph(config: PipelineConfig) -> list[Path]:
     return _run_stage("graph", config, body)
 
 
-def stage_classify(config: PipelineConfig) -> list[Path]:
-    """Classify each eligible paper as Conceptual/Empirical/Other."""
+def stage_classify(config: PipelineConfig,
+                   handoff: dict[str, Corpus] | None = None) -> list[Path]:
+    """Classify each eligible paper as Conceptual/Empirical/Other. The
+    records come from ``handoff["corpus"]`` when ingest left them there,
+    else from corpus.jsonl."""
 
     def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "classify")
+        corpus = _load_filtered_corpus(config, "classify", handoff)
         eligible = _load_eligible(config, "classify")
         records = [corpus[pid] for pid in eligible]
         if config.stub:
@@ -444,6 +462,27 @@ def _score_matrix(eligible: list[str], thresholds: np.ndarray,
     return d
 
 
+def _check_labels(eligible: list[str], classifications: list[Classification]) -> None:
+    """The labels must cover exactly the eligible papers, each once;
+    anything else means classifications.csv predates eligible.txt."""
+
+    def stale(problem: str) -> ValueError:
+        return ValueError(f"classifications.csv does not match eligible.txt: "
+                          f"{problem}; run stage 'classify' again")
+
+    wanted = set(eligible)
+    seen: set[str] = set()
+    for c in classifications:
+        if c.paper_id not in wanted:
+            raise stale(f"it labels {c.paper_id!r}, which is not an eligible paper")
+        if c.paper_id in seen:
+            raise stale(f"it labels {c.paper_id!r} more than once")
+        seen.add(c.paper_id)
+    for pid in eligible:
+        if pid not in seen:
+            raise stale(f"it has no label for {pid!r}")
+
+
 def build_observation_rows(graph: CitationGraph, nodes: NodeAttributes,
                            eligible: list[str],
                            classifications: list[Classification],
@@ -482,6 +521,8 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
         graph, nodes = _load_graph(config, "regress")
         obs = build_observation_rows(graph, nodes, eligible, classifications,
                                      config.thresholds, scores)
+        # after the join, whose score check names a stale disruption.csv first
+        _check_labels(eligible, classifications)
         specs = standard_model_specs(config.model_thresholds)
         results = [fit_model(obs, spec) for spec in specs]
         citation_results = [r for r in results if r.model.startswith("citations")]
@@ -577,7 +618,7 @@ def stage_report(config: PipelineConfig) -> list[Path]:
     return _run_stage("report", config, body)
 
 
-STAGE_FUNCTIONS: dict[str, Callable[[PipelineConfig], list[Path]]] = {
+STAGE_FUNCTIONS: dict[str, Callable[..., list[Path]]] = {
     "ingest": stage_ingest,
     "graph": stage_graph,
     "classify": stage_classify,
@@ -596,6 +637,13 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     if config.allowlist is not None and not config.allowlist.exists():
         raise StageError("ingest", f"allowlist file not found: {config.allowlist}")
     artifacts: list[Path] = []
+    # ingest leaves its records here so that graph and classify need not
+    # parse corpus.jsonl again; they are dropped before disrupt starts.
+    handoff: dict[str, Corpus] = {}
     for stage in STAGES:
-        artifacts.extend(STAGE_FUNCTIONS[stage](config))
+        if stage in CORPUS_STAGES:
+            artifacts.extend(STAGE_FUNCTIONS[stage](config, handoff=handoff))
+        else:
+            handoff.clear()
+            artifacts.extend(STAGE_FUNCTIONS[stage](config))
     return artifacts

@@ -1,10 +1,14 @@
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.corpus import (
     Corpus,
+    GOLD_LABELS,
     EligibilityCriteria,
     PaperRecord,
     YearGroup,
@@ -119,6 +123,14 @@ class TestParseCorpus:
         with pytest.raises(ValueError, match="line 2: missing field"):
             parse_corpus(io.StringIO(text))
 
+    @pytest.mark.parametrize("refs", [[["a"]], [{"a": 1}], ["a", ["a"]], [5], [""]])
+    def test_bad_reference_names_line(self, refs):
+        bad = {**mk("b").to_dict(), "references": refs}
+        text = json.dumps(mk("a").to_dict()) + "\n" + json.dumps(bad) + "\n"
+        with pytest.raises(ValueError, match="line 2: record 'b': references must be "
+                                             "non-empty strings"):
+            parse_corpus(io.StringIO(text))
+
     def test_duplicate_id_names_line_and_id(self):
         text = "\n".join(json.dumps(mk("a").to_dict()) for _ in range(2))
         with pytest.raises(ValueError, match="line 2: duplicate id 'a'"):
@@ -147,6 +159,53 @@ class TestWriteCorpus:
         path = tmp_path / "c.jsonl"
         write_corpus(original, path)
         assert parse_corpus(path).records == original.records
+
+
+# Any text JSON can carry except lone surrogates, which have no UTF-8
+# form; write_corpus refuses those (tested with the ingest stage).
+_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    st.sampled_from('"\\\'\u2028\u2029\r\n\x00\x85\ufeff{}'),
+))
+
+
+@st.composite
+def raw_records(draw):
+    """Decoded JSON objects as a corpus file holds them, before
+    from_dict normalizes references and gold labels."""
+    ids = draw(st.lists(_TEXT.filter(bool), min_size=1, max_size=6, unique=True))
+    records = []
+    for pid in ids:
+        refs = draw(st.lists(st.one_of(st.sampled_from(ids), _TEXT.filter(bool)),
+                             max_size=8))
+        gold = None
+        if draw(st.booleans()):
+            label = draw(st.sampled_from(GOLD_LABELS))
+            padding = st.text(" \t\n", max_size=2)
+            gold = (draw(padding) + "".join(draw(st.sampled_from((c, c.upper())))
+                                            for c in label) + draw(padding))
+        obj = {"id": pid, "title": draw(_TEXT), "abstract": draw(_TEXT),
+               "journal": draw(_TEXT), "year": draw(st.integers(1800, 2100)),
+               "n_authors": draw(st.integers(1, 10**18)), "references": refs}
+        if gold is not None:
+            obj["gold_label"] = gold
+        records.append(obj)
+    return records
+
+
+class TestCorpusRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_records())
+    @example([{"id": "a\u2028b", "title": '"q" \u2028 \\', "abstract": "é\r\n中",
+               "journal": "J\u2029", "year": 1991, "n_authors": 1,
+               "references": ["a\u2028b", "c", "c", "a\u2028b"],
+               "gold_label": " CONCEPTUAL\t"}])
+    def test_parse_of_written_corpus_equals_corpus(self, raw):
+        corpus = parse_corpus(json.dumps(obj) + "\n" for obj in raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            write_corpus(corpus, path)
+            assert parse_corpus(path).records == corpus.records
 
 
 class TestJournalFiltering:

@@ -133,6 +133,21 @@ class TestFullRun:
         m_staged["config"].pop("out_dir")
         assert m_full == m_staged
 
+    def test_stagewise_and_full_run_write_identical_files(self, tmp_path):
+        config = fixture_config(tmp_path)
+        assert config.allowlist is not None
+        run_pipeline(config)
+        full = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
+        for p in config.out_dir.iterdir():
+            p.unlink()
+        for stage in STAGES:
+            STAGE_FUNCTIONS[stage](config)
+        staged = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
+        assert sorted(staged) == sorted(full)
+        assert "manifest.json" in staged
+        for name in full:
+            assert staged[name] == full[name], name
+
     def test_journal_filter_applied(self, tmp_path):
         config = fixture_config(tmp_path)
         run_pipeline(config)
@@ -196,6 +211,26 @@ class TestManifest:
         assert path.read_bytes() == before
         assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
 
+    def test_unencodable_record_keeps_old_corpus(self, tmp_path):
+        config = fixture_config(tmp_path)
+        stage_ingest(config)
+        path = config.out_dir / "corpus.jsonl"
+        before = path.read_bytes()
+        listing = sorted(p.name for p in config.out_dir.iterdir())
+        # an escaped lone surrogate parses, but has no UTF-8 encoding
+        lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        assert record["journal"] in (FIXTURES / "journals.txt").read_text().splitlines()
+        lines[0] = json.dumps({**record, "title": "t\ud800"})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(StageError) as excinfo:
+            stage_ingest(fixture_config(tmp_path, corpus=bad))
+        assert excinfo.value.stage == "ingest"
+        assert f"record {record['id']!r}: not encodable as UTF-8" in excinfo.value.message
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
+
 
 class TestStageSequencing:
     def test_missing_prerequisite_names_producer(self, tmp_path):
@@ -250,8 +285,15 @@ class TestStageSequencing:
 
         for name in calls:
             monkeypatch.setattr(pipeline, name, counting(name))
-        run_pipeline(fixture_config(tmp_path))
-        assert calls == {"parse_corpus": 3, "build_graph": 1}
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        # ingest hands its records to graph and classify
+        assert calls == {"parse_corpus": 1, "build_graph": 1}
+        # run alone, each of them parses corpus.jsonl
+        for stage in ("graph", "classify"):
+            calls["parse_corpus"] = 0
+            STAGE_FUNCTIONS[stage](config)
+            assert calls["parse_corpus"] == 1, stage
 
     def test_unexpected_exception_is_wrapped(self, tmp_path):
         bad_corpus = tmp_path / "broken.jsonl"
@@ -402,8 +444,46 @@ class TestStaleScores:
         marker = (config.out_dir / "FAILED").read_text()
         assert marker.startswith("regress:") and "run stage 'disrupt' again" in marker
         STAGE_FUNCTIONS["disrupt"](config)
+        # the labels still cover the papers eligible before
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["regress"](config)
+        assert "run stage 'classify' again" in excinfo.value.message
+        assert "which is not an eligible paper" in excinfo.value.message
+        marker = (config.out_dir / "FAILED").read_text()
+        assert marker.startswith("regress:") and "run stage 'classify' again" in marker
+        STAGE_FUNCTIONS["classify"](config)
         STAGE_FUNCTIONS["regress"](config)
         assert not (config.out_dir / "FAILED").exists()
+
+
+class TestStaleLabels:
+    @pytest.fixture
+    def finished_run(self, tmp_path):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        path = config.out_dir / "classifications.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        return config, path, header, rows
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rows: rows[1:], "it has no label for 'P000"),
+        (lambda rows: rows + rows[-1:], "it labels 'P000.*' more than once"),
+        (lambda rows: rows + ["P999999,Empirical,stub,\n"],
+         "it labels 'P999999', which is not an eligible paper"),
+    ], ids=["missing", "duplicate", "extra"])
+    def test_labels_other_than_eligible_fail(self, finished_run, edit, problem):
+        config, path, header, rows = finished_run
+        path.write_text(header + "".join(edit(rows)), encoding="utf-8")
+        with pytest.raises(StageError, match=problem + ".*run stage 'classify' again"):
+            STAGE_FUNCTIONS["regress"](config)
+        assert (config.out_dir / "FAILED").read_text().startswith("regress:")
+
+    def test_labels_in_any_order_pass(self, finished_run):
+        config, path, header, rows = finished_run
+        before = (config.out_dir / "regression.csv").read_bytes()
+        path.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        STAGE_FUNCTIONS["regress"](config)
+        assert (config.out_dir / "regression.csv").read_bytes() == before
 
 
 class TestCli:
