@@ -4,6 +4,13 @@ per-record derived attributes (year group, abstract length, eligibility).
 The corpus file format is line-delimited JSON, one record per line, with
 fields ``id, title, abstract, journal, year, n_authors, references`` and an
 optional ``gold_label``.
+
+A parsed ``Corpus`` is a column table with its rows in ascending id
+order, so row i is node i of the graph built from it. References are
+stored once: each distinct reference string has an integer code, and a
+row's references are a run of codes (deduplicated in first-seen order,
+the record's own id dropped) between two offsets. ``PaperRecord`` is the
+row view, for callers that take one record at a time.
 """
 
 from __future__ import annotations
@@ -12,18 +19,32 @@ import enum
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from collections import Counter, defaultdict
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
+from operator import contains, itemgetter, lt
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
 YEAR_FLOOR = 1800
 YEAR_CEIL = 2100
 
+# n_authors is kept in an int64 column.
+N_AUTHORS_MAX = np.iinfo(np.int64).max
+
 GOLD_LABELS = ("conceptual", "empirical")
 
 _REQUIRED_FIELDS = ("id", "title", "abstract", "journal", "year", "n_authors", "references")
+
+
+def _normalize_gold(gold):
+    return gold.strip().lower() if isinstance(gold, str) else gold
 
 
 @dataclass(frozen=True)
@@ -56,6 +77,8 @@ class PaperRecord:
             raise ValueError(f"record {self.id!r}: n_authors must be an integer")
         if self.n_authors < 1:
             raise ValueError(f"record {self.id!r}: n_authors must be >= 1")
+        if self.n_authors > N_AUTHORS_MAX:
+            raise ValueError(f"record {self.id!r}: n_authors must be <= {N_AUTHORS_MAX}")
         if self.gold_label is not None and self.gold_label not in GOLD_LABELS:
             raise ValueError(
                 f"record {self.id!r}: gold_label must be one of {GOLD_LABELS}"
@@ -94,9 +117,6 @@ class PaperRecord:
         except TypeError:  # an unhashable reference: a list or an object
             raise ValueError(
                 f"record {rec_id!r}: references must be non-empty strings") from None
-        gold = obj.get("gold_label")
-        if isinstance(gold, str):
-            gold = gold.strip().lower()
         return cls(
             id=rec_id,
             title=obj["title"],
@@ -105,7 +125,7 @@ class PaperRecord:
             year=obj["year"],
             n_authors=obj["n_authors"],
             references=tuple(refs),
-            gold_label=gold,
+            gold_label=_normalize_gold(obj.get("gold_label")),
         )
 
     def to_dict(self) -> dict:
@@ -123,42 +143,113 @@ class PaperRecord:
         return out
 
 
-@dataclass(frozen=True)
-class Provenance:
-    sources: tuple[str, ...] = ()
+_RECORD_FIELDS = tuple(f.name for f in fields(PaperRecord))
 
 
-@dataclass
+def _row_view(values: tuple) -> PaperRecord:
+    """A PaperRecord from column values that were validated when the
+    corpus was built, without validating them again."""
+    record = object.__new__(PaperRecord)
+    record.__dict__.update(zip(_RECORD_FIELDS, values))
+    return record
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """Immutable-after-parse keyed collection of records."""
+    """Records as columns, one row per record, rows in ascending id order.
 
-    records: dict[str, PaperRecord]
-    provenance: Provenance = field(default_factory=Provenance)
+    Row i's references are ``ref_strings[c]`` for each code c in
+    ``ref_codes[ref_offsets[i]:ref_offsets[i + 1]]``. ``ref_strings`` may
+    hold strings no row refers to (after ``take``). The columns are
+    validated when the corpus is built and are not to be modified.
+    """
+
+    ids: tuple[str, ...]
+    title: tuple[str, ...]
+    abstract: tuple[str, ...]
+    journal: tuple[str, ...]
+    gold_label: tuple[str | None, ...]
+    year: np.ndarray
+    n_authors: np.ndarray
+    ref_offsets: np.ndarray
+    ref_codes: np.ndarray
+    ref_strings: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self.records
+        k = bisect_left(self.ids, paper_id)
+        return k < len(self.ids) and self.ids[k] == paper_id
 
     def __getitem__(self, paper_id: str) -> PaperRecord:
-        return self.records[paper_id]
+        k = bisect_left(self.ids, paper_id)
+        if k == len(self.ids) or self.ids[k] != paper_id:
+            raise KeyError(paper_id)
+        a, b = self.ref_offsets[k:k + 2].tolist()
+        refs = tuple(map(self.ref_strings.__getitem__, self.ref_codes[a:b].tolist()))
+        return _row_view((paper_id, self.title[k], self.abstract[k], self.journal[k],
+                          int(self.year[k]), int(self.n_authors[k]), refs,
+                          self.gold_label[k]))
 
     def __iter__(self) -> Iterator[PaperRecord]:
-        return iter(self.records.values())
+        """Row views in id order."""
+        refs = np.array(self.ref_strings, dtype=object)[self.ref_codes].tolist()
+        bounds = self.ref_offsets.tolist()
+        for values in zip(self.ids, self.title, self.abstract, self.journal,
+                          self.year.tolist(), self.n_authors.tolist(),
+                          (tuple(refs[a:b]) for a, b in zip(bounds, islice(bounds, 1, None))),
+                          self.gold_label):
+            yield _row_view(values)
 
     def sorted_ids(self) -> list[str]:
-        return sorted(self.records)
+        return list(self.ids)
 
     def journals(self) -> set[str]:
-        return {r.journal for r in self}
+        return set(self.journal)
+
+    def positions(self, ids: Iterable[str]) -> np.ndarray:
+        """The row of each id; KeyError names the first id not in the
+        corpus."""
+        ids = tuple(ids)
+        if ids == self.ids:
+            return np.arange(len(ids), dtype=np.int64)
+        row = dict(zip(self.ids, range(len(self.ids))))
+        out = np.fromiter(map(row.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+        if len(out) and out.min() < 0:
+            raise KeyError(ids[int(np.argmin(out))])
+        return out
+
+    def take(self, rows: np.ndarray) -> "Corpus":
+        """The given rows, in the order given, sharing ``ref_strings``.
+        Keep them ascending to keep the id order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        picked = rows.tolist()
+        starts = self.ref_offsets[rows]
+        counts = self.ref_offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        gather = np.arange(offsets[-1], dtype=np.int64) + np.repeat(starts - offsets[:-1], counts)
+
+        def pick(column: tuple) -> tuple:
+            return tuple(map(column.__getitem__, picked))
+
+        return Corpus(
+            ids=pick(self.ids), title=pick(self.title), abstract=pick(self.abstract),
+            journal=pick(self.journal), gold_label=pick(self.gold_label),
+            year=self.year[rows], n_authors=self.n_authors[rows],
+            ref_offsets=offsets, ref_codes=self.ref_codes[gather],
+            ref_strings=self.ref_strings,
+        )
 
 
 def parse_corpus(source: str | Path | IO[str] | Iterable[str]) -> Corpus:
     """Parse line-delimited records into a Corpus.
 
     Raises ValueError with the 1-based line number for malformed lines and
-    names the offending id for duplicates.
+    names the offending id for duplicates. Of several faults the one on
+    the lowest line is reported, and within a line the first that
+    PaperRecord checks.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -167,45 +258,191 @@ def parse_corpus(source: str | Path | IO[str] | Iterable[str]) -> Corpus:
     return _parse_lines(source, source_name=getattr(source, "name", "<stream>"))
 
 
+def _record_error(obj) -> str:
+    """PaperRecord's message for a decoded record that fails its checks."""
+    try:
+        PaperRecord.from_dict(obj)
+    except ValueError as exc:
+        return str(exc)
+    raise RuntimeError(f"the column checks rejected a valid record: {obj!r}")
+
+
 def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
-    records: dict[str, PaperRecord] = {}
+    # Decode into columns, reference strings into codes. A line that is
+    # not a record with those fields ends the scan; the lines before it
+    # are then checked by column, and the lowest bad line is reported.
+    scalar_fields = itemgetter("id", "title", "abstract", "journal", "year", "n_authors")
+    # Looking a string up in the table gives it the next code if it has none.
+    table: defaultdict = defaultdict()
+    table.default_factory = table.__len__
+    code = table.__getitem__
+    rows: list[tuple] = []
+    golds: list = []
+    linenos: list[int] = []
+    codes = array("q")
+    offsets = array("q", [0])
+    stop: tuple[int, str] | None = None
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{source_name}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            stop = lineno, f"invalid JSON ({exc.msg})"
+            break
         try:
-            record = PaperRecord.from_dict(obj)
-        except ValueError as exc:
-            raise ValueError(f"{source_name}: line {lineno}: {exc}") from exc
-        if record.id in records:
-            raise ValueError(f"{source_name}: line {lineno}: duplicate id {record.id!r}")
-        records[record.id] = record
-    return Corpus(records=records, provenance=Provenance(sources=(source_name,)))
+            row = scalar_fields(obj)
+            refs = obj["references"]
+            if type(refs) is not list:
+                raise TypeError("references must be a list")
+            codes.extend(map(code, refs))  # TypeError on an unhashable reference
+        except (KeyError, TypeError):
+            stop = lineno, _record_error(obj)
+            break
+        rows.append(row)
+        golds.append(obj.get("gold_label"))
+        linenos.append(lineno)
+        offsets.append(len(codes))
+
+    n = len(rows)
+    columns = list(zip(*rows)) if rows else [()] * 6
+    del rows
+    ids, titles, abstracts, journals, years, n_authors = columns
+    ref_offsets = np.array(offsets, dtype=np.int64)
+    ref_codes = np.array(codes[:ref_offsets[-1]], dtype=np.int64)
+    del codes
+
+    def fail(row: int, message: str) -> ValueError:
+        return ValueError(f"{source_name}: line {linenos[row]}: {message}")
+
+    bad = _first_invalid_row(columns, golds, ref_codes, ref_offsets, table)
+    valid = n if bad is None else bad
+    order, dup = id_order(ids[:valid])
+    if dup is not None:
+        raise fail(dup, f"duplicate id {ids[dup]!r}")
+    if bad is not None:
+        keys = list(table)
+        obj = dict(zip(_REQUIRED_FIELDS[:6], (c[bad] for c in columns)),
+                   references=[keys[c] for c in ref_codes[ref_offsets[bad]:ref_offsets[bad + 1]]],
+                   gold_label=golds[bad])
+        raise fail(bad, _record_error(obj))
+    if stop is not None:
+        raise ValueError(f"{source_name}: line {stop[0]}: {stop[1]}")
+
+    ref_offsets, ref_codes = _dedupe_references(ids, ref_offsets, ref_codes, table)
+    if set(golds) <= {None, *GOLD_LABELS}:
+        gold = tuple(golds)
+    else:
+        gold = tuple(map(_normalize_gold, golds))
+    corpus = Corpus(
+        ids=ids, title=titles, abstract=abstracts, journal=journals, gold_label=gold,
+        year=np.array(years, dtype=np.int64), n_authors=np.array(n_authors, dtype=np.int64),
+        ref_offsets=ref_offsets, ref_codes=ref_codes, ref_strings=tuple(table),
+    )
+    return corpus if order is None else corpus.take(order)
+
+
+def _first_invalid_row(columns: list[tuple], golds: list, ref_codes: np.ndarray,
+                       ref_offsets: np.ndarray, table: dict) -> int | None:
+    """The lowest row that PaperRecord would reject, or None. Each column
+    gets a whole-column test first and is scanned row by row only when
+    that fails."""
+    ids, titles, abstracts, journals, years, n_authors = columns
+
+    def first(column, ok) -> int:
+        return next(i for i, v in enumerate(column) if not ok(v))
+
+    found: list[int] = []
+    if set(map(type, ids)) - {str} or "" in ids:
+        found.append(first(ids, lambda v: type(v) is str and v != ""))
+    for column in (titles, abstracts, journals):
+        if set(map(type, column)) - {str}:
+            found.append(first(column, lambda v: type(v) is str))
+    for column, lo, hi in ((years, YEAR_FLOOR, YEAR_CEIL), (n_authors, 1, N_AUTHORS_MAX)):
+        if column and (set(map(type, column)) - {int} or min(column) < lo or max(column) > hi):
+            found.append(first(column, lambda v: type(v) is int and lo <= v <= hi))
+    try:
+        distinct_golds = set(golds)
+    except TypeError:  # an unhashable gold_label: a list or an object
+        distinct_golds = golds
+    if not all(map(_valid_gold, distinct_golds)):
+        found.append(first(golds, _valid_gold))
+    if set(map(type, table)) - {str} or "" in table:
+        bad_codes = [c for ref, c in table.items() if type(ref) is not str or ref == ""]
+        hits = np.flatnonzero(np.isin(ref_codes, bad_codes))
+        if hits.size:
+            found.append(int(np.searchsorted(ref_offsets, hits[0], side="right")) - 1)
+    return min(found, default=None)
+
+
+def _valid_gold(gold) -> bool:
+    return gold is None or _normalize_gold(gold) in GOLD_LABELS
+
+
+def id_order(ids: tuple[str, ...]) -> tuple[list[int] | None, int | None]:
+    """(rows in id order, or None if already in it; the first row whose
+    id an earlier row has, or None)."""
+    if all(map(lt, ids, islice(ids, 1, None))):
+        return None, None
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    dups = [later for earlier, later in zip(order, islice(order, 1, None))
+            if ids[earlier] == ids[later]]
+    return order, min(dups, default=None)
+
+
+def _dedupe_references(ids: tuple[str, ...], offsets: np.ndarray, codes: np.ndarray,
+                       table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Drop each row's self-references and every repeat of a reference
+    within a row, keeping first-seen order."""
+    n = len(ids)
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    own = np.fromiter(map(table.get, ids, repeat(-1)), dtype=np.int64, count=n)
+    keep = codes != own[row]
+    key = row * len(table) + codes
+    kept = np.sort(key[keep])
+    if (kept[1:] == kept[:-1]).any():
+        by_key = np.argsort(key, kind="stable")
+        sorted_key = key[by_key]
+        keep[by_key[1:][sorted_key[1:] == sorted_key[:-1]]] = False
+    if keep.all():
+        return offsets, codes
+    new_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=n), out=new_offsets[1:])
+    return new_offsets, codes[keep]
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Serialize records, one JSON object per line, sorted by id.
+    """Serialize records, one JSON object per line, in id order; each line
+    is what ``json.dumps(record.to_dict(), ensure_ascii=False)`` gives.
 
     The file is written aside and renamed over ``path``, so a failed
     write leaves any earlier file whole. A record that cannot be encoded
     as UTF-8 (a lone surrogate) raises ValueError naming its id.
     """
     path = Path(path)
+    quote = json.encoder.encode_basestring
+    refs = np.array([quote(s) for s in corpus.ref_strings], dtype=object)
+    refs = refs[corpus.ref_codes].tolist()
+    bounds = corpus.ref_offsets.tolist()
+    gold_tail = {g: "" if g is None else f', "gold_label": {quote(g)}'
+                 for g in set(corpus.gold_label)}
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for paper_id in corpus.sorted_ids():
-                line = json.dumps(corpus.records[paper_id].to_dict(), ensure_ascii=False)
+            for k, (paper_id, title, abstract, journal, year, n_authors, gold) in enumerate(zip(
+                    corpus.ids, corpus.title, corpus.abstract, corpus.journal,
+                    corpus.year.tolist(), corpus.n_authors.tolist(), corpus.gold_label)):
+                line = (f'{{"id": {quote(paper_id)}, "title": {quote(title)}, '
+                        f'"abstract": {quote(abstract)}, "journal": {quote(journal)}, '
+                        f'"year": {year}, "n_authors": {n_authors}, '
+                        f'"references": [{", ".join(refs[bounds[k]:bounds[k + 1]])}]'
+                        f'{gold_tail[gold]}}}\n')
                 try:
                     fh.write(line)
                 except UnicodeEncodeError as exc:
                     raise ValueError(
                         f"record {paper_id!r}: not encodable as UTF-8 ({exc.reason})"
                     ) from exc
-                fh.write("\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -226,26 +463,24 @@ def filter_journals(corpus: Corpus, allowlist: set[str]) -> Corpus:
     """Keep only records whose journal is in the allowlist."""
     if not allowlist:
         raise ValueError("journal allowlist must be non-empty")
-    kept = {pid: rec for pid, rec in corpus.records.items() if rec.journal in allowlist}
-    dropped = len(corpus.records) - len(kept)
+    kept = corpus.take(np.flatnonzero(np.fromiter(
+        map(allowlist.__contains__, corpus.journal), dtype=bool, count=len(corpus))))
+    dropped = len(corpus) - len(kept)
     if dropped:
         logger.info(
             "filter_journals: dropped %d of %d records outside the %d allowed journals",
             dropped,
-            len(corpus.records),
+            len(corpus),
             len(allowlist),
         )
-    return Corpus(records=kept, provenance=corpus.provenance)
+    return kept
 
 
 def journal_counts(corpus: Corpus) -> dict[str, int]:
     """Number of records per journal (journals with zero papers simply
     do not appear; comparing against the allowlist shows which allowed
     journals contributed nothing)."""
-    counts: dict[str, int] = {}
-    for rec in corpus:
-        counts[rec.journal] = counts.get(rec.journal, 0) + 1
-    return counts
+    return dict(Counter(corpus.journal))
 
 
 class YearGroup(enum.IntEnum):
@@ -281,7 +516,18 @@ def year_group(year: int) -> YearGroup:
 def abstract_length(text: str) -> int:
     """Character count of the abstract, whitespace included, after
     normalizing CRLF/CR line endings to single characters."""
-    return len(text.replace("\r\n", "\n").replace("\r", "\n"))
+    return int(abstract_lengths([text])[0])
+
+
+def abstract_lengths(texts: Sequence[str]) -> np.ndarray:
+    """abstract_length of each text, as an int64 array."""
+    chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    # Each CRLF pair counts once. Counting pairs is several times slower
+    # than finding no "\r", so only texts holding one are counted.
+    has_cr = np.fromiter(map(contains, texts, repeat("\r")), dtype=bool, count=len(texts))
+    for k in np.flatnonzero(has_cr).tolist():
+        chars[k] -= texts[k].count("\r\n")
+    return chars
 
 
 @dataclass(frozen=True)
@@ -303,6 +549,14 @@ class EligibilityCriteria:
             raise ValueError("year_min must be <= year_max")
 
 
+def graph_rows(corpus: Corpus, graph) -> np.ndarray:
+    """The corpus row of each graph node, in node order."""
+    try:
+        return corpus.positions(graph.ids)
+    except KeyError as exc:
+        raise ValueError(f"graph node {exc.args[0]!r} missing from corpus") from None
+
+
 def eligible_ids(corpus: Corpus, graph, criteria: EligibilityCriteria | None = None) -> list[str]:
     """Ids meeting all eligibility thresholds, ascending.
 
@@ -311,19 +565,11 @@ def eligible_ids(corpus: Corpus, graph, criteria: EligibilityCriteria | None = N
     the abstract must be long enough.
     """
     criteria = criteria or EligibilityCriteria()
-    out: list[str] = []
-    for idx, paper_id in enumerate(graph.ids):
-        rec = corpus.records.get(paper_id)
-        if rec is None:
-            raise ValueError(f"graph node {paper_id!r} missing from corpus")
-        if int(graph.out_deg[idx]) < criteria.min_out_links:
-            continue
-        if int(graph.in_deg[idx]) < criteria.min_in_links:
-            continue
-        if not (criteria.year_min <= rec.year <= criteria.year_max):
-            continue
-        if abstract_length(rec.abstract) < criteria.min_abstract_chars:
-            continue
-        out.append(paper_id)
+    rows = graph_rows(corpus, graph)
+    year = corpus.year[rows]
+    keep = ((graph.out_deg >= criteria.min_out_links) & (graph.in_deg >= criteria.min_in_links)
+            & (year >= criteria.year_min) & (year <= criteria.year_max)
+            & (abstract_lengths(corpus.abstract)[rows] >= criteria.min_abstract_chars))
+    out = list(map(graph.ids.__getitem__, np.flatnonzero(keep).tolist()))
     out.sort()
     return out

@@ -4,10 +4,12 @@ Every edge runs from a referenced paper to the paper citing it. Only
 references that resolve to another record in the same corpus become
 edges; references to anything outside the corpus are ignored.
 
-Node ids are sorted lexicographically and mapped to dense integer
-indices; all adjacency arrays are expressed in those indices, and each
-neighbor run is itself sorted, so two corpora with identical records
-always produce identical arrays.
+Nodes are the corpus rows, whose ids are sorted lexicographically, so
+node i is corpus row i. All adjacency arrays are expressed in those
+indices, and each neighbor run is itself sorted, so two corpora with
+identical records always produce identical arrays. The edges come from
+the corpus's reference codes as arrays, and both CSR directions from one
+sort of integer keys each.
 
 ``save_graph`` writes the network and the record fields later stages
 need as plain ``.npy`` arrays, and ``load_graph`` reads them back, so
@@ -17,12 +19,13 @@ only the stage that builds the graph has to parse the corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, graph_rows
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,13 @@ class CitationGraph:
 
 
 def _csr_from_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR with rows keyed by src and sorted column runs."""
+    """CSR with rows keyed by src and sorted column runs, from one sort of
+    src * n + dst (distinct for distinct pairs)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    order = np.lexsort((dst, src))
-    indices = np.ascontiguousarray(dst[order], dtype=np.int64)
-    return indptr, indices
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    keys = src * n + dst
+    keys.sort()
+    return indptr, keys - np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
 
 
 def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.ndarray) -> CitationGraph:
@@ -103,26 +106,18 @@ def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndar
 
 
 def build_graph(corpus: Corpus) -> CitationGraph:
-    """Resolve every record's references against the corpus and assemble
-    the citation network. Deterministic for a given set of records."""
-    ids = tuple(sorted(corpus.records))
-    index = {pid: i for i, pid in enumerate(ids)}
-    src_list: list[int] = []
-    dst_list: list[int] = []
-    for pid in ids:
-        citing_idx = index[pid]
-        for ref in corpus.records[pid].references:
-            ref_idx = index.get(ref)
-            if ref_idx is None:
-                continue
-            src_list.append(ref_idx)
-            dst_list.append(citing_idx)
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
-    # The lists hold a Python int object per edge endpoint; free them
-    # before the CSR build, which is where the stage peaks in memory.
-    del src_list, dst_list, index
-    return from_edge_arrays(ids, src, dst)
+    """Resolve the corpus's references against its ids and assemble the
+    citation network: node i is corpus row i. Each distinct reference
+    string is looked up once, and the rows' reference codes then map to
+    node indices (-1 outside the corpus) by one array lookup."""
+    ids = corpus.ids
+    index = dict(zip(ids, range(len(ids))))
+    node_of = np.fromiter(map(index.get, corpus.ref_strings, repeat(-1)),
+                          dtype=np.int64, count=len(corpus.ref_strings))
+    src = node_of[corpus.ref_codes]
+    dst = np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(corpus.ref_offsets))
+    inside = src >= 0
+    return from_edge_arrays(ids, src[inside], dst[inside])
 
 
 def citers(graph: CitationGraph, paper_id: str) -> list[str]:
@@ -164,12 +159,13 @@ class NodeAttributes:
 
 
 def node_attributes(corpus: Corpus, graph: CitationGraph) -> NodeAttributes:
-    records = [corpus[pid] for pid in graph.ids]
+    rows = graph_rows(corpus, graph)
+    picked = rows.tolist()
     return NodeAttributes(
-        year=np.array([r.year for r in records], dtype=np.int64),
-        n_authors=np.array([r.n_authors for r in records], dtype=np.int64),
-        journal=tuple(r.journal for r in records),
-        gold_label=tuple(r.gold_label for r in records),
+        year=corpus.year[rows],
+        n_authors=corpus.n_authors[rows],
+        journal=tuple(map(corpus.journal.__getitem__, picked)),
+        gold_label=tuple(map(corpus.gold_label.__getitem__, picked)),
     )
 
 

@@ -46,7 +46,8 @@ from .classify import (BackendConfig, Classification, ResponseCache,
                        agreement_report, classify_batch, stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, eligible_ids, filter_journals,
                      parse_corpus, read_allowlist, write_corpus)
-from .disruption import MODES, ScoreTable, disruption_batch, read_scores, write_scores
+from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
+                         read_scores, write_scores)
 from .graph import (GRAPH_FILES, CitationGraph, NodeAttributes, build_graph,
                     degree_stats, load_graph, node_attributes, save_graph)
 from .regress import (Observations, emit_table, fit_model, layout_for,
@@ -126,8 +127,10 @@ class PipelineConfig:
             self.cache = Path(self.cache)
         if not self.thresholds:
             raise ValueError("thresholds must be non-empty")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # What disrupt and graph would reject, rejected before any stage
+        # runs (classify may make billable requests).
+        _validate_mode_and_thresholds(self.thresholds, self.mode)
+        self.criteria()
         missing = [l for l in self.model_thresholds if l not in self.thresholds]
         if missing:
             raise ValueError(
@@ -377,7 +380,7 @@ def stage_classify(config: PipelineConfig,
     def body() -> list[Path]:
         corpus = _load_filtered_corpus(config, "classify", handoff)
         eligible = _load_eligible(config, "classify")
-        records = [corpus[pid] for pid in eligible]
+        records = list(corpus.take(corpus.positions(eligible)))
         if config.stub:
             results = classify_batch(records, backend=stub_backend)
         else:
@@ -560,6 +563,7 @@ def stage_report(config: PipelineConfig) -> list[Path]:
             encoding="utf-8")
         d_table = _require(config, "report", "disruption_models.txt").read_text(
             encoding="utf-8")
+        _check_labels(eligible, classifications)
         graph, nodes = _load_graph(config, "report")
         stats = degree_stats(graph)
 

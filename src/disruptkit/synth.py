@@ -24,11 +24,12 @@ so the offline classifier stub can recover them without a network.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PaperRecord, Provenance, write_corpus
+from .corpus import Corpus, id_order, write_corpus
 from .graph import CitationGraph, from_edge_arrays
 
 _BLOCK = 1 << 16
@@ -148,17 +149,14 @@ def _generate_references(
     return refs_by_paper
 
 
-def _refs_to_edges(refs_by_paper: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    total = sum(len(r) for r in refs_by_paper)
-    src = np.empty(total, dtype=np.int64)
-    dst = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i, refs in enumerate(refs_by_paper):
-        for r in refs:
-            src[pos] = r
-            dst[pos] = i
-            pos += 1
-    return src, dst
+def _flatten(refs_by_paper: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, referenced paper indices): paper i's references are
+    refs[offsets[i]:offsets[i + 1]]."""
+    offsets = np.zeros(len(refs_by_paper) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, refs_by_paper), dtype=np.int64, count=len(refs_by_paper)),
+              out=offsets[1:])
+    refs = np.fromiter(chain.from_iterable(refs_by_paper), dtype=np.int64, count=offsets[-1])
+    return offsets, refs
 
 
 def _abstract(stream: _FloatStream, conceptual: bool) -> str:
@@ -227,24 +225,32 @@ def synth_corpus(
 
     span = year_max - year_min + 1
     journals = [f"Synthetic Journal {k:02d}" for k in range(n_journals)]
-    records: dict[str, PaperRecord] = {}
-    for i in range(n_papers):
-        conceptual = bool(is_conceptual[i])
+    titles: list[str] = []
+    abstracts: list[str] = []
+    for i, conceptual in enumerate(is_conceptual.tolist()):
         t1 = _TOPICS[stream.pick(len(_TOPICS))]
         t2 = _TOPICS[(stream.pick(len(_TOPICS) - 1) + _TOPICS.index(t1) + 1) % len(_TOPICS)]
-        pid = _paper_id(i)
-        records[pid] = PaperRecord(
-            id=pid,
-            title=f"Paper {i:06d} on {t1} and {t2}",
-            abstract=_abstract(stream, conceptual),
-            journal=journals[i % n_journals],
-            year=year_min + (i * span) // n_papers,
-            n_authors=int(n_authors[i]),
-            references=tuple(_paper_id(r) for r in refs_by_paper[i]),
-            gold_label="conceptual" if conceptual else "empirical",
-        )
-    corpus = Corpus(records=records,
-                    provenance=Provenance(sources=(f"synthetic seed={seed}",)))
+        titles.append(f"Paper {i:06d} on {t1} and {t2}")
+        abstracts.append(_abstract(stream, conceptual))
+    # Built as columns: the references are paper indices, which serve as
+    # codes into the id column, and every value is valid by construction.
+    ids = tuple(map(_paper_id, range(n_papers)))
+    ref_offsets, refs = _flatten(refs_by_paper)
+    corpus = Corpus(
+        ids=ids,
+        title=tuple(titles),
+        abstract=tuple(abstracts),
+        journal=tuple(journals[i % n_journals] for i in range(n_papers)),
+        gold_label=tuple("conceptual" if c else "empirical" for c in is_conceptual.tolist()),
+        year=year_min + (np.arange(n_papers, dtype=np.int64) * span) // n_papers,
+        n_authors=n_authors.astype(np.int64),
+        ref_offsets=ref_offsets,
+        ref_codes=refs,
+        ref_strings=ids,
+    )
+    order, _ = id_order(ids)
+    if order is not None:  # beyond 10**6 papers the ids do not sort numerically
+        corpus = corpus.take(np.array(order, dtype=np.int64))
     if path is not None:
         write_corpus(corpus, path)
     return corpus
@@ -274,6 +280,7 @@ def synth_graph(
         n_nodes, stream, want_refs, is_conceptual, 0.0, follow_prob,
         uniform_mix=uniform_mix, recency_mix=recency_mix,
     )
-    src, dst = _refs_to_edges(refs_by_paper)
+    offsets, src = _flatten(refs_by_paper)
+    dst = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(offsets))
     ids = tuple(_paper_id(i) for i in range(n_nodes))
     return from_edge_arrays(ids, src, dst)

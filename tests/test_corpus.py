@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.corpus import (
-    Corpus,
     GOLD_LABELS,
     EligibilityCriteria,
     PaperRecord,
@@ -36,7 +35,7 @@ def mk(paper_id, year=2000, refs=(), journal="J", n_authors=1,
 
 
 def corpus_of(*records):
-    return Corpus(records={r.id: r for r in records})
+    return parse_corpus(json.dumps(r.to_dict()) + "\n" for r in records)
 
 
 class TestPaperRecord:
@@ -105,7 +104,7 @@ class TestParseCorpus:
     def test_parses_and_keys_by_id(self):
         lines = [json.dumps(mk(i).to_dict()) for i in ("b", "a")]
         corpus = parse_corpus(io.StringIO("\n".join(lines)))
-        assert set(corpus.records) == {"a", "b"}
+        assert set(corpus.ids) == {"a", "b"}
         assert corpus.sorted_ids() == ["a", "b"]
         assert "a" in corpus and "missing" not in corpus
 
@@ -141,7 +140,6 @@ class TestParseCorpus:
         write_corpus(corpus_of(mk("a"), mk("b")), path)
         corpus = parse_corpus(path)
         assert corpus.sorted_ids() == ["a", "b"]
-        assert str(path) in corpus.provenance.sources[0]
 
 
 class TestWriteCorpus:
@@ -158,7 +156,7 @@ class TestWriteCorpus:
         original = corpus_of(mk("a", refs=("b",), gold="conceptual"), mk("b"))
         path = tmp_path / "c.jsonl"
         write_corpus(original, path)
-        assert parse_corpus(path).records == original.records
+        assert list(parse_corpus(path)) == list(original)
 
 
 # Any text JSON can carry except lone surrogates, which have no UTF-8
@@ -205,7 +203,7 @@ class TestCorpusRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             write_corpus(corpus, path)
-            assert parse_corpus(path).records == corpus.records
+            assert list(parse_corpus(path)) == list(corpus)
 
 
 class TestJournalFiltering:
@@ -217,7 +215,7 @@ class TestJournalFiltering:
     def test_filter_keeps_only_allowed(self):
         corpus = corpus_of(mk("a", journal="X"), mk("b", journal="Y"), mk("c", journal="X"))
         kept = filter_journals(corpus, {"X"})
-        assert set(kept.records) == {"a", "c"}
+        assert set(kept.ids) == {"a", "c"}
 
     def test_empty_allowlist_is_an_error(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -319,6 +317,157 @@ class TestEligibility:
 
     def test_graph_node_missing_from_corpus(self):
         corpus, graph = self._corpus_and_graph()
-        del corpus.records["b"]
+        corpus = corpus_of(*(r for r in corpus if r.id != "b"))
         with pytest.raises(ValueError, match="graph node 'b' missing"):
             eligible_ids(corpus, graph, EligibilityCriteria())
+
+
+def _line(paper_id, **fields):
+    obj = {**mk(paper_id).to_dict(), **fields}
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+class TestErrorPrecedence:
+    """Every check reports the lowest bad line; within a line the
+    checks run in PaperRecord's order."""
+
+    def test_bad_year_beats_later_invalid_json(self):
+        text = (_line("a") + _line("b", year=1700) + _line("c") + _line("d")
+                + "{not json\n")
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == (
+            "<stream>: line 2: record 'b': year 1700 outside [1800, 2100]")
+
+    def test_bad_field_beats_later_duplicate_id(self):
+        text = _line("a") + _line("b") + _line("c", n_authors=0) + _line("a")
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == "<stream>: line 3: record 'c': n_authors must be >= 1"
+
+    def test_duplicate_id_beats_later_bad_field(self):
+        text = _line("a") + _line("a") + _line("c", title=5)
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == "<stream>: line 2: duplicate id 'a'"
+
+    def test_invalid_json_beats_later_bad_field(self):
+        text = _line("a") + "\n{not json\n" + _line("c", year="2000")
+        with pytest.raises(ValueError, match=r"^<stream>: line 3: invalid JSON"):
+            parse_corpus(io.StringIO(text))
+
+    def test_first_check_of_a_line_wins(self):
+        text = _line("a") + _line("b", year=True, journal=None, references=["", 3])
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == "<stream>: line 2: record 'b': journal must be a string"
+
+    def test_unhashable_reference_beats_a_bad_field(self):
+        text = _line("a") + _line("b", year=1700, references=["a", ["a"]])
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == (
+            "<stream>: line 2: record 'b': references must be non-empty strings")
+
+    def test_a_record_duplicating_a_bad_record_names_the_bad_one(self):
+        text = _line("a") + _line("b", gold_label="other") + _line("b")
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == (
+            "<stream>: line 2: record 'b': gold_label must be one of "
+            "('conceptual', 'empirical')")
+
+
+def _reference_parse(lines):
+    """The record-at-a-time parse: each line through PaperRecord.from_dict,
+    stopping at the first bad line."""
+    records = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"<stream>: line {lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            record = PaperRecord.from_dict(obj)
+        except ValueError as exc:
+            raise ValueError(f"<stream>: line {lineno}: {exc}") from exc
+        if record.id in records:
+            raise ValueError(f"<stream>: line {lineno}: duplicate id {record.id!r}")
+        records[record.id] = record
+    return records
+
+
+# Values a field may hold in a damaged corpus: each is wrong for some
+# field, and right for others.
+_ODD_VALUES = st.sampled_from([
+    None, True, 0, -1, 1799, 2101, 1.5, 10**19, "", "x", " Empirical ", "other",
+    [], ["a"], [""], [3], [["a"]], [{"a": 1}], {"a": 1},
+])
+
+
+@st.composite
+def damaged_lines(draw):
+    """Corpus lines of which some may carry a bad field, miss a field,
+    repeat an id, be blank, or not be JSON at all."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "\x00", "é"]),
+                        min_size=0, max_size=7))
+    lines = []
+    for pid in ids:
+        obj = {"id": pid, "title": "t", "abstract": "x", "journal": "J", "year": 2000,
+               "n_authors": 1,
+               "references": draw(st.lists(st.sampled_from(["a", "b", "zz", pid]),
+                                           max_size=4))}
+        kind = draw(st.sampled_from(["ok", "ok", "ok", "field", "missing", "blank",
+                                     "not json", "not object"]))
+        if kind == "field":
+            obj[draw(st.sampled_from(sorted(obj) + ["gold_label"]))] = draw(_ODD_VALUES)
+        elif kind == "missing":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        if kind == "blank":
+            lines.append("  \n")
+        elif kind == "not json":
+            lines.append("{not json\n")
+        elif kind == "not object":
+            lines.append(json.dumps(draw(_ODD_VALUES)) + "\n")
+        else:
+            lines.append(json.dumps(obj) + "\n")
+    return lines
+
+
+class TestParseMatchesRecordAtATime:
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_lines())
+    def test_same_records_or_same_error(self, lines):
+        try:
+            expected = _reference_parse(lines)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                parse_corpus(iter(lines))
+            assert str(excinfo.value) == str(exc)
+            return
+        corpus = parse_corpus(iter(lines))
+        assert corpus.sorted_ids() == sorted(expected)
+        assert [corpus[pid] for pid in corpus.sorted_ids()] == [
+            expected[pid] for pid in sorted(expected)]
+
+
+class TestReferencesOutsideTheCorpus:
+    def test_survive_filtering_and_make_no_edge(self, tmp_path):
+        raw = [
+            {"id": "a", "title": "t", "abstract": "x", "journal": "Kept", "year": 2000,
+             "n_authors": 1, "references": ["b", "zz-unknown", "c", "é\x00"]},
+            {"id": "b", "title": "t", "abstract": "x", "journal": "Dropped", "year": 2000,
+             "n_authors": 1, "references": ["c"]},
+            {"id": "c", "title": "t", "abstract": "x", "journal": "Kept", "year": 2000,
+             "n_authors": 1, "references": []},
+        ]
+        lines = [json.dumps(obj, ensure_ascii=False) + "\n" for obj in raw]
+        kept = filter_journals(parse_corpus(iter(lines)), {"Kept"})
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(kept, path)
+        assert path.read_bytes() == (lines[0] + lines[2]).encode("utf-8")
+        graph = build_graph(kept)
+        assert graph.ids == ("a", "c") and graph.n_edges == 1
+        assert graph.reference_row(0).tolist() == [1]

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disruptkit.corpus import Corpus, PaperRecord
+from disruptkit.corpus import EligibilityCriteria, PaperRecord, eligible_ids, parse_corpus
 from disruptkit.graph import (
     GRAPH_FILES,
     build_graph,
@@ -23,7 +26,7 @@ def mk(paper_id, refs=()):
 
 
 def corpus_of(*records):
-    return Corpus(records={r.id: r for r in records})
+    return parse_corpus(json.dumps(r.to_dict()) + "\n" for r in records)
 
 
 @pytest.fixture
@@ -183,3 +186,106 @@ class TestGraphFiles:
         np.save(tmp_path / "graph_year.npy", np.array([2000], dtype=np.int64))
         with pytest.raises(ValueError, match="disagree"):
             load_graph(tmp_path)
+
+
+def _reference_csr(n, src, dst):
+    """CSR rows keyed by src with sorted runs, by np.add.at and
+    np.lexsort."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+def _reference_edges(raw):
+    """(ids, src, dst) by walking decoded records: references deduplicated
+    in order, self-references dropped, the rest resolved through a dict."""
+    ids = sorted(obj["id"] for obj in raw)
+    index = {pid: i for i, pid in enumerate(ids)}
+    src, dst = [], []
+    for obj in raw:
+        seen = set()
+        for ref in obj["references"]:
+            if ref == obj["id"] or ref in seen:
+                continue
+            seen.add(ref)
+            if ref in index:
+                src.append(index[ref])
+                dst.append(index[obj["id"]])
+    return ids, src, dst
+
+
+def _reference_eligible(raw, in_deg, out_deg, criteria):
+    ids = sorted(obj["id"] for obj in raw)
+    by_id = {obj["id"]: obj for obj in raw}
+    out = []
+    for i, pid in enumerate(ids):
+        obj = by_id[pid]
+        if (out_deg[i] >= criteria.min_out_links and in_deg[i] >= criteria.min_in_links
+                and criteria.year_min <= obj["year"] <= criteria.year_max
+                and len(obj["abstract"].replace("\r\n", "\n").replace("\r", "\n"))
+                >= criteria.min_abstract_chars):
+            out.append(pid)
+    return out
+
+
+def assert_csr_equal(graph, n, src, dst):
+    fwd_indptr, fwd_indices = _reference_csr(n, src, dst)
+    bwd_indptr, bwd_indices = _reference_csr(n, dst, src)
+    np.testing.assert_array_equal(graph.fwd_indptr, fwd_indptr)
+    np.testing.assert_array_equal(graph.fwd_indices, fwd_indices)
+    np.testing.assert_array_equal(graph.bwd_indptr, bwd_indptr)
+    np.testing.assert_array_equal(graph.bwd_indices, bwd_indices)
+    np.testing.assert_array_equal(graph.in_deg, np.diff(fwd_indptr))
+    np.testing.assert_array_equal(graph.out_deg, np.diff(bwd_indptr))
+
+
+# Ids with NULs, non-ASCII text and a shared prefix, so that string
+# order and byte order must agree.
+_IDS = st.sampled_from(["a", "a\x00", "a\x00b", "b", "\u00e9", "\u00e9\u00e9",
+                        "\U0001f600", "P000010", "P000002", "\u2028"])
+
+
+@st.composite
+def raw_corpora(draw):
+    """Valid decoded records whose references repeat, cite the record
+    itself, and name ids outside the corpus."""
+    ids = draw(st.lists(_IDS, max_size=8, unique=True))
+    pool = ids + ["zz-missing", "\x00"]
+    return [{"id": pid, "title": "t",
+             "abstract": draw(st.sampled_from(["x" * 3, "x\r\nxx", "xx\rx", "x" * 4])),
+             "journal": "J", "year": draw(st.sampled_from([1990, 1991, 2020, 2021])),
+             "n_authors": 1,
+             "references": draw(st.lists(st.sampled_from(pool), max_size=12))}
+            for pid in ids]
+
+
+class TestAgainstRecordWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_corpora(), st.integers(0, 3), st.integers(0, 3), st.integers(3, 5))
+    def test_graph_and_eligibility(self, raw, min_out, min_in, min_chars):
+        corpus = parse_corpus(json.dumps(obj) + "\n" for obj in raw)
+        graph = build_graph(corpus)
+        ids, src, dst = _reference_edges(raw)
+        assert graph.ids == tuple(ids)
+        assert graph.index == {pid: i for i, pid in enumerate(ids)}
+        assert_csr_equal(graph, len(ids), src, dst)
+        criteria = EligibilityCriteria(min_out_links=min_out, min_in_links=min_in,
+                                       min_abstract_chars=min_chars)
+        assert eligible_ids(corpus, graph, criteria) == _reference_eligible(
+            raw, graph.in_deg, graph.out_deg, criteria)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                            .filter(lambda e: e[0] != e[1]), max_size=4 * n))))
+    def test_from_edge_arrays(self, case):
+        n, edges = case
+        edges = list(edges)
+        src = [s for s, _ in edges]
+        dst = [d for _, d in edges]
+        graph = from_edge_arrays([f"n{i}" for i in range(n)], np.array(src, dtype=np.int64),
+                                 np.array(dst, dtype=np.int64))
+        assert_csr_equal(graph, n, src, dst)

@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disruptkit.classify import Classification
 from disruptkit.corpus import EligibilityCriteria, parse_corpus, year_group
 from disruptkit import pipeline
-from disruptkit.disruption import ScoreTable, disruption_batch
+from disruptkit.disruption import MODES, ScoreTable, disruption_batch
 from disruptkit.graph import build_graph, node_attributes
 from disruptkit.pipeline import (
     ARTIFACT_STAGE,
@@ -98,6 +101,97 @@ class TestConfig:
     def test_backend_config_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint and model"):
             PipelineConfig().backend_config()
+
+    @pytest.mark.parametrize("line, message", [
+        ("thresholds = 0,1,2,3,5", "thresholds must be >= 1, got 0"),
+        ("min_out_links = -1", "min_out_links must be >= 0"),
+        ("min_abstract_chars = -5", "min_abstract_chars must be >= 0"),
+        ("year_min = 2021", "year_min must be <= year_max"),
+    ])
+    def test_values_a_stage_would_reject_fail_at_load(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.conf"
+        path.write_text((FIXTURES / "pipeline.conf").read_text() + line + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == message
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+# No whitespace: the file format strips it from both ends of a value.
+_WORD = st.text("abcXYZ019:/._-=#", min_size=1, max_size=12)
+_SPELLINGS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off"]}
+
+
+@st.composite
+def configs(draw):
+    thresholds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
+    year_min = draw(st.integers(1800, 2100))
+    optional_path = st.none() | _WORD.map(Path)
+    return PipelineConfig(
+        corpus=Path(draw(_WORD)), allowlist=draw(optional_path), cache=draw(optional_path),
+        out_dir=Path(draw(_WORD)),
+        min_out_links=draw(st.integers(0, 10**6)), min_in_links=draw(st.integers(0, 10**6)),
+        year_min=year_min, year_max=draw(st.integers(year_min, 2100)),
+        min_abstract_chars=draw(st.integers(0, 10**6)),
+        thresholds=tuple(thresholds), mode=draw(st.sampled_from(MODES)),
+        n_jobs=draw(st.integers(1, 8)), stub=draw(st.booleans()),
+        endpoint=draw(st.just("") | _WORD), model=draw(st.just("") | _WORD),
+        api_key_env=draw(_WORD), max_in_flight=draw(st.integers(1, 16)),
+        retries=draw(st.integers(0, 10)),
+        backoff_base=draw(st.floats(0, 100, allow_nan=False)),
+        timeout=draw(st.floats(0.001, 1e4, allow_nan=False)),
+        model_thresholds=tuple(draw(st.lists(st.sampled_from(thresholds), unique=True))),
+    )
+
+
+class TestConfigFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(configs(), st.data())
+    def test_as_dict_written_as_a_file_loads_back(self, config, data):
+        lines = []
+        for key, value in config.as_dict().items():
+            if value is None:
+                continue
+            if isinstance(value, bool):
+                spelled = data.draw(st.sampled_from(_SPELLINGS[value]))
+                text = data.draw(st.sampled_from([spelled, spelled.upper(), spelled.title()]))
+            elif isinstance(value, list):
+                text = ",".join(map(str, value))
+            else:
+                text = repr(value) if isinstance(value, float) else str(value)
+            lines.append(f"{key} = {text}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.conf"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert load_config(path) == config
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["", "# comment", "  ", "min_in_links = 3"]), max_size=6),
+           st.text("abcdefghij_", min_size=1, max_size=10))
+    def test_unknown_key_named_with_its_line(self, before, key):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.conf"
+            path.write_text("\n".join(before + [f"{key} = 1", "mode = nonsense"]) + "\n")
+            with pytest.raises(ValueError) as excinfo:
+                load_config(path)
+            assert str(excinfo.value) == (
+                f"{path}: line {len(before) + 1}: unknown config key {key!r}")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(sorted(_SPELLINGS[True] + _SPELLINGS[False])), st.data())
+    def test_boolean_spellings(self, word, data):
+        spelled = "".join(data.draw(st.sampled_from([c, c.upper()])) for c in word)
+        padding = st.text(" \t", max_size=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.conf"
+            path.write_text(f"stub ={data.draw(padding)}{spelled}{data.draw(padding)}\n")
+            assert load_config(path).stub is (word in _SPELLINGS[True])
+            path.write_text(f"stub = {spelled}x\n")
+            with pytest.raises(ValueError, match="expected a boolean"):
+                load_config(path)
 
 
 class TestFullRun:
@@ -477,6 +571,16 @@ class TestStaleLabels:
         with pytest.raises(StageError, match=problem + ".*run stage 'classify' again"):
             STAGE_FUNCTIONS["regress"](config)
         assert (config.out_dir / "FAILED").read_text().startswith("regress:")
+
+    def test_report_refuses_labels_of_an_older_eligible_set(self, finished_run):
+        config = finished_run[0]
+        STAGE_FUNCTIONS["graph"](dataclasses.replace(config, min_out_links=8))
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["report"](config)
+        assert excinfo.value.stage == "report"
+        assert "classifications.csv does not match eligible.txt" in excinfo.value.message
+        assert excinfo.value.message.endswith("run stage 'classify' again")
+        assert (config.out_dir / "FAILED").read_text().startswith("report:")
 
     def test_labels_in_any_order_pass(self, finished_run):
         config, path, header, rows = finished_run

@@ -64,7 +64,7 @@ class TestStructure:
 
     def test_years_chronological_and_span_covered(self, corpus):
         ids = corpus.sorted_ids()
-        years = [corpus.records[pid].year for pid in ids]
+        years = [corpus[pid].year for pid in ids]
         assert years == sorted(years)
         assert years[0] == 1991
         assert years[-1] == 2020
@@ -99,7 +99,7 @@ class TestStructure:
         path = tmp_path / "c.jsonl"
         reloaded_source = synth_corpus(n_papers=400, seed=12, conceptual_frac=0.3,
                                        n_journals=5, path=path)
-        assert parse_corpus(path).records == reloaded_source.records
+        assert list(parse_corpus(path)) == list(reloaded_source)
 
     def test_cue_vocabulary_is_label_disjoint(self, corpus):
         # each abstract must carry only its own side's cue words, or the
