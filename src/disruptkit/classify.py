@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
-
-import requests
+from typing import Callable, Mapping, Sequence
 
 from .corpus import PaperRecord
 
@@ -107,6 +105,12 @@ def parse_response(text: str) -> tuple[str, str]:
     return "Other", text.strip()
 
 
+def check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
+    """Raise ValueError naming ``value`` unless it is one of ``allowed``."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Classification:
     paper_id: str
@@ -115,10 +119,8 @@ class Classification:
     source: str
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
+        check_choice("label", self.label, LABELS)
+        check_choice("source", self.source, SOURCES)
 
     @property
     def ok(self) -> bool:
@@ -229,6 +231,8 @@ class ResponseCache:
 
 
 def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str:
+    import requests  # only the HTTP path needs it; stub runs skip its import
+
     payload = {
         "model": config.model,
         "temperature": config.temperature,
@@ -434,22 +438,22 @@ class AgreementReport:
 
 
 def agreement_report(
-    classifications: Iterable[Classification],
+    predictions: Mapping[str, str],
     gold_labels: Mapping[str, str | None],
 ) -> AgreementReport:
-    """Score predictions against gold labels (paper id -> gold label),
-    per label and overall. Papers whose gold label is None are skipped."""
-    by_id = {c.paper_id: c for c in classifications}
+    """Score predicted labels (paper id -> label) against gold labels
+    (paper id -> gold label), per label and overall. Papers whose gold
+    label is None are skipped."""
     gold_counts: dict[str, int] = {}
     correct_counts: dict[str, int] = {}
     for paper_id, gold in gold_labels.items():
         if gold is None:
             continue
-        pred = by_id.get(paper_id)
+        pred = predictions.get(paper_id)
         if pred is None:
             raise ValueError(f"no classification for gold-labeled record {paper_id!r}")
         gold_counts[gold] = gold_counts.get(gold, 0) + 1
         correct_counts.setdefault(gold, 0)
-        if pred.label.lower() == gold:
+        if pred.lower() == gold:
             correct_counts[gold] += 1
     return AgreementReport(gold_counts=gold_counts, correct_counts=correct_counts)

@@ -36,14 +36,14 @@ import platform
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .classify import (BackendConfig, Classification, ResponseCache,
-                       agreement_report, classify_batch, stub_backend)
+from .classify import (LABELS, SOURCES, BackendConfig, Classification, ResponseCache,
+                       agreement_report, check_choice, classify_batch, stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, eligible_ids, filter_journals,
                      parse_corpus, read_allowlist, write_corpus)
 from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
@@ -411,28 +411,55 @@ def stage_disrupt(config: PipelineConfig) -> list[Path]:
     return _run_stage("disrupt", config, body)
 
 
+CLASSIFICATION_COLUMNS = ("id", "label", "source", "rationale")
+
+
+@dataclass(frozen=True)
+class LabelTable:
+    """A classifications.csv table as columns, one entry per row: paper
+    id, label and label source. Rationales are not kept."""
+
+    ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    sources: tuple[str, ...]
+
+    def by_id(self) -> dict[str, str]:
+        """Paper id -> label."""
+        return dict(zip(self.ids, self.labels))
+
+
 def _write_classifications(results: list[Classification], path: Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "source", "rationale"])
+        writer.writerow(CLASSIFICATION_COLUMNS)
         for c in results:
             writer.writerow([c.paper_id, c.label, c.source, c.rationale])
 
 
-def read_classifications(path: str | Path) -> list[Classification]:
-    out: list[Classification] = []
+def read_classifications(path: str | Path) -> LabelTable:
+    """Parse a table written by _write_classifications. A wrong header,
+    a row of the wrong width, or a label or source outside LABELS or
+    SOURCES raises ValueError naming it; of several bad rows, the first
+    is named."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["id", "label", "source", "rationale"]:
+        if header != list(CLASSIFICATION_COLUMNS):
             raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            paper_id, label, source, rationale = row
-            out.append(Classification(paper_id=paper_id, label=label,
-                                      rationale=rationale, source=source))
-    return out
+        rows = [row for row in reader if row]
+    width = len(CLASSIFICATION_COLUMNS)
+    valid = (all(len(row) == width for row in rows)
+             and {row[1] for row in rows} <= set(LABELS)
+             and {row[2] for row in rows} <= set(SOURCES))
+    if not valid:
+        # A whole-column test failed: name the first bad row.
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"{path}: malformed row {row}")
+            check_choice(f"{path}: label", row[1], LABELS)
+            check_choice(f"{path}: source", row[2], SOURCES)
+    ids, labels, sources = (tuple(row[j] for row in rows) for j in range(3))
+    return LabelTable(ids=ids, labels=labels, sources=sources)
 
 
 def _score_matrix(eligible: list[str], thresholds: np.ndarray,
@@ -465,7 +492,7 @@ def _score_matrix(eligible: list[str], thresholds: np.ndarray,
     return d
 
 
-def _check_labels(eligible: list[str], classifications: list[Classification]) -> None:
+def _check_labels(eligible: list[str], labelled: tuple[str, ...]) -> None:
     """The labels must cover exactly the eligible papers, each once;
     anything else means classifications.csv predates eligible.txt."""
 
@@ -475,12 +502,12 @@ def _check_labels(eligible: list[str], classifications: list[Classification]) ->
 
     wanted = set(eligible)
     seen: set[str] = set()
-    for c in classifications:
-        if c.paper_id not in wanted:
-            raise stale(f"it labels {c.paper_id!r}, which is not an eligible paper")
-        if c.paper_id in seen:
-            raise stale(f"it labels {c.paper_id!r} more than once")
-        seen.add(c.paper_id)
+    for pid in labelled:
+        if pid not in wanted:
+            raise stale(f"it labels {pid!r}, which is not an eligible paper")
+        if pid in seen:
+            raise stale(f"it labels {pid!r} more than once")
+        seen.add(pid)
     for pid in eligible:
         if pid not in seen:
             raise stale(f"it has no label for {pid!r}")
@@ -488,18 +515,18 @@ def _check_labels(eligible: list[str], classifications: list[Classification]) ->
 
 def build_observation_rows(graph: CitationGraph, nodes: NodeAttributes,
                            eligible: list[str],
-                           classifications: list[Classification],
+                           labels: Mapping[str, str],
                            thresholds: tuple[int, ...],
                            scores: ScoreTable) -> Observations:
     """Join the per-paper artifacts into model-ready columns, one entry
-    per eligible paper in eligible order. Papers whose label is neither
-    Conceptual nor Empirical are dropped here, before any model sees
-    them. The scores must cover exactly eligible × thresholds."""
+    per eligible paper in eligible order; ``labels`` maps paper id to
+    label. Papers whose label is neither Conceptual nor Empirical are
+    dropped here, before any model sees them. The scores must cover
+    exactly eligible × thresholds."""
     ls = np.unique(np.asarray(thresholds, dtype=np.int64))
     d = _score_matrix(eligible, ls, scores)
-    label_by_id = {c.paper_id: c.label for c in classifications}
     indicator = {"Conceptual": 1.0, "Empirical": 0.0}
-    conceptual = np.array([indicator.get(label_by_id.get(pid), np.nan) for pid in eligible])
+    conceptual = np.array([indicator.get(labels.get(pid), np.nan) for pid in eligible])
     keep = np.flatnonzero(~np.isnan(conceptual))
     idx = np.fromiter((graph.index[eligible[k]] for k in keep),
                       dtype=np.int64, count=len(keep))
@@ -518,14 +545,13 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
 
     def body() -> list[Path]:
         eligible = _load_eligible(config, "regress")
-        classifications = read_classifications(
-            _require(config, "regress", "classifications.csv"))
+        labels = read_classifications(_require(config, "regress", "classifications.csv"))
         scores = read_scores(_require(config, "regress", "disruption.csv"))
         graph, nodes = _load_graph(config, "regress")
-        obs = build_observation_rows(graph, nodes, eligible, classifications,
+        obs = build_observation_rows(graph, nodes, eligible, labels.by_id(),
                                      config.thresholds, scores)
         # after the join, whose score check names a stale disruption.csv first
-        _check_labels(eligible, classifications)
+        _check_labels(eligible, labels.ids)
         specs = standard_model_specs(config.model_thresholds)
         results = [fit_model(obs, spec) for spec in specs]
         citation_results = [r for r in results if r.model.startswith("citations")]
@@ -557,13 +583,12 @@ def stage_report(config: PipelineConfig) -> list[Path]:
 
     def body() -> list[Path]:
         eligible = _load_eligible(config, "report")
-        classifications = read_classifications(
-            _require(config, "report", "classifications.csv"))
+        labels = read_classifications(_require(config, "report", "classifications.csv"))
         cit_table = _require(config, "report", "citations_models.txt").read_text(
             encoding="utf-8")
         d_table = _require(config, "report", "disruption_models.txt").read_text(
             encoding="utf-8")
-        _check_labels(eligible, classifications)
+        _check_labels(eligible, labels.ids)
         graph, nodes = _load_graph(config, "report")
         stats = degree_stats(graph)
 
@@ -589,11 +614,8 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         lines.append(f"  max out-degree: {stats['max_out_deg']}")
         lines.append("")
         lines.append(f"Eligible papers: {len(eligible)}")
-        label_counts: dict[str, int] = {}
-        source_counts: dict[str, int] = {}
-        for c in classifications:
-            label_counts[c.label] = label_counts.get(c.label, 0) + 1
-            source_counts[c.source] = source_counts.get(c.source, 0) + 1
+        label_counts = Counter(labels.labels)
+        source_counts = Counter(labels.sources)
         lines.append("Labels")
         for label in sorted(label_counts):
             lines.append(f"  {label}: {label_counts[label]}")
@@ -603,7 +625,7 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         gold_labels = {pid: gold for pid in eligible
                        if (gold := nodes.gold_label[graph.index[pid]]) is not None}
         if gold_labels:
-            report = agreement_report(classifications, gold_labels)
+            report = agreement_report(labels.by_id(), gold_labels)
             lines.append("Agreement with gold labels")
             for label in sorted(report.gold_counts):
                 lines.append(

@@ -18,8 +18,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .corpus import YearGroup
 
@@ -195,8 +193,9 @@ class RegressionResult:
 def two_sided_p(t: np.ndarray, dof: int) -> np.ndarray:
     """Two-sided p values of t statistics with ``dof`` degrees of freedom:
     2 * scipy.stats.t.sf(|t|, dof), from the scipy.special function that
-    t.sf evaluates, so that importing this module does not pull in
-    scipy.stats (about 0.8 s)."""
+    t.sf evaluates, so that no stage imports scipy.stats (about 0.8 s)."""
+    import scipy.special
+
     return 2.0 * scipy.special.stdtr(dof, -np.abs(t))
 
 
@@ -224,10 +223,15 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
     if n <= k:
         raise ValueError(f"need more observations than columns (n={n}, k={k})")
 
-    # Pivoted QR exposes rank deficiency column by column: the first
-    # negligible diagonal entry names a column dependent on the others.
-    q_piv, r_piv, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_piv))
+    import scipy.linalg  # here rather than at module level: report never fits
+
+    # Pivoted QR, X[:, piv] = Q R, exposes rank deficiency column by
+    # column: the first negligible diagonal entry names a column
+    # dependent on the others. Otherwise the same factors solve the
+    # least-squares problem, and (X^T X)^-1 permuted by piv is
+    # R^-1 R^-T, whose diagonal holds the row sums of R^-1 squared.
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
     tol = diag[0] * max(n, k) * np.finfo(np.float64).eps if diag.size else 0.0
     deficient = np.nonzero(diag <= tol)[0]
     if diag.size == 0 or diag[0] == 0.0:
@@ -237,15 +241,16 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
         raise ValueError(f"design matrix is rank-deficient: column {bad!r} "
                          "is linearly dependent on the others")
 
-    q, r = np.linalg.qr(X, mode="reduced")
-    beta = scipy.linalg.solve_triangular(r, q.T @ y)
+    beta = np.empty(k)
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
     residuals = y - X @ beta
     ssr = float(residuals @ residuals)
     dof = n - k
     sigma2 = ssr / dof
     r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
-    xtx_inv = r_inv @ r_inv.T
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    xtx_inv_diag = np.empty(k)
+    xtx_inv_diag[piv] = np.sum(r_inv * r_inv, axis=1)
+    se = np.sqrt(sigma2 * xtx_inv_diag)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     p = two_sided_p(t, dof)

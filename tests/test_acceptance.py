@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disruptkit.classify import Classification, agreement_report
+from disruptkit.classify import agreement_report
 from disruptkit.corpus import EligibilityCriteria, PaperRecord, eligible_ids
 from disruptkit.disruption import MODES, disruption_batch, disruption_score
 from disruptkit.graph import build_graph, node_attributes
@@ -254,9 +254,10 @@ def test_criterion_5_ols_against_exact_oracle():
 
 
 def _agreement_fixture(spec):
-    """Build (classifications, gold records) hitting exact per-label
-    tallies. ``spec`` maps label -> (correct, total)."""
-    classifications = []
+    """Build (predicted labels, gold labels), each keyed by paper id,
+    hitting exact per-label tallies. ``spec`` maps label -> (correct,
+    total)."""
+    predictions = {}
     records = []
     i = 0
     for label, (correct, total) in spec.items():
@@ -267,10 +268,8 @@ def _agreement_fixture(spec):
                 id=pid, title="t", abstract="x" * 600, journal="J",
                 year=2000, n_authors=1, references=(),
                 gold_label=label))
-            predicted = label.capitalize() if j < correct else "Other"
-            classifications.append(Classification(
-                paper_id=pid, label=predicted, rationale="", source="stub"))
-    return classifications, {r.id: r.gold_label for r in records}
+            predictions[pid] = label.capitalize() if j < correct else "Other"
+    return predictions, {r.id: r.gold_label for r in records}
 
 
 def test_criterion_6_agreement_arithmetic():
@@ -299,13 +298,10 @@ def _conceptual_terms(seed, effect):
     graph = build_graph(corpus)
     eligible = eligible_ids(corpus, graph, EligibilityCriteria(min_in_links=6))
     scores = disruption_batch(graph, eligible, ls=(5,))
-    classifications = [
-        Classification(paper_id=rec.id, label=rec.gold_label.capitalize(),
-                       rationale="", source="stub")
-        for rec in corpus if rec.gold_label is not None
-    ]
+    labels = {rec.id: rec.gold_label.capitalize()
+              for rec in corpus if rec.gold_label is not None}
     rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                  classifications, (5,), scores)
+                                  labels, (5,), scores)
     cit = fit_model(rows, CITATIONS_SPEC).term("conceptual")
     d5 = fit_model(rows, D5_SPEC).term("conceptual")
     return (cit[0], cit[3]), (d5[0], d5[3])

@@ -252,7 +252,8 @@ class TestStubBackend:
         corpus = synth_corpus(n_papers=60, seed=3)
         records = list(corpus)
         results = classify_batch(records, backend=stub_backend)
-        report = agreement_report(results, {r.id: r.gold_label for r in records})
+        report = agreement_report({c.paper_id: c.label for c in results},
+                                  {r.id: r.gold_label for r in records})
         assert report.overall_accuracy == 1.0
 
 
@@ -427,7 +428,7 @@ class TestHttpBackend:
         def boom(*args, **kwargs):
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr("disruptkit.classify.requests.post", boom)
+        monkeypatch.setattr("requests.post", boom)
         results = classify_batch([mk("p1")], backend=stub_backend)
         assert results[0].source == "stub"
 
@@ -465,23 +466,18 @@ class TestAgreement:
 
     def test_agreement_matching_is_case_insensitive(self):
         records = [mk("a", gold="conceptual"), mk("b", gold="empirical")]
-        predictions = [
-            Classification(paper_id="a", label="Conceptual", rationale="", source="stub"),
-            Classification(paper_id="b", label="Other", rationale="", source="stub"),
-        ]
+        predictions = {"a": "Conceptual", "b": "Other"}
         report = agreement_report(predictions, {r.id: r.gold_label for r in records})
         assert report.gold_counts == {"conceptual": 1, "empirical": 1}
         assert report.correct_counts == {"conceptual": 1, "empirical": 0}
 
     def test_records_without_gold_are_skipped(self):
         records = [mk("a", gold="conceptual"), mk("b")]
-        predictions = [
-            Classification(paper_id="a", label="Conceptual", rationale="", source="stub"),
-        ]
+        predictions = {"a": "Conceptual"}
         report = agreement_report(predictions, {r.id: r.gold_label for r in records})
         assert report.gold_counts == {"conceptual": 1}
 
     def test_missing_prediction_names_record(self):
         records = [mk("a", gold="conceptual")]
         with pytest.raises(ValueError, match="'a'"):
-            agreement_report([], {r.id: r.gold_label for r in records})
+            agreement_report({}, {r.id: r.gold_label for r in records})

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disruptkit.classify import Classification
 from disruptkit.corpus import EligibilityCriteria, parse_corpus, year_group
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
@@ -170,7 +172,8 @@ class TestConfigFiles:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(["", "# comment", "  ", "min_in_links = 3"]), max_size=6),
-           st.text("abcdefghij_", min_size=1, max_size=10))
+           st.text("abcdefghij_", min_size=1, max_size=10).filter(
+               lambda k: k not in {f.name for f in dataclasses.fields(PipelineConfig)}))
     def test_unknown_key_named_with_its_line(self, before, key):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.conf"
@@ -405,18 +408,50 @@ class TestClassifyStage:
         def boom(*args, **kwargs):
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr("disruptkit.classify.requests.post", boom)
+        monkeypatch.setattr("requests.post", boom)
         config = fixture_config(tmp_path)
         run_pipeline(config)
         results = read_classifications(config.out_dir / "classifications.csv")
-        assert results
-        assert {c.source for c in results} == {"stub"}
+        assert results.ids
+        assert set(results.sources) == {"stub"}
 
     def test_classifications_header_is_validated(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("id,label\n")
         with pytest.raises(ValueError, match="unexpected header"):
             read_classifications(path)
+
+    @pytest.mark.parametrize("row, problem", [
+        ("p2,Mixed,stub,r", "label must be one of .* got 'Mixed'"),
+        ("p2,Other,oracle,r", "source must be one of .* got 'oracle'"),
+        ("p2,Other,stub", r"malformed row \['p2', 'Other', 'stub'\]"),
+    ], ids=["label", "source", "short"])
+    def test_classification_rows_are_validated(self, tmp_path, row, problem):
+        path = tmp_path / "c.csv"
+        path.write_text(f"id,label,source,rationale\np1,Empirical,cache,\"a, b\"\n{row}\n")
+        with pytest.raises(ValueError, match=problem):
+            read_classifications(path)
+
+    @pytest.mark.parametrize("rows, problem", [
+        (["p2,Other,oracle,r", "p3,Mixed,stub"], "got 'oracle'"),
+        (["p2,Mixed,stub", "p3,Other,oracle,r"], r"malformed row \['p2', 'Mixed', 'stub'\]"),
+        (["p2,Other,oracle,r", "p3,Mixed,stub,r"], "got 'oracle'"),
+    ], ids=["source-then-short", "short-then-source", "source-then-label"])
+    def test_first_bad_classification_row_is_named(self, tmp_path, rows, problem):
+        path = tmp_path / "c.csv"
+        path.write_text("id,label,source,rationale\np1,Empirical,cache,r\n"
+                        + "".join(f"{row}\n" for row in rows))
+        with pytest.raises(ValueError, match=problem):
+            read_classifications(path)
+
+    def test_classifications_read_as_columns(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text('id,label,source,rationale\np1,Empirical,cache,"a, b"\n'
+                        "\np2,Conceptual,error,\n")
+        table = read_classifications(path)
+        assert (table.ids, table.labels, table.sources) == (
+            ("p1", "p2"), ("Empirical", "Conceptual"), ("cache", "error"))
+        assert table.by_id() == {"p1": "Empirical", "p2": "Conceptual"}
 
     def test_http_backend_with_cache_rerun_makes_no_calls(self, tmp_path,
                                                           monkeypatch):
@@ -435,14 +470,14 @@ class TestClassifyStage:
             stage_graph(config)
             STAGE_FUNCTIONS["classify"](config)
             results = read_classifications(config.out_dir / "classifications.csv")
-            assert {c.source for c in results} == {"backend"}
+            assert set(results.sources) == {"backend"}
             n_first = len(server.calls)
-            assert n_first == len(results)
+            assert n_first == len(results.ids)
 
             STAGE_FUNCTIONS["classify"](config)
             rerun = read_classifications(config.out_dir / "classifications.csv")
-            assert {c.source for c in rerun} == {"cache"}
-            assert [c.label for c in rerun] == [c.label for c in results]
+            assert set(rerun.sources) == {"cache"}
+            assert rerun.labels == results.labels
             assert len(server.calls) == n_first
         finally:
             server.close()
@@ -458,13 +493,9 @@ class TestObservationRows:
 
     def test_joins_and_drops_other(self):
         corpus, graph, eligible, scores = self.make_inputs()
-        classifications = [
-            Classification(paper_id="P000050", label="Conceptual", rationale="", source="stub"),
-            Classification(paper_id="P000060", label="Other", rationale="", source="stub"),
-            Classification(paper_id="P000070", label="Empirical", rationale="", source="stub"),
-        ]
+        labels = {"P000050": "Conceptual", "P000060": "Other", "P000070": "Empirical"}
         obs = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                     classifications, (1, 2), scores)
+                                     labels, (1, 2), scores)
         assert obs.ids == ("P000050", "P000070")
         assert obs.conceptual[0] == 1 and obs.conceptual[1] == 0
         for k, pid in enumerate(obs.ids):
@@ -476,11 +507,8 @@ class TestObservationRows:
 
     def test_unclassified_papers_are_skipped(self):
         corpus, graph, eligible, scores = self.make_inputs()
-        classifications = [
-            Classification(paper_id="P000050", label="Empirical", rationale="", source="stub"),
-        ]
         obs = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                     classifications, (1, 2), scores)
+                                     {"P000050": "Empirical"}, (1, 2), scores)
         assert obs.ids == ("P000050",)
 
 
@@ -494,10 +522,9 @@ def take_rows(scores, rows):
 class TestStaleScores:
     def join(self, scores, thresholds=(1, 2)):
         corpus, graph, eligible, _ = TestObservationRows().make_inputs()
-        classifications = [Classification(paper_id=pid, label="Empirical",
-                                          rationale="", source="stub") for pid in eligible]
+        labels = dict.fromkeys(eligible, "Empirical")
         return build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                      classifications, thresholds, scores)
+                                      labels, thresholds, scores)
 
     def test_exact_rows_in_any_order_join(self):
         _, _, _, scores = TestObservationRows().make_inputs()
@@ -582,6 +609,19 @@ class TestStaleLabels:
         assert excinfo.value.message.endswith("run stage 'classify' again")
         assert (config.out_dir / "FAILED").read_text().startswith("report:")
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rows: rows[1:], "it has no label for 'P000"),
+        (lambda rows: rows + rows[-1:], "it labels 'P000.*' more than once"),
+        (lambda rows: rows + ["P999999,Empirical,stub,\n"],
+         "it labels 'P999999', which is not an eligible paper"),
+    ], ids=["missing", "duplicate", "extra"])
+    def test_report_refuses_labels_other_than_eligible(self, finished_run, edit, problem):
+        config, path, header, rows = finished_run
+        path.write_text(header + "".join(edit(rows)), encoding="utf-8")
+        with pytest.raises(StageError, match=problem + ".*run stage 'classify' again"):
+            STAGE_FUNCTIONS["report"](config)
+        assert (config.out_dir / "FAILED").read_text().startswith("report:")
+
     def test_labels_in_any_order_pass(self, finished_run):
         config, path, header, rows = finished_run
         before = (config.out_dir / "regression.csv").read_bytes()
@@ -591,6 +631,23 @@ class TestStaleLabels:
 
 
 class TestCli:
+    def test_report_process_leaves_heavy_modules_unloaded(self, tmp_path):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        heavy = ("scipy.sparse", "scipy.linalg", "requests")
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from disruptkit.cli import main; "
+             "code = main(sys.argv[1:]); "
+             f"print([m for m in {heavy!r} if m in sys.modules]); sys.exit(code)",
+             "report", "--config", str(FIXTURES / "pipeline.conf"),
+             "--out-dir", str(config.out_dir)],
+            capture_output=True, text=True, check=True, cwd=FIXTURES,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
+
     def test_synth_command(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
         code = cli.main(["synth", "--out", str(out), "--n-papers", "50",
