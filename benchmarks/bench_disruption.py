@@ -1,8 +1,8 @@
-"""Time the partition kernels: the sparse kernel, and numba when enabled.
+"""Time the partition kernel in each citer partition mode.
 
 Builds a synthetic citation graph, selects the well-connected focals,
-and times each available kernel variant over the same CSR arrays for
-each citer partition mode. Run from the repository root:
+and times the sparse kernel over their CSR arrays in each mode. Run
+from the repository root:
 
     python3 benchmarks/bench_disruption.py
     python3 benchmarks/bench_disruption.py --n-nodes 20000 --repeat 5
@@ -12,6 +12,9 @@ import argparse
 import time
 
 import numpy as np
+# The kernel imports scipy.sparse on its first large input; importing it
+# here keeps that import out of the timings.
+import scipy.sparse  # noqa: F401
 
 from disruptkit import _kernels
 from disruptkit.synth import synth_graph
@@ -46,32 +49,13 @@ def main(argv=None):
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
           f"{focals.size} focals, ls = {tuple(int(x) for x in ls)}")
 
-    variants = [("sparse", _kernels.partition_counts_sparse)]
-    if _kernels.NUMBA_ENABLED:
-        variants.insert(0, ("numba", _kernels.partition_counts_numba))
-    else:
-        print("numba kernel unavailable (not installed or disabled via "
-              "DISRUPTKIT_NO_NUMBA); timing the sparse kernel only")
-
     csr = (graph.fwd_indptr, graph.fwd_indices,
            graph.bwd_indptr, graph.bwd_indices, graph.in_deg)
-    results = {}
-    for name, kernel in variants:
-        kernel(*csr, focals[:2], ls, False)  # warm JIT and caches
-        kernel(*csr, focals[:2], ls, True)
-        for overlap in (False, True):
-            mode = "overlap" if overlap else "ref_indegree"
-            results[name, mode] = best_of(args.repeat, kernel, *csr,
-                                          focals, ls, overlap)
+    times = [best_of(args.repeat, _kernels.partition_counts, *csr, focals, ls, overlap)
+             for overlap in (False, True)]
 
     print(f"\n{'kernel':<10} {'ref_indegree':>14} {'overlap':>14}")
-    for name, _ in variants:
-        row = [results[name, "ref_indegree"], results[name, "overlap"]]
-        print(f"{name:<10} {row[0]:>13.2f}s {row[1]:>13.2f}s")
-    if _kernels.NUMBA_ENABLED:
-        for mode in ("ref_indegree", "overlap"):
-            ratio = results["sparse", mode] / results["numba", mode]
-            print(f"numba speedup ({mode}): {ratio:.1f}x")
+    print(f"{'sparse':<10} {times[0]:>13.2f}s {times[1]:>13.2f}s")
 
 
 if __name__ == "__main__":

@@ -1,17 +1,11 @@
-"""Hot counting kernels behind the citer partition.
+"""The counting kernel behind the citer partition.
 
-Two interchangeable implementations of the same contract:
-
-* a scalar loop compiled with numba (``cache=True, nogil=True``) so
-  batch scoring can run focal chunks on real threads, and
-* a scipy.sparse kernel that scores a block of focals at every
-  threshold with one sparse product (see ``partition_counts_sparse``);
-  on small inputs it forms the same product with plain numpy.
-
-Set ``DISRUPTKIT_NO_NUMBA=1`` (or install without numba) to use the
-sparse kernel; ``partition_counts`` is bound to whichever is active at
-import time. Both raw variants stay importable for benchmarks and
-equivalence tests.
+``partition_counts`` scores a block of focals at every threshold with
+one product of a left factor (the focals' weighted references) and the
+citer matrix. Inputs that expand to at most ``SMALL_PAIRS`` (reference,
+citer) pairs form that product in plain numpy (``_expand_product``);
+larger ones form it with scipy.sparse. Both give the same counts; the
+choice depends on the input size only.
 
 Array contract: CSR adjacency as produced by ``graph.build_graph``.
 ``fwd_*`` rows are the citers of each node, ``bwd_*`` rows its
@@ -23,75 +17,7 @@ thresholds >= 1. Returns (n_f, n_b, n_r) int64 arrays of shape
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _loop_partition_counts(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
-                           in_deg, focals, ls, overlap_mode):
-    n = fwd_indptr.shape[0] - 1
-    n_focal = focals.shape[0]
-    n_l = ls.shape[0]
-    out_nf = np.zeros((n_focal, n_l), dtype=np.int64)
-    out_nb = np.zeros((n_focal, n_l), dtype=np.int64)
-    out_nr = np.zeros((n_focal, n_l), dtype=np.int64)
-    # Per-focal scratch, reused via epoch stamps instead of clearing.
-    stamp = np.full(n, -1, dtype=np.int64)
-    citer_stamp = np.full(n, -1, dtype=np.int64)
-    val = np.zeros(n, dtype=np.int64)
-    cand = np.empty(n, dtype=np.int64)
-    for fi in range(n_focal):
-        focal = focals[fi]
-        c_lo = fwd_indptr[focal]
-        c_hi = fwd_indptr[focal + 1]
-        n_citers = c_hi - c_lo
-        for k in range(c_lo, c_hi):
-            citer_stamp[fwd_indices[k]] = fi
-        # Candidates: every paper citing >= 1 of the focal's references.
-        # val accumulates the max in-degree seen among cited references
-        # (threshold mode) or the shared-reference count (overlap mode).
-        n_cand = 0
-        for k in range(bwd_indptr[focal], bwd_indptr[focal + 1]):
-            ref = bwd_indices[k]
-            ref_in_deg = in_deg[ref]
-            for m in range(fwd_indptr[ref], fwd_indptr[ref + 1]):
-                c = fwd_indices[m]
-                if stamp[c] != fi:
-                    stamp[c] = fi
-                    val[c] = 1 if overlap_mode else ref_in_deg
-                    cand[n_cand] = c
-                    n_cand += 1
-                elif overlap_mode:
-                    val[c] += 1
-                elif ref_in_deg > val[c]:
-                    val[c] = ref_in_deg
-        for k in range(n_cand):
-            p = cand[k]
-            if p == focal:
-                continue
-            v = val[p]
-            if citer_stamp[p] == fi:
-                for j in range(n_l):
-                    if v >= ls[j]:
-                        out_nb[fi, j] += 1
-                    else:
-                        break
-            elif overlap_mode:
-                # R-class keeps the >=1 shared-reference rule at every l.
-                for j in range(n_l):
-                    out_nr[fi, j] += 1
-            else:
-                for j in range(n_l):
-                    if v >= ls[j]:
-                        out_nr[fi, j] += 1
-                    else:
-                        break
-        for j in range(n_l):
-            out_nf[fi, j] = n_citers - out_nb[fi, j]
-    return out_nf, out_nb, out_nr
 
 
 # A focal's row of the product holds one cell per paper that cites the
@@ -161,7 +87,7 @@ def _threshold_words(in_deg, ls, overlap_mode, bits):
 
 def _expand_product(left_cols, left_ptr, vals, fwd_indptr, fwd_indices, n):
     """Rows, columns and values of the non-zero cells of the product that
-    ``partition_counts_sparse`` forms with scipy.sparse, where the left
+    ``partition_counts`` forms with scipy.sparse, where the left
     factor is the CSR matrix (vals, left_cols, left_ptr). Every (left
     entry, citer) pair is expanded, and the pairs that land in one cell
     are summed in integer arithmetic."""
@@ -178,8 +104,8 @@ def _expand_product(left_cols, left_ptr, vals, fwd_indptr, fwd_indices, n):
     return key[first] // n, key[first] % n, data
 
 
-def partition_counts_sparse(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
-                            in_deg, focals, ls, overlap_mode):
+def partition_counts(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
+                     in_deg, focals, ls, overlap_mode):
     """One sparse product per block of focals (and per packed word of
     thresholds) scores every threshold at once.
 
@@ -262,25 +188,4 @@ def partition_counts_sparse(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
             else:
                 out_nr[start:stop, lo:hi] = at_least[:, 0, 1:]
     return n_citers[:, None] - out_nb, out_nb, out_nr
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("DISRUPTKIT_NO_NUMBA", "").strip().lower() in _TRUTHY
-
-
-NUMBA_ENABLED = False
-partition_counts_numba = None
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        partition_counts_numba = njit(cache=True, nogil=True)(_loop_partition_counts)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    partition_counts = partition_counts_numba
-else:
-    partition_counts = partition_counts_sparse
 

@@ -22,6 +22,7 @@ import os
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from operator import contains, itemgetter, lt
@@ -411,41 +412,51 @@ def _dedupe_references(ids: tuple[str, ...], offsets: np.ndarray, codes: np.ndar
     return new_offsets, codes[keep]
 
 
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a file for writing ``path``: UTF-8 text with no newline
+    translation, or bytes if ``binary``. It is written aside and renamed
+    over ``path`` when the block ends, so a write that fails midway
+    leaves any earlier file whole and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with (tmp.open("wb") if binary
+              else tmp.open("w", encoding="utf-8", newline="")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Serialize records, one JSON object per line, in id order; each line
     is what ``json.dumps(record.to_dict(), ensure_ascii=False)`` gives.
 
-    The file is written aside and renamed over ``path``, so a failed
-    write leaves any earlier file whole. A record that cannot be encoded
-    as UTF-8 (a lone surrogate) raises ValueError naming its id.
+    The file is written with ``atomic_write``. A record that cannot be
+    encoded as UTF-8 (a lone surrogate) raises ValueError naming its id.
     """
-    path = Path(path)
     quote = json.encoder.encode_basestring
     refs = np.array([quote(s) for s in corpus.ref_strings], dtype=object)
     refs = refs[corpus.ref_codes].tolist()
     bounds = corpus.ref_offsets.tolist()
     gold_tail = {g: "" if g is None else f', "gold_label": {quote(g)}'
                  for g in set(corpus.gold_label)}
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for k, (paper_id, title, abstract, journal, year, n_authors, gold) in enumerate(zip(
-                    corpus.ids, corpus.title, corpus.abstract, corpus.journal,
-                    corpus.year.tolist(), corpus.n_authors.tolist(), corpus.gold_label)):
-                line = (f'{{"id": {quote(paper_id)}, "title": {quote(title)}, '
-                        f'"abstract": {quote(abstract)}, "journal": {quote(journal)}, '
-                        f'"year": {year}, "n_authors": {n_authors}, '
-                        f'"references": [{", ".join(refs[bounds[k]:bounds[k + 1]])}]'
-                        f'{gold_tail[gold]}}}\n')
-                try:
-                    fh.write(line)
-                except UnicodeEncodeError as exc:
-                    raise ValueError(
-                        f"record {paper_id!r}: not encodable as UTF-8 ({exc.reason})"
-                    ) from exc
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        for k, (paper_id, title, abstract, journal, year, n_authors, gold) in enumerate(zip(
+                corpus.ids, corpus.title, corpus.abstract, corpus.journal,
+                corpus.year.tolist(), corpus.n_authors.tolist(), corpus.gold_label)):
+            line = (f'{{"id": {quote(paper_id)}, "title": {quote(title)}, '
+                    f'"abstract": {quote(abstract)}, "journal": {quote(journal)}, '
+                    f'"year": {year}, "n_authors": {n_authors}, '
+                    f'"references": [{", ".join(refs[bounds[k]:bounds[k + 1]])}]'
+                    f'{gold_tail[gold]}}}\n')
+            try:
+                fh.write(line)
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f"record {paper_id!r}: not encodable as UTF-8 ({exc.reason})"
+                ) from exc
 
 
 def read_allowlist(path: str | Path) -> set[str]:

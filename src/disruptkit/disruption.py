@@ -22,7 +22,6 @@ while the R-class keeps the share-at-least-one rule at every l.
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import partition_counts
+from .corpus import atomic_write
 from .graph import CitationGraph
 
 MODES = ("ref_indegree", "overlap")
@@ -138,13 +138,11 @@ def _focal_indices(graph: CitationGraph, ids: Sequence[str]) -> np.ndarray:
 
 
 def _counts_for(graph: CitationGraph, focals: np.ndarray, ls: Sequence[int],
-                mode: str, n_jobs: int | None = 1):
+                mode: str, n_jobs: int = 1):
     ls_arr = np.asarray(ls, dtype=np.int64)
     overlap = mode == "overlap"
     args = (graph.fwd_indptr, graph.fwd_indices, graph.bwd_indptr,
             graph.bwd_indices, graph.in_deg)
-    if n_jobs is None:
-        n_jobs = os.cpu_count() or 1
     n_jobs = max(1, min(int(n_jobs), len(focals) or 1))
     if n_jobs == 1 or len(focals) < 2 * n_jobs:
         return partition_counts(*args, focals, ls_arr, overlap)
@@ -163,8 +161,6 @@ def _counts_for(graph: CitationGraph, focals: np.ndarray, ls: Sequence[int],
 def partition_citers(graph: CitationGraph, focal: str, l: int = 1,
                      mode: str = "ref_indegree") -> CiterPartition:
     """Classify every other paper as F, B, or R-class relative to focal."""
-    if int(l) < 1:
-        raise ValueError(f"threshold must be >= 1, got {l}")
     [l_clean] = _validate_mode_and_thresholds([l], mode)
     focals = _focal_indices(graph, [focal])
     n_f, n_b, n_r = _counts_for(graph, focals, [l_clean], mode)
@@ -182,15 +178,15 @@ def disruption_score(graph: CitationGraph, focal: str, l: int = 1,
 def disruption_batch(graph: CitationGraph, ids: Sequence[str],
                      ls: Sequence[int] = DEFAULT_THRESHOLDS,
                      mode: str = "ref_indegree",
-                     n_jobs: int | None = 1) -> ScoreTable:
+                     n_jobs: int = 1) -> ScoreTable:
     """Score each id at each threshold, as a ScoreTable whose rows are
     ordered by input id, then ascending l (thresholds are deduplicated).
 
     One kernel pass counts every threshold (one sparse product per block
-    of focals, or one citer scan per focal in the numba kernel), and
-    focal papers are processed in parallel when n_jobs > 1. The scores
-    and the CiterPartition checks are applied to the count arrays as a
-    whole; ``ScoreTable.row`` gives one row as a DisruptionScore."""
+    of focals), and focal papers are processed in parallel when
+    n_jobs > 1. The scores and the CiterPartition checks are applied to
+    the count arrays as a whole; ``ScoreTable.row`` gives one row as a
+    DisruptionScore."""
     ls_clean = _validate_mode_and_thresholds(ls, mode)
     focals = _focal_indices(graph, ids)
     n_f, n_b, n_r = (np.asarray(c, dtype=np.int64).reshape(-1)
@@ -214,10 +210,10 @@ def format_score(d: float | None) -> str:
 
 def write_scores(scores: ScoreTable, path: str | Path) -> None:
     """Write a ScoreTable as CSV with columns id, l, n_f, n_b, n_r, d:
-    one row per table row, d with 6 decimals and NA where Undefined.
-    read_scores parses it back."""
+    one row per table row, d with 6 decimals and NA where Undefined,
+    with ``atomic_write``. read_scores parses it back."""
     d = [format_score(v) for v in scores.d.tolist()]
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORE_COLUMNS)
         writer.writerows(zip(scores.ids, scores.l.tolist(), scores.n_f.tolist(),

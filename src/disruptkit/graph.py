@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, graph_rows
+from .corpus import Corpus, atomic_write, graph_rows
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,9 @@ def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
 def save_graph(graph: CitationGraph, nodes: NodeAttributes,
                out_dir: str | Path) -> list[Path]:
     """Write the graph and its node attributes as the GRAPH_FILES arrays
-    in out_dir and return their paths. ``np.save`` output depends only
-    on the array, so equal graphs give byte-identical files."""
+    in out_dir, each with ``atomic_write``, and return their paths.
+    ``np.save`` output depends only on the array, so equal graphs give
+    byte-identical files."""
     ids, ids_offsets = _encode_strings(graph.ids)
     journal, journal_offsets = _encode_strings(nodes.journal)
     gold, gold_offsets = _encode_strings(g or "" for g in nodes.gold_label)
@@ -215,7 +216,9 @@ def save_graph(graph: CitationGraph, nodes: NodeAttributes,
     }
     paths = [Path(out_dir) / name for name in GRAPH_FILES]
     for path in paths:
-        np.save(path, arrays[path.name], allow_pickle=False)
+        # np.save given a file name would append ".npy" to it
+        with atomic_write(path, binary=True) as fh:
+            np.save(fh, arrays[path.name], allow_pickle=False)
     return paths
 
 

@@ -31,7 +31,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import platform
 from collections import Counter
 from dataclasses import dataclass
@@ -44,8 +43,8 @@ import scipy
 from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, Classification, ResponseCache,
                        agreement_report, check_choice, classify_batch, stub_backend)
-from .corpus import (Corpus, EligibilityCriteria, eligible_ids, filter_journals,
-                     parse_corpus, read_allowlist, write_corpus)
+from .corpus import (Corpus, EligibilityCriteria, atomic_write, eligible_ids,
+                     filter_journals, parse_corpus, read_allowlist, write_corpus)
 from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
                          read_scores, write_scores)
 from .graph import (GRAPH_FILES, CitationGraph, NodeAttributes, build_graph,
@@ -236,18 +235,12 @@ def _sha256_file(path: Path) -> str:
 
 
 def _versions() -> dict:
-    versions = {
+    return {
         "disruptkit": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    try:
-        import numba
-        versions["numba"] = numba.__version__
-    except ImportError:
-        versions["numba"] = None
-    return versions
 
 
 def _update_manifest(config: PipelineConfig, inputs: dict[str, Path],
@@ -263,15 +256,8 @@ def _update_manifest(config: PipelineConfig, inputs: dict[str, Path],
         data["inputs"][name] = _sha256_file(p)
     for p in artifacts:
         data["artifacts"][p.name] = _sha256_file(p)
-    # Write aside and rename over, so a crash mid-write leaves the old
-    # manifest whole rather than half a JSON document.
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _require(config: PipelineConfig, stage: str, filename: str) -> Path:
@@ -361,9 +347,8 @@ def stage_graph(config: PipelineConfig,
         paths = save_graph(graph, node_attributes(corpus, graph), config.out_dir)
         eligible = eligible_ids(corpus, graph, config.criteria())
         eligible_path = config.out_dir / "eligible.txt"
-        eligible_path.write_text(
-            "".join(f"{pid}\n" for pid in eligible), encoding="utf-8",
-        )
+        with atomic_write(eligible_path) as fh:
+            fh.write("".join(f"{pid}\n" for pid in eligible))
         paths.append(eligible_path)
         _update_manifest(config, {}, paths)
         return paths
@@ -429,7 +414,7 @@ class LabelTable:
 
 
 def _write_classifications(results: list[Classification], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CLASSIFICATION_COLUMNS)
         for c in results:
@@ -560,17 +545,19 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
         csv_path = config.out_dir / "regression.csv"
         write_results_csv(results, csv_path)
         cit_path = config.out_dir / "citations_models.txt"
-        cit_path.write_text(emit_table(
-            citation_results,
-            layout_for(citation_results,
-                       "OLS models of in-corpus citation counts", decimals=3),
-        ), encoding="utf-8")
+        with atomic_write(cit_path) as fh:
+            fh.write(emit_table(
+                citation_results,
+                layout_for(citation_results,
+                           "OLS models of in-corpus citation counts", decimals=3),
+            ))
         d_path = config.out_dir / "disruption_models.txt"
-        d_path.write_text(emit_table(
-            d_results,
-            layout_for(d_results,
-                       "OLS models of disruption scores", decimals=4),
-        ), encoding="utf-8")
+        with atomic_write(d_path) as fh:
+            fh.write(emit_table(
+                d_results,
+                layout_for(d_results,
+                           "OLS models of disruption scores", decimals=4),
+            ))
         _update_manifest(config, {}, [csv_path, cit_path, d_path])
         return [csv_path, cit_path, d_path]
 
@@ -637,7 +624,8 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         lines.append(cit_table)
         lines.append(d_table)
         out_path = config.out_dir / "report.txt"
-        out_path.write_text("\n".join(lines), encoding="utf-8")
+        with atomic_write(out_path) as fh:
+            fh.write("\n".join(lines))
         _update_manifest(config, {}, [out_path])
         return [out_path]
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import YearGroup
+from .corpus import YearGroup, atomic_write
 
 DUMMY_GROUPS = tuple(g for g in YearGroup if g is not YearGroup.G1991_1995)
 
@@ -348,9 +348,9 @@ def emit_table(results: Sequence[RegressionResult], layout: TableLayout) -> str:
 
 
 def write_results_csv(results: Sequence[RegressionResult], path: str | Path) -> None:
-    """Machine-readable per-term rows: model, term, coefficient, se, t, p."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    """Machine-readable per-term rows: model, term, coefficient, se, t, p,
+    written with ``atomic_write``."""
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "term", "coefficient", "se", "t", "p"])
         for res in results:

@@ -368,7 +368,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         "allowlist": FIXTURES / "journals.txt",
         "out_dir": tmp_path / "out",
     })
-    artifacts = run_pipeline(config)  # cold run pays any one-off JIT cost
+    artifacts = run_pipeline(config)  # cold run pays the one-off imports
     paths = sorted(artifacts) + [config.out_dir / "manifest.json"]
     first = {p.name: p.read_bytes() for p in paths}
     t0 = time.perf_counter()

@@ -1,8 +1,5 @@
 import csv
 import io
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -288,22 +285,9 @@ def kernel_args(graph):
 
 
 def sparse_counts(graph, focals, ls, mode):
-    return _kernels.partition_counts_sparse(
+    return _kernels.partition_counts(
         *kernel_args(graph), np.asarray(focals, dtype=np.int64),
         np.asarray(ls, dtype=np.int64), mode == "overlap")
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba disabled")
-class TestKernelParity:
-    def test_compiled_and_fallback_agree(self):
-        graph = synth_graph(900, seed=5)
-        focals = np.arange(graph.n_nodes, dtype=np.int64)
-        ls = np.array(THRESHOLDS, dtype=np.int64)
-        for overlap in (False, True):
-            fast = _kernels.partition_counts_numba(*kernel_args(graph), focals, ls, overlap)
-            sparse = _kernels.partition_counts_sparse(*kernel_args(graph), focals, ls, overlap)
-            for a, b in zip(fast, sparse):
-                np.testing.assert_array_equal(a, b)
 
 
 class TestSparseKernelContract:
@@ -420,36 +404,6 @@ class TestSparseKernelProperties:
         _, _, focals, ls, _, _ = case
         bits = int(graph.out_deg[focals].max()).bit_length()
         assert bits * len(ls) > 62
-
-
-# A child interpreter imports the same disruptkit as this process, also
-# when pytest put src/ on sys.path rather than PYTHONPATH.
-SRC_DIR = str(Path(_kernels.__file__).resolve().parents[1])
-
-
-class TestEnvironmentFlag:
-    def test_flag_disables_compiled_kernels(self):
-        env = dict(os.environ, DISRUPTKIT_NO_NUMBA="1", PYTHONPATH=SRC_DIR)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from disruptkit import _kernels; print(_kernels.NUMBA_ENABLED)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_kernels_enabled_by_default_when_available(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("numba not installed")
-        env = {k: v for k, v in os.environ.items() if k != "DISRUPTKIT_NO_NUMBA"}
-        env["PYTHONPATH"] = SRC_DIR
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from disruptkit import _kernels; print(_kernels.NUMBA_ENABLED)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "True"
 
 
 class TestScoreSerialization:

@@ -51,6 +51,39 @@ def read_artifacts(out_dir):
     return {name: (out_dir / name).read_bytes() for name in ARTIFACT_NAMES}
 
 
+class TornFile:
+    """A file whose first write stores half of what it is given and then
+    fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def tear_writes(monkeypatch, name):
+    """Make every file opened for writing whose name contains ``name``
+    (the artifact itself or a temporary file beside it) a TornFile."""
+    real_open = Path.open
+
+    def torn_open(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return TornFile(fh) if "w" in mode and name in self.name else fh
+
+    monkeypatch.setattr(Path, "open", torn_open)
+
+
 class TestConfig:
     def test_fixture_file_parses(self, tmp_path):
         config = fixture_config(tmp_path)
@@ -281,8 +314,7 @@ class TestManifest:
         corpus_bytes = (FIXTURES / "corpus.jsonl").read_bytes()
         assert manifest["inputs"]["corpus"] == hashlib.sha256(corpus_bytes).hexdigest()
         assert "allowlist" in manifest["inputs"]
-        for key in ("disruptkit", "python", "numpy", "scipy"):
-            assert key in manifest["versions"]
+        assert set(manifest["versions"]) == {"disruptkit", "python", "numpy", "scipy"}
         # nothing clock-derived anywhere (determinism itself is covered by
         # the byte-identical rerun test)
         assert "timestamp" not in json.dumps(manifest).lower()
@@ -293,19 +325,26 @@ class TestManifest:
         path = config.out_dir / "manifest.json"
         before = path.read_bytes()
         listing = sorted(p.name for p in config.out_dir.iterdir())
-        real_write_text = Path.write_text
-
-        def torn_write(self, text, *args, **kwargs):
-            if "manifest" in self.name:
-                real_write_text(self, text[:len(text) // 2], *args, **kwargs)
-                raise OSError("No space left on device")
-            return real_write_text(self, text, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", torn_write)
+        tear_writes(monkeypatch, "manifest")
         with pytest.raises(StageError, match="No space left"):
             stage_ingest(config)
         monkeypatch.undo()
         assert path.read_bytes() == before
+        assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
+
+    @pytest.mark.parametrize("name, stage", sorted(ARTIFACT_STAGE.items()))
+    def test_failed_write_keeps_old_artifact(self, tmp_path, monkeypatch, name, stage):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        path = config.out_dir / name
+        before = path.read_bytes()
+        listing = sorted(p.name for p in config.out_dir.iterdir())
+        tear_writes(monkeypatch, name)
+        with pytest.raises(StageError, match="No space left"):
+            STAGE_FUNCTIONS[stage](config)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert not [p.name for p in config.out_dir.iterdir() if p.name.endswith(".tmp")]
         assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
 
     def test_unencodable_record_keeps_old_corpus(self, tmp_path):
