@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import PaperRecord
 
@@ -154,6 +155,8 @@ class BackendConfig:
             raise ValueError("retries must be >= 0")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
+        if urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise ValueError(f"endpoint must be an http or https URL, got {self.endpoint!r}")
 
 
 def cache_key(model: str, prompt: str) -> str:
@@ -230,33 +233,60 @@ class ResponseCache:
             self._entries[key] = (label, rationale)
 
 
+# A 429 or 503 may name a wait in whole seconds; longer waits are cut to this.
+RETRY_AFTER_CAP = 60.0
+
+
+def _retry_after(status: int, headers: Mapping[str, str]) -> float:
+    """Seconds a 429 or 503 response asks the client to wait, capped at
+    RETRY_AFTER_CAP; 0 for other responses and for the HTTP-date form."""
+    value = (headers.get("Retry-After") or "").strip() if status in (429, 503) else ""
+    if value.isascii() and value.isdigit():
+        return min(float(value), RETRY_AFTER_CAP)
+    return 0.0
+
+
 def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str:
-    import requests  # only the HTTP path needs it; stub runs skip its import
+    # Only the HTTP path needs the client; stub runs skip its import.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     payload = {
         "model": config.model,
         "temperature": config.temperature,
         "messages": [{"role": "user", "content": prompt}],
     }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    data = json.dumps(payload).encode("utf-8")
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     last_error: Exception | None = None
+    wait = 0.0
     for attempt in range(config.retries + 1):
         if attempt:
-            time.sleep(config.backoff_base * (2 ** (attempt - 1)))
+            time.sleep(max(config.backoff_base * (2 ** (attempt - 1)), wait))
+        request = urllib.request.Request(config.endpoint, data=data, headers=headers,
+                                         method="POST")
+        # The body is read inside the try, so a timeout while reading it
+        # is retried like one while connecting.
         try:
-            resp = requests.post(config.endpoint, json=payload, headers=headers,
-                                 timeout=config.timeout)
-        except requests.RequestException as exc:
-            last_error = exc
+            try:
+                with urllib.request.urlopen(request, timeout=config.timeout) as resp:
+                    status, reply, body = resp.status, resp.headers, resp.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    status, reply, body = exc.code, exc.headers, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
+            last_error, wait = exc, 0.0
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = BackendError(f"HTTP {resp.status_code}")
+        if status == 429 or status >= 500:
+            last_error = BackendError(f"HTTP {status}")
+            wait = _retry_after(status, reply)
             continue
-        if resp.status_code != 200:
-            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            text = body.decode("utf-8", errors="replace")
+            raise BackendError(f"HTTP {status}: {text[:200]}")
         try:
-            data = resp.json()
-            return data["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
     raise BackendError(f"backend unreachable after {config.retries} retries: {last_error}")

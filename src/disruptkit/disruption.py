@@ -220,23 +220,51 @@ def write_scores(scores: ScoreTable, path: str | Path) -> None:
                              scores.n_b.tolist(), scores.n_r.tolist(), d))
 
 
+_SCORE_DTYPE = np.dtype([("id", object), ("l", np.int64), ("n_f", np.int64),
+                         ("n_b", np.int64), ("n_r", np.int64), ("d", np.float64)])
+
+
+def _parse_d(text: str) -> float:
+    return np.nan if text == "NA" else float(text)
+
+
 def read_scores(path: str | Path) -> ScoreTable:
-    """Parse a table written by write_scores."""
+    """Parse a table written by write_scores: the header with the csv
+    module, the body in one ``np.loadtxt`` pass."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header != list(SCORE_COLUMNS):
             raise ValueError(f"{path}: unexpected header {header}")
-        rows = [row for row in reader if row]
-    bad = next((row for row in rows if len(row) != len(SCORE_COLUMNS)), None)
-    if bad is not None:
-        raise ValueError(f"{path}: malformed row {bad}")
+        # Skip blank lines up to the first row; loadtxt warns on a body
+        # with no rows.
+        body = fh.tell()
+        while (line := fh.readline()) in ("\n", "\r\n"):
+            body = fh.tell()
+        table = np.zeros(0, dtype=_SCORE_DTYPE)
+        if line:
+            fh.seek(body)
+            try:
+                table = np.loadtxt(fh, dtype=_SCORE_DTYPE, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1, converters={5: _parse_d})
+            except ValueError as exc:
+                fh.seek(body)
+                raise ValueError(f"{path}: malformed row {_first_bad_row(fh, exc)}") from exc
+    return ScoreTable(ids=tuple(table["id"].tolist()),
+                      **{name: np.ascontiguousarray(table[name])
+                         for name in ("l", "n_f", "n_b", "n_r", "d")})
 
-    def column(j: int) -> list[str]:
-        return [row[j] for row in rows]
 
-    l, n_f, n_b, n_r = (np.array(column(j), dtype=np.int64) for j in range(1, 5))
-    return ScoreTable(
-        ids=tuple(column(0)), l=l, n_f=n_f, n_b=n_b, n_r=n_r,
-        d=np.array([np.nan if v == "NA" else float(v) for v in column(5)], dtype=np.float64),
-    )
+def _first_bad_row(fh, exc: ValueError) -> list[str] | str:
+    """The first row of a score file body that ``read_scores`` cannot
+    take, found with the csv module; loadtxt's own message if none is."""
+    for row in csv.reader(fh):
+        if not row:
+            continue
+        if len(row) != len(SCORE_COLUMNS):
+            return row
+        try:
+            [int(text) for text in row[1:5]]
+            _parse_d(row[5])
+        except ValueError:
+            return row
+    return f"({exc})"

@@ -21,13 +21,15 @@ class _Handler(BaseHTTPRequestHandler):
             })
         if server.delay:
             time.sleep(server.delay)
-        status, payload = server.behavior(n_seen, body)
+        status, payload, *headers = server.behavior(n_seen, body)
         with server.lock:
             server.active -= 1
         data = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -42,7 +44,8 @@ def completion(text):
 
 class RecordingServer:
     """Threaded HTTP server that records every request and answers via a
-    pluggable ``behavior(n_seen, body) -> (status, payload)`` callable."""
+    pluggable ``behavior(n_seen, body)`` callable, which returns
+    ``(status, payload)`` or ``(status, payload, headers)``."""
 
     def __init__(self):
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import re
+import socket
+import urllib.request
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from disruptkit import classify
 from disruptkit.classify import (
     _CONCEPTUAL_CUES,
     _EMPIRICAL_CUES,
@@ -138,6 +141,17 @@ class TestBackendConfig:
             BackendConfig(endpoint="http://x", model="m", retries=-1)
         with pytest.raises(ValueError, match="backoff_base"):
             BackendConfig(endpoint="http://x", model="m", backoff_base=-0.1)
+
+    @pytest.mark.parametrize("endpoint", [
+        "file:///etc/passwd", "ftp://example.org/v1", "localhost:8080/v1", "/v1/chat", "",
+    ])
+    def test_endpoint_must_be_http(self, endpoint):
+        with pytest.raises(ValueError, match=f"http or https URL, got {re.escape(repr(endpoint))}"):
+            BackendConfig(endpoint=endpoint, model="m")
+
+    @pytest.mark.parametrize("endpoint", ["http://x/v1", "https://x/v1", "HTTPS://x"])
+    def test_http_endpoints_pass(self, endpoint):
+        assert BackendConfig(endpoint=endpoint, model="m").endpoint == endpoint
 
 
 class TestCache:
@@ -414,6 +428,82 @@ class TestHttpBackend:
         assert "malformed" in result.rationale
         assert len(backend_server.calls) == 1
 
+    def test_client_error_body_is_in_the_rationale(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        body = '{"error": "model not found: test-model"}' + " " * 300
+        backend_server.server.behavior = lambda n, _: (404, body)
+        [result] = classify_batch([mk("p1")], config=http_config(backend_server, retries=3))
+        assert result.source == "error"
+        assert result.rationale == "HTTP 404: " + body[:200]
+        assert len(backend_server.calls) == 1
+
+    @pytest.mark.parametrize("status", [201, 204])
+    def test_other_success_codes_are_errors_without_retry(self, backend_server,
+                                                         monkeypatch, status):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        ok = completion("This article is in the conceptual category because theory.")
+        backend_server.server.behavior = lambda n, _: (status, ok if status != 204 else "")
+        [result] = classify_batch([mk("p1")], config=http_config(backend_server, retries=3))
+        assert result.source == "error"
+        assert result.rationale.startswith(f"HTTP {status}")
+        assert len(backend_server.calls) == 1
+
+    def test_refused_connection_is_retried_then_an_error(self, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        with socket.socket() as sock:  # a port that was just free and is now closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        attempts = []
+        urlopen = urllib.request.urlopen
+
+        def counting(*args, **kwargs):
+            attempts.append(1)
+            return urlopen(*args, **kwargs)
+
+        monkeypatch.setattr("urllib.request.urlopen", counting)
+        config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m",
+                               retries=2, backoff_base=0.0, timeout=5.0)
+        [result] = classify_batch([mk("p1")], config=config)
+        assert result.source == "error"
+        assert "after 2 retries" in result.rationale
+        assert "refused" in result.rationale.lower()
+        assert len(attempts) == 3
+
+    def test_read_timeout_is_retried_then_an_error(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        backend_server.server.delay = 1.0
+        config = http_config(backend_server, retries=2, timeout=0.2)
+        [result] = classify_batch([mk("p1")], config=config)
+        assert result.source == "error"
+        assert "after 2 retries" in result.rationale
+        assert "timed out" in result.rationale
+        assert len(backend_server.calls) == 3
+
+    @pytest.mark.parametrize("status, retry_after, backoff_base, waits", [
+        (429, "7", 0.5, [7.0, 1.0]),
+        (503, "2", 5.0, [5.0, 10.0]),
+        (503, " 3600 ", 0.5, [60.0, 1.0]),
+        # ignored: the HTTP-date form, fractions, and statuses other than 429 and 503
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, [0.5, 1.0]),
+        (429, "1.5", 0.5, [0.5, 1.0]),
+        (500, "7", 0.5, [0.5, 1.0]),
+    ], ids=["429", "backoff-longer", "capped", "http-date", "fraction", "500"])
+    def test_retry_after(self, backend_server, monkeypatch, status, retry_after,
+                         backoff_base, waits):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        ok = completion("This article is in the conceptual category because theory.")
+        # the first failure names a wait, the second names none
+        backend_server.server.behavior = lambda n, _: (
+            (status, "{}", {"Retry-After": retry_after}) if n == 0
+            else (500, "{}") if n == 1 else (200, ok)
+        )
+        sleeps = []
+        monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        config = http_config(backend_server, retries=2, backoff_base=backoff_base)
+        [result] = classify_batch([mk("p1")], config=config)
+        assert result.source == "backend"
+        assert sleeps == waits
+
     def test_in_flight_bound_is_respected(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 0.1
@@ -428,7 +518,7 @@ class TestHttpBackend:
         def boom(*args, **kwargs):
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr("requests.post", boom)
+        monkeypatch.setattr("urllib.request.urlopen", boom)
         results = classify_batch([mk("p1")], backend=stub_backend)
         assert results[0].source == "stub"
 

@@ -1,6 +1,8 @@
 import csv
 import io
+import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -434,6 +436,27 @@ class TestScoreSerialization:
         path.write_text("id,l,n_f,n_b,n_r,d\na,1,0,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="malformed row"):
             read_scores(path)
+
+    @pytest.mark.parametrize("row", [
+        "b,1,0,0", "b,1,0,0,0,NA,7", "b,x,0,0,0,NA", "b,1,0,0,0,none", '"b,c",1.5,0,0,0,NA',
+    ])
+    def test_read_names_the_malformed_row(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,l,n_f,n_b,n_r,d\na,1,0,0,0,NA\n\n{row}\nc,1,0,0,0,x\n",
+                        encoding="utf-8")
+        named = next(csv.reader([row]))
+        with pytest.raises(ValueError, match=re.escape(f"malformed row {named}")):
+            read_scores(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_read_empty_body(self, tmp_path, body):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,l,n_f,n_b,n_r,d\n" + body, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = read_scores(path)
+        assert len(table) == 0
+        assert table.l.dtype == np.int64 and table.d.dtype == np.float64
 
     def test_table_from_scores_matches_file(self, tmp_path):
         graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])

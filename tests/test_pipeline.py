@@ -447,7 +447,7 @@ class TestClassifyStage:
         def boom(*args, **kwargs):
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr("requests.post", boom)
+        monkeypatch.setattr("urllib.request.urlopen", boom)
         config = fixture_config(tmp_path)
         run_pipeline(config)
         results = read_classifications(config.out_dir / "classifications.csv")
@@ -673,7 +673,7 @@ class TestCli:
     def test_report_process_leaves_heavy_modules_unloaded(self, tmp_path):
         config = fixture_config(tmp_path)
         run_pipeline(config)
-        heavy = ("scipy.sparse", "scipy.linalg", "requests")
+        heavy = ("scipy.sparse", "scipy.linalg", "requests", "urllib.request", "http.client")
         src = str(Path(pipeline.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c",

@@ -349,7 +349,8 @@ class TestPValues:
         # is never imported; the others load only in the functions that
         # use them.
         src = str(Path(disruptkit.__file__).resolve().parents[1])
-        heavy = ("scipy.sparse", "scipy.linalg", "scipy.special", "scipy.stats", "requests")
+        heavy = ("scipy.sparse", "scipy.linalg", "scipy.special", "scipy.stats", "requests",
+                 "urllib.request", "http.client")
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, disruptkit, disruptkit.cli; "
