@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 from urllib.parse import urlsplit
 
-from .corpus import PaperRecord
+from .corpus import Corpus
 
 LABELS = ("Conceptual", "Empirical", "Other")
 
@@ -133,13 +133,12 @@ class BackendConfig:
     """Connection settings for a chat-completion-style HTTP endpoint.
 
     The endpoint takes (model, temperature, one user message) and
-    returns a completion; temperature is pinned to 0.0 so repeated runs
-    are as deterministic as the backend allows.
+    returns a completion; every request sends temperature 0.0 so repeated
+    runs are as deterministic as the backend allows.
     """
 
     endpoint: str
     model: str
-    temperature: float = 0.0
     max_in_flight: int = 4
     retries: int = 3
     backoff_base: float = 1.0
@@ -147,8 +146,6 @@ class BackendConfig:
     api_key_env: str = "DISRUPTKIT_API_KEY"
 
     def __post_init__(self):
-        if self.temperature != 0.0:
-            raise ValueError("temperature must be 0.0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retries < 0:
@@ -254,7 +251,7 @@ def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str
 
     payload = {
         "model": config.model,
-        "temperature": config.temperature,
+        "temperature": 0.0,
         "messages": [{"role": "user", "content": prompt}],
     }
     data = json.dumps(payload).encode("utf-8")
@@ -293,12 +290,13 @@ def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str
 
 
 def classify_batch(
-    records: Sequence[PaperRecord],
+    corpus: Corpus,
     config: BackendConfig | None = None,
     cache: ResponseCache | None = None,
     backend: Callable[[str], str] | None = None,
 ) -> list[Classification]:
-    """Classify records in input order.
+    """Classify each row of the corpus from its title and abstract, in
+    row order.
 
     With ``backend`` set (any prompt -> response callable, normally
     ``stub_backend``) everything runs locally and the cache is not
@@ -307,21 +305,21 @@ def classify_batch(
     real backend output. Otherwise ``config`` drives HTTP requests with
     at most ``max_in_flight`` concurrent calls; cached prompts are
     served without a request, fresh responses are appended to the
-    cache, and a record whose request fails permanently yields an
+    cache, and a paper whose request fails permanently yields an
     error-source entry instead of aborting the batch.
     """
     if backend is not None:
         out: list[Classification] = []
-        for rec in records:
-            label, rationale = parse_response(backend(render_prompt(rec.title, rec.abstract)))
-            out.append(Classification(paper_id=rec.id, label=label,
+        for paper_id, title, abstract in zip(corpus.ids, corpus.title, corpus.abstract):
+            label, rationale = parse_response(backend(render_prompt(title, abstract)))
+            out.append(Classification(paper_id=paper_id, label=label,
                                       rationale=rationale, source="stub"))
         return out
 
     if config is None:
         raise ValueError("either a backend callable or a BackendConfig is required")
 
-    prompts = [render_prompt(rec.title, rec.abstract) for rec in records]
+    prompts = list(map(render_prompt, corpus.title, corpus.abstract))
     cached: list[tuple[str, str] | None] = [
         cache.get(config.model, prompt) if cache is not None else None
         for prompt in prompts
@@ -333,27 +331,27 @@ def classify_batch(
         )
 
     def work(pos: int) -> Classification:
-        rec = records[pos]
+        paper_id = corpus.ids[pos]
         hit = cached[pos]
         if hit is not None:
             label, rationale = hit
-            return Classification(paper_id=rec.id, label=label,
+            return Classification(paper_id=paper_id, label=label,
                                   rationale=rationale, source="cache")
         try:
             response = _request_completion(config, prompts[pos], api_key)
         except BackendError as exc:
-            return Classification(paper_id=rec.id, label="Other",
+            return Classification(paper_id=paper_id, label="Other",
                                   rationale=str(exc), source="error")
         label, rationale = parse_response(response)
         if cache is not None:
             cache.put(config.model, prompts[pos], label, rationale)
-        return Classification(paper_id=rec.id, label=label,
+        return Classification(paper_id=paper_id, label=label,
                               rationale=rationale, source="backend")
 
-    if not records:
+    if not corpus:
         return []
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        return list(pool.map(work, range(len(records))))
+        return list(pool.map(work, range(len(corpus))))
 
 
 _CONCEPTUAL_CUES = (

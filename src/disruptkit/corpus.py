@@ -9,8 +9,8 @@ A parsed ``Corpus`` is a column table with its rows in ascending id
 order, so row i is node i of the graph built from it. References are
 stored once: each distinct reference string has an integer code, and a
 row's references are a run of codes (deduplicated in first-seen order,
-the record's own id dropped) between two offsets. ``PaperRecord`` is the
-row view, for callers that take one record at a time.
+the record's own id dropped) between two offsets. ``PaperRecord`` holds
+one record and words every validation message.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import json
 import logging
 import os
 from array import array
-from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from dataclasses import dataclass
+from itertools import islice, repeat, zip_longest
 from operator import contains, itemgetter, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -144,17 +143,6 @@ class PaperRecord:
         return out
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(PaperRecord))
-
-
-def _row_view(values: tuple) -> PaperRecord:
-    """A PaperRecord from column values that were validated when the
-    corpus was built, without validating them again."""
-    record = object.__new__(PaperRecord)
-    record.__dict__.update(zip(_RECORD_FIELDS, values))
-    return record
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Records as columns, one row per record, rows in ascending id order.
@@ -178,36 +166,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __contains__(self, paper_id: str) -> bool:
-        k = bisect_left(self.ids, paper_id)
-        return k < len(self.ids) and self.ids[k] == paper_id
-
-    def __getitem__(self, paper_id: str) -> PaperRecord:
-        k = bisect_left(self.ids, paper_id)
-        if k == len(self.ids) or self.ids[k] != paper_id:
-            raise KeyError(paper_id)
-        a, b = self.ref_offsets[k:k + 2].tolist()
-        refs = tuple(map(self.ref_strings.__getitem__, self.ref_codes[a:b].tolist()))
-        return _row_view((paper_id, self.title[k], self.abstract[k], self.journal[k],
-                          int(self.year[k]), int(self.n_authors[k]), refs,
-                          self.gold_label[k]))
-
-    def __iter__(self) -> Iterator[PaperRecord]:
-        """Row views in id order."""
-        refs = np.array(self.ref_strings, dtype=object)[self.ref_codes].tolist()
-        bounds = self.ref_offsets.tolist()
-        for values in zip(self.ids, self.title, self.abstract, self.journal,
-                          self.year.tolist(), self.n_authors.tolist(),
-                          (tuple(refs[a:b]) for a, b in zip(bounds, islice(bounds, 1, None))),
-                          self.gold_label):
-            yield _row_view(values)
-
-    def sorted_ids(self) -> list[str]:
-        return list(self.ids)
-
-    def journals(self) -> set[str]:
-        return set(self.journal)
 
     def positions(self, ids: Iterable[str]) -> np.ndarray:
         """The row of each id; KeyError names the first id not in the
@@ -487,13 +445,6 @@ def filter_journals(corpus: Corpus, allowlist: set[str]) -> Corpus:
     return kept
 
 
-def journal_counts(corpus: Corpus) -> dict[str, int]:
-    """Number of records per journal (journals with zero papers simply
-    do not appear; comparing against the allowlist shows which allowed
-    journals contributed nothing)."""
-    return dict(Counter(corpus.journal))
-
-
 class YearGroup(enum.IntEnum):
     """Five-year publication cohorts, ordered by start year."""
 
@@ -560,12 +511,16 @@ class EligibilityCriteria:
             raise ValueError("year_min must be <= year_max")
 
 
-def graph_rows(corpus: Corpus, graph) -> np.ndarray:
-    """The corpus row of each graph node, in node order."""
-    try:
-        return corpus.positions(graph.ids)
-    except KeyError as exc:
-        raise ValueError(f"graph node {exc.args[0]!r} missing from corpus") from None
+def check_node_rows(corpus: Corpus, graph) -> None:
+    """Raise ValueError, naming the first node that differs, unless node i
+    of the graph is row i of the corpus for every i."""
+    if graph.ids == corpus.ids:
+        return
+    k = next(i for i, (node, row) in enumerate(zip_longest(graph.ids, corpus.ids))
+             if node != row)
+    if k < len(graph.ids):
+        raise ValueError(f"graph node {graph.ids[k]!r} missing from corpus row {k}")
+    raise ValueError(f"corpus row {k} ({corpus.ids[k]!r}) is not a graph node")
 
 
 def eligible_ids(corpus: Corpus, graph, criteria: EligibilityCriteria | None = None) -> list[str]:
@@ -573,14 +528,15 @@ def eligible_ids(corpus: Corpus, graph, criteria: EligibilityCriteria | None = N
 
     out_deg counts a paper's in-corpus references, in_deg its in-corpus
     citers; both must meet the minima, the year must fall in range, and
-    the abstract must be long enough.
+    the abstract must be long enough. Node i of the graph must be row i
+    of the corpus (see ``check_node_rows``).
     """
     criteria = criteria or EligibilityCriteria()
-    rows = graph_rows(corpus, graph)
-    year = corpus.year[rows]
+    check_node_rows(corpus, graph)
+    year = corpus.year
     keep = ((graph.out_deg >= criteria.min_out_links) & (graph.in_deg >= criteria.min_in_links)
             & (year >= criteria.year_min) & (year <= criteria.year_max)
-            & (abstract_lengths(corpus.abstract)[rows] >= criteria.min_abstract_chars))
+            & (abstract_lengths(corpus.abstract) >= criteria.min_abstract_chars))
     out = list(map(graph.ids.__getitem__, np.flatnonzero(keep).tolist()))
     out.sort()
     return out

@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write, graph_rows
+from .corpus import Corpus, atomic_write, check_node_rows
 
 
 @dataclass(frozen=True)
@@ -149,24 +149,13 @@ def degree_stats(graph: CitationGraph) -> dict:
 @dataclass(frozen=True)
 class NodeAttributes:
     """Record fields the stages after ``graph`` need, one entry per node
-    in graph index order. ``gold_label`` is None where a record has
-    none."""
+    in graph index order, as ``load_graph`` reads them back.
+    ``gold_label`` is None where a record has none."""
 
     year: np.ndarray
     n_authors: np.ndarray
     journal: tuple[str, ...]
     gold_label: tuple[str | None, ...]
-
-
-def node_attributes(corpus: Corpus, graph: CitationGraph) -> NodeAttributes:
-    rows = graph_rows(corpus, graph)
-    picked = rows.tolist()
-    return NodeAttributes(
-        year=corpus.year[rows],
-        n_authors=corpus.n_authors[rows],
-        journal=tuple(map(corpus.journal.__getitem__, picked)),
-        gold_label=tuple(map(corpus.gold_label.__getitem__, picked)),
-    )
 
 
 # The arrays save_graph writes, one np.save file each. A string column
@@ -195,22 +184,23 @@ def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
     return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
 
 
-def save_graph(graph: CitationGraph, nodes: NodeAttributes,
-               out_dir: str | Path) -> list[Path]:
-    """Write the graph and its node attributes as the GRAPH_FILES arrays
-    in out_dir, each with ``atomic_write``, and return their paths.
-    ``np.save`` output depends only on the array, so equal graphs give
-    byte-identical files."""
+def save_graph(graph: CitationGraph, corpus: Corpus, out_dir: str | Path) -> list[Path]:
+    """Write the graph and the corpus's year, n_authors, journal and
+    gold_label columns as the GRAPH_FILES arrays in out_dir, each with
+    ``atomic_write``, and return their paths. Node i of the graph must be
+    row i of the corpus (see ``check_node_rows``). ``np.save`` output
+    depends only on the array, so equal graphs give byte-identical files."""
+    check_node_rows(corpus, graph)
     ids, ids_offsets = _encode_strings(graph.ids)
-    journal, journal_offsets = _encode_strings(nodes.journal)
-    gold, gold_offsets = _encode_strings(g or "" for g in nodes.gold_label)
+    journal, journal_offsets = _encode_strings(corpus.journal)
+    gold, gold_offsets = _encode_strings(g or "" for g in corpus.gold_label)
     arrays = {
         "graph_ids.npy": ids, "graph_ids_offsets.npy": ids_offsets,
         "graph_fwd_indptr.npy": graph.fwd_indptr,
         "graph_fwd_indices.npy": graph.fwd_indices,
         "graph_bwd_indptr.npy": graph.bwd_indptr,
         "graph_bwd_indices.npy": graph.bwd_indices,
-        "graph_year.npy": nodes.year, "graph_n_authors.npy": nodes.n_authors,
+        "graph_year.npy": corpus.year, "graph_n_authors.npy": corpus.n_authors,
         "graph_journal.npy": journal, "graph_journal_offsets.npy": journal_offsets,
         "graph_gold_label.npy": gold, "graph_gold_label_offsets.npy": gold_offsets,
     }

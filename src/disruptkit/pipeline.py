@@ -32,10 +32,11 @@ import dataclasses
 import hashlib
 import json
 import platform
+import types
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, get_args, get_type_hints
 
 import numpy as np
 import scipy
@@ -43,12 +44,12 @@ import scipy
 from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, Classification, ResponseCache,
                        agreement_report, check_choice, classify_batch, stub_backend)
-from .corpus import (Corpus, EligibilityCriteria, atomic_write, eligible_ids,
+from .corpus import (Corpus, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
                      filter_journals, parse_corpus, read_allowlist, write_corpus)
 from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
                          read_scores, write_scores)
 from .graph import (GRAPH_FILES, CitationGraph, NodeAttributes, build_graph,
-                    degree_stats, load_graph, node_attributes, save_graph)
+                    degree_stats, load_graph, save_graph)
 from .regress import (Observations, emit_table, fit_model, layout_for,
                       standard_model_specs, write_results_csv)
 
@@ -126,10 +127,18 @@ class PipelineConfig:
             self.cache = Path(self.cache)
         if not self.thresholds:
             raise ValueError("thresholds must be non-empty")
-        # What disrupt and graph would reject, rejected before any stage
-        # runs (classify may make billable requests).
+        # What disrupt, graph and regress would reject, rejected before any
+        # stage runs (classify may make billable requests).
         _validate_mode_and_thresholds(self.thresholds, self.mode)
         self.criteria()
+        # regress puts every eligible paper in a year group
+        first, last = min(YearGroup).start, max(YearGroup).end
+        for name in ("year_min", "year_max"):
+            year = getattr(self, name)
+            if not first <= year <= last:
+                raise ValueError(f"{name} {year} outside the year groups [{first}, {last}]")
+        if not self.model_thresholds:
+            raise ValueError("model_thresholds must be non-empty")
         missing = [l for l in self.model_thresholds if l not in self.thresholds]
         if missing:
             raise ValueError(
@@ -174,7 +183,7 @@ class PipelineConfig:
 
 def _coerce(name: str, text: str, target_type) -> object:
     text = text.strip()
-    if target_type in (Path, "Path | None"):
+    if target_type is Path:
         return Path(text)
     if target_type is bool:
         lowered = text.lower()
@@ -198,16 +207,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     a PipelineConfig; unknown keys are errors. ``overrides`` wins over
     file values."""
     path = Path(path)
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    type_map = {
-        "corpus": Path, "allowlist": Path, "cache": Path, "out_dir": Path,
-        "min_out_links": int, "min_in_links": int, "year_min": int,
-        "year_max": int, "min_abstract_chars": int,
-        "thresholds": tuple, "mode": str, "n_jobs": int,
-        "stub": bool, "endpoint": str, "model": str, "api_key_env": str,
-        "max_in_flight": int, "retries": int, "backoff_base": float,
-        "timeout": float, "model_thresholds": tuple,
-    }
+    # A field annotated X | None is read as an X.
+    type_map = {name: get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+                for name, hint in get_type_hints(PipelineConfig).items()}
     values: dict = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -218,7 +220,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in type_map:
                 raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
             values[key] = _coerce(key, value, type_map[key])
     if overrides:
@@ -344,7 +346,7 @@ def stage_graph(config: PipelineConfig,
     def body() -> list[Path]:
         corpus = _load_filtered_corpus(config, "graph", handoff)
         graph = build_graph(corpus)
-        paths = save_graph(graph, node_attributes(corpus, graph), config.out_dir)
+        paths = save_graph(graph, corpus, config.out_dir)
         eligible = eligible_ids(corpus, graph, config.criteria())
         eligible_path = config.out_dir / "eligible.txt"
         with atomic_write(eligible_path) as fh:
@@ -365,12 +367,12 @@ def stage_classify(config: PipelineConfig,
     def body() -> list[Path]:
         corpus = _load_filtered_corpus(config, "classify", handoff)
         eligible = _load_eligible(config, "classify")
-        records = list(corpus.take(corpus.positions(eligible)))
+        papers = corpus.take(corpus.positions(eligible))
         if config.stub:
-            results = classify_batch(records, backend=stub_backend)
+            results = classify_batch(papers, backend=stub_backend)
         else:
             cache = ResponseCache(config.cache) if config.cache is not None else None
-            results = classify_batch(records, config=config.backend_config(),
+            results = classify_batch(papers, config=config.backend_config(),
                                      cache=cache)
         out_path = config.out_dir / "classifications.csv"
         _write_classifications(results, out_path)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from disruptkit.classify import agreement_report
-from disruptkit.corpus import EligibilityCriteria, PaperRecord, eligible_ids
+from disruptkit.corpus import EligibilityCriteria, eligible_ids
 from disruptkit.disruption import MODES, disruption_batch, disruption_score
-from disruptkit.graph import build_graph, node_attributes
+from disruptkit.graph import build_graph
 from disruptkit.oracle import brute_force_partition
 from disruptkit.pipeline import (
     build_observation_rows,
@@ -25,6 +25,7 @@ from disruptkit.pipeline import (
 from disruptkit.regress import ModelSpec, fit_model, ols_fit
 from disruptkit.synth import synth_corpus, synth_graph
 
+from corpus_columns import node_columns
 from exact_ols import exact_ols
 from netgen import graph_from_pairs, random_digraph
 
@@ -258,18 +259,15 @@ def _agreement_fixture(spec):
     hitting exact per-label tallies. ``spec`` maps label -> (correct,
     total)."""
     predictions = {}
-    records = []
+    gold = {}
     i = 0
     for label, (correct, total) in spec.items():
         for j in range(total):
             pid = f"a{i}"
             i += 1
-            records.append(PaperRecord(
-                id=pid, title="t", abstract="x" * 600, journal="J",
-                year=2000, n_authors=1, references=(),
-                gold_label=label))
+            gold[pid] = label
             predictions[pid] = label.capitalize() if j < correct else "Other"
-    return predictions, {r.id: r.gold_label for r in records}
+    return predictions, gold
 
 
 def test_criterion_6_agreement_arithmetic():
@@ -298,10 +296,9 @@ def _conceptual_terms(seed, effect):
     graph = build_graph(corpus)
     eligible = eligible_ids(corpus, graph, EligibilityCriteria(min_in_links=6))
     scores = disruption_batch(graph, eligible, ls=(5,))
-    labels = {rec.id: rec.gold_label.capitalize()
-              for rec in corpus if rec.gold_label is not None}
-    rows = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
-                                  labels, (5,), scores)
+    labels = {pid: gold.capitalize()
+              for pid, gold in zip(corpus.ids, corpus.gold_label) if gold is not None}
+    rows = build_observation_rows(graph, node_columns(corpus), eligible, labels, (5,), scores)
     cit = fit_model(rows, CITATIONS_SPEC).term("conceptual")
     d5 = fit_model(rows, D5_SPEC).term("conceptual")
     return (cit[0], cit[3]), (d5[0], d5[3])

@@ -25,7 +25,7 @@ from disruptkit.classify import (
     stub_backend,
     _cue_scores,
 )
-from disruptkit.corpus import PaperRecord
+from disruptkit.corpus import parse_corpus
 from disruptkit.synth import synth_corpus
 
 from httpstub import RecordingServer, completion
@@ -33,11 +33,14 @@ from httpstub import RecordingServer, completion
 KEY_ENV = "DISRUPTKIT_API_KEY"
 
 
-def mk(paper_id, title="A title", abstract="An abstract", gold=None):
-    return PaperRecord(
-        id=paper_id, title=title, abstract=abstract, journal="j",
-        year=2000, n_authors=1, references=(), gold_label=gold,
-    )
+def mk(paper_id, title="A title", abstract="An abstract"):
+    return {"id": paper_id, "title": title, "abstract": abstract, "journal": "j",
+            "year": 2000, "n_authors": 1, "references": []}
+
+
+def papers(*records):
+    """A Corpus of the given records, in id order."""
+    return parse_corpus(json.dumps(r) + "\n" for r in records)
 
 
 class TestPrompt:
@@ -130,10 +133,6 @@ class TestClassificationType:
 
 
 class TestBackendConfig:
-    def test_temperature_pinned_to_zero(self):
-        with pytest.raises(ValueError, match="temperature"):
-            BackendConfig(endpoint="http://x", model="m", temperature=0.5)
-
     def test_bounds(self):
         with pytest.raises(ValueError, match="max_in_flight"):
             BackendConfig(endpoint="http://x", model="m", max_in_flight=0)
@@ -264,10 +263,9 @@ class TestStubBackend:
 
     def test_recovers_generated_labels(self):
         corpus = synth_corpus(n_papers=60, seed=3)
-        records = list(corpus)
-        results = classify_batch(records, backend=stub_backend)
+        results = classify_batch(corpus, backend=stub_backend)
         report = agreement_report({c.paper_id: c.label for c in results},
-                                  {r.id: r.gold_label for r in records})
+                                  dict(zip(corpus.ids, corpus.gold_label)))
         assert report.overall_accuracy == 1.0
 
 
@@ -327,8 +325,8 @@ def http_config(server, **kwargs):
 class TestHttpBackend:
     def test_request_shape_and_result(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
-        records = [mk("p1", title="T1", abstract="A1")]
-        [result] = classify_batch(records, config=http_config(backend_server))
+        corpus = papers(mk("p1", title="T1", abstract="A1"))
+        [result] = classify_batch(corpus, config=http_config(backend_server))
         assert result.label == "Empirical"
         assert result.source == "backend"
         [call] = backend_server.calls
@@ -343,14 +341,14 @@ class TestHttpBackend:
                                                          tmp_path, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         cache = ResponseCache(tmp_path / "cache.jsonl")
-        records = [mk("p1", title="T1"), mk("p2", title="T2")]
+        corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
-        first = classify_batch(records, config=config, cache=cache)
+        first = classify_batch(corpus, config=config, cache=cache)
         assert [r.source for r in first] == ["backend", "backend"]
         assert len(backend_server.calls) == 2
 
         warm = ResponseCache(tmp_path / "cache.jsonl")
-        second = classify_batch(records, config=config, cache=warm)
+        second = classify_batch(corpus, config=config, cache=warm)
         assert [r.source for r in second] == ["cache", "cache"]
         assert [r.label for r in second] == [r.label for r in first]
         assert len(backend_server.calls) == 2  # no new requests
@@ -358,19 +356,19 @@ class TestHttpBackend:
     def test_warm_cache_needs_no_api_key(self, backend_server, tmp_path, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         cache = ResponseCache(tmp_path / "cache.jsonl")
-        records = [mk("p1")]
+        corpus = papers(mk("p1"))
         config = http_config(backend_server)
-        classify_batch(records, config=config, cache=cache)
+        classify_batch(corpus, config=config, cache=cache)
 
         monkeypatch.delenv(KEY_ENV)
-        [result] = classify_batch(records, config=config, cache=cache)
+        [result] = classify_batch(corpus, config=config, cache=cache)
         assert result.source == "cache"
 
     def test_missing_api_key_fails_before_any_request(self, backend_server,
                                                       monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         with pytest.raises(RuntimeError, match=KEY_ENV):
-            classify_batch([mk("p1")], config=http_config(backend_server))
+            classify_batch(papers(mk("p1")), config=http_config(backend_server))
         assert backend_server.calls == []
 
     def test_transient_errors_are_retried(self, backend_server, monkeypatch):
@@ -380,7 +378,7 @@ class TestHttpBackend:
             (500, "{}") if n == 0 else (429, "{}") if n == 1 else (200, ok)
         )
         config = http_config(backend_server, retries=3)
-        [result] = classify_batch([mk("p1")], config=config)
+        [result] = classify_batch(papers(mk("p1")), config=config)
         assert result.label == "Conceptual"
         assert result.source == "backend"
         assert len(backend_server.calls) == 3
@@ -398,9 +396,9 @@ class TestHttpBackend:
             return 200, ok
 
         backend_server.server.behavior = behavior
-        records = [mk("bad", title="T-fail"), mk("good", title="T-ok")]
+        corpus = papers(mk("bad", title="T-fail"), mk("good", title="T-ok"))
         config = http_config(backend_server, retries=1, max_in_flight=1)
-        results = classify_batch(records, config=config)
+        results = classify_batch(corpus, config=config)
         assert results[0].source == "error"
         assert results[0].label == "Other"
         assert "HTTP 500" in results[0].rationale
@@ -414,7 +412,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (400, '{"error": "bad"}')
         config = http_config(backend_server, retries=3)
-        [result] = classify_batch([mk("p1")], config=config)
+        [result] = classify_batch(papers(mk("p1")), config=config)
         assert result.source == "error"
         assert len(backend_server.calls) == 1
 
@@ -423,7 +421,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (200, '{"unexpected": true}')
         config = http_config(backend_server, retries=3)
-        [result] = classify_batch([mk("p1")], config=config)
+        [result] = classify_batch(papers(mk("p1")), config=config)
         assert result.source == "error"
         assert "malformed" in result.rationale
         assert len(backend_server.calls) == 1
@@ -432,7 +430,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         body = '{"error": "model not found: test-model"}' + " " * 300
         backend_server.server.behavior = lambda n, _: (404, body)
-        [result] = classify_batch([mk("p1")], config=http_config(backend_server, retries=3))
+        [result] = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
         assert result.source == "error"
         assert result.rationale == "HTTP 404: " + body[:200]
         assert len(backend_server.calls) == 1
@@ -443,7 +441,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         backend_server.server.behavior = lambda n, _: (status, ok if status != 204 else "")
-        [result] = classify_batch([mk("p1")], config=http_config(backend_server, retries=3))
+        [result] = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
         assert result.source == "error"
         assert result.rationale.startswith(f"HTTP {status}")
         assert len(backend_server.calls) == 1
@@ -463,7 +461,7 @@ class TestHttpBackend:
         monkeypatch.setattr("urllib.request.urlopen", counting)
         config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m",
                                retries=2, backoff_base=0.0, timeout=5.0)
-        [result] = classify_batch([mk("p1")], config=config)
+        [result] = classify_batch(papers(mk("p1")), config=config)
         assert result.source == "error"
         assert "after 2 retries" in result.rationale
         assert "refused" in result.rationale.lower()
@@ -473,7 +471,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 1.0
         config = http_config(backend_server, retries=2, timeout=0.2)
-        [result] = classify_batch([mk("p1")], config=config)
+        [result] = classify_batch(papers(mk("p1")), config=config)
         assert result.source == "error"
         assert "after 2 retries" in result.rationale
         assert "timed out" in result.rationale
@@ -500,16 +498,16 @@ class TestHttpBackend:
         sleeps = []
         monkeypatch.setattr(classify.time, "sleep", sleeps.append)
         config = http_config(backend_server, retries=2, backoff_base=backoff_base)
-        [result] = classify_batch([mk("p1")], config=config)
+        [result] = classify_batch(papers(mk("p1")), config=config)
         assert result.source == "backend"
         assert sleeps == waits
 
     def test_in_flight_bound_is_respected(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 0.1
-        records = [mk(f"p{i}", title=f"T{i}") for i in range(6)]
+        corpus = papers(*(mk(f"p{i}", title=f"T{i}") for i in range(6)))
         config = http_config(backend_server, max_in_flight=2)
-        results = classify_batch(records, config=config)
+        results = classify_batch(corpus, config=config)
         assert len(results) == 6
         assert len(backend_server.calls) == 6
         assert backend_server.server.max_active <= 2
@@ -519,18 +517,18 @@ class TestHttpBackend:
             raise AssertionError("network call attempted")
 
         monkeypatch.setattr("urllib.request.urlopen", boom)
-        results = classify_batch([mk("p1")], backend=stub_backend)
+        results = classify_batch(papers(mk("p1")), backend=stub_backend)
         assert results[0].source == "stub"
 
     def test_stub_path_ignores_cache(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path / "cache.jsonl")
-        classify_batch([mk("p1")], cache=cache, backend=stub_backend)
+        classify_batch(papers(mk("p1")), cache=cache, backend=stub_backend)
         assert len(cache) == 0
         assert not (tmp_path / "cache.jsonl").exists()
 
     def test_requires_config_or_backend(self):
         with pytest.raises(ValueError, match="backend callable or a BackendConfig"):
-            classify_batch([mk("p1")])
+            classify_batch(papers(mk("p1")))
 
 
 class TestAgreement:
@@ -555,19 +553,18 @@ class TestAgreement:
         assert report.overall_accuracy == pytest.approx(220 / 242)
 
     def test_agreement_matching_is_case_insensitive(self):
-        records = [mk("a", gold="conceptual"), mk("b", gold="empirical")]
+        gold = {"a": "conceptual", "b": "empirical"}
         predictions = {"a": "Conceptual", "b": "Other"}
-        report = agreement_report(predictions, {r.id: r.gold_label for r in records})
+        report = agreement_report(predictions, gold)
         assert report.gold_counts == {"conceptual": 1, "empirical": 1}
         assert report.correct_counts == {"conceptual": 1, "empirical": 0}
 
     def test_records_without_gold_are_skipped(self):
-        records = [mk("a", gold="conceptual"), mk("b")]
+        gold = {"a": "conceptual", "b": None}
         predictions = {"a": "Conceptual"}
-        report = agreement_report(predictions, {r.id: r.gold_label for r in records})
+        report = agreement_report(predictions, gold)
         assert report.gold_counts == {"conceptual": 1}
 
     def test_missing_prediction_names_record(self):
-        records = [mk("a", gold="conceptual")]
         with pytest.raises(ValueError, match="'a'"):
-            agreement_report({}, {r.id: r.gold_label for r in records})
+            agreement_report({}, {"a": "conceptual"})

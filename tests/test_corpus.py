@@ -14,13 +14,14 @@ from disruptkit.corpus import (
     abstract_length,
     eligible_ids,
     filter_journals,
-    journal_counts,
     parse_corpus,
     read_allowlist,
     write_corpus,
     year_group,
 )
 from disruptkit.graph import build_graph
+
+from corpus_columns import columns, record_columns
 
 
 def mk(paper_id, year=2000, refs=(), journal="J", n_authors=1,
@@ -104,9 +105,7 @@ class TestParseCorpus:
     def test_parses_and_keys_by_id(self):
         lines = [json.dumps(mk(i).to_dict()) for i in ("b", "a")]
         corpus = parse_corpus(io.StringIO("\n".join(lines)))
-        assert set(corpus.ids) == {"a", "b"}
-        assert corpus.sorted_ids() == ["a", "b"]
-        assert "a" in corpus and "missing" not in corpus
+        assert corpus.ids == ("a", "b")
 
     def test_skips_blank_lines(self):
         text = json.dumps(mk("a").to_dict()) + "\n\n\n" + json.dumps(mk("b").to_dict())
@@ -139,7 +138,7 @@ class TestParseCorpus:
         path = tmp_path / "c.jsonl"
         write_corpus(corpus_of(mk("a"), mk("b")), path)
         corpus = parse_corpus(path)
-        assert corpus.sorted_ids() == ["a", "b"]
+        assert corpus.ids == ("a", "b")
 
 
 class TestWriteCorpus:
@@ -156,7 +155,7 @@ class TestWriteCorpus:
         original = corpus_of(mk("a", refs=("b",), gold="conceptual"), mk("b"))
         path = tmp_path / "c.jsonl"
         write_corpus(original, path)
-        assert list(parse_corpus(path)) == list(original)
+        assert columns(parse_corpus(path)) == columns(original)
 
 
 # Any text JSON can carry except lone surrogates, which have no UTF-8
@@ -203,7 +202,7 @@ class TestCorpusRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             write_corpus(corpus, path)
-            assert list(parse_corpus(path)) == list(corpus)
+            assert columns(parse_corpus(path)) == columns(corpus)
 
 
 class TestJournalFiltering:
@@ -220,12 +219,6 @@ class TestJournalFiltering:
     def test_empty_allowlist_is_an_error(self):
         with pytest.raises(ValueError, match="non-empty"):
             filter_journals(corpus_of(mk("a")), set())
-
-    def test_journal_counts(self):
-        corpus = corpus_of(mk("a", journal="X"), mk("b", journal="Y"), mk("c", journal="X"))
-        assert journal_counts(corpus) == {"X": 2, "Y": 1}
-        # an allowlisted journal with no papers is visible only by its absence
-        assert "Z" not in journal_counts(corpus)
 
 
 class TestYearGroups:
@@ -317,8 +310,14 @@ class TestEligibility:
 
     def test_graph_node_missing_from_corpus(self):
         corpus, graph = self._corpus_and_graph()
-        corpus = corpus_of(*(r for r in corpus if r.id != "b"))
+        corpus = corpus.take(corpus.positions(["a", "c"]))
         with pytest.raises(ValueError, match="graph node 'b' missing"):
+            eligible_ids(corpus, graph, EligibilityCriteria())
+
+    def test_corpus_row_missing_from_graph(self):
+        corpus, graph = self._corpus_and_graph()
+        corpus = corpus_of(mk("a"), mk("b"), mk("c"), mk("d"))
+        with pytest.raises(ValueError, match=r"corpus row 3 \('d'\) is not a graph node"):
             eligible_ids(corpus, graph, EligibilityCriteria())
 
 
@@ -448,9 +447,7 @@ class TestParseMatchesRecordAtATime:
             assert str(excinfo.value) == str(exc)
             return
         corpus = parse_corpus(iter(lines))
-        assert corpus.sorted_ids() == sorted(expected)
-        assert [corpus[pid] for pid in corpus.sorted_ids()] == [
-            expected[pid] for pid in sorted(expected)]
+        assert columns(corpus) == record_columns([expected[pid] for pid in sorted(expected)])
 
 
 class TestReferencesOutsideTheCorpus:

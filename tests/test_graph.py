@@ -12,7 +12,6 @@ from disruptkit.graph import (
     degree_stats,
     from_edge_arrays,
     load_graph,
-    node_attributes,
     references_of,
     save_graph,
 )
@@ -134,7 +133,7 @@ class TestDegreeStats:
 class TestGraphFiles:
     def test_roundtrip(self, tmp_path, diamond):
         corpus = corpus_of(*(mk(pid) for pid in diamond.ids))
-        paths = save_graph(diamond, node_attributes(corpus, diamond), tmp_path)
+        paths = save_graph(diamond, corpus, tmp_path)
         assert [p.name for p in paths] == list(GRAPH_FILES)
         graph, nodes = load_graph(tmp_path)
         assert graph.ids == diamond.ids and graph.index == diamond.index
@@ -160,7 +159,7 @@ class TestGraphFiles:
         ]
         corpus = corpus_of(*records)
         built = build_graph(corpus)
-        save_graph(built, node_attributes(corpus, built), tmp_path)
+        save_graph(built, corpus, tmp_path)
         graph, nodes = load_graph(tmp_path)
         assert graph.ids == ("a", "a\x00", "\u00fc\U0001f600")
         assert citers(graph, "a\x00") == ["a"]
@@ -175,17 +174,23 @@ class TestGraphFiles:
 
     def test_empty_graph(self, tmp_path):
         empty = build_graph(corpus_of())
-        save_graph(empty, node_attributes(corpus_of(), empty), tmp_path)
+        save_graph(empty, corpus_of(), tmp_path)
         graph, nodes = load_graph(tmp_path)
         assert graph.n_nodes == 0 and graph.n_edges == 0
         assert nodes.journal == () and nodes.year.shape == (0,)
 
     def test_rejects_mismatched_files(self, tmp_path, diamond):
         corpus = corpus_of(*(mk(pid) for pid in diamond.ids))
-        save_graph(diamond, node_attributes(corpus, diamond), tmp_path)
+        save_graph(diamond, corpus, tmp_path)
         np.save(tmp_path / "graph_year.npy", np.array([2000], dtype=np.int64))
         with pytest.raises(ValueError, match="disagree"):
             load_graph(tmp_path)
+
+    def test_graph_node_missing_from_corpus(self, tmp_path, diamond):
+        corpus = corpus_of(*(mk(pid) for pid in ("a", "c", "d")))
+        with pytest.raises(ValueError, match="graph node 'b' missing"):
+            save_graph(diamond, corpus, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _reference_csr(n, src, dst):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from disruptkit.corpus import EligibilityCriteria, parse_corpus, year_group
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
-from disruptkit.graph import build_graph, node_attributes
+from disruptkit.graph import build_graph
 from disruptkit.pipeline import (
     ARTIFACT_STAGE,
     STAGE_FUNCTIONS,
@@ -30,6 +30,7 @@ from disruptkit.pipeline import (
 )
 from disruptkit import cli
 
+from corpus_columns import node_columns
 from httpstub import RecordingServer, completion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -142,6 +143,9 @@ class TestConfig:
         ("min_out_links = -1", "min_out_links must be >= 0"),
         ("min_abstract_chars = -5", "min_abstract_chars must be >= 0"),
         ("year_min = 2021", "year_min must be <= year_max"),
+        ("year_min = 1985", "year_min 1985 outside the year groups [1991, 2020]"),
+        ("year_max = 2025", "year_max 2025 outside the year groups [1991, 2020]"),
+        ("model_thresholds =", "model_thresholds must be non-empty"),
     ])
     def test_values_a_stage_would_reject_fail_at_load(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.conf"
@@ -163,13 +167,13 @@ _SPELLINGS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off
 @st.composite
 def configs(draw):
     thresholds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
-    year_min = draw(st.integers(1800, 2100))
+    year_min = draw(st.integers(1991, 2020))
     optional_path = st.none() | _WORD.map(Path)
     return PipelineConfig(
         corpus=Path(draw(_WORD)), allowlist=draw(optional_path), cache=draw(optional_path),
         out_dir=Path(draw(_WORD)),
         min_out_links=draw(st.integers(0, 10**6)), min_in_links=draw(st.integers(0, 10**6)),
-        year_min=year_min, year_max=draw(st.integers(year_min, 2100)),
+        year_min=year_min, year_max=draw(st.integers(year_min, 2020)),
         min_abstract_chars=draw(st.integers(0, 10**6)),
         thresholds=tuple(thresholds), mode=draw(st.sampled_from(MODES)),
         n_jobs=draw(st.integers(1, 8)), stub=draw(st.booleans()),
@@ -178,7 +182,8 @@ def configs(draw):
         retries=draw(st.integers(0, 10)),
         backoff_base=draw(st.floats(0, 100, allow_nan=False)),
         timeout=draw(st.floats(0.001, 1e4, allow_nan=False)),
-        model_thresholds=tuple(draw(st.lists(st.sampled_from(thresholds), unique=True))),
+        model_thresholds=tuple(draw(st.lists(st.sampled_from(thresholds), min_size=1,
+                                             unique=True))),
     )
 
 
@@ -282,7 +287,7 @@ class TestFullRun:
         config = fixture_config(tmp_path)
         run_pipeline(config)
         corpus = parse_corpus(config.out_dir / "corpus.jsonl")
-        assert "Synthetic Journal 07" not in corpus.journals()
+        assert "Synthetic Journal 07" not in corpus.journal
         assert len(corpus) < 200
 
     def test_report_counts_allowlisted_journals_without_papers(self, tmp_path):
@@ -533,7 +538,7 @@ class TestObservationRows:
     def test_joins_and_drops_other(self):
         corpus, graph, eligible, scores = self.make_inputs()
         labels = {"P000050": "Conceptual", "P000060": "Other", "P000070": "Empirical"}
-        obs = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+        obs = build_observation_rows(graph, node_columns(corpus), eligible,
                                      labels, (1, 2), scores)
         assert obs.ids == ("P000050", "P000070")
         assert obs.conceptual[0] == 1 and obs.conceptual[1] == 0
@@ -541,12 +546,12 @@ class TestObservationRows:
             idx = graph.index[pid]
             assert obs.y_citations[k] == int(graph.in_deg[idx])
             assert set(obs.y_d) == {1, 2}
-            assert year_group(int(obs.year[k])) == year_group(corpus[pid].year)
-            assert obs.n_authors[k] == corpus[pid].n_authors
+            assert year_group(int(obs.year[k])) == year_group(int(corpus.year[idx]))
+            assert obs.n_authors[k] == corpus.n_authors[idx]
 
     def test_unclassified_papers_are_skipped(self):
         corpus, graph, eligible, scores = self.make_inputs()
-        obs = build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+        obs = build_observation_rows(graph, node_columns(corpus), eligible,
                                      {"P000050": "Empirical"}, (1, 2), scores)
         assert obs.ids == ("P000050",)
 
@@ -562,7 +567,7 @@ class TestStaleScores:
     def join(self, scores, thresholds=(1, 2)):
         corpus, graph, eligible, _ = TestObservationRows().make_inputs()
         labels = dict.fromkeys(eligible, "Empirical")
-        return build_observation_rows(graph, node_attributes(corpus, graph), eligible,
+        return build_observation_rows(graph, node_columns(corpus), eligible,
                                       labels, thresholds, scores)
 
     def test_exact_rows_in_any_order_join(self):

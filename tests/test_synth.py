@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from disruptkit.classify import _CONCEPTUAL_CUES, _EMPIRICAL_CUES
-from disruptkit.corpus import abstract_length, parse_corpus
+from disruptkit.corpus import abstract_lengths, parse_corpus
 from disruptkit.disruption import disruption_batch
 from disruptkit.graph import build_graph
 from disruptkit.synth import synth_corpus, synth_graph
+
+from corpus_columns import columns, references
 
 
 class TestValidation:
@@ -59,47 +61,46 @@ def corpus():
 class TestStructure:
     def test_ids_and_count(self, corpus):
         assert len(corpus) == 400
-        assert corpus.sorted_ids()[0] == "P000000"
-        assert corpus.sorted_ids()[-1] == "P000399"
+        assert corpus.ids[0] == "P000000"
+        assert corpus.ids[-1] == "P000399"
 
     def test_years_chronological_and_span_covered(self, corpus):
-        ids = corpus.sorted_ids()
-        years = [corpus[pid].year for pid in ids]
+        years = corpus.year.tolist()
         assert years == sorted(years)
         assert years[0] == 1991
         assert years[-1] == 2020
 
     def test_references_point_strictly_backward(self, corpus):
-        for rec in corpus:
-            for ref in rec.references:
-                assert ref < rec.id  # chronological ids sort by birth order
+        for paper_id, refs in zip(corpus.ids, references(corpus)):
+            for ref in refs:
+                assert ref < paper_id  # chronological ids sort by birth order
 
     def test_all_references_resolve_in_corpus(self, corpus):
-        for rec in corpus:
-            for ref in rec.references:
-                assert ref in corpus
+        ids = set(corpus.ids)
+        for refs in references(corpus):
+            assert set(refs) <= ids
 
     def test_journals_cycle(self, corpus):
-        names = {rec.journal for rec in corpus}
+        names = set(corpus.journal)
         assert names == {f"Synthetic Journal {k:02d}" for k in range(5)}
 
     def test_abstracts_meet_length_floor(self, corpus):
-        assert all(abstract_length(rec.abstract) >= 501 for rec in corpus)
+        assert (abstract_lengths(corpus.abstract) >= 501).all()
 
     def test_gold_labels_present_and_balanced(self, corpus):
-        labels = [rec.gold_label for rec in corpus]
+        labels = list(corpus.gold_label)
         assert set(labels) == {"conceptual", "empirical"}
         frac = labels.count("conceptual") / len(labels)
         assert 0.2 < frac < 0.4
 
     def test_author_counts_positive(self, corpus):
-        assert all(rec.n_authors >= 1 for rec in corpus)
+        assert (corpus.n_authors >= 1).all()
 
     def test_file_roundtrip(self, corpus, tmp_path):
         path = tmp_path / "c.jsonl"
         reloaded_source = synth_corpus(n_papers=400, seed=12, conceptual_frac=0.3,
                                        n_journals=5, path=path)
-        assert list(parse_corpus(path)) == list(reloaded_source)
+        assert columns(parse_corpus(path)) == columns(reloaded_source)
 
     def test_cue_vocabulary_is_label_disjoint(self, corpus):
         # each abstract must carry only its own side's cue words, or the
@@ -107,14 +108,14 @@ class TestStructure:
         conceptual_cues = set(_CONCEPTUAL_CUES)
         empirical_cues = set(_EMPIRICAL_CUES)
         import re
-        for rec in corpus:
-            words = set(re.findall(r"[a-z]+", rec.abstract.lower()))
-            if rec.gold_label == "conceptual":
-                assert not (words & empirical_cues), rec.id
-                assert words & conceptual_cues, rec.id
+        for paper_id, abstract, gold in zip(corpus.ids, corpus.abstract, corpus.gold_label):
+            words = set(re.findall(r"[a-z]+", abstract.lower()))
+            if gold == "conceptual":
+                assert not (words & empirical_cues), paper_id
+                assert words & conceptual_cues, paper_id
             else:
-                assert not (words & conceptual_cues), rec.id
-                assert words & empirical_cues, rec.id
+                assert not (words & conceptual_cues), paper_id
+                assert words & empirical_cues, paper_id
 
 
 class TestSynthGraph:
@@ -137,7 +138,7 @@ class TestPlantedEffect:
     def label_stats(self, effect, seed=1):
         corpus = synth_corpus(1200, seed=seed, effect=effect)
         graph = build_graph(corpus)
-        cited = [r.id for r in corpus if graph.in_deg[graph.index[r.id]] >= 3]
+        cited = [pid for pid, deg in zip(graph.ids, graph.in_deg.tolist()) if deg >= 3]
         scores = disruption_batch(graph, cited, ls=(1,))
         d_by_id = {
             s.paper_id: s.d
@@ -145,12 +146,12 @@ class TestPlantedEffect:
             if s.d is not None
         }
         con_cites, emp_cites, con_d, emp_d = [], [], [], []
-        for rec in corpus:
-            deg = int(graph.in_deg[graph.index[rec.id]])
-            bucket = (con_cites, con_d) if rec.gold_label == "conceptual" else (emp_cites, emp_d)
+        # node i of the graph is row i of the corpus
+        for pid, deg, gold in zip(graph.ids, graph.in_deg.tolist(), corpus.gold_label):
+            bucket = (con_cites, con_d) if gold == "conceptual" else (emp_cites, emp_d)
             bucket[0].append(deg)
-            if rec.id in d_by_id:
-                bucket[1].append(d_by_id[rec.id])
+            if pid in d_by_id:
+                bucket[1].append(d_by_id[pid])
         ratio = np.mean(con_cites) / np.mean(emp_cites)
         d_gap = np.mean(con_d) - np.mean(emp_d)
         return ratio, d_gap
