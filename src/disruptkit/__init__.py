@@ -26,7 +26,7 @@ from .oracle import brute_force_partition
 from .classify import (
     AgreementReport,
     BackendConfig,
-    Classification,
+    LabelTable,
     agreement_report,
     classify_batch,
     parse_response,
@@ -48,10 +48,10 @@ __all__ = [
     "BackendConfig",
     "CitationGraph",
     "CiterPartition",
-    "Classification",
     "Corpus",
     "DisruptionScore",
     "EligibilityCriteria",
+    "LabelTable",
     "ModelSpec",
     "Observations",
     "PaperRecord",

@@ -113,19 +113,21 @@ def check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class Classification:
-    paper_id: str
-    label: str
-    rationale: str
-    source: str
+class LabelTable:
+    """Classification results as columns, one entry per paper: paper id,
+    label (one of LABELS), label source (one of SOURCES) and rationale."""
 
-    def __post_init__(self):
-        check_choice("label", self.label, LABELS)
-        check_choice("source", self.source, SOURCES)
+    ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    sources: tuple[str, ...]
+    rationales: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.source != "error"
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def by_id(self) -> dict[str, str]:
+        """Paper id -> label."""
+        return dict(zip(self.ids, self.labels))
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,8 @@ class ResponseCache:
 
     A final line with no newline is what a crash in the middle of an
     append leaves behind: it is ignored on load and cut from the file
-    before the next append. Any other unreadable line is an error.
+    before the next append. Any other unreadable line, or one whose label
+    is not in LABELS or whose rationale is not a string, is an error.
     """
 
     def __init__(self, path: str | Path):
@@ -202,6 +205,9 @@ class ResponseCache:
         if missing:
             raise ValueError(
                 f"{self.path}: line {lineno}: missing field(s) {', '.join(missing)}")
+        check_choice(f"{self.path}: line {lineno}: label", obj["label"], LABELS)
+        if not isinstance(obj["rationale"], str):
+            raise ValueError(f"{self.path}: line {lineno}: rationale must be a string")
         self._entries[obj["key_hash"]] = (obj["label"], obj["rationale"])
 
     def __len__(self) -> int:
@@ -294,9 +300,9 @@ def classify_batch(
     config: BackendConfig | None = None,
     cache: ResponseCache | None = None,
     backend: Callable[[str], str] | None = None,
-) -> list[Classification]:
-    """Classify each row of the corpus from its title and abstract, in
-    row order.
+) -> LabelTable:
+    """Classify each row of the corpus from its title and abstract; the
+    table's rows are the corpus's, in order.
 
     With ``backend`` set (any prompt -> response callable, normally
     ``stub_backend``) everything runs locally and the cache is not
@@ -309,12 +315,9 @@ def classify_batch(
     error-source entry instead of aborting the batch.
     """
     if backend is not None:
-        out: list[Classification] = []
-        for paper_id, title, abstract in zip(corpus.ids, corpus.title, corpus.abstract):
-            label, rationale = parse_response(backend(render_prompt(title, abstract)))
-            out.append(Classification(paper_id=paper_id, label=label,
-                                      rationale=rationale, source="stub"))
-        return out
+        return _label_table(corpus.ids, [
+            (*parse_response(backend(render_prompt(title, abstract))), "stub")
+            for title, abstract in zip(corpus.title, corpus.abstract)])
 
     if config is None:
         raise ValueError("either a backend callable or a BackendConfig is required")
@@ -330,28 +333,27 @@ def classify_batch(
             f"backend required but environment variable {config.api_key_env} is not set"
         )
 
-    def work(pos: int) -> Classification:
-        paper_id = corpus.ids[pos]
+    def work(pos: int) -> tuple[str, str, str]:
         hit = cached[pos]
         if hit is not None:
-            label, rationale = hit
-            return Classification(paper_id=paper_id, label=label,
-                                  rationale=rationale, source="cache")
+            return (*hit, "cache")
         try:
             response = _request_completion(config, prompts[pos], api_key)
         except BackendError as exc:
-            return Classification(paper_id=paper_id, label="Other",
-                                  rationale=str(exc), source="error")
+            return "Other", str(exc), "error"
         label, rationale = parse_response(response)
         if cache is not None:
             cache.put(config.model, prompts[pos], label, rationale)
-        return Classification(paper_id=paper_id, label=label,
-                              rationale=rationale, source="backend")
+        return label, rationale, "backend"
 
-    if not corpus:
-        return []
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        return list(pool.map(work, range(len(corpus))))
+        return _label_table(corpus.ids, list(pool.map(work, range(len(corpus)))))
+
+
+def _label_table(ids: tuple[str, ...], rows: list[tuple[str, str, str]]) -> LabelTable:
+    """The table of these ids and their (label, rationale, source) rows."""
+    labels, rationales, sources = zip(*rows) if rows else ((), (), ())
+    return LabelTable(ids=ids, labels=labels, sources=sources, rationales=rationales)
 
 
 _CONCEPTUAL_CUES = (

@@ -64,6 +64,9 @@ class PaperRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("record id must be a non-empty string")
+        if not _one_line_id(self.id):
+            raise ValueError(
+                f"record {self.id!r}: id must have no surrounding whitespace or line break")
         for name in ("title", "abstract", "journal"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"record {self.id!r}: {name} must be a string")
@@ -312,8 +315,10 @@ def _first_invalid_row(columns: list[tuple], golds: list, ref_codes: np.ndarray,
         return next(i for i, v in enumerate(column) if not ok(v))
 
     found: list[int] = []
-    if set(map(type, ids)) - {str} or "" in ids:
-        found.append(first(ids, lambda v: type(v) is str and v != ""))
+    # The joined ids hold a line break if any id does.
+    if (set(map(type, ids)) - {str} or "" in ids
+            or not _one_line_id("".join(ids)) or tuple(map(str.strip, ids)) != ids):
+        found.append(first(ids, lambda v: type(v) is str and v != "" and _one_line_id(v)))
     for column in (titles, abstracts, journals):
         if set(map(type, column)) - {str}:
             found.append(first(column, lambda v: type(v) is str))
@@ -332,6 +337,12 @@ def _first_invalid_row(columns: list[tuple], golds: list, ref_codes: np.ndarray,
         if hits.size:
             found.append(int(np.searchsorted(ref_offsets, hits[0], side="right")) - 1)
     return min(found, default=None)
+
+
+def _one_line_id(paper_id: str) -> bool:
+    """Whether eligible.txt, which holds one id per line and strips each
+    line, gives the id back unchanged."""
+    return paper_id == paper_id.strip() and "\r" not in paper_id and "\n" not in paper_id
 
 
 def _valid_gold(gold) -> bool:

@@ -11,21 +11,22 @@ identical records always produce identical arrays. The edges come from
 the corpus's reference codes as arrays, and both CSR directions from one
 sort of integer keys each.
 
-``save_graph`` writes the network and the record fields later stages
-need as plain ``.npy`` arrays, and ``load_graph`` reads them back, so
-only the stage that builds the graph has to parse the corpus.
+``save_graph`` writes the network and the record fields the graph
+carries for later stages as plain ``.npy`` arrays, and ``load_graph``
+reads them back, so only the stage that builds the graph has to parse
+the corpus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write, check_node_rows
+from .corpus import Corpus, atomic_write
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,8 @@ class CitationGraph:
     ``fwd_*`` rows list the citers of a node (edges leaving a referenced
     paper); ``bwd_*`` rows list the references of a node. ``in_deg[i]``
     is the number of citers of node i, ``out_deg[i]`` the number of its
-    in-corpus references.
+    in-corpus references. ``year``, ``n_authors``, ``journal`` and
+    ``gold_label`` are record fields in node order (no gold label: None).
     """
 
     ids: tuple[str, ...]
@@ -46,6 +48,10 @@ class CitationGraph:
     bwd_indices: np.ndarray
     in_deg: np.ndarray
     out_deg: np.ndarray
+    year: np.ndarray
+    n_authors: np.ndarray
+    journal: tuple[str, ...]
+    gold_label: tuple[str | None, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -74,8 +80,9 @@ def _csr_from_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarra
 
 def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.ndarray) -> CitationGraph:
     """Build a graph from parallel index arrays (src = referenced paper,
-    dst = citing paper). Used by the synthetic generator and benchmarks;
-    assumes no duplicate or self edges."""
+    dst = citing paper) with no records behind it: every node gets year
+    0, n_authors 1, journal "" and no gold label. Used by the synthetic
+    generator and benchmarks; assumes no duplicate or self edges."""
     ids = tuple(ids)
     n = len(ids)
     src = np.asarray(src, dtype=np.int64)
@@ -88,11 +95,13 @@ def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.
         raise ValueError("self-citation edge")
     fwd_indptr, fwd_indices = _csr_from_pairs(n, src, dst)
     bwd_indptr, bwd_indices = _csr_from_pairs(n, dst, src)
-    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices)
+    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
+                     year=np.zeros(n, dtype=np.int64), n_authors=np.ones(n, dtype=np.int64),
+                     journal=("",) * n, gold_label=(None,) * n)
 
 
 def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndarray,
-              bwd_indptr: np.ndarray, bwd_indices: np.ndarray) -> CitationGraph:
+              bwd_indptr: np.ndarray, bwd_indices: np.ndarray, **columns) -> CitationGraph:
     return CitationGraph(
         ids=ids,
         index={pid: i for i, pid in enumerate(ids)},
@@ -102,12 +111,14 @@ def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndar
         bwd_indices=bwd_indices,
         in_deg=np.diff(fwd_indptr).astype(np.int64),
         out_deg=np.diff(bwd_indptr).astype(np.int64),
+        **columns,
     )
 
 
 def build_graph(corpus: Corpus) -> CitationGraph:
     """Resolve the corpus's references against its ids and assemble the
-    citation network: node i is corpus row i. Each distinct reference
+    citation network: node i is corpus row i, and its year, n_authors,
+    journal and gold_label are that row's. Each distinct reference
     string is looked up once, and the rows' reference codes then map to
     node indices (-1 outside the corpus) by one array lookup."""
     ids = corpus.ids
@@ -117,7 +128,9 @@ def build_graph(corpus: Corpus) -> CitationGraph:
     src = node_of[corpus.ref_codes]
     dst = np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(corpus.ref_offsets))
     inside = src >= 0
-    return from_edge_arrays(ids, src[inside], dst[inside])
+    return replace(from_edge_arrays(ids, src[inside], dst[inside]),
+                   year=corpus.year, n_authors=corpus.n_authors,
+                   journal=corpus.journal, gold_label=corpus.gold_label)
 
 
 def citers(graph: CitationGraph, paper_id: str) -> list[str]:
@@ -146,18 +159,6 @@ def degree_stats(graph: CitationGraph) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class NodeAttributes:
-    """Record fields the stages after ``graph`` need, one entry per node
-    in graph index order, as ``load_graph`` reads them back.
-    ``gold_label`` is None where a record has none."""
-
-    year: np.ndarray
-    n_authors: np.ndarray
-    journal: tuple[str, ...]
-    gold_label: tuple[str | None, ...]
-
-
 # The arrays save_graph writes, one np.save file each. A string column
 # is stored as its UTF-8 bytes plus int64 offsets: numpy's own str
 # dtype drops trailing NULs, and object arrays would need pickle.
@@ -184,23 +185,21 @@ def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
     return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
 
 
-def save_graph(graph: CitationGraph, corpus: Corpus, out_dir: str | Path) -> list[Path]:
-    """Write the graph and the corpus's year, n_authors, journal and
-    gold_label columns as the GRAPH_FILES arrays in out_dir, each with
-    ``atomic_write``, and return their paths. Node i of the graph must be
-    row i of the corpus (see ``check_node_rows``). ``np.save`` output
-    depends only on the array, so equal graphs give byte-identical files."""
-    check_node_rows(corpus, graph)
+def save_graph(graph: CitationGraph, out_dir: str | Path) -> list[Path]:
+    """Write the graph, node columns included, as the GRAPH_FILES arrays
+    in out_dir, each with ``atomic_write``, and return their paths.
+    ``np.save`` output depends only on the array, so equal graphs give
+    byte-identical files."""
     ids, ids_offsets = _encode_strings(graph.ids)
-    journal, journal_offsets = _encode_strings(corpus.journal)
-    gold, gold_offsets = _encode_strings(g or "" for g in corpus.gold_label)
+    journal, journal_offsets = _encode_strings(graph.journal)
+    gold, gold_offsets = _encode_strings(g or "" for g in graph.gold_label)
     arrays = {
         "graph_ids.npy": ids, "graph_ids_offsets.npy": ids_offsets,
         "graph_fwd_indptr.npy": graph.fwd_indptr,
         "graph_fwd_indices.npy": graph.fwd_indices,
         "graph_bwd_indptr.npy": graph.bwd_indptr,
         "graph_bwd_indices.npy": graph.bwd_indices,
-        "graph_year.npy": corpus.year, "graph_n_authors.npy": corpus.n_authors,
+        "graph_year.npy": graph.year, "graph_n_authors.npy": graph.n_authors,
         "graph_journal.npy": journal, "graph_journal_offsets.npy": journal_offsets,
         "graph_gold_label.npy": gold, "graph_gold_label_offsets.npy": gold_offsets,
     }
@@ -212,7 +211,7 @@ def save_graph(graph: CitationGraph, corpus: Corpus, out_dir: str | Path) -> lis
     return paths
 
 
-def load_graph(out_dir: str | Path) -> tuple[CitationGraph, NodeAttributes]:
+def load_graph(out_dir: str | Path) -> CitationGraph:
     """Read back what save_graph wrote in out_dir."""
     out_dir = Path(out_dir)
     arrays = {name: np.load(out_dir / name, allow_pickle=False) for name in GRAPH_FILES}
@@ -224,12 +223,13 @@ def load_graph(out_dir: str | Path) -> tuple[CitationGraph, NodeAttributes]:
     ids, journal, gold = strings("ids"), strings("journal"), strings("gold_label")
     fwd_indptr, fwd_indices = arrays["graph_fwd_indptr.npy"], arrays["graph_fwd_indices.npy"]
     bwd_indptr, bwd_indices = arrays["graph_bwd_indptr.npy"], arrays["graph_bwd_indices.npy"]
-    nodes = NodeAttributes(year=arrays["graph_year.npy"], n_authors=arrays["graph_n_authors.npy"],
-                           journal=journal, gold_label=tuple(g or None for g in gold))
+    year, n_authors = arrays["graph_year.npy"], arrays["graph_n_authors.npy"]
     n = len(ids)
     if not (fwd_indptr.shape == bwd_indptr.shape == (n + 1,)
             and fwd_indptr[-1] == len(fwd_indices) == bwd_indptr[-1] == len(bwd_indices)
-            and nodes.year.shape == nodes.n_authors.shape == (n,)
+            and year.shape == n_authors.shape == (n,)
             and len(journal) == len(gold) == n):
         raise ValueError(f"{out_dir}: graph files disagree on the node or edge count")
-    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices), nodes
+    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
+                     year=year, n_authors=n_authors, journal=journal,
+                     gold_label=tuple(g or None for g in gold))

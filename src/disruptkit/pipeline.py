@@ -42,14 +42,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .classify import (LABELS, SOURCES, BackendConfig, Classification, ResponseCache,
+from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache,
                        agreement_report, check_choice, classify_batch, stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
                      filter_journals, parse_corpus, read_allowlist, write_corpus)
 from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
                          read_scores, write_scores)
-from .graph import (GRAPH_FILES, CitationGraph, NodeAttributes, build_graph,
-                    degree_stats, load_graph, save_graph)
+from .graph import (GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph,
+                    save_graph)
 from .regress import (Observations, emit_table, fit_model, layout_for,
                       standard_model_specs, write_results_csv)
 
@@ -297,8 +297,7 @@ def _load_filtered_corpus(config: PipelineConfig, stage: str,
     return parse_corpus(_require(config, stage, "corpus.jsonl"))
 
 
-def _load_graph(config: PipelineConfig,
-                stage: str) -> tuple[CitationGraph, NodeAttributes]:
+def _load_graph(config: PipelineConfig, stage: str) -> CitationGraph:
     for name in GRAPH_FILES:
         _require(config, stage, name)
     return load_graph(config.out_dir)
@@ -346,7 +345,7 @@ def stage_graph(config: PipelineConfig,
     def body() -> list[Path]:
         corpus = _load_filtered_corpus(config, "graph", handoff)
         graph = build_graph(corpus)
-        paths = save_graph(graph, corpus, config.out_dir)
+        paths = save_graph(graph, config.out_dir)
         eligible = eligible_ids(corpus, graph, config.criteria())
         eligible_path = config.out_dir / "eligible.txt"
         with atomic_write(eligible_path) as fh:
@@ -369,13 +368,12 @@ def stage_classify(config: PipelineConfig,
         eligible = _load_eligible(config, "classify")
         papers = corpus.take(corpus.positions(eligible))
         if config.stub:
-            results = classify_batch(papers, backend=stub_backend)
+            labels = classify_batch(papers, backend=stub_backend)
         else:
             cache = ResponseCache(config.cache) if config.cache is not None else None
-            results = classify_batch(papers, config=config.backend_config(),
-                                     cache=cache)
+            labels = classify_batch(papers, config=config.backend_config(), cache=cache)
         out_path = config.out_dir / "classifications.csv"
-        _write_classifications(results, out_path)
+        _write_classifications(labels, out_path)
         _update_manifest(config, {}, [out_path])
         return [out_path]
 
@@ -387,7 +385,7 @@ def stage_disrupt(config: PipelineConfig) -> list[Path]:
 
     def body() -> list[Path]:
         eligible = _load_eligible(config, "disrupt")
-        graph, _ = _load_graph(config, "disrupt")
+        graph = _load_graph(config, "disrupt")
         scores = disruption_batch(graph, eligible, ls=config.thresholds,
                                   mode=config.mode, n_jobs=config.n_jobs)
         out_path = config.out_dir / "disruption.csv"
@@ -401,26 +399,15 @@ def stage_disrupt(config: PipelineConfig) -> list[Path]:
 CLASSIFICATION_COLUMNS = ("id", "label", "source", "rationale")
 
 
-@dataclass(frozen=True)
-class LabelTable:
-    """A classifications.csv table as columns, one entry per row: paper
-    id, label and label source. Rationales are not kept."""
-
-    ids: tuple[str, ...]
-    labels: tuple[str, ...]
-    sources: tuple[str, ...]
-
-    def by_id(self) -> dict[str, str]:
-        """Paper id -> label."""
-        return dict(zip(self.ids, self.labels))
-
-
-def _write_classifications(results: list[Classification], path: Path) -> None:
+def _write_classifications(table: LabelTable, path: Path) -> None:
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # The writer quotes a field holding "\n" but not one holding a bare
+        # "\r", where the reader would end the row: such rows are quoted whole.
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(CLASSIFICATION_COLUMNS)
-        for c in results:
-            writer.writerow([c.paper_id, c.label, c.source, c.rationale])
+        for row in zip(table.ids, table.labels, table.sources, table.rationales):
+            (quoted if "\r" in "".join(row) else writer).writerow(row)
 
 
 def read_classifications(path: str | Path) -> LabelTable:
@@ -445,8 +432,8 @@ def read_classifications(path: str | Path) -> LabelTable:
                 raise ValueError(f"{path}: malformed row {row}")
             check_choice(f"{path}: label", row[1], LABELS)
             check_choice(f"{path}: source", row[2], SOURCES)
-    ids, labels, sources = (tuple(row[j] for row in rows) for j in range(3))
-    return LabelTable(ids=ids, labels=labels, sources=sources)
+    ids, labels, sources, rationales = (tuple(row[j] for row in rows) for j in range(width))
+    return LabelTable(ids=ids, labels=labels, sources=sources, rationales=rationales)
 
 
 def _score_matrix(eligible: list[str], thresholds: np.ndarray,
@@ -500,8 +487,7 @@ def _check_labels(eligible: list[str], labelled: tuple[str, ...]) -> None:
             raise stale(f"it has no label for {pid!r}")
 
 
-def build_observation_rows(graph: CitationGraph, nodes: NodeAttributes,
-                           eligible: list[str],
+def build_observation_rows(graph: CitationGraph, eligible: list[str],
                            labels: Mapping[str, str],
                            thresholds: tuple[int, ...],
                            scores: ScoreTable) -> Observations:
@@ -521,8 +507,8 @@ def build_observation_rows(graph: CitationGraph, nodes: NodeAttributes,
         ids=tuple(eligible[k] for k in keep),
         y_citations=graph.in_deg[idx],
         y_d={int(l): d[keep, j] for j, l in enumerate(ls)},
-        year=nodes.year[idx],
-        n_authors=nodes.n_authors[idx],
+        year=graph.year[idx],
+        n_authors=graph.n_authors[idx],
         conceptual=conceptual[keep],
     )
 
@@ -534,8 +520,8 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
         eligible = _load_eligible(config, "regress")
         labels = read_classifications(_require(config, "regress", "classifications.csv"))
         scores = read_scores(_require(config, "regress", "disruption.csv"))
-        graph, nodes = _load_graph(config, "regress")
-        obs = build_observation_rows(graph, nodes, eligible, labels.by_id(),
+        graph = _load_graph(config, "regress")
+        obs = build_observation_rows(graph, eligible, labels.by_id(),
                                      config.thresholds, scores)
         # after the join, whose score check names a stale disruption.csv first
         _check_labels(eligible, labels.ids)
@@ -578,13 +564,13 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         d_table = _require(config, "report", "disruption_models.txt").read_text(
             encoding="utf-8")
         _check_labels(eligible, labels.ids)
-        graph, nodes = _load_graph(config, "report")
+        graph = _load_graph(config, "report")
         stats = degree_stats(graph)
 
         lines: list[str] = []
         lines.append("Corpus")
         lines.append(f"  papers: {graph.n_nodes}")
-        counts = Counter(nodes.journal)
+        counts = Counter(graph.journal)
         lines.append(f"  journals with papers: {len(counts)}")
         if config.allowlist is not None and config.allowlist.exists():
             allow = read_allowlist(config.allowlist)
@@ -612,7 +598,7 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         for source in sorted(source_counts):
             lines.append(f"  {source}: {source_counts[source]}")
         gold_labels = {pid: gold for pid in eligible
-                       if (gold := nodes.gold_label[graph.index[pid]]) is not None}
+                       if (gold := graph.gold_label[graph.index[pid]]) is not None}
         if gold_labels:
             report = agreement_report(labels.by_id(), gold_labels)
             lines.append("Agreement with gold labels")

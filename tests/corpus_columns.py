@@ -1,10 +1,8 @@
-"""A Corpus's columns in the forms tests compare: plain lists, and the
-NodeAttributes that load_graph returns."""
+"""A Corpus's columns as plain lists, the form tests compare them in."""
 
 from dataclasses import fields
 
 from disruptkit.corpus import PaperRecord
-from disruptkit.graph import NodeAttributes
 
 FIELDS = tuple(f.name for f in fields(PaperRecord))
 
@@ -30,9 +28,3 @@ def record_columns(records) -> dict[str, list]:
     """The same columns from PaperRecords, one entry per record."""
     return {name: [getattr(r, name) for r in records] for name in FIELDS}
 
-
-def node_columns(corpus) -> NodeAttributes:
-    """The per-node fields save_graph writes from the corpus, as
-    load_graph reads them back."""
-    return NodeAttributes(year=corpus.year, n_authors=corpus.n_authors,
-                          journal=corpus.journal, gold_label=corpus.gold_label)

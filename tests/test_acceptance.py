@@ -25,7 +25,6 @@ from disruptkit.pipeline import (
 from disruptkit.regress import ModelSpec, fit_model, ols_fit
 from disruptkit.synth import synth_corpus, synth_graph
 
-from corpus_columns import node_columns
 from exact_ols import exact_ols
 from netgen import graph_from_pairs, random_digraph
 
@@ -298,7 +297,7 @@ def _conceptual_terms(seed, effect):
     scores = disruption_batch(graph, eligible, ls=(5,))
     labels = {pid: gold.capitalize()
               for pid, gold in zip(corpus.ids, corpus.gold_label) if gold is not None}
-    rows = build_observation_rows(graph, node_columns(corpus), eligible, labels, (5,), scores)
+    rows = build_observation_rows(graph, eligible, labels, (5,), scores)
     cit = fit_model(rows, CITATIONS_SPEC).term("conceptual")
     d5 = fit_model(rows, D5_SPEC).term("conceptual")
     return (cit[0], cit[3]), (d5[0], d5[3])

@@ -14,7 +14,6 @@ from disruptkit.classify import (
     PROMPT_TEMPLATE,
     AgreementReport,
     BackendConfig,
-    Classification,
     ResponseCache,
     agreement_report,
     cache_key,
@@ -117,21 +116,6 @@ class TestParseResponse:
         assert label == "Other"
 
 
-class TestClassificationType:
-    def test_rejects_unknown_label(self):
-        with pytest.raises(ValueError, match="label"):
-            Classification(paper_id="p", label="Mixed", rationale="", source="stub")
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError, match="source"):
-            Classification(paper_id="p", label="Other", rationale="", source="oracle")
-
-    def test_ok_flag(self):
-        good = Classification(paper_id="p", label="Other", rationale="", source="backend")
-        bad = Classification(paper_id="p", label="Other", rationale="", source="error")
-        assert good.ok and not bad.ok
-
-
 class TestBackendConfig:
     def test_bounds(self):
         with pytest.raises(ValueError, match="max_in_flight"):
@@ -193,6 +177,23 @@ class TestCache:
                         '{"key_hash": "k2", "rationale": ""}\n')
         with pytest.raises(ValueError, match="line 2: missing field.*label"):
             ResponseCache(path)
+
+    def test_unknown_label_names_file_and_lineno(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key_hash": "k", "label": "Other", "rationale": ""}\n'
+                        '{"key_hash": "k2", "label": "Mixed", "rationale": ""}\n')
+        with pytest.raises(ValueError) as excinfo:
+            ResponseCache(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 2: label must be one of "
+            "('Conceptual', 'Empirical', 'Other'), got 'Mixed'")
+
+    def test_rationale_that_is_not_a_string_names_file_and_lineno(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key_hash": "k", "label": "Other", "rationale": null}\n')
+        with pytest.raises(ValueError) as excinfo:
+            ResponseCache(path)
+        assert str(excinfo.value) == f"{path}: line 1: rationale must be a string"
 
     def test_torn_final_line_is_dropped_then_overwritten(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -264,7 +265,7 @@ class TestStubBackend:
     def test_recovers_generated_labels(self):
         corpus = synth_corpus(n_papers=60, seed=3)
         results = classify_batch(corpus, backend=stub_backend)
-        report = agreement_report({c.paper_id: c.label for c in results},
+        report = agreement_report(results.by_id(),
                                   dict(zip(corpus.ids, corpus.gold_label)))
         assert report.overall_accuracy == 1.0
 
@@ -326,9 +327,10 @@ class TestHttpBackend:
     def test_request_shape_and_result(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         corpus = papers(mk("p1", title="T1", abstract="A1"))
-        [result] = classify_batch(corpus, config=http_config(backend_server))
-        assert result.label == "Empirical"
-        assert result.source == "backend"
+        result = classify_batch(corpus, config=http_config(backend_server))
+        assert result.ids == ("p1",)
+        assert result.labels == ("Empirical",)
+        assert result.sources == ("backend",)
         [call] = backend_server.calls
         assert call["authorization"] == "Bearer sk-test"
         assert call["body"]["model"] == "test-model"
@@ -344,13 +346,13 @@ class TestHttpBackend:
         corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
         first = classify_batch(corpus, config=config, cache=cache)
-        assert [r.source for r in first] == ["backend", "backend"]
+        assert first.sources == ("backend", "backend")
         assert len(backend_server.calls) == 2
 
         warm = ResponseCache(tmp_path / "cache.jsonl")
         second = classify_batch(corpus, config=config, cache=warm)
-        assert [r.source for r in second] == ["cache", "cache"]
-        assert [r.label for r in second] == [r.label for r in first]
+        assert second.sources == ("cache", "cache")
+        assert second.labels == first.labels and second.rationales == first.rationales
         assert len(backend_server.calls) == 2  # no new requests
 
     def test_warm_cache_needs_no_api_key(self, backend_server, tmp_path, monkeypatch):
@@ -361,14 +363,19 @@ class TestHttpBackend:
         classify_batch(corpus, config=config, cache=cache)
 
         monkeypatch.delenv(KEY_ENV)
-        [result] = classify_batch(corpus, config=config, cache=cache)
-        assert result.source == "cache"
+        assert classify_batch(corpus, config=config, cache=cache).sources == ("cache",)
 
     def test_missing_api_key_fails_before_any_request(self, backend_server,
                                                       monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         with pytest.raises(RuntimeError, match=KEY_ENV):
             classify_batch(papers(mk("p1")), config=http_config(backend_server))
+        assert backend_server.calls == []
+
+    def test_empty_corpus_gives_an_empty_table(self, backend_server, monkeypatch):
+        monkeypatch.delenv(KEY_ENV, raising=False)
+        result = classify_batch(papers(), config=http_config(backend_server))
+        assert len(result) == 0 and result.rationales == ()
         assert backend_server.calls == []
 
     def test_transient_errors_are_retried(self, backend_server, monkeypatch):
@@ -378,9 +385,9 @@ class TestHttpBackend:
             (500, "{}") if n == 0 else (429, "{}") if n == 1 else (200, ok)
         )
         config = http_config(backend_server, retries=3)
-        [result] = classify_batch(papers(mk("p1")), config=config)
-        assert result.label == "Conceptual"
-        assert result.source == "backend"
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.labels == ("Conceptual",)
+        assert result.sources == ("backend",)
         assert len(backend_server.calls) == 3
 
     def test_permanent_failure_yields_error_entry(self, backend_server, monkeypatch):
@@ -399,10 +406,10 @@ class TestHttpBackend:
         corpus = papers(mk("bad", title="T-fail"), mk("good", title="T-ok"))
         config = http_config(backend_server, retries=1, max_in_flight=1)
         results = classify_batch(corpus, config=config)
-        assert results[0].source == "error"
-        assert results[0].label == "Other"
-        assert "HTTP 500" in results[0].rationale
-        assert results[1].source == "backend"
+        assert results.ids == ("bad", "good")
+        assert results.sources == ("error", "backend")
+        assert results.labels[0] == "Other"
+        assert "HTTP 500" in results.rationales[0]
         # the failing record consumed exactly 1 + retries attempts
         n_fail_calls = sum(1 for c in backend_server.calls
                            if "T-fail" in c["body"]["messages"][0]["content"])
@@ -412,8 +419,8 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (400, '{"error": "bad"}')
         config = http_config(backend_server, retries=3)
-        [result] = classify_batch(papers(mk("p1")), config=config)
-        assert result.source == "error"
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("error",)
         assert len(backend_server.calls) == 1
 
     def test_malformed_success_body_is_an_error_without_retry(self, backend_server,
@@ -421,18 +428,18 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (200, '{"unexpected": true}')
         config = http_config(backend_server, retries=3)
-        [result] = classify_batch(papers(mk("p1")), config=config)
-        assert result.source == "error"
-        assert "malformed" in result.rationale
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("error",)
+        assert "malformed" in result.rationales[0]
         assert len(backend_server.calls) == 1
 
     def test_client_error_body_is_in_the_rationale(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         body = '{"error": "model not found: test-model"}' + " " * 300
         backend_server.server.behavior = lambda n, _: (404, body)
-        [result] = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
-        assert result.source == "error"
-        assert result.rationale == "HTTP 404: " + body[:200]
+        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        assert result.sources == ("error",)
+        assert result.rationales[0] == "HTTP 404: " + body[:200]
         assert len(backend_server.calls) == 1
 
     @pytest.mark.parametrize("status", [201, 204])
@@ -441,9 +448,9 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         backend_server.server.behavior = lambda n, _: (status, ok if status != 204 else "")
-        [result] = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
-        assert result.source == "error"
-        assert result.rationale.startswith(f"HTTP {status}")
+        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        assert result.sources == ("error",)
+        assert result.rationales[0].startswith(f"HTTP {status}")
         assert len(backend_server.calls) == 1
 
     def test_refused_connection_is_retried_then_an_error(self, monkeypatch):
@@ -461,20 +468,20 @@ class TestHttpBackend:
         monkeypatch.setattr("urllib.request.urlopen", counting)
         config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m",
                                retries=2, backoff_base=0.0, timeout=5.0)
-        [result] = classify_batch(papers(mk("p1")), config=config)
-        assert result.source == "error"
-        assert "after 2 retries" in result.rationale
-        assert "refused" in result.rationale.lower()
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("error",)
+        assert "after 2 retries" in result.rationales[0]
+        assert "refused" in result.rationales[0].lower()
         assert len(attempts) == 3
 
     def test_read_timeout_is_retried_then_an_error(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 1.0
         config = http_config(backend_server, retries=2, timeout=0.2)
-        [result] = classify_batch(papers(mk("p1")), config=config)
-        assert result.source == "error"
-        assert "after 2 retries" in result.rationale
-        assert "timed out" in result.rationale
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("error",)
+        assert "after 2 retries" in result.rationales[0]
+        assert "timed out" in result.rationales[0]
         assert len(backend_server.calls) == 3
 
     @pytest.mark.parametrize("status, retry_after, backoff_base, waits", [
@@ -498,8 +505,8 @@ class TestHttpBackend:
         sleeps = []
         monkeypatch.setattr(classify.time, "sleep", sleeps.append)
         config = http_config(backend_server, retries=2, backoff_base=backoff_base)
-        [result] = classify_batch(papers(mk("p1")), config=config)
-        assert result.source == "backend"
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("backend",)
         assert sleeps == waits
 
     def test_in_flight_bound_is_respected(self, backend_server, monkeypatch):
@@ -518,7 +525,7 @@ class TestHttpBackend:
 
         monkeypatch.setattr("urllib.request.urlopen", boom)
         results = classify_batch(papers(mk("p1")), backend=stub_backend)
-        assert results[0].source == "stub"
+        assert results.sources == ("stub",)
 
     def test_stub_path_ignores_cache(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path / "cache.jsonl")

@@ -129,6 +129,15 @@ class TestParseCorpus:
                                              "non-empty strings"):
             parse_corpus(io.StringIO(text))
 
+    @pytest.mark.parametrize("paper_id", ["b ", " b", "\tb", "b\u2028", "\x85", "b\rc", "b\nc"])
+    def test_id_eligible_txt_cannot_hold_names_line(self, paper_id):
+        bad = {**mk("b").to_dict(), "id": paper_id}
+        text = json.dumps(mk("a").to_dict()) + "\n" + json.dumps(bad) + "\n"
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == (f"<stream>: line 2: record {paper_id!r}: id must have "
+                                      "no surrounding whitespace or line break")
+
     def test_duplicate_id_names_line_and_id(self):
         text = "\n".join(json.dumps(mk("a").to_dict()) for _ in range(2))
         with pytest.raises(ValueError, match="line 2: duplicate id 'a'"):
@@ -170,7 +179,10 @@ _TEXT = st.text(st.one_of(
 def raw_records(draw):
     """Decoded JSON objects as a corpus file holds them, before
     from_dict normalizes references and gold labels."""
-    ids = draw(st.lists(_TEXT.filter(bool), min_size=1, max_size=6, unique=True))
+    # Ids hold no line break and no surrounding whitespace (eligible.txt
+    # keeps one per line and strips each line).
+    one_line = _TEXT.map(lambda s: s.replace("\r", "").replace("\n", "").strip())
+    ids = draw(st.lists(one_line.filter(bool), min_size=1, max_size=6, unique=True))
     records = []
     for pid in ids:
         refs = draw(st.lists(st.one_of(st.sampled_from(ids), _TEXT.filter(bool)),
@@ -401,7 +413,7 @@ def _reference_parse(lines):
 # Values a field may hold in a damaged corpus: each is wrong for some
 # field, and right for others.
 _ODD_VALUES = st.sampled_from([
-    None, True, 0, -1, 1799, 2101, 1.5, 10**19, "", "x", " Empirical ", "other",
+    None, True, 0, -1, 1799, 2101, 1.5, 10**19, "", "x", " Empirical ", "other", "a\rb",
     [], ["a"], [""], [3], [["a"]], [{"a": 1}], {"a": 1},
 ])
 

@@ -94,6 +94,11 @@ class TestFromEdgeArrays:
         for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices"):
             np.testing.assert_array_equal(getattr(graph, name), getattr(diamond, name))
 
+    def test_record_fields_are_fixed(self):
+        graph = from_edge_arrays(("a", "b"), np.array([0]), np.array([1]))
+        assert graph.year.tolist() == [0, 0] and graph.n_authors.tolist() == [1, 1]
+        assert graph.journal == ("", "") and graph.gold_label == (None, None)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             from_edge_arrays(("a", "b"), np.array([0]), np.array([2]))
@@ -132,18 +137,17 @@ class TestDegreeStats:
 
 class TestGraphFiles:
     def test_roundtrip(self, tmp_path, diamond):
-        corpus = corpus_of(*(mk(pid) for pid in diamond.ids))
-        paths = save_graph(diamond, corpus, tmp_path)
+        paths = save_graph(diamond, tmp_path)
         assert [p.name for p in paths] == list(GRAPH_FILES)
-        graph, nodes = load_graph(tmp_path)
+        graph = load_graph(tmp_path)
         assert graph.ids == diamond.ids and graph.index == diamond.index
         for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices",
                      "in_deg", "out_deg"):
             np.testing.assert_array_equal(getattr(graph, name), getattr(diamond, name))
-        assert nodes.journal == ("j",) * 4
-        assert nodes.gold_label == (None,) * 4
-        assert nodes.year.tolist() == [2000] * 4
-        assert nodes.n_authors.tolist() == [1] * 4
+        assert graph.journal == ("j",) * 4
+        assert graph.gold_label == (None,) * 4
+        assert graph.year.tolist() == [2000] * 4
+        assert graph.n_authors.tolist() == [1] * 4
 
     def test_strings_roundtrip_exactly(self, tmp_path):
         # numpy's str dtype would turn "a\x00" into "a", colliding the two ids
@@ -157,40 +161,30 @@ class TestGraphFiles:
                         year=2020, n_authors=1, references=("a",),
                         gold_label="empirical"),
         ]
-        corpus = corpus_of(*records)
-        built = build_graph(corpus)
-        save_graph(built, corpus, tmp_path)
-        graph, nodes = load_graph(tmp_path)
+        save_graph(build_graph(corpus_of(*records)), tmp_path)
+        graph = load_graph(tmp_path)
         assert graph.ids == ("a", "a\x00", "\u00fc\U0001f600")
         assert citers(graph, "a\x00") == ["a"]
         assert citers(graph, "a") == ["\u00fc\U0001f600"]
         by_id = {pid: i for i, pid in enumerate(graph.ids)}
         for rec in records:
             i = by_id[rec.id]
-            assert nodes.journal[i] == rec.journal
-            assert nodes.gold_label[i] == rec.gold_label
-            assert int(nodes.year[i]) == rec.year
-            assert int(nodes.n_authors[i]) == rec.n_authors
+            assert graph.journal[i] == rec.journal
+            assert graph.gold_label[i] == rec.gold_label
+            assert int(graph.year[i]) == rec.year
+            assert int(graph.n_authors[i]) == rec.n_authors
 
     def test_empty_graph(self, tmp_path):
-        empty = build_graph(corpus_of())
-        save_graph(empty, corpus_of(), tmp_path)
-        graph, nodes = load_graph(tmp_path)
+        save_graph(build_graph(corpus_of()), tmp_path)
+        graph = load_graph(tmp_path)
         assert graph.n_nodes == 0 and graph.n_edges == 0
-        assert nodes.journal == () and nodes.year.shape == (0,)
+        assert graph.journal == () and graph.year.shape == (0,)
 
     def test_rejects_mismatched_files(self, tmp_path, diamond):
-        corpus = corpus_of(*(mk(pid) for pid in diamond.ids))
-        save_graph(diamond, corpus, tmp_path)
+        save_graph(diamond, tmp_path)
         np.save(tmp_path / "graph_year.npy", np.array([2000], dtype=np.int64))
         with pytest.raises(ValueError, match="disagree"):
             load_graph(tmp_path)
-
-    def test_graph_node_missing_from_corpus(self, tmp_path, diamond):
-        corpus = corpus_of(*(mk(pid) for pid in ("a", "c", "d")))
-        with pytest.raises(ValueError, match="graph node 'b' missing"):
-            save_graph(diamond, corpus, tmp_path)
-        assert list(tmp_path.iterdir()) == []
 
 
 def _reference_csr(n, src, dst):
@@ -250,7 +244,7 @@ def assert_csr_equal(graph, n, src, dst):
 # Ids with NULs, non-ASCII text and a shared prefix, so that string
 # order and byte order must agree.
 _IDS = st.sampled_from(["a", "a\x00", "a\x00b", "b", "\u00e9", "\u00e9\u00e9",
-                        "\U0001f600", "P000010", "P000002", "\u2028"])
+                        "\U0001f600", "P000010", "P000002", "a\u2028b"])
 
 
 @st.composite

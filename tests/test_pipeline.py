@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from disruptkit.classify import LABELS, SOURCES, LabelTable
 from disruptkit.corpus import EligibilityCriteria, parse_corpus, year_group
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
@@ -30,7 +33,6 @@ from disruptkit.pipeline import (
 )
 from disruptkit import cli
 
-from corpus_columns import node_columns
 from httpstub import RecordingServer, completion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -446,8 +448,52 @@ class TestStageSequencing:
         assert "invalid JSON" in excinfo.value.message
         assert (config.out_dir / "FAILED").exists()
 
+    def test_id_that_eligible_txt_would_change_fails_at_ingest(self, tmp_path):
+        # eligible.txt strips its lines, so "a " would come back as "a"
+        corpus = tmp_path / "corpus.jsonl"
+        refs = {"a ": [], "b": ["a "], "c": ["a ", "b"], "d": ["b", "c"]}
+        corpus.write_text("".join(
+            json.dumps({"id": pid, "title": "t", "abstract": "x", "journal": "J",
+                        "year": 2000, "n_authors": 1, "references": cited}) + "\n"
+            for pid, cited in refs.items()))
+        config = fixture_config(tmp_path, corpus=corpus, allowlist=None, min_out_links=0,
+                                min_in_links=0, min_abstract_chars=0)
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(config)
+        assert str(excinfo.value) == (
+            f"stage 'ingest': {corpus}: line 1: record 'a ': id must have no "
+            "surrounding whitespace or line break")
+
+
+@st.composite
+def label_tables(draw):
+    n = draw(st.integers(0, 6))
+
+    def column(values):
+        return tuple(draw(st.lists(values, min_size=n, max_size=n)))
+
+    return LabelTable(ids=column(st.text()), labels=column(st.sampled_from(LABELS)),
+                      sources=column(st.sampled_from(SOURCES)), rationales=column(st.text()))
+
 
 class TestClassifyStage:
+    @settings(max_examples=150, deadline=None)
+    @given(label_tables())
+    @example(LabelTable(ids=("p1",), labels=("Other",), sources=("error",),
+                        rationales=("a\rb",)))
+    def test_label_table_round_trip(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "classifications.csv"
+            pipeline._write_classifications(table, path)
+            assert read_classifications(path) == table
+            if not any("\r" in field for field in table.ids + table.rationales):
+                # as one csv.writer writes it
+                plain = io.StringIO(newline="")
+                csv.writer(plain, lineterminator="\n").writerows(
+                    [("id", "label", "source", "rationale"),
+                     *zip(table.ids, table.labels, table.sources, table.rationales)])
+                assert path.read_bytes() == plain.getvalue().encode("utf-8")
+
     def test_stub_sources_and_no_network(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("network call attempted")
@@ -538,8 +584,7 @@ class TestObservationRows:
     def test_joins_and_drops_other(self):
         corpus, graph, eligible, scores = self.make_inputs()
         labels = {"P000050": "Conceptual", "P000060": "Other", "P000070": "Empirical"}
-        obs = build_observation_rows(graph, node_columns(corpus), eligible,
-                                     labels, (1, 2), scores)
+        obs = build_observation_rows(graph, eligible, labels, (1, 2), scores)
         assert obs.ids == ("P000050", "P000070")
         assert obs.conceptual[0] == 1 and obs.conceptual[1] == 0
         for k, pid in enumerate(obs.ids):
@@ -551,8 +596,8 @@ class TestObservationRows:
 
     def test_unclassified_papers_are_skipped(self):
         corpus, graph, eligible, scores = self.make_inputs()
-        obs = build_observation_rows(graph, node_columns(corpus), eligible,
-                                     {"P000050": "Empirical"}, (1, 2), scores)
+        obs = build_observation_rows(graph, eligible, {"P000050": "Empirical"}, (1, 2),
+                                     scores)
         assert obs.ids == ("P000050",)
 
 
@@ -565,10 +610,9 @@ def take_rows(scores, rows):
 
 class TestStaleScores:
     def join(self, scores, thresholds=(1, 2)):
-        corpus, graph, eligible, _ = TestObservationRows().make_inputs()
+        _, graph, eligible, _ = TestObservationRows().make_inputs()
         labels = dict.fromkeys(eligible, "Empirical")
-        return build_observation_rows(graph, node_columns(corpus), eligible,
-                                      labels, thresholds, scores)
+        return build_observation_rows(graph, eligible, labels, thresholds, scores)
 
     def test_exact_rows_in_any_order_join(self):
         _, _, _, scores = TestObservationRows().make_inputs()
