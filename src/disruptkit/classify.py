@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import BinaryIO, Callable, Mapping
 from urllib.parse import urlsplit
 
 from .corpus import Corpus
@@ -170,13 +171,17 @@ class ResponseCache:
     """Append-only JSONL store of backend responses.
 
     Each line holds {key_hash, model, label, rationale, timestamp}.
-    Later lines win on duplicate keys. Writes are serialized through a
-    lock so concurrent workers never interleave partial lines.
+    Later lines win on duplicate keys. The file is opened for appending
+    on the first ``put`` and stays open until ``close`` (or the end of a
+    ``with`` block). Each put writes its whole line and flushes it while
+    holding a lock, so concurrent workers never interleave partial lines
+    and a crash leaves at most a torn last line.
 
     A final line with no newline is what a crash in the middle of an
     append leaves behind: it is ignored on load and cut from the file
-    before the next append. Any other unreadable line, or one whose label
-    is not in LABELS or whose rationale is not a string, is an error.
+    when it is opened for the next append. Any other unreadable line, or
+    one whose key_hash or rationale is not a string or whose label is
+    not in LABELS, is an error.
     """
 
     def __init__(self, path: str | Path):
@@ -185,6 +190,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         # Byte length of the file without its torn final line, if it has one.
         self._intact_size: int | None = None
+        self._fh: BinaryIO | None = None
         if self.path.exists():
             with self.path.open("rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -205,6 +211,8 @@ class ResponseCache:
         if missing:
             raise ValueError(
                 f"{self.path}: line {lineno}: missing field(s) {', '.join(missing)}")
+        if not isinstance(obj["key_hash"], str):
+            raise ValueError(f"{self.path}: line {lineno}: key_hash must be a string")
         check_choice(f"{self.path}: line {lineno}: label", obj["label"], LABELS)
         if not isinstance(obj["rationale"], str):
             raise ValueError(f"{self.path}: line {lineno}: rationale must be a string")
@@ -225,19 +233,39 @@ class ResponseCache:
             "rationale": rationale,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        line = json.dumps(record, ensure_ascii=False)
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            with self.path.open("a", encoding="utf-8", newline="\n") as fh:
+            if self._fh is None:
+                fh = self.path.open("ab")
                 if self._intact_size is not None:
                     fh.truncate(self._intact_size)
                     self._intact_size = None
-                fh.write(line)
-                fh.write("\n")
+                self._fh = fh
+            self._fh.write(line)
+            self._fh.flush()
             self._entries[key] = (label, rationale)
+
+    def close(self) -> None:
+        """Close the append handle, if a put opened one; a later put
+        opens it again."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self) -> ResponseCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # A 429 or 503 may name a wait in whole seconds; longer waits are cut to this.
 RETRY_AFTER_CAP = 60.0
+
+# Scales each backoff by a factor in [0.5, 1.0), so workers that failed
+# together do not retry together. Tests pin it by replacing it.
+_JITTER = random.Random()
 
 
 def _retry_after(status: int, headers: Mapping[str, str]) -> float:
@@ -266,7 +294,8 @@ def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str
     wait = 0.0
     for attempt in range(config.retries + 1):
         if attempt:
-            time.sleep(max(config.backoff_base * (2 ** (attempt - 1)), wait))
+            backoff = config.backoff_base * (2 ** (attempt - 1))
+            time.sleep(max(backoff * (0.5 + 0.5 * _JITTER.random()), wait))
         request = urllib.request.Request(config.endpoint, data=data, headers=headers,
                                          method="POST")
         # The body is read inside the try, so a timeout while reading it
@@ -308,11 +337,14 @@ def classify_batch(
     ``stub_backend``) everything runs locally and the cache is not
     consulted or written: local responses are free to recompute and
     keeping them out of the cache preserves its meaning as a record of
-    real backend output. Otherwise ``config`` drives HTTP requests with
-    at most ``max_in_flight`` concurrent calls; cached prompts are
-    served without a request, fresh responses are appended to the
+    real backend output. Otherwise ``config`` drives HTTP requests.
+    Every prompt is first looked up in the cache in the calling thread,
+    and cached prompts are served from it with no request and no worker.
+    Only the papers left over go to a pool of at most ``max_in_flight``
+    threads (no more threads than papers, and no pool when there are
+    none), which needs the API key. Fresh responses are appended to the
     cache, and a paper whose request fails permanently yields an
-    error-source entry instead of aborting the batch.
+    error-source row instead of aborting the batch.
     """
     if backend is not None:
         return _label_table(corpus.ids, [
@@ -323,20 +355,25 @@ def classify_batch(
         raise ValueError("either a backend callable or a BackendConfig is required")
 
     prompts = list(map(render_prompt, corpus.title, corpus.abstract))
-    cached: list[tuple[str, str] | None] = [
-        cache.get(config.model, prompt) if cache is not None else None
-        for prompt in prompts
-    ]
+    rows: list[tuple[str, str, str] | None] = []
+    misses: list[int] = []
+    for pos, prompt in enumerate(prompts):
+        hit = cache.get(config.model, prompt) if cache is not None else None
+        if hit is None:
+            misses.append(pos)
+            rows.append(None)
+        else:
+            rows.append((*hit, "cache"))
+    if not misses:
+        return _label_table(corpus.ids, rows)
+
     api_key = os.environ.get(config.api_key_env, "")
-    if any(hit is None for hit in cached) and not api_key:
+    if not api_key:
         raise RuntimeError(
             f"backend required but environment variable {config.api_key_env} is not set"
         )
 
     def work(pos: int) -> tuple[str, str, str]:
-        hit = cached[pos]
-        if hit is not None:
-            return (*hit, "cache")
         try:
             response = _request_completion(config, prompts[pos], api_key)
         except BackendError as exc:
@@ -346,8 +383,10 @@ def classify_batch(
             cache.put(config.model, prompts[pos], label, rationale)
         return label, rationale, "backend"
 
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        return _label_table(corpus.ids, list(pool.map(work, range(len(corpus)))))
+    with ThreadPoolExecutor(max_workers=min(config.max_in_flight, len(misses))) as pool:
+        for pos, row in zip(misses, pool.map(work, misses)):
+            rows[pos] = row
+    return _label_table(corpus.ids, rows)
 
 
 def _label_table(ids: tuple[str, ...], rows: list[tuple[str, str, str]]) -> LabelTable:

@@ -369,9 +369,11 @@ def stage_classify(config: PipelineConfig,
         papers = corpus.take(corpus.positions(eligible))
         if config.stub:
             labels = classify_batch(papers, backend=stub_backend)
+        elif config.cache is None:
+            labels = classify_batch(papers, config=config.backend_config())
         else:
-            cache = ResponseCache(config.cache) if config.cache is not None else None
-            labels = classify_batch(papers, config=config.backend_config(), cache=cache)
+            with ResponseCache(config.cache) as cache:
+                labels = classify_batch(papers, config=config.backend_config(), cache=cache)
         out_path = config.out_dir / "classifications.csv"
         _write_classifications(labels, out_path)
         _update_manifest(config, {}, [out_path])

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
 import re
 import socket
+import sys
+import tempfile
+import threading
 import urllib.request
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +20,7 @@ from disruptkit.classify import (
     PROMPT_TEMPLATE,
     AgreementReport,
     BackendConfig,
+    LabelTable,
     ResponseCache,
     agreement_report,
     cache_key,
@@ -143,24 +150,25 @@ class TestCache:
         assert cache_key("m", "p") == cache_key("m", "p")
 
     def test_put_get_roundtrip(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache.jsonl")
-        assert cache.get("m", "p") is None
-        cache.put("m", "p", "Conceptual", "why")
-        assert cache.get("m", "p") == ("Conceptual", "why")
-        assert len(cache) == 1
+        with ResponseCache(tmp_path / "cache.jsonl") as cache:
+            assert cache.get("m", "p") is None
+            cache.put("m", "p", "Conceptual", "why")
+            assert cache.get("m", "p") == ("Conceptual", "why")
+            assert len(cache) == 1
 
     def test_reload_from_disk_and_later_wins(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        first = ResponseCache(path)
-        first.put("m", "p", "Conceptual", "old")
-        first.put("m", "p", "Empirical", "new")
+        with ResponseCache(path) as first:
+            first.put("m", "p", "Conceptual", "old")
+            first.put("m", "p", "Empirical", "new")
         reloaded = ResponseCache(path)
         assert reloaded.get("m", "p") == ("Empirical", "new")
         assert len(path.read_text().splitlines()) == 2  # append-only
 
     def test_line_fields(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        ResponseCache(path).put("m", "p", "Other", "r")
+        with ResponseCache(path) as cache:
+            cache.put("m", "p", "Other", "r")
         record = json.loads(path.read_text().splitlines()[0])
         assert set(record) == {"key_hash", "model", "label", "rationale", "timestamp"}
         assert record["key_hash"] == cache_key("m", "p")
@@ -197,18 +205,18 @@ class TestCache:
 
     def test_torn_final_line_is_dropped_then_overwritten(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        first = ResponseCache(path)
-        first.put("m", "p", "Conceptual", "kept")
-        first.put("m", "q", "Empirical", "torn")
+        with ResponseCache(path) as first:
+            first.put("m", "p", "Conceptual", "kept")
+            first.put("m", "q", "Empirical", "torn")
         intact = path.read_bytes()
         # a crash mid-append leaves part of the second line, no newline
         path.write_bytes(intact[:-25])
 
-        loaded = ResponseCache(path)
-        assert len(loaded) == 1
-        assert loaded.get("m", "p") == ("Conceptual", "kept")
-        assert loaded.get("m", "q") is None
-        loaded.put("m", "r", "Other", "after")
+        with ResponseCache(path) as loaded:
+            assert len(loaded) == 1
+            assert loaded.get("m", "p") == ("Conceptual", "kept")
+            assert loaded.get("m", "q") is None
+            loaded.put("m", "r", "Other", "after")
 
         lines = path.read_text().splitlines()
         assert len(lines) == 2 and path.read_text().endswith("\n")
@@ -218,9 +226,80 @@ class TestCache:
 
     def test_torn_line_cut_inside_a_multibyte_character(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        ResponseCache(path).put("m", "p", "Other", "r")
+        with ResponseCache(path) as cache:
+            cache.put("m", "p", "Other", "r")
         path.write_bytes(path.read_bytes() + '{"rationale": "\u00e9'.encode()[:-1])
         assert len(ResponseCache(path)) == 1
+
+    @pytest.mark.parametrize("key_hash", ["[1]", "7"], ids=["list", "int"])
+    def test_key_hash_that_is_not_a_string_names_file_and_lineno(self, tmp_path,
+                                                                 key_hash):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key_hash": "k", "label": "Other", "rationale": ""}\n'
+                        f'{{"key_hash": {key_hash}, "label": "Other", "rationale": ""}}\n')
+        with pytest.raises(ValueError) as excinfo:
+            ResponseCache(path)
+        assert str(excinfo.value) == f"{path}: line 2: key_hash must be a string"
+
+    def test_torn_tail_then_two_puts_leaves_an_intact_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with ResponseCache(path) as first:
+            first.put("m", "p", "Conceptual", "kept")
+        intact = path.read_bytes()
+        path.write_bytes(intact + b'{"key_hash": "torn", "lab')
+
+        cache = ResponseCache(path)
+        cache.put("m", "q", "Empirical", "one")
+        # a reopened handle must not cut the file a second time
+        cache.close()
+        cache.put("m", "r", "Other", "two")
+        cache.close()
+
+        data = path.read_bytes()
+        assert data.startswith(intact) and data.endswith(b"\n")
+        assert [json.loads(line)["rationale"] for line in data.splitlines()] == [
+            "kept", "one", "two"]
+        assert len(ResponseCache(path)) == 3
+
+    def test_each_put_is_on_disk_before_close(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with ResponseCache(path) as cache:
+            cache.put("m", "p", "Conceptual", "why")
+            assert ResponseCache(path).get("m", "p") == ("Conceptual", "why")
+        assert cache._fh is None
+
+    def test_concurrent_puts_leave_only_whole_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        # each line is longer than the file object's write buffer
+        rationale = "r" * 20000
+        n_threads, n_puts = 6, 30
+
+        def writer(t):
+            for i in range(n_puts):
+                cache.put("m", f"{t}-{i}", "Other", f"{t}-{i} {rationale}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cache.close()
+
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        records = [json.loads(line) for line in lines]
+        assert len(records) == n_threads * n_puts
+        reloaded = ResponseCache(path)
+        for t in range(n_threads):
+            for i in range(n_puts):
+                assert reloaded.get("m", f"{t}-{i}") == ("Other", f"{t}-{i} {rationale}")
 
 
 class TestStubBackend:
@@ -309,8 +388,28 @@ class TestOnePassCueScores:
         assert _cue_scores("theorys datasets atheory") == (0, 0)
 
 
+class Draws:
+    """Stands in for the backoff jitter's random.Random, returning the
+    given draws in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 @pytest.fixture
 def backend_server():
+    server = RecordingServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture(scope="module")
+def shared_server():
+    """One server for every example of a Hypothesis test, which cannot
+    take a fresh function-scoped fixture per example."""
     server = RecordingServer()
     yield server
     server.close()
@@ -342,10 +441,10 @@ class TestHttpBackend:
     def test_responses_populate_cache_and_rerun_is_local(self, backend_server,
                                                          tmp_path, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
-        cache = ResponseCache(tmp_path / "cache.jsonl")
         corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
-        first = classify_batch(corpus, config=config, cache=cache)
+        with ResponseCache(tmp_path / "cache.jsonl") as cache:
+            first = classify_batch(corpus, config=config, cache=cache)
         assert first.sources == ("backend", "backend")
         assert len(backend_server.calls) == 2
 
@@ -357,13 +456,20 @@ class TestHttpBackend:
 
     def test_warm_cache_needs_no_api_key(self, backend_server, tmp_path, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
-        cache = ResponseCache(tmp_path / "cache.jsonl")
-        corpus = papers(mk("p1"))
+        corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
-        classify_batch(corpus, config=config, cache=cache)
+        with ResponseCache(tmp_path / "cache.jsonl") as cache:
+            first = classify_batch(corpus, config=config, cache=cache)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("worker pool started for a fully cached batch")
 
         monkeypatch.delenv(KEY_ENV)
-        assert classify_batch(corpus, config=config, cache=cache).sources == ("cache",)
+        monkeypatch.setattr(classify, "ThreadPoolExecutor", no_pool)
+        warm = classify_batch(corpus, config=config, cache=cache)
+        assert warm == LabelTable(ids=("p1", "p2"), labels=first.labels,
+                                  sources=("cache", "cache"), rationales=first.rationales)
+        assert len(backend_server.calls) == 2
 
     def test_missing_api_key_fails_before_any_request(self, backend_server,
                                                       monkeypatch):
@@ -484,14 +590,16 @@ class TestHttpBackend:
         assert "timed out" in result.rationales[0]
         assert len(backend_server.calls) == 3
 
+    # The jitter is pinned at its low end, a factor of 0.5, so each
+    # backoff is half of backoff_base * 2**(attempt - 1).
     @pytest.mark.parametrize("status, retry_after, backoff_base, waits", [
-        (429, "7", 0.5, [7.0, 1.0]),
-        (503, "2", 5.0, [5.0, 10.0]),
-        (503, " 3600 ", 0.5, [60.0, 1.0]),
+        (429, "7", 0.5, [7.0, 0.5]),
+        (503, "2", 5.0, [2.5, 5.0]),
+        (503, " 3600 ", 0.5, [60.0, 0.5]),
         # ignored: the HTTP-date form, fractions, and statuses other than 429 and 503
-        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, [0.5, 1.0]),
-        (429, "1.5", 0.5, [0.5, 1.0]),
-        (500, "7", 0.5, [0.5, 1.0]),
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, [0.25, 0.5]),
+        (429, "1.5", 0.5, [0.25, 0.5]),
+        (500, "7", 0.5, [0.25, 0.5]),
     ], ids=["429", "backoff-longer", "capped", "http-date", "fraction", "500"])
     def test_retry_after(self, backend_server, monkeypatch, status, retry_after,
                          backoff_base, waits):
@@ -504,10 +612,39 @@ class TestHttpBackend:
         )
         sleeps = []
         monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        monkeypatch.setattr(classify, "_JITTER", Draws([0.0, 0.0]))
         config = http_config(backend_server, retries=2, backoff_base=backoff_base)
         result = classify_batch(papers(mk("p1")), config=config)
         assert result.sources == ("backend",)
         assert sleeps == waits
+
+    def test_backoff_is_jittered_per_attempt(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        ok = completion("This article is in the conceptual category because theory.")
+        backend_server.server.behavior = lambda n, _: (
+            (503, "{}", {"Retry-After": "3"}) if n == 0
+            else (500, "{}") if n < 3 else (200, ok)
+        )
+        sleeps = []
+        monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        monkeypatch.setattr(classify, "_JITTER", Draws([0.5, 0.5, 0.75]))
+        config = http_config(backend_server, retries=3, backoff_base=2.0)
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("backend",)
+        # factors 0.75, 0.75 and 0.875 on backoffs of 2, 4 and 8 s; the
+        # first wait is held up to the 3 s that Retry-After asked for
+        assert sleeps == [3.0, 3.0, 7.0]
+
+    def test_jitter_factor_stays_in_its_range(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        backend_server.server.behavior = lambda n, _: (500, "{}")
+        sleeps = []
+        monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        config = http_config(backend_server, retries=6, backoff_base=1.0)
+        assert classify_batch(papers(mk("p1")), config=config).sources == ("error",)
+        assert len(sleeps) == 6
+        for attempt, wait in enumerate(sleeps, start=1):
+            assert 0.5 <= wait / 2 ** (attempt - 1) < 1.0
 
     def test_in_flight_bound_is_respected(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
@@ -518,6 +655,68 @@ class TestHttpBackend:
         assert len(results) == 6
         assert len(backend_server.calls) == 6
         assert backend_server.server.max_active <= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["hit", "miss", "fail"]), max_size=10),
+           max_in_flight=st.integers(1, 4))
+    @example(kinds=["hit"] * 3, max_in_flight=2)
+    @example(kinds=["hit", "miss", "hit", "fail", "miss", "miss"], max_in_flight=2)
+    def test_cached_rows_and_requested_misses_keep_corpus_order(self, shared_server,
+                                                               kinds, max_in_flight):
+        server = shared_server.server
+        server.calls, server.max_active, server.delay = [], 0, 0.005
+        title_re = re.compile(r'with title "([^"]*)"')
+
+        def behavior(n, body):
+            title = title_re.search(body["messages"][0]["content"]).group(1)
+            if title.startswith("fail"):
+                return 500, "{}"
+            return 200, completion(
+                f"This article is in the conceptual category because of {title}.")
+
+        server.behavior = behavior
+        titles = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+        corpus = papers(*(mk(f"p{i:02d}", title=t) for i, t in enumerate(titles)))
+        prompts = [render_prompt(t, "An abstract") for t in titles]
+        config = http_config(shared_server, model="m", retries=0,
+                             max_in_flight=max_in_flight)
+        n_misses = sum(kind != "hit" for kind in kinds)
+        pools = []
+
+        class RecordingPool(classify.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {KEY_ENV: "sk-test"}), \
+                mock.patch.object(classify, "ThreadPoolExecutor", RecordingPool):
+            with ResponseCache(Path(tmp) / "cache.jsonl") as cache:
+                for kind, title, prompt in zip(kinds, titles, prompts):
+                    if kind == "hit":
+                        cache.put("m", prompt, "Empirical", f"cached {title}")
+                result = classify_batch(corpus, config=config, cache=cache)
+
+            expected = {
+                "hit": lambda t: ("Empirical", "cache", f"cached {t}"),
+                "miss": lambda t: ("Conceptual", "backend", f"of {t}."),
+                "fail": lambda t: ("Other", "error",
+                                   "backend unreachable after 0 retries: HTTP 500"),
+            }
+            rows = [expected[kind](t) for kind, t in zip(kinds, titles)]
+            assert result.ids == corpus.ids
+            assert list(zip(result.labels, result.sources, result.rationales)) == rows
+            requested = [call["body"]["messages"][0]["content"] for call in server.calls]
+            assert sorted(requested) == sorted(
+                p for kind, p in zip(kinds, prompts) if kind != "hit")
+            assert pools == ([min(max_in_flight, n_misses)] if n_misses else [])
+            assert server.max_active <= min(max_in_flight, n_misses)
+            reloaded = ResponseCache(Path(tmp) / "cache.jsonl")
+            for kind, title, prompt in zip(kinds, titles, prompts):
+                if kind == "miss":
+                    assert reloaded.get("m", prompt) == ("Conceptual", f"of {title}.")
+                elif kind == "fail":
+                    assert reloaded.get("m", prompt) is None
 
     def test_stub_path_never_touches_the_network(self, monkeypatch):
         def boom(*args, **kwargs):

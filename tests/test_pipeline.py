@@ -572,6 +572,28 @@ class TestClassifyStage:
         finally:
             server.close()
 
+    def test_cache_file_is_closed_after_the_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        handles = []
+
+        class RecordingCache(pipeline.ResponseCache):
+            def put(self, *args):
+                super().put(*args)
+                handles.append(self._fh)
+
+        monkeypatch.setattr(pipeline, "ResponseCache", RecordingCache)
+        server = RecordingServer()
+        try:
+            config = fixture_config(tmp_path, stub=False, endpoint=server.endpoint,
+                                    model="test-model", cache=tmp_path / "cache.jsonl")
+            stage_ingest(config)
+            stage_graph(config)
+            STAGE_FUNCTIONS["classify"](config)
+        finally:
+            server.close()
+        assert handles and all(fh.closed for fh in handles)
+        assert len(set(map(id, handles))) == 1  # one handle for the whole batch
+
 
 class TestObservationRows:
     def make_inputs(self):
