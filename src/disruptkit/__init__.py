@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .corpus import (
     Corpus,
     EligibilityCriteria,
-    PaperRecord,
     YearGroup,
     eligible_ids,
     filter_journals,
@@ -54,7 +53,6 @@ __all__ = [
     "LabelTable",
     "ModelSpec",
     "Observations",
-    "PaperRecord",
     "RegressionResult",
     "YearGroup",
     "agreement_report",

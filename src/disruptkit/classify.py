@@ -149,14 +149,23 @@ class BackendConfig:
     api_key_env: str = "DISRUPTKIT_API_KEY"
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        check_backend_limits(self.max_in_flight, self.retries, self.backoff_base, self.timeout)
         if urlsplit(self.endpoint).scheme not in ("http", "https"):
             raise ValueError(f"endpoint must be an http or https URL, got {self.endpoint!r}")
+
+
+def check_backend_limits(max_in_flight: int, retries: int, backoff_base: float,
+                         timeout: float) -> None:
+    """Raise ValueError naming the first of these BackendConfig settings
+    that is out of range (NaN included)."""
+    if max_in_flight < 1:
+        raise ValueError("max_in_flight must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if not backoff_base >= 0:
+        raise ValueError("backoff_base must be >= 0")
+    if not timeout > 0:
+        raise ValueError("timeout must be > 0")
 
 
 def cache_key(model: str, prompt: str) -> str:
@@ -318,9 +327,13 @@ def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str
             text = body.decode("utf-8", errors="replace")
             raise BackendError(f"HTTP {status}: {text[:200]}")
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+            # Content that is not text, or that holds a lone surrogate,
+            # has no UTF-8 form to cache or write out.
+            content.encode("utf-8")
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
+        return content
     raise BackendError(f"backend unreachable after {config.retries} retries: {last_error}")
 
 

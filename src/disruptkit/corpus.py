@@ -9,8 +9,9 @@ A parsed ``Corpus`` is a column table with its rows in ascending id
 order, so row i is node i of the graph built from it. References are
 stored once: each distinct reference string has an integer code, and a
 row's references are a run of codes (deduplicated in first-seen order,
-the record's own id dropped) between two offsets. ``PaperRecord`` holds
-one record and words every validation message.
+the record's own id dropped) between two offsets. ``_record_problem``
+states every rule a record must meet, in the order the rules are checked,
+and words each message.
 """
 
 from __future__ import annotations
@@ -47,103 +48,50 @@ def _normalize_gold(gold):
     return gold.strip().lower() if isinstance(gold, str) else gold
 
 
-@dataclass(frozen=True)
-class PaperRecord:
-    """One bibliographic item. ``references`` is deduplicated and never
-    contains the record's own id."""
-
-    id: str
-    title: str
-    abstract: str
-    journal: str
-    year: int
-    n_authors: int
-    references: tuple[str, ...]
-    gold_label: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError("record id must be a non-empty string")
-        if not _one_line_id(self.id):
-            raise ValueError(
-                f"record {self.id!r}: id must have no surrounding whitespace or line break")
-        for name in ("title", "abstract", "journal"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"record {self.id!r}: {name} must be a string")
-        if not isinstance(self.year, int) or isinstance(self.year, bool):
-            raise ValueError(f"record {self.id!r}: year must be an integer")
-        if not (YEAR_FLOOR <= self.year <= YEAR_CEIL):
-            raise ValueError(
-                f"record {self.id!r}: year {self.year} outside [{YEAR_FLOOR}, {YEAR_CEIL}]"
-            )
-        if not isinstance(self.n_authors, int) or isinstance(self.n_authors, bool):
-            raise ValueError(f"record {self.id!r}: n_authors must be an integer")
-        if self.n_authors < 1:
-            raise ValueError(f"record {self.id!r}: n_authors must be >= 1")
-        if self.n_authors > N_AUTHORS_MAX:
-            raise ValueError(f"record {self.id!r}: n_authors must be <= {N_AUTHORS_MAX}")
-        if self.gold_label is not None and self.gold_label not in GOLD_LABELS:
-            raise ValueError(
-                f"record {self.id!r}: gold_label must be one of {GOLD_LABELS}"
-            )
-        seen: set[str] = set()
-        for ref in self.references:
-            if not isinstance(ref, str) or not ref:
-                raise ValueError(f"record {self.id!r}: references must be non-empty strings")
-            if ref == self.id:
-                raise ValueError(f"record {self.id!r}: references contain the record itself")
-            if ref in seen:
-                raise ValueError(f"record {self.id!r}: duplicate reference {ref!r}")
-            seen.add(ref)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PaperRecord":
-        """Build a record from a decoded JSON object, normalizing the
-        reference list (duplicates collapsed, self-references dropped)."""
-        if not isinstance(obj, dict):
-            raise ValueError("record must be a JSON object")
-        missing = [k for k in _REQUIRED_FIELDS if k not in obj]
-        if missing:
-            raise ValueError(f"missing field(s): {', '.join(missing)}")
-        refs_raw = obj["references"]
-        if not isinstance(refs_raw, list):
-            raise ValueError("references must be a list")
-        rec_id = obj["id"]
-        refs: list[str] = []
-        seen: set[str] = set()
-        try:
-            for ref in refs_raw:
-                if ref == rec_id or ref in seen:
-                    continue
-                seen.add(ref)
-                refs.append(ref)
-        except TypeError:  # an unhashable reference: a list or an object
-            raise ValueError(
-                f"record {rec_id!r}: references must be non-empty strings") from None
-        return cls(
-            id=rec_id,
-            title=obj["title"],
-            abstract=obj["abstract"],
-            journal=obj["journal"],
-            year=obj["year"],
-            n_authors=obj["n_authors"],
-            references=tuple(refs),
-            gold_label=_normalize_gold(obj.get("gold_label")),
-        )
-
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "title": self.title,
-            "abstract": self.abstract,
-            "journal": self.journal,
-            "year": self.year,
-            "n_authors": self.n_authors,
-            "references": list(self.references),
-        }
-        if self.gold_label is not None:
-            out["gold_label"] = self.gold_label
-        return out
+def _record_problem(obj) -> str | None:
+    """The message of the first check a decoded record fails, or None if
+    it passes them all. A record's references may repeat and may hold its
+    own id; parsing drops both."""
+    if not isinstance(obj, dict):
+        return "record must be a JSON object"
+    missing = [k for k in _REQUIRED_FIELDS if k not in obj]
+    if missing:
+        return f"missing field(s): {', '.join(missing)}"
+    refs = obj["references"]
+    if not isinstance(refs, list):
+        return "references must be a list"
+    rec_id = obj["id"]
+    bad_refs = f"record {rec_id!r}: references must be non-empty strings"
+    # Hashing a list or an object raises TypeError. One equal to the id
+    # (a list or an object too, then) is a self-reference and is dropped
+    # unchecked, so the id's own check words that record.
+    try:
+        {ref for ref in refs if ref != rec_id}
+    except TypeError:
+        return bad_refs
+    if not isinstance(rec_id, str) or not rec_id:
+        return "record id must be a non-empty string"
+    if not _one_line_id(rec_id):
+        return f"record {rec_id!r}: id must have no surrounding whitespace or line break"
+    for name in ("title", "abstract", "journal"):
+        if not isinstance(obj[name], str):
+            return f"record {rec_id!r}: {name} must be a string"
+    year, n_authors = obj["year"], obj["n_authors"]
+    if not isinstance(year, int) or isinstance(year, bool):
+        return f"record {rec_id!r}: year must be an integer"
+    if not YEAR_FLOOR <= year <= YEAR_CEIL:
+        return f"record {rec_id!r}: year {year} outside [{YEAR_FLOOR}, {YEAR_CEIL}]"
+    if not isinstance(n_authors, int) or isinstance(n_authors, bool):
+        return f"record {rec_id!r}: n_authors must be an integer"
+    if n_authors < 1:
+        return f"record {rec_id!r}: n_authors must be >= 1"
+    if n_authors > N_AUTHORS_MAX:
+        return f"record {rec_id!r}: n_authors must be <= {N_AUTHORS_MAX}"
+    if not _valid_gold(obj.get("gold_label")):
+        return f"record {rec_id!r}: gold_label must be one of {GOLD_LABELS}"
+    if not all(isinstance(ref, str) and ref for ref in refs):
+        return bad_refs
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,22 +159,13 @@ def parse_corpus(source: str | Path | IO[str] | Iterable[str]) -> Corpus:
     Raises ValueError with the 1-based line number for malformed lines and
     names the offending id for duplicates. Of several faults the one on
     the lowest line is reported, and within a line the first that
-    PaperRecord checks.
+    ``_record_problem`` checks.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         with path.open("r", encoding="utf-8") as fh:
             return _parse_lines(fh, source_name=str(path))
     return _parse_lines(source, source_name=getattr(source, "name", "<stream>"))
-
-
-def _record_error(obj) -> str:
-    """PaperRecord's message for a decoded record that fails its checks."""
-    try:
-        PaperRecord.from_dict(obj)
-    except ValueError as exc:
-        return str(exc)
-    raise RuntimeError(f"the column checks rejected a valid record: {obj!r}")
 
 
 def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
@@ -259,7 +198,7 @@ def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
                 raise TypeError("references must be a list")
             codes.extend(map(code, refs))  # TypeError on an unhashable reference
         except (KeyError, TypeError):
-            stop = lineno, _record_error(obj)
+            stop = lineno, _record_problem(obj)
             break
         rows.append(row)
         golds.append(obj.get("gold_label"))
@@ -277,17 +216,26 @@ def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
     def fail(row: int, message: str) -> ValueError:
         return ValueError(f"{source_name}: line {linenos[row]}: {message}")
 
-    bad = _first_invalid_row(columns, golds, ref_codes, ref_offsets, table)
+    bad = problem = None
+    if not _columns_valid(columns, golds, table):
+        # A row fails a check, or else the stop line put a bad reference
+        # in the table before it ended the scan.
+        keys = list(table)
+        bounds = ref_offsets.tolist()
+        for row in range(n):
+            problem = _record_problem(dict(
+                zip(_REQUIRED_FIELDS[:6], (column[row] for column in columns)),
+                references=[keys[c] for c in ref_codes[bounds[row]:bounds[row + 1]].tolist()],
+                gold_label=golds[row]))
+            if problem is not None:
+                bad = row
+                break
     valid = n if bad is None else bad
     order, dup = id_order(ids[:valid])
     if dup is not None:
         raise fail(dup, f"duplicate id {ids[dup]!r}")
     if bad is not None:
-        keys = list(table)
-        obj = dict(zip(_REQUIRED_FIELDS[:6], (c[bad] for c in columns)),
-                   references=[keys[c] for c in ref_codes[ref_offsets[bad]:ref_offsets[bad + 1]]],
-                   gold_label=golds[bad])
-        raise fail(bad, _record_error(obj))
+        raise fail(bad, problem)
     if stop is not None:
         raise ValueError(f"{source_name}: line {stop[0]}: {stop[1]}")
 
@@ -304,39 +252,25 @@ def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
     return corpus if order is None else corpus.take(order)
 
 
-def _first_invalid_row(columns: list[tuple], golds: list, ref_codes: np.ndarray,
-                       ref_offsets: np.ndarray, table: dict) -> int | None:
-    """The lowest row that PaperRecord would reject, or None. Each column
-    gets a whole-column test first and is scanned row by row only when
-    that fails."""
+def _columns_valid(columns: list[tuple], golds: list, table: dict) -> bool:
+    """Whether every row passes ``_record_problem``'s checks, each tested
+    a whole column at a time. ``table`` holds every reference string the
+    rows hold, and may hold more."""
     ids, titles, abstracts, journals, years, n_authors = columns
-
-    def first(column, ok) -> int:
-        return next(i for i, v in enumerate(column) if not ok(v))
-
-    found: list[int] = []
+    if any(set(map(type, column)) - {str} for column in (ids, titles, abstracts, journals)):
+        return False
     # The joined ids hold a line break if any id does.
-    if (set(map(type, ids)) - {str} or "" in ids
-            or not _one_line_id("".join(ids)) or tuple(map(str.strip, ids)) != ids):
-        found.append(first(ids, lambda v: type(v) is str and v != "" and _one_line_id(v)))
-    for column in (titles, abstracts, journals):
-        if set(map(type, column)) - {str}:
-            found.append(first(column, lambda v: type(v) is str))
+    if "" in ids or not _one_line_id("".join(ids)) or tuple(map(str.strip, ids)) != ids:
+        return False
     for column, lo, hi in ((years, YEAR_FLOOR, YEAR_CEIL), (n_authors, 1, N_AUTHORS_MAX)):
         if column and (set(map(type, column)) - {int} or min(column) < lo or max(column) > hi):
-            found.append(first(column, lambda v: type(v) is int and lo <= v <= hi))
+            return False
     try:
         distinct_golds = set(golds)
     except TypeError:  # an unhashable gold_label: a list or an object
-        distinct_golds = golds
-    if not all(map(_valid_gold, distinct_golds)):
-        found.append(first(golds, _valid_gold))
-    if set(map(type, table)) - {str} or "" in table:
-        bad_codes = [c for ref, c in table.items() if type(ref) is not str or ref == ""]
-        hits = np.flatnonzero(np.isin(ref_codes, bad_codes))
-        if hits.size:
-            found.append(int(np.searchsorted(ref_offsets, hits[0], side="right")) - 1)
-    return min(found, default=None)
+        return False
+    return (all(map(_valid_gold, distinct_golds))
+            and not set(map(type, table)) - {str} and "" not in table)
 
 
 def _one_line_id(paper_id: str) -> bool:
@@ -400,7 +334,9 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Serialize records, one JSON object per line, in id order; each line
-    is what ``json.dumps(record.to_dict(), ensure_ascii=False)`` gives.
+    is what ``json.dumps(obj, ensure_ascii=False)`` gives for the object
+    with keys ``id, title, abstract, journal, year, n_authors, references``
+    in that order, then ``gold_label`` if the row has one.
 
     The file is written with ``atomic_write``. A record that cannot be
     encoded as UTF-8 (a lone surrogate) raises ValueError naming its id.
@@ -481,9 +417,10 @@ class YearGroup(enum.IntEnum):
 
 def year_group(year: int) -> YearGroup:
     """Map a publication year to its five-year cohort."""
-    if not (YearGroup.G1991_1995.start <= year <= YearGroup.G2016_2020.end):
-        raise ValueError(f"year {year} outside [1991, 2020]")
-    return YearGroup(1991 + ((year - 1991) // 5) * 5)
+    first, last = min(YearGroup).start, max(YearGroup).end
+    if not first <= year <= last:
+        raise ValueError(f"year {year} outside [{first}, {last}]")
+    return YearGroup(first + ((year - first) // 5) * 5)
 
 
 def abstract_length(text: str) -> int:

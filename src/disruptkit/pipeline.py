@@ -43,7 +43,8 @@ import scipy
 
 from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache,
-                       agreement_report, check_choice, classify_batch, stub_backend)
+                       agreement_report, check_backend_limits, check_choice, classify_batch,
+                       stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
                      filter_journals, parse_corpus, read_allowlist, write_corpus)
 from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
@@ -97,11 +98,11 @@ class PipelineConfig:
     cache: Path | None = None
     out_dir: Path = Path("out")
     # eligibility thresholds (minimum counts, inclusive)
-    min_out_links: int = 11
-    min_in_links: int = 11
-    year_min: int = 1991
-    year_max: int = 2020
-    min_abstract_chars: int = 501
+    min_out_links: int = EligibilityCriteria.min_out_links
+    min_in_links: int = EligibilityCriteria.min_in_links
+    year_min: int = EligibilityCriteria.year_min
+    year_max: int = EligibilityCriteria.year_max
+    min_abstract_chars: int = EligibilityCriteria.min_abstract_chars
     # disruption scoring
     thresholds: tuple[int, ...] = (1, 2, 3, 5)
     mode: str = "ref_indegree"
@@ -110,11 +111,11 @@ class PipelineConfig:
     stub: bool = False
     endpoint: str = ""
     model: str = ""
-    api_key_env: str = "DISRUPTKIT_API_KEY"
-    max_in_flight: int = 4
-    retries: int = 3
-    backoff_base: float = 1.0
-    timeout: float = 30.0
+    api_key_env: str = BackendConfig.api_key_env
+    max_in_flight: int = BackendConfig.max_in_flight
+    retries: int = BackendConfig.retries
+    backoff_base: float = BackendConfig.backoff_base
+    timeout: float = BackendConfig.timeout
     # which D^l models to fit alongside the three citation models
     model_thresholds: tuple[int, ...] = (2, 3, 5)
 
@@ -137,6 +138,9 @@ class PipelineConfig:
             year = getattr(self, name)
             if not first <= year <= last:
                 raise ValueError(f"{name} {year} outside the year groups [{first}, {last}]")
+        if not self.stub:
+            check_backend_limits(self.max_in_flight, self.retries, self.backoff_base,
+                                 self.timeout)
         if not self.model_thresholds:
             raise ValueError("model_thresholds must be non-empty")
         missing = [l for l in self.model_thresholds if l not in self.thresholds]

@@ -539,6 +539,14 @@ class TestHttpBackend:
         assert "malformed" in result.rationales[0]
         assert len(backend_server.calls) == 1
 
+    def test_content_that_is_not_text_is_malformed(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        backend_server.server.behavior = lambda n, body: (200, completion(None))
+        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        assert result.sources == ("error",)
+        assert "malformed" in result.rationales[0]
+        assert len(backend_server.calls) == 1
+
     def test_client_error_body_is_in_the_rationale(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         body = '{"error": "model not found: test-model"}' + " " * 300

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disruptkit.corpus import EligibilityCriteria, PaperRecord, eligible_ids, parse_corpus
+from disruptkit.corpus import EligibilityCriteria, eligible_ids, parse_corpus
 from disruptkit.graph import (
     GRAPH_FILES,
     build_graph,
@@ -18,14 +18,12 @@ from disruptkit.graph import (
 
 
 def mk(paper_id, refs=()):
-    return PaperRecord(
-        id=paper_id, title="t", abstract="a", journal="j",
-        year=2000, n_authors=1, references=tuple(refs),
-    )
+    return {"id": paper_id, "title": "t", "abstract": "a", "journal": "j",
+            "year": 2000, "n_authors": 1, "references": list(refs)}
 
 
 def corpus_of(*records):
-    return parse_corpus(json.dumps(r.to_dict()) + "\n" for r in records)
+    return parse_corpus(json.dumps(r) + "\n" for r in records)
 
 
 @pytest.fixture
@@ -152,14 +150,12 @@ class TestGraphFiles:
     def test_strings_roundtrip_exactly(self, tmp_path):
         # numpy's str dtype would turn "a\x00" into "a", colliding the two ids
         records = [
-            PaperRecord(id="a", title="t", abstract="a", journal="Revue d\u2019\u00e9tudes",
-                        year=1995, n_authors=2, references=("a\x00",),
-                        gold_label="conceptual"),
-            PaperRecord(id="a\x00", title="t", abstract="a", journal="\u65e5\u672c\x00",
-                        year=2011, n_authors=7, references=()),
-            PaperRecord(id="\u00fc\U0001f600", title="t", abstract="a", journal="",
-                        year=2020, n_authors=1, references=("a",),
-                        gold_label="empirical"),
+            {**mk("a", refs=["a\x00"]), "journal": "Revue d\u2019\u00e9tudes", "year": 1995,
+             "n_authors": 2, "gold_label": "conceptual"},
+            {**mk("a\x00"), "journal": "\u65e5\u672c\x00", "year": 2011, "n_authors": 7,
+             "gold_label": None},
+            {**mk("\u00fc\U0001f600", refs=["a"]), "journal": "", "year": 2020,
+             "gold_label": "empirical"},
         ]
         save_graph(build_graph(corpus_of(*records)), tmp_path)
         graph = load_graph(tmp_path)
@@ -168,11 +164,11 @@ class TestGraphFiles:
         assert citers(graph, "a") == ["\u00fc\U0001f600"]
         by_id = {pid: i for i, pid in enumerate(graph.ids)}
         for rec in records:
-            i = by_id[rec.id]
-            assert graph.journal[i] == rec.journal
-            assert graph.gold_label[i] == rec.gold_label
-            assert int(graph.year[i]) == rec.year
-            assert int(graph.n_authors[i]) == rec.n_authors
+            i = by_id[rec["id"]]
+            assert graph.journal[i] == rec["journal"]
+            assert graph.gold_label[i] == rec["gold_label"]
+            assert int(graph.year[i]) == rec["year"]
+            assert int(graph.n_authors[i]) == rec["n_authors"]
 
     def test_empty_graph(self, tmp_path):
         save_graph(build_graph(corpus_of()), tmp_path)

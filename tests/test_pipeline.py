@@ -148,6 +148,12 @@ class TestConfig:
         ("year_min = 1985", "year_min 1985 outside the year groups [1991, 2020]"),
         ("year_max = 2025", "year_max 2025 outside the year groups [1991, 2020]"),
         ("model_thresholds =", "model_thresholds must be non-empty"),
+        ("stub = false\nmax_in_flight = 0", "max_in_flight must be >= 1"),
+        ("stub = false\nretries = -1", "retries must be >= 0"),
+        ("stub = false\nbackoff_base = -1", "backoff_base must be >= 0"),
+        ("stub = false\ntimeout = -1", "timeout must be > 0"),
+        ("stub = false\ntimeout = 0", "timeout must be > 0"),
+        ("stub = false\ntimeout = nan", "timeout must be > 0"),
     ])
     def test_values_a_stage_would_reject_fail_at_load(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.conf"
@@ -569,6 +575,49 @@ class TestClassifyStage:
             assert set(rerun.sources) == {"cache"}
             assert rerun.labels == results.labels
             assert len(server.calls) == n_first
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_reply_with_no_utf8_form_is_an_error_row(self, tmp_path, monkeypatch, cached):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        out_dir, cache = tmp_path / "out", tmp_path / "cache.jsonl"
+        path = tmp_path / "http.conf"
+        server = RecordingServer()
+        path.write_text(
+            (FIXTURES / "pipeline.conf").read_text()
+            + f"corpus = {FIXTURES / 'corpus.jsonl'}\nallowlist = {FIXTURES / 'journals.txt'}\n"
+            + f"stub = false\nendpoint = {server.endpoint}\nmodel = test-model\n"
+            + "max_in_flight = 1\nbackoff_base = 0\n" + (f"cache = {cache}\n" if cached else ""))
+        first_prompt = []
+
+        def behavior(n, body):
+            # The first paper asked about gets a lone surrogate, every time.
+            prompt = body["messages"][0]["content"]
+            if not first_prompt:
+                first_prompt.append(prompt)
+            text = ("\ud800" if prompt == first_prompt[0]
+                    else "This article is in the empirical category because data.")
+            return 200, completion(text)
+
+        server.server.behavior = behavior
+        base = ["--config", str(path), "--out-dir", str(out_dir)]
+        try:
+            assert cli.main(["ingest"] + base) == 0
+            assert cli.main(["graph"] + base) == 0
+            for run in range(1 + cached):
+                cached_before = cache.read_bytes() if cache.exists() else b""
+                n_calls = len(server.calls)
+                assert cli.main(["classify"] + base) == 0
+                table = read_classifications(out_dir / "classifications.csv")
+                assert table.sources.count("error") == 1
+                assert "malformed backend response" in table.rationales[
+                    table.sources.index("error")]
+                if run:
+                    assert set(table.sources) == {"cache", "error"}
+                    assert len(server.calls) == n_calls + 1  # not retried
+                    assert cache.read_bytes() == cached_before
+            assert cache.exists() == cached
         finally:
             server.close()
 
