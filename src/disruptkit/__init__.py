@@ -14,14 +14,8 @@ from .corpus import (
     year_group,
 )
 from .graph import CitationGraph, build_graph, citers, degree_stats, references_of
-from .disruption import (
-    CiterPartition,
-    DisruptionScore,
-    disruption_batch,
-    disruption_score,
-    partition_citers,
-)
-from .oracle import brute_force_partition
+from .disruption import disruption_batch
+from .oracle import CiterPartition, brute_force_partition
 from .classify import (
     AgreementReport,
     BackendConfig,
@@ -48,7 +42,6 @@ __all__ = [
     "CitationGraph",
     "CiterPartition",
     "Corpus",
-    "DisruptionScore",
     "EligibilityCriteria",
     "LabelTable",
     "ModelSpec",
@@ -63,14 +56,12 @@ __all__ = [
     "classify_batch",
     "degree_stats",
     "disruption_batch",
-    "disruption_score",
     "eligible_ids",
     "emit_table",
     "filter_journals",
     "ols_fit",
     "parse_corpus",
     "parse_response",
-    "partition_citers",
     "references_of",
     "render_prompt",
     "stub_backend",

@@ -2,14 +2,29 @@
 
 Deliberately naive: plain dicts of sets, full scans over every node,
 and no reuse of the CSR machinery in the fast path. Used to validate
-``partition_citers`` and friends; never called by the pipeline.
+``disruption_batch`` and the kernel; never called by the pipeline.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .disruption import MODES, CiterPartition
+from .disruption import MODES
+
+
+@dataclass(frozen=True)
+class CiterPartition:
+    """The oracle's result: the F, B and R-class sizes for one focal
+    paper at one threshold and mode."""
+
+    n_f: int
+    n_b: int
+    n_r: int
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        return (self.n_f, self.n_b, self.n_r)
 
 
 def brute_force_partition(
@@ -79,4 +94,4 @@ def brute_force_partition(
             elif shared >= 1:
                 n_r += 1
 
-    return CiterPartition(n_f=n_f, n_b=n_b, n_r=n_r, l=l, mode=mode)
+    return CiterPartition(n_f=n_f, n_b=n_b, n_r=n_r)

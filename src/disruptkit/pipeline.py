@@ -47,7 +47,7 @@ from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache
                        stub_backend)
 from .corpus import (Corpus, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
                      filter_journals, parse_corpus, read_allowlist, write_corpus)
-from .disruption import (ScoreTable, _validate_mode_and_thresholds, disruption_batch,
+from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disruption_batch,
                          read_scores, write_scores)
 from .graph import (GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph,
                     save_graph)
@@ -104,7 +104,7 @@ class PipelineConfig:
     year_max: int = EligibilityCriteria.year_max
     min_abstract_chars: int = EligibilityCriteria.min_abstract_chars
     # disruption scoring
-    thresholds: tuple[int, ...] = (1, 2, 3, 5)
+    thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS
     mode: str = "ref_indegree"
     n_jobs: int = 1
     # classifier backend; stub skips the network entirely
@@ -130,7 +130,7 @@ class PipelineConfig:
             raise ValueError("thresholds must be non-empty")
         # What disrupt, graph and regress would reject, rejected before any
         # stage runs (classify may make billable requests).
-        _validate_mode_and_thresholds(self.thresholds, self.mode)
+        _validate_scoring(self.thresholds, self.mode, self.n_jobs)
         self.criteria()
         # regress puts every eligible paper in a year group
         first, last = min(YearGroup).start, max(YearGroup).end
@@ -313,6 +313,12 @@ def _load_eligible(config: PipelineConfig, stage: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
+def _read_allowlist(config: PipelineConfig) -> set[str]:
+    if not config.allowlist.exists():
+        raise FileNotFoundError(f"allowlist file not found: {config.allowlist}")
+    return read_allowlist(config.allowlist)
+
+
 def stage_ingest(config: PipelineConfig,
                  handoff: dict[str, Corpus] | None = None) -> list[Path]:
     """Parse the raw corpus, apply the journal allowlist, and write the
@@ -325,9 +331,7 @@ def stage_ingest(config: PipelineConfig,
         corpus = parse_corpus(config.corpus)
         inputs = {"corpus": config.corpus}
         if config.allowlist is not None:
-            if not config.allowlist.exists():
-                raise FileNotFoundError(f"allowlist file not found: {config.allowlist}")
-            corpus = filter_journals(corpus, read_allowlist(config.allowlist))
+            corpus = filter_journals(corpus, _read_allowlist(config))
             inputs["allowlist"] = config.allowlist
         out_path = config.out_dir / "corpus.jsonl"
         write_corpus(corpus, out_path)
@@ -370,7 +374,12 @@ def stage_classify(config: PipelineConfig,
     def body() -> list[Path]:
         corpus = _load_filtered_corpus(config, "classify", handoff)
         eligible = _load_eligible(config, "classify")
-        papers = corpus.take(corpus.positions(eligible))
+        try:
+            rows = corpus.positions(eligible)
+        except KeyError as exc:
+            raise ValueError(f"eligible.txt names {exc.args[0]!r}, which is not in "
+                             "corpus.jsonl; run stage 'graph' again") from None
+        papers = corpus.take(rows)
         if config.stub:
             labels = classify_batch(papers, backend=stub_backend)
         elif config.cache is None:
@@ -578,8 +587,8 @@ def stage_report(config: PipelineConfig) -> list[Path]:
         lines.append(f"  papers: {graph.n_nodes}")
         counts = Counter(graph.journal)
         lines.append(f"  journals with papers: {len(counts)}")
-        if config.allowlist is not None and config.allowlist.exists():
-            allow = read_allowlist(config.allowlist)
+        if config.allowlist is not None:
+            allow = _read_allowlist(config)
             empty = sorted(allow - set(counts))
             lines.append(f"  journals allowed: {len(allow)}"
                          f" (no papers from {len(empty)})")

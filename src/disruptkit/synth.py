@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, id_order, write_corpus
+from .corpus import Corpus, EligibilityCriteria, id_order, write_corpus
 from .graph import CitationGraph, from_edge_arrays
 
 _BLOCK = 1 << 16
@@ -62,8 +62,6 @@ _EMPIRICAL_TEMPLATES = (
     "We test the predictions with archival data and report estimation results for {t1}.",
     "Secondary data on {t2} support an experiment-like comparison across {t1} conditions.",
 )
-
-MIN_ABSTRACT_CHARS = 501
 
 
 class _FloatStream:
@@ -163,7 +161,7 @@ def _abstract(stream: _FloatStream, conceptual: bool) -> str:
     templates = _CONCEPTUAL_TEMPLATES if conceptual else _EMPIRICAL_TEMPLATES
     sentences: list[str] = []
     length = 0
-    while length < MIN_ABSTRACT_CHARS:
+    while length < EligibilityCriteria.min_abstract_chars:
         template = templates[stream.pick(len(templates))]
         t1 = _TOPICS[stream.pick(len(_TOPICS))]
         t2 = _TOPICS[stream.pick(len(_TOPICS))]

@@ -12,13 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from disruptkit import _kernels, disruption
 from disruptkit.disruption import (
-    CiterPartition,
-    DisruptionScore,
     ScoreTable,
     disruption_batch,
-    disruption_score,
     format_score,
-    partition_citers,
     read_scores,
     write_scores,
 )
@@ -34,6 +30,11 @@ THRESHOLDS = (1, 2, 3, 5)
 def small_graph(pairs, extra_nodes=()):
     nodes = sorted({n for pair in pairs for n in pair} | set(extra_nodes))
     return graph_from_pairs(tuple(nodes), pairs)
+
+
+def counts(scores, k=0):
+    """Row k's (n_f, n_b, n_r)."""
+    return (int(scores.n_f[k]), int(scores.n_b[k]), int(scores.n_r[k]))
 
 
 # The two hand-checkable networks: in the first, the focal paper is
@@ -52,42 +53,36 @@ EXAMPLE_LOW = [
     ("i", "p3"), ("r1", "p3"),
     ("i", "p4"), ("r1", "p4"),
 ]
+# c cites the focal and one of its two references; at l = 2 the
+# reference qualifies by citation count (cited by i and c) but a single
+# shared reference is below the overlap threshold.
+MODES_DIFFER = [("r1", "i"), ("r2", "i"), ("i", "c"), ("r1", "c")]
 
 
 class TestWorkedExamples:
     def test_high_disruption_network(self):
-        graph = small_graph(EXAMPLE_HIGH)
-        score = disruption_score(graph, "i")
-        assert score.partition.counts == (3, 0, 1)
-        assert score.d == 0.75
+        scores = disruption_batch(small_graph(EXAMPLE_HIGH), ["i"], ls=(1,))
+        assert counts(scores) == (3, 0, 1)
+        assert scores.d.tolist() == [0.75]
 
     def test_low_disruption_network(self):
-        graph = small_graph(EXAMPLE_LOW)
-        score = disruption_score(graph, "i")
-        assert score.partition.counts == (0, 4, 0)
-        assert score.d == -1.0
+        scores = disruption_batch(small_graph(EXAMPLE_LOW), ["i"], ls=(1,))
+        assert counts(scores) == (0, 4, 0)
+        assert scores.d.tolist() == [-1.0]
 
 
 class TestPartitionValidation:
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            CiterPartition(n_f=-1, n_b=0, n_r=0, l=1, mode="ref_indegree")
-
     def test_rejects_threshold_below_one(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            CiterPartition(n_f=0, n_b=0, n_r=0, l=0, mode="ref_indegree")
-        with pytest.raises(ValueError, match=">= 1"):
-            partition_citers(small_graph(EXAMPLE_HIGH), "i", l=0)
+        with pytest.raises(ValueError, match="thresholds must be >= 1, got 0"):
+            disruption_batch(small_graph(EXAMPLE_HIGH), ["i"], ls=(0,))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            CiterPartition(n_f=0, n_b=0, n_r=0, l=1, mode="fancy")
-        with pytest.raises(ValueError, match="mode"):
-            partition_citers(small_graph(EXAMPLE_HIGH), "i", mode="fancy")
+            disruption_batch(small_graph(EXAMPLE_HIGH), ["i"], ls=(1,), mode="fancy")
 
     def test_unknown_focal(self):
         with pytest.raises(KeyError, match="ghost"):
-            disruption_score(small_graph(EXAMPLE_HIGH), "ghost")
+            disruption_batch(small_graph(EXAMPLE_HIGH), ["ghost"], ls=(1,))
 
     def test_batch_checks_the_whole_table(self, monkeypatch):
         graph = small_graph(EXAMPLE_HIGH)
@@ -95,6 +90,9 @@ class TestPartitionValidation:
             disruption_batch(graph, ["i"], ls=(0, 1))
         with pytest.raises(ValueError, match="mode"):
             disruption_batch(graph, ["i"], mode="fancy")
+        for n_jobs in (0, -1):
+            with pytest.raises(ValueError, match=f"n_jobs must be >= 1, got {n_jobs}"):
+                disruption_batch(graph, ["i", "p1"], n_jobs=n_jobs)
 
         def negative(*args):
             counts = np.zeros((2, 1), dtype=np.int64)
@@ -109,43 +107,35 @@ class TestPartitionValidation:
 class TestScoreSemantics:
     def test_isolated_focal_is_undefined_not_zero(self):
         graph = small_graph([("a", "b")], extra_nodes=["lone"])
-        score = disruption_score(graph, "lone")
-        assert score.d is None
-        assert not score.defined
-        assert score.partition.counts == (0, 0, 0)
+        scores = disruption_batch(graph, ["lone"], ls=(1,))
+        assert np.isnan(scores.d[0])
+        assert counts(scores) == (0, 0, 0)
 
     def test_zero_score_is_defined(self):
         # one paper cites the focal's reference but not the focal itself
         graph = small_graph([("r", "i"), ("r", "x")])
-        score = disruption_score(graph, "i")
-        assert score.partition.counts == (0, 0, 1)
-        assert score.d == 0.0
-        assert score.defined
+        scores = disruption_batch(graph, ["i"], ls=(1,))
+        assert counts(scores) == (0, 0, 1)
+        assert scores.d.tolist() == [0.0]
 
     def test_pure_forward_citations(self):
         graph = small_graph([("i", "p1"), ("i", "p2")])
-        assert disruption_score(graph, "i").d == 1.0
+        assert disruption_batch(graph, ["i"], ls=(1,)).d.tolist() == [1.0]
 
     def test_modes_differ_on_shared_reference_count(self):
-        # c cites the focal and one of its two references; at l = 2 the
-        # reference qualifies by citation count (cited by i and c) but a
-        # single shared reference is below the overlap threshold.
-        pairs = [("r1", "i"), ("r2", "i"), ("i", "c"), ("r1", "c")]
-        graph = small_graph(pairs)
-        by_indegree = partition_citers(graph, "i", l=2, mode="ref_indegree")
-        by_overlap = partition_citers(graph, "i", l=2, mode="overlap")
-        assert (by_indegree.n_f, by_indegree.n_b) == (0, 1)
-        assert (by_overlap.n_f, by_overlap.n_b) == (1, 0)
+        graph = small_graph(MODES_DIFFER)
+        by_indegree = disruption_batch(graph, ["i"], ls=(2,), mode="ref_indegree")
+        by_overlap = disruption_batch(graph, ["i"], ls=(2,), mode="overlap")
+        assert counts(by_indegree)[:2] == (0, 1)
+        assert counts(by_overlap)[:2] == (1, 0)
 
     def test_threshold_prunes_weak_references(self):
         # r1 is cited by the focal and by p1, so its citation count is 2:
         # it still qualifies at l = 2 (the focal's own citation counts)
         # and only drops out at l = 3, moving p1 from B to F.
         pairs = [("r1", "i"), ("i", "p1"), ("r1", "p1")]
-        graph = small_graph(pairs)
-        assert partition_citers(graph, "i", l=1).counts == (0, 1, 0)
-        assert partition_citers(graph, "i", l=2).counts == (0, 1, 0)
-        assert partition_citers(graph, "i", l=3).counts == (1, 0, 0)
+        scores = disruption_batch(small_graph(pairs), ["i"], ls=(1, 2, 3))
+        assert [counts(scores, k) for k in range(3)] == [(0, 1, 0), (0, 1, 0), (1, 0, 0)]
 
 
 class TestAgainstBruteForce:
@@ -157,16 +147,16 @@ class TestAgainstBruteForce:
             ids, pairs = random_digraph(rng, n, p)
             graph = graph_from_pairs(ids, pairs)
             scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-            by_key = {(s.paper_id, s.partition.l): s.partition
-                      for s in map(scores.row, range(len(scores)))}
+            by_key = {(scores.ids[k], int(scores.l[k])): counts(scores, k)
+                      for k in range(len(scores))}
             for focal in ids:
                 for l in THRESHOLDS:
                     expected = brute_force_partition(pairs, focal, l=l,
                                                      mode=mode, nodes=ids)
                     got = by_key[(focal, l)]
-                    assert got.counts == expected.counts, (
+                    assert got == expected.counts, (
                         f"{mode} l={l} focal={focal}: "
-                        f"{got.counts} != {expected.counts}"
+                        f"{got} != {expected.counts}"
                     )
 
     def test_ref_indegree_matches_oracle(self):
@@ -192,15 +182,13 @@ class TestInvariants:
         for mode in ("ref_indegree", "overlap"):
             for ids, graph in sweep_graphs:
                 scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-                for s in map(scores.row, range(len(scores))):
-                    part = s.partition
-                    idx = graph.index[s.paper_id]
-                    # F and B exactly split the focal paper's citers
-                    assert part.n_f + part.n_b == int(graph.in_deg[idx])
-                    if s.d is not None:
-                        assert -1.0 <= s.d <= 1.0
-                    else:
-                        assert part.counts == (0, 0, 0)
+                idx = np.array([graph.index[pid] for pid in scores.ids], dtype=np.int64)
+                # F and B exactly split the focal paper's citers
+                np.testing.assert_array_equal(scores.n_f + scores.n_b, graph.in_deg[idx])
+                undefined = np.isnan(scores.d)
+                assert (np.abs(scores.d[~undefined]) <= 1.0).all()
+                np.testing.assert_array_equal(
+                    undefined, scores.n_f + scores.n_b + scores.n_r == 0)
 
     def test_threshold_monotonicity(self, sweep_graphs):
         # raising l can only shrink the qualifying set, so n_b falls and
@@ -209,26 +197,25 @@ class TestInvariants:
         for mode in ("ref_indegree", "overlap"):
             for ids, graph in sweep_graphs:
                 scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-                per_id: dict[str, list] = {}
-                for s in map(scores.row, range(len(scores))):
-                    per_id.setdefault(s.paper_id, []).append(s.partition)
-                for parts in per_id.values():
-                    assert [p.l for p in parts] == list(THRESHOLDS)
-                    for lo, hi in zip(parts, parts[1:]):
-                        assert hi.n_b <= lo.n_b
-                        assert hi.n_f >= lo.n_f
-                        if mode == "ref_indegree":
-                            assert hi.n_r <= lo.n_r
-                        else:
-                            assert hi.n_r == lo.n_r
+                # one row per (id, threshold), so each column reshapes to
+                # an (id, threshold) matrix
+                shape = (len(ids), len(THRESHOLDS))
+                assert scores.l.reshape(shape).tolist() == [list(THRESHOLDS)] * len(ids)
+                n_f, n_b, n_r = (c.reshape(shape) for c in (scores.n_f, scores.n_b, scores.n_r))
+                assert (np.diff(n_b, axis=1) <= 0).all()
+                assert (np.diff(n_f, axis=1) >= 0).all()
+                if mode == "ref_indegree":
+                    assert (np.diff(n_r, axis=1) <= 0).all()
+                else:
+                    assert (np.diff(n_r, axis=1) == 0).all()
 
     def test_base_threshold_collapses_to_unthresholded_score(self, sweep_graphs):
         # at l = 1 every reference qualifies (the focal paper itself
         # supplies one citation), so the partition must match a direct
         # classification that ignores thresholds entirely
         for ids, graph in sweep_graphs:
-            for focal in ids:
-                got = partition_citers(graph, focal, l=1)
+            scores = disruption_batch(graph, list(ids), ls=(1,))
+            for k, focal in enumerate(ids):
                 f_idx = graph.index[focal]
                 refs = set(graph.reference_row(f_idx).tolist())
                 citer_set = set(graph.citer_row(f_idx).tolist())
@@ -243,14 +230,14 @@ class TestInvariants:
                         n_f += not hits_refs
                     else:
                         n_r += hits_refs
-                assert got.counts == (n_f, n_b, n_r)
+                assert counts(scores, k) == (n_f, n_b, n_r)
 
 
 class TestBatch:
     def test_row_order_and_threshold_cleaning(self):
         graph = small_graph(EXAMPLE_HIGH)
         scores = disruption_batch(graph, ["p4", "i"], ls=(5, 1, 3, 3))
-        keys = [(s.paper_id, s.partition.l) for s in map(scores.row, range(len(scores)))]
+        keys = list(zip(scores.ids, scores.l.tolist()))
         # input id order is preserved; thresholds are deduplicated and
         # sorted ascending
         assert keys == [("p4", 1), ("p4", 3), ("p4", 5),
@@ -410,7 +397,7 @@ class TestSparseKernelProperties:
 
 class TestScoreSerialization:
     def test_format_score(self):
-        assert format_score(None) == "NA"
+        assert format_score(float("nan")) == "NA"
         assert format_score(0.75) == "0.750000"
         assert format_score(-1) == "-1.000000"
 
@@ -422,7 +409,7 @@ class TestScoreSerialization:
         back = read_scores(path)
         assert back.ids == ("a", "a", "lone", "lone")
         assert back.l.tolist() == [1, 2, 1, 2]
-        assert (back.n_f[0], back.n_b[0], back.n_r[0]) == scores.row(0).partition.counts
+        assert counts(back) == counts(scores)
         assert np.isnan(back.d[2]) and np.isnan(back.d[3])
 
     def test_read_rejects_wrong_header(self, tmp_path):
@@ -469,23 +456,15 @@ class TestScoreSerialization:
             np.testing.assert_array_equal(getattr(table, name), getattr(back, name))
         np.testing.assert_allclose(table.d, back.d, atol=5e-7)  # 6 decimals on disk
 
-    def test_row_is_the_single_focal_score(self, tmp_path):
-        graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])
-        scores = disruption_batch(graph, ["i", "lone"], ls=(1, 3), mode="overlap")
-        assert len(scores) == 4
-        for k, (focal, l) in enumerate([("i", 1), ("i", 3), ("lone", 1), ("lone", 3)]):
-            assert scores.row(k) == disruption_score(graph, focal, l=l, mode="overlap")
-        path = tmp_path / "scores.csv"
-        write_scores(scores, path)
-        with pytest.raises(ValueError, match="no partition mode"):
-            read_scores(path).row(0)
-
     def test_tables_compare_by_value(self):
         graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])
         scores = disruption_batch(graph, ["i", "lone"], ls=(1, 2))
         assert scores == disruption_batch(graph, ["i", "lone"], ls=(1, 2))
-        assert scores != disruption_batch(graph, ["i", "lone"], ls=(1, 2), mode="overlap")
         assert scores != disruption_batch(graph, ["i", "p1"], ls=(1, 2))
+        # the two modes count differently on this graph, so their tables differ
+        graph = small_graph(MODES_DIFFER)
+        assert (disruption_batch(graph, ["i"], ls=(2,))
+                != disruption_batch(graph, ["i"], ls=(2,), mode="overlap"))
 
     def test_written_values_have_six_decimals(self, tmp_path):
         graph = small_graph(EXAMPLE_HIGH)
@@ -532,7 +511,7 @@ def score_tables(draw):
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(denom > 0, (n_f - n_b) / denom, np.nan)
     l = np.array(draw(st.lists(st.integers(1, 99), min_size=n, max_size=n)), dtype=np.int64)
-    return ScoreTable(ids=ids, l=l, n_f=n_f, n_b=n_b, n_r=n_r, d=d, mode="ref_indegree")
+    return ScoreTable(ids=ids, l=l, n_f=n_f, n_b=n_b, n_r=n_r, d=d)
 
 
 class TestScoreTableFile:

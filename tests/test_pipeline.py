@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -148,6 +149,8 @@ class TestConfig:
         ("year_min = 1985", "year_min 1985 outside the year groups [1991, 2020]"),
         ("year_max = 2025", "year_max 2025 outside the year groups [1991, 2020]"),
         ("model_thresholds =", "model_thresholds must be non-empty"),
+        ("n_jobs = 0", "n_jobs must be >= 1, got 0"),
+        ("n_jobs = -2", "n_jobs must be >= 1, got -2"),
         ("stub = false\nmax_in_flight = 0", "max_in_flight must be >= 1"),
         ("stub = false\nretries = -1", "retries must be >= 0"),
         ("stub = false\nbackoff_base = -1", "backoff_base must be >= 0"),
@@ -308,6 +311,18 @@ class TestFullRun:
         assert "OLS models of in-corpus citation counts" in report
         assert "OLS models of disruption scores" in report
 
+    def test_report_fails_when_the_allowlist_is_gone(self, tmp_path):
+        allowlist = tmp_path / "journals.txt"
+        allowlist.write_bytes((FIXTURES / "journals.txt").read_bytes())
+        config = fixture_config(tmp_path, allowlist=allowlist)
+        run_pipeline(config)
+        allowlist.unlink()
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["report"](config)
+        assert excinfo.value.stage == "report"
+        assert excinfo.value.message == f"allowlist file not found: {allowlist}"
+        assert (config.out_dir / "FAILED").read_text().startswith("report: allowlist")
+
     def test_missing_corpus_fails_before_any_stage(self, tmp_path):
         config = fixture_config(tmp_path, corpus=tmp_path / "nope.jsonl")
         with pytest.raises(StageError, match="stage 'ingest'"):
@@ -443,6 +458,25 @@ class TestStageSequencing:
             calls["parse_corpus"] = 0
             STAGE_FUNCTIONS[stage](config)
             assert calls["parse_corpus"] == 1, stage
+
+    def test_eligible_list_of_an_older_corpus_names_the_graph_stage(self, tmp_path, capsys):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        # a narrower allowlist drops papers that eligible.txt still names
+        allowlist = tmp_path / "three.txt"
+        journals = (FIXTURES / "journals.txt").read_text().splitlines(keepends=True)
+        allowlist.write_text("".join(journals[:3]))
+        conf = tmp_path / "three.conf"
+        conf.write_text((FIXTURES / "pipeline.conf").read_text()
+                        + f"corpus = {FIXTURES / 'corpus.jsonl'}\n"
+                        + f"allowlist = {allowlist}\nout_dir = {config.out_dir}\n")
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        assert cli.main(["classify", "--config", str(conf)]) == 1
+        marker = (config.out_dir / "FAILED").read_text()
+        message = marker.removeprefix("classify: ").rstrip("\n")
+        assert re.fullmatch(r"eligible\.txt names 'P\d{6}', which is not in corpus\.jsonl; "
+                            r"run stage 'graph' again", message), marker
+        assert f"error: stage 'classify': {message}" in capsys.readouterr().err
 
     def test_unexpected_exception_is_wrapped(self, tmp_path):
         bad_corpus = tmp_path / "broken.jsonl"
