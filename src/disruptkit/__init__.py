@@ -11,9 +11,8 @@ from .corpus import (
     filter_journals,
     parse_corpus,
     write_corpus,
-    year_group,
 )
-from .graph import CitationGraph, build_graph, citers, degree_stats, references_of
+from .graph import CitationGraph, build_graph, degree_stats
 from .disruption import disruption_batch
 from .oracle import CiterPartition, brute_force_partition
 from .classify import (
@@ -52,7 +51,6 @@ __all__ = [
     "brute_force_partition",
     "build_design_matrix",
     "build_graph",
-    "citers",
     "classify_batch",
     "degree_stats",
     "disruption_batch",
@@ -62,10 +60,8 @@ __all__ = [
     "ols_fit",
     "parse_corpus",
     "parse_response",
-    "references_of",
     "render_prompt",
     "stub_backend",
     "synth_corpus",
     "write_corpus",
-    "year_group",
 ]

@@ -498,18 +498,6 @@ class AgreementReport:
     gold_counts: dict[str, int] = field(default_factory=dict)
     correct_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def accuracy(self) -> dict[str, float]:
-        return {
-            label: self.correct_counts[label] / gold
-            for label, gold in self.gold_counts.items() if gold
-        }
-
-    @property
-    def overall_accuracy(self) -> float:
-        total = sum(self.gold_counts.values())
-        return sum(self.correct_counts.values()) / total if total else 0.0
-
     def percent(self, label: str) -> str:
         return format_percent(self.correct_counts.get(label, 0),
                               self.gold_counts.get(label, 0))

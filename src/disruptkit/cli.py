@@ -4,8 +4,12 @@
     disruptkit <stage>  --config pipeline.conf ...     one of the six stages
     disruptkit synth    --out corpus.jsonl --n-papers 5000 --seed 7 [--effect 1.0]
 
-Exit codes: 0 on success, 1 on a stage failure (the diagnostic names
-the stage), 2 on bad usage.
+``synth`` writes a gold-labeled corpus from the generator's fixed
+mixture (see disruptkit.synth); ``--effect`` is the planted conceptual
+boost and the only setting of the process itself.
+
+Exit codes: 0 on success, 1 on a failure (for a stage, the diagnostic
+names it), 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -59,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--effect", type=float, default=0.0,
                        help="planted conceptual citation/disruption boost (>= 0)")
-    synth.add_argument("--conceptual-frac", type=float, default=0.3)
-    synth.add_argument("--n-journals", type=int, default=8)
-    synth.add_argument("--extra-refs-mean", type=float, default=3.3)
-    synth.add_argument("--follow-prob", type=float, default=0.5)
-    synth.add_argument("--uniform-mix", type=float, default=0.25)
-    synth.add_argument("--recency-mix", type=float, default=0.65)
     return parser
 
 
@@ -74,20 +72,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "synth":
         try:
-            corpus = synth_corpus(
-                n_papers=args.n_papers,
-                seed=args.seed,
-                effect=args.effect,
-                conceptual_frac=args.conceptual_frac,
-                extra_refs_mean=args.extra_refs_mean,
-                follow_prob=args.follow_prob,
-                uniform_mix=args.uniform_mix,
-                recency_mix=args.recency_mix,
-                n_journals=args.n_journals,
-                path=args.out,
-            )
+            corpus = synth_corpus(args.n_papers, seed=args.seed, effect=args.effect,
+                                  path=args.out)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
         print(f"wrote {len(corpus)} papers to {args.out}")
         return 0

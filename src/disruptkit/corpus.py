@@ -415,22 +415,10 @@ class YearGroup(enum.IntEnum):
         return f"{self.start}-{self.end}"
 
 
-def year_group(year: int) -> YearGroup:
-    """Map a publication year to its five-year cohort."""
-    first, last = min(YearGroup).start, max(YearGroup).end
-    if not first <= year <= last:
-        raise ValueError(f"year {year} outside [{first}, {last}]")
-    return YearGroup(first + ((year - first) // 5) * 5)
-
-
-def abstract_length(text: str) -> int:
-    """Character count of the abstract, whitespace included, after
-    normalizing CRLF/CR line endings to single characters."""
-    return int(abstract_lengths([text])[0])
-
-
 def abstract_lengths(texts: Sequence[str]) -> np.ndarray:
-    """abstract_length of each text, as an int64 array."""
+    """Character count of each abstract, whitespace included, after
+    normalizing CRLF/CR line endings to single characters, as an int64
+    array."""
     chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     # Each CRLF pair counts once. Counting pairs is several times slower
     # than finding no "\r", so only texts holding one are counted.

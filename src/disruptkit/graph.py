@@ -133,18 +133,6 @@ def build_graph(corpus: Corpus) -> CitationGraph:
                    journal=corpus.journal, gold_label=corpus.gold_label)
 
 
-def citers(graph: CitationGraph, paper_id: str) -> list[str]:
-    """Ids of papers citing the given paper, ascending."""
-    idx = graph.index[paper_id]
-    return [graph.ids[int(j)] for j in graph.citer_row(idx)]
-
-
-def references_of(graph: CitationGraph, paper_id: str) -> list[str]:
-    """Ids of in-corpus papers the given paper references, ascending."""
-    idx = graph.index[paper_id]
-    return [graph.ids[int(j)] for j in graph.reference_row(idx)]
-
-
 def degree_stats(graph: CitationGraph) -> dict:
     """Summary counts used by reports and sanity checks."""
     n = graph.n_nodes
@@ -155,7 +143,6 @@ def degree_stats(graph: CitationGraph) -> dict:
         "max_out_deg": int(graph.out_deg.max()) if n else 0,
         "mean_in_deg": float(graph.in_deg.mean()) if n else 0.0,
         "mean_out_deg": float(graph.out_deg.mean()) if n else 0.0,
-        "n_isolated": int(np.sum((graph.in_deg == 0) & (graph.out_deg == 0))) if n else 0,
     }
 
 

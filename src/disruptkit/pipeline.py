@@ -51,8 +51,8 @@ from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disr
                          read_scores, write_scores)
 from .graph import (GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph,
                     save_graph)
-from .regress import (Observations, emit_table, fit_model, layout_for,
-                      standard_model_specs, write_results_csv)
+from .regress import (Observations, emit_table, fit_model, standard_model_specs,
+                      write_results_csv)
 
 STAGES = ("ingest", "graph", "classify", "disrupt", "regress", "report")
 
@@ -126,8 +126,6 @@ class PipelineConfig:
             self.allowlist = Path(self.allowlist)
         if self.cache is not None:
             self.cache = Path(self.cache)
-        if not self.thresholds:
-            raise ValueError("thresholds must be non-empty")
         # What disrupt, graph and regress would reject, rejected before any
         # stage runs (classify may make billable requests).
         _validate_scoring(self.thresholds, self.mode, self.n_jobs)
@@ -185,25 +183,30 @@ class PipelineConfig:
         return out
 
 
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
 def _coerce(name: str, text: str, target_type) -> object:
     text = text.strip()
     if target_type is Path:
         return Path(text)
-    if target_type is bool:
-        lowered = text.lower()
-        if lowered in _BOOL_TRUE:
-            return True
-        if lowered in _BOOL_FALSE:
-            return False
-        raise ValueError(f"config key {name!r}: expected a boolean, got {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
     if target_type is str:
         return text
-    # remaining fields are integer tuples given as comma-separated lists
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        if target_type is bool:
+            lowered = text.lower()
+            if lowered in _BOOL_TRUE:
+                return True
+            if lowered in _BOOL_FALSE:
+                return False
+            raise ValueError
+        if target_type in (int, float):
+            return target_type(text)
+        # remaining fields are integer tuples given as comma-separated lists
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        expected = _EXPECTED.get(target_type, "comma-separated integers")
+        raise ValueError(f"config key {name!r}: expected {expected}, got {text!r}") from None
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
@@ -226,7 +229,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             key = key.strip()
             if key not in type_map:
                 raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, value, type_map[key])
+            try:
+                values[key] = _coerce(key, value, type_map[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if overrides:
         values.update(overrides)
     return PipelineConfig(**values)
@@ -277,17 +283,28 @@ def _require(config: PipelineConfig, stage: str, filename: str) -> Path:
     return path
 
 
+def _mark_failed(marker: Path, stage: str, message: str) -> None:
+    try:
+        marker.write_text(f"{stage}: {message}\n", encoding="utf-8")
+    except OSError:
+        pass  # the stage's own error is the one to report, marker or not
+
+
 def _run_stage(name: str, config: PipelineConfig,
                body: Callable[[], list[Path]]) -> list[Path]:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StageError(name, f"cannot create output directory {config.out_dir}: "
+                               f"{exc.strerror or exc}") from exc
     marker = config.out_dir / FAILED_MARKER
     try:
         artifacts = body()
     except StageError as exc:
-        marker.write_text(f"{exc.stage}: {exc.message}\n", encoding="utf-8")
+        _mark_failed(marker, exc.stage, exc.message)
         raise
     except Exception as exc:
-        marker.write_text(f"{name}: {exc}\n", encoding="utf-8")
+        _mark_failed(marker, name, str(exc))
         raise StageError(name, str(exc)) from exc
     if marker.exists():
         marker.unlink()
@@ -549,18 +566,11 @@ def stage_regress(config: PipelineConfig) -> list[Path]:
         write_results_csv(results, csv_path)
         cit_path = config.out_dir / "citations_models.txt"
         with atomic_write(cit_path) as fh:
-            fh.write(emit_table(
-                citation_results,
-                layout_for(citation_results,
-                           "OLS models of in-corpus citation counts", decimals=3),
-            ))
+            fh.write(emit_table(citation_results,
+                                "OLS models of in-corpus citation counts", decimals=3))
         d_path = config.out_dir / "disruption_models.txt"
         with atomic_write(d_path) as fh:
-            fh.write(emit_table(
-                d_results,
-                layout_for(d_results,
-                           "OLS models of disruption scores", decimals=4),
-            ))
+            fh.write(emit_table(d_results, "OLS models of disruption scores", decimals=4))
         _update_manifest(config, {}, [csv_path, cit_path, d_path])
         return [csv_path, cit_path, d_path]
 
@@ -646,13 +656,8 @@ STAGE_FUNCTIONS: dict[str, Callable[..., list[Path]]] = {
 
 
 def run_pipeline(config: PipelineConfig) -> list[Path]:
-    """All six stages in order. Input paths are checked up front;
-    artifacts land in config.out_dir; the manifest is refreshed by each
-    stage as it completes."""
-    if not config.corpus.exists():
-        raise StageError("ingest", f"corpus file not found: {config.corpus}")
-    if config.allowlist is not None and not config.allowlist.exists():
-        raise StageError("ingest", f"allowlist file not found: {config.allowlist}")
+    """All six stages in order. Artifacts land in config.out_dir; the
+    manifest is refreshed by each stage as it completes."""
     artifacts: list[Path] = []
     # ingest leaves its records here so that graph and classify need not
     # parse corpus.jsonl again; they are dropped before disrupt starts.

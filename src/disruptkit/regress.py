@@ -279,49 +279,24 @@ def format_p(p: float) -> str:
     return f"{p:.3f}"[1:]
 
 
-@dataclass(frozen=True)
-class TableLayout:
-    """Row order and precision for a side-by-side model table."""
-
-    title: str
-    terms: tuple[str, ...]
-    decimals: int = 3
-
-
-def layout_for(results: Sequence[RegressionResult], title: str,
-               decimals: int = 3) -> TableLayout:
-    """Union of term names across models, in first-seen order."""
-    terms: list[str] = []
-    for res in results:
-        for name in res.names:
-            if name not in terms:
-                terms.append(name)
-    return TableLayout(title=title, terms=tuple(terms), decimals=decimals)
-
-
-def emit_table(results: Sequence[RegressionResult], layout: TableLayout) -> str:
-    """Plain-text table: one term per row, per model a coefficient cell
+def emit_table(results: Sequence[RegressionResult], title: str, decimals: int = 3) -> str:
+    """Plain-text table: one row per term, taking the union of the
+    models' terms in first-seen order; per model a coefficient cell
     with the SE in parentheses plus a p column, then observation count
     and adjusted R-squared footers."""
     if not results:
         raise ValueError("no results to render")
-    for res in results:
-        extra = [name for name in res.names if name not in layout.terms]
-        if extra:
-            raise ValueError(
-                f"model {res.model!r} has term(s) {extra} outside the layout"
-            )
-    dec = layout.decimals
+    terms = list(dict.fromkeys(name for res in results for name in res.names))
     header = ["Term"]
     for res in results:
         header.extend([res.model or "model", "p"])
     table_rows: list[list[str]] = []
-    for term in layout.terms:
+    for term in terms:
         row = [term]
         for res in results:
             if term in res.names:
                 coef, se, _, p = res.term(term)
-                row.extend([f"{coef:.{dec}f} ({se:.{dec}f})", format_p(p)])
+                row.extend([f"{coef:.{decimals}f} ({se:.{decimals}f})", format_p(p)])
             else:
                 row.extend(["", ""])
         table_rows.append(row)
@@ -329,7 +304,7 @@ def emit_table(results: Sequence[RegressionResult], layout: TableLayout) -> str:
     adj_row = ["Adjusted R-squared"]
     for res in results:
         obs_row.extend([str(res.n_obs), ""])
-        adj_row.extend([f"{res.adj_r_squared:.{dec}f}", ""])
+        adj_row.extend([f"{res.adj_r_squared:.{decimals}f}", ""])
     table_rows.extend([obs_row, adj_row])
 
     widths = [len(h) for h in header]
@@ -340,7 +315,7 @@ def emit_table(results: Sequence[RegressionResult], layout: TableLayout) -> str:
     def fmt(row: list[str]) -> str:
         return "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
 
-    lines = [layout.title, ""]
+    lines = [title, ""]
     lines.append(fmt(header))
     lines.append("-" * len(lines[-1]))
     lines.extend(fmt(row) for row in table_rows)

@@ -1,12 +1,12 @@
 """Synthetic citation corpora with known ground truth.
 
 Papers are generated in chronological order and cite only earlier
-papers. Reference targets are drawn from a mixture: mostly
-preferential attachment (a pool holding one entry per paper plus one
-per citation received), with smaller uniform and recent-window shares
-so young papers also accumulate citations the way they do in real
-bibliographies. Two planted mechanisms are controlled by a single
-``effect`` knob:
+papers. Reference targets are drawn from a fixed mixture of uniform
+draws over all earlier papers, draws from a recent window, so young
+papers also accumulate citations the way they do in real
+bibliographies, and preferential attachment (a pool holding one entry
+per paper plus one per citation received). Two planted mechanisms are
+controlled by a single ``effect`` knob:
 
 * citation boost: during reference selection, a drawn empirical paper
   is accepted with probability 1/(1+effect), so conceptual papers
@@ -33,6 +33,14 @@ from .corpus import Corpus, EligibilityCriteria, id_order, write_corpus
 from .graph import CitationGraph, from_edge_arrays
 
 _BLOCK = 1 << 16
+
+# The generator's fixed mixture; only ``effect`` varies between corpora.
+_CONCEPTUAL_FRAC = 0.3  # share of papers with a conceptual gold label
+_EXTRA_REFS_MEAN = 3.3  # each paper wants 11 + Poisson(this) references
+_FOLLOW_PROB = 0.5  # chance of also citing one of an anchor's references
+_UNIFORM_MIX = 0.25  # share of draws uniform over all earlier papers
+_RECENCY_MIX = 0.65  # share from the recent window; the rest preferential
+_N_JOURNALS = 8
 
 _TOPICS = (
     "consumer trust", "brand communities", "market orientation",
@@ -94,17 +102,14 @@ def _generate_references(
     want_refs: np.ndarray,
     is_conceptual: np.ndarray,
     effect: float,
-    follow_prob: float,
-    uniform_mix: float = 0.25,
-    recency_mix: float = 0.65,
 ) -> list[list[int]]:
     """Reference lists per paper, chronological, mixed attachment with
     the two planted mechanisms described in the module docstring."""
     refs_by_paper: list[list[int]] = []
     pool: list[int] = []
     accept_empirical = 1.0 / (1.0 + effect)
-    follow_reduced = follow_prob / (1.0 + effect)
-    recency_cut = uniform_mix + recency_mix
+    follow_reduced = _FOLLOW_PROB / (1.0 + effect)
+    recency_cut = _UNIFORM_MIX + _RECENCY_MIX
     for i in range(n):
         want = min(int(want_refs[i]), i)
         refs: list[int] = []
@@ -119,7 +124,7 @@ def _generate_references(
         while len(refs) < want and attempts < hard_cap:
             attempts += 1
             branch = stream.next()
-            if branch < uniform_mix:
+            if branch < _UNIFORM_MIX:
                 r = stream.pick(i)
             elif branch < recency_cut:
                 r = i - window + stream.pick(window)
@@ -135,7 +140,7 @@ def _generate_references(
             pool.append(r)
             anchor_refs = refs_by_paper[r]
             if anchor_refs and len(refs) < want:
-                p_follow = follow_reduced if is_conceptual[r] else follow_prob
+                p_follow = follow_reduced if is_conceptual[r] else _FOLLOW_PROB
                 if stream.next() < p_follow:
                     x = anchor_refs[stream.pick(len(anchor_refs))]
                     if x not in chosen:
@@ -179,50 +184,29 @@ def synth_corpus(
     n_papers: int,
     seed: int,
     effect: float = 0.0,
-    conceptual_frac: float = 0.3,
-    extra_refs_mean: float = 3.3,
-    follow_prob: float = 0.5,
-    uniform_mix: float = 0.25,
-    recency_mix: float = 0.65,
-    n_journals: int = 8,
-    year_min: int = 1991,
-    year_max: int = 2020,
     path: str | Path | None = None,
 ) -> Corpus:
     """Generate a gold-labeled corpus; optionally write it to ``path``.
 
-    Deterministic for a given parameter set: the same seed always
+    Publication years spread evenly over the eligibility window.
+    Deterministic for a given seed and effect: the same pair always
     yields byte-identical files.
     """
     if n_papers < 10:
         raise ValueError(f"n_papers must be >= 10, got {n_papers}")
     if effect < 0:
         raise ValueError(f"effect must be >= 0, got {effect}")
-    if not (0.0 <= conceptual_frac <= 1.0):
-        raise ValueError(f"conceptual_frac must be in [0, 1], got {conceptual_frac}")
-    if not (0.0 <= follow_prob <= 1.0):
-        raise ValueError(f"follow_prob must be in [0, 1], got {follow_prob}")
-    if uniform_mix < 0 or recency_mix < 0 or uniform_mix + recency_mix > 1.0:
-        raise ValueError("uniform_mix and recency_mix must be >= 0 and sum to <= 1")
-    if extra_refs_mean < 0:
-        raise ValueError(f"extra_refs_mean must be >= 0, got {extra_refs_mean}")
-    if n_journals < 1:
-        raise ValueError(f"n_journals must be >= 1, got {n_journals}")
-    if year_min > year_max:
-        raise ValueError("year_min must be <= year_max")
 
     rng = np.random.default_rng(seed)
-    is_conceptual = rng.random(n_papers) < conceptual_frac
-    want_refs = 11 + rng.poisson(extra_refs_mean, size=n_papers)
+    is_conceptual = rng.random(n_papers) < _CONCEPTUAL_FRAC
+    want_refs = 11 + rng.poisson(_EXTRA_REFS_MEAN, size=n_papers)
     n_authors = 1 + rng.poisson(2.0, size=n_papers)
     stream = _FloatStream(rng)
-    refs_by_paper = _generate_references(
-        n_papers, stream, want_refs, is_conceptual, effect, follow_prob,
-        uniform_mix=uniform_mix, recency_mix=recency_mix,
-    )
+    refs_by_paper = _generate_references(n_papers, stream, want_refs, is_conceptual, effect)
 
-    span = year_max - year_min + 1
-    journals = [f"Synthetic Journal {k:02d}" for k in range(n_journals)]
+    year_min = EligibilityCriteria.year_min
+    span = EligibilityCriteria.year_max - year_min + 1
+    journals = [f"Synthetic Journal {k:02d}" for k in range(_N_JOURNALS)]
     titles: list[str] = []
     abstracts: list[str] = []
     for i, conceptual in enumerate(is_conceptual.tolist()):
@@ -238,7 +222,7 @@ def synth_corpus(
         ids=ids,
         title=tuple(titles),
         abstract=tuple(abstracts),
-        journal=tuple(journals[i % n_journals] for i in range(n_papers)),
+        journal=tuple(journals[i % _N_JOURNALS] for i in range(n_papers)),
         gold_label=tuple("conceptual" if c else "empirical" for c in is_conceptual.tolist()),
         year=year_min + (np.arange(n_papers, dtype=np.int64) * span) // n_papers,
         n_authors=n_authors.astype(np.int64),
@@ -254,30 +238,16 @@ def synth_corpus(
     return corpus
 
 
-def synth_graph(
-    n_nodes: int,
-    seed: int,
-    extra_refs_mean: float = 3.3,
-    follow_prob: float = 0.5,
-    uniform_mix: float = 0.25,
-    recency_mix: float = 0.65,
-) -> CitationGraph:
+def synth_graph(n_nodes: int, seed: int) -> CitationGraph:
     """Topology-only variant for scale tests and benchmarks: the same
     attachment process with no labels, no planted effect, and no text."""
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
-    if not (0.0 <= follow_prob <= 1.0):
-        raise ValueError(f"follow_prob must be in [0, 1], got {follow_prob}")
-    if uniform_mix < 0 or recency_mix < 0 or uniform_mix + recency_mix > 1.0:
-        raise ValueError("uniform_mix and recency_mix must be >= 0 and sum to <= 1")
     rng = np.random.default_rng(seed)
     is_conceptual = np.zeros(n_nodes, dtype=bool)
-    want_refs = 11 + rng.poisson(extra_refs_mean, size=n_nodes)
+    want_refs = 11 + rng.poisson(_EXTRA_REFS_MEAN, size=n_nodes)
     stream = _FloatStream(rng)
-    refs_by_paper = _generate_references(
-        n_nodes, stream, want_refs, is_conceptual, 0.0, follow_prob,
-        uniform_mix=uniform_mix, recency_mix=recency_mix,
-    )
+    refs_by_paper = _generate_references(n_nodes, stream, want_refs, is_conceptual, 0.0)
     offsets, src = _flatten(refs_by_paper)
     dst = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(offsets))
     ids = tuple(_paper_id(i) for i in range(n_nodes))

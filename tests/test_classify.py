@@ -346,7 +346,7 @@ class TestStubBackend:
         results = classify_batch(corpus, backend=stub_backend)
         report = agreement_report(results.by_id(),
                                   dict(zip(corpus.ids, corpus.gold_label)))
-        assert report.overall_accuracy == 1.0
+        assert report.correct_counts == report.gold_counts
 
 
 def two_pass_cue_score(text, cues):
@@ -763,8 +763,6 @@ class TestAgreement:
         assert report.percent("conceptual") == "92.9%"
         assert report.percent("empirical") == "90.7%"
         assert report.overall_percent() == "90.9%"
-        assert report.accuracy["conceptual"] == pytest.approx(26 / 28)
-        assert report.overall_accuracy == pytest.approx(220 / 242)
 
     def test_agreement_matching_is_case_insensitive(self):
         gold = {"a": "conceptual", "b": "empirical"}

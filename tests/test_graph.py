@@ -8,11 +8,9 @@ from disruptkit.corpus import EligibilityCriteria, eligible_ids, parse_corpus
 from disruptkit.graph import (
     GRAPH_FILES,
     build_graph,
-    citers,
     degree_stats,
     from_edge_arrays,
     load_graph,
-    references_of,
     save_graph,
 )
 
@@ -24,7 +22,6 @@ def mk(paper_id, refs=()):
 
 def corpus_of(*records):
     return parse_corpus(json.dumps(r) + "\n" for r in records)
-
 
 @pytest.fixture
 def diamond():
@@ -44,10 +41,11 @@ class TestBuildGraph:
 
     def test_edge_direction_and_degrees(self, diamond):
         # edges point referenced -> citing
-        assert citers(diamond, "a") == ["b", "c"]
-        assert citers(diamond, "d") == []
-        assert references_of(diamond, "d") == ["b", "c"]
-        assert references_of(diamond, "a") == []
+        a, d = diamond.index["a"], diamond.index["d"]
+        assert diamond.citer_row(a).tolist() == [1, 2]  # b and c
+        assert diamond.citer_row(d).tolist() == []
+        assert diamond.reference_row(d).tolist() == [1, 2]
+        assert diamond.reference_row(a).tolist() == []
         assert diamond.in_deg.tolist() == [2, 1, 1, 0]
         assert diamond.out_deg.tolist() == [0, 1, 1, 2]
         assert diamond.n_nodes == 4 and diamond.n_edges == 4
@@ -55,7 +53,7 @@ class TestBuildGraph:
     def test_out_of_corpus_references_are_ignored(self):
         graph = build_graph(corpus_of(mk("a", refs=("a-missing", "b")), mk("b")))
         assert graph.n_edges == 1
-        assert references_of(graph, "a") == ["b"]
+        assert graph.reference_row(graph.index["a"]).tolist() == [graph.index["b"]]
 
     def test_insertion_order_does_not_matter(self):
         records = [mk("a"), mk("b", refs=("a",)), mk("c", refs=("a", "b"))]
@@ -69,7 +67,8 @@ class TestBuildGraph:
         graph = build_graph(corpus_of(
             mk("a"), mk("z", refs=("a",)), mk("m", refs=("a",)), mk("b", refs=("a",)),
         ))
-        assert citers(graph, "a") == ["b", "m", "z"]
+        assert graph.ids == ("a", "b", "m", "z")
+        assert graph.citer_row(graph.index["a"]).tolist() == [1, 2, 3]
 
     def test_empty_corpus(self):
         graph = build_graph(corpus_of())
@@ -110,14 +109,6 @@ class TestFromEdgeArrays:
             from_edge_arrays(("a", "b"), np.array([0]), np.array([1, 0]))
 
 
-class TestLookups:
-    def test_unknown_id_raises(self, diamond):
-        with pytest.raises(KeyError):
-            citers(diamond, "nope")
-        with pytest.raises(KeyError):
-            references_of(diamond, "nope")
-
-
 class TestDegreeStats:
     def test_counts(self, diamond):
         stats = degree_stats(diamond)
@@ -126,11 +117,13 @@ class TestDegreeStats:
         assert stats["max_in_deg"] == 2
         assert stats["max_out_deg"] == 2
         assert stats["mean_in_deg"] == pytest.approx(1.0)
-        assert stats["n_isolated"] == 0
 
     def test_isolated_nodes(self):
+        # a record with no in-corpus links is still a node
         graph = build_graph(corpus_of(mk("a"), mk("b", refs=("a",)), mk("lone")))
-        assert degree_stats(graph)["n_isolated"] == 1
+        stats = degree_stats(graph)
+        assert (stats["n_nodes"], stats["n_edges"]) == (3, 1)
+        assert (graph.in_deg[2], graph.out_deg[2]) == (0, 0)
 
 
 class TestGraphFiles:
@@ -160,8 +153,8 @@ class TestGraphFiles:
         save_graph(build_graph(corpus_of(*records)), tmp_path)
         graph = load_graph(tmp_path)
         assert graph.ids == ("a", "a\x00", "\u00fc\U0001f600")
-        assert citers(graph, "a\x00") == ["a"]
-        assert citers(graph, "a") == ["\u00fc\U0001f600"]
+        assert graph.citer_row(graph.index["a\x00"]).tolist() == [graph.index["a"]]
+        assert graph.citer_row(graph.index["a"]).tolist() == [graph.index["\u00fc\U0001f600"]]
         by_id = {pid: i for i, pid in enumerate(graph.ids)}
         for rec in records:
             i = by_id[rec["id"]]

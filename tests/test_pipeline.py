@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.classify import LABELS, SOURCES, LabelTable
-from disruptkit.corpus import EligibilityCriteria, parse_corpus, year_group
+from disruptkit.corpus import EligibilityCriteria, parse_corpus
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
 from disruptkit.graph import build_graph
@@ -157,10 +157,20 @@ class TestConfig:
         ("stub = false\ntimeout = -1", "timeout must be > 0"),
         ("stub = false\ntimeout = 0", "timeout must be > 0"),
         ("stub = false\ntimeout = nan", "timeout must be > 0"),
+        # values that do not parse name the file and the line
+        ("n_jobs = x", "{path}: line {line}: config key 'n_jobs': expected an integer, got 'x'"),
+        ("thresholds = 1,a",
+         "{path}: line {line}: config key 'thresholds': expected comma-separated integers, "
+         "got '1,a'"),
+        ("backoff_base = fast",
+         "{path}: line {line}: config key 'backoff_base': expected a number, got 'fast'"),
+        ("stub = maybe", "{path}: line {line}: config key 'stub': expected a boolean, got 'maybe'"),
     ])
     def test_values_a_stage_would_reject_fail_at_load(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.conf"
-        path.write_text((FIXTURES / "pipeline.conf").read_text() + line + "\n")
+        text = (FIXTURES / "pipeline.conf").read_text() + line + "\n"
+        path.write_text(text)
+        message = message.format(path=path, line=len(text.splitlines()))
         with pytest.raises(ValueError) as excinfo:
             load_config(path)
         assert str(excinfo.value) == message
@@ -324,9 +334,25 @@ class TestFullRun:
         assert (config.out_dir / "FAILED").read_text().startswith("report: allowlist")
 
     def test_missing_corpus_fails_before_any_stage(self, tmp_path):
+        # run fails in ingest exactly as the stage run alone does
         config = fixture_config(tmp_path, corpus=tmp_path / "nope.jsonl")
-        with pytest.raises(StageError, match="stage 'ingest'"):
+        outcomes = []
+        for run in (run_pipeline, stage_ingest):
+            with pytest.raises(StageError) as excinfo:
+                run(config)
+            outcomes.append((str(excinfo.value), (config.out_dir / "FAILED").read_text()))
+        assert outcomes[0] == outcomes[1] == (
+            f"stage 'ingest': corpus file not found: {config.corpus}",
+            f"ingest: corpus file not found: {config.corpus}\n")
+        assert not (config.out_dir / "corpus.jsonl").exists()
+
+    def test_missing_allowlist_fails_in_ingest(self, tmp_path):
+        config = fixture_config(tmp_path, allowlist=tmp_path / "nope.txt")
+        with pytest.raises(StageError) as excinfo:
             run_pipeline(config)
+        message = f"allowlist file not found: {config.allowlist}"
+        assert str(excinfo.value) == f"stage 'ingest': {message}"
+        assert (config.out_dir / "FAILED").read_text() == f"ingest: {message}\n"
 
 
 class TestManifest:
@@ -415,6 +441,12 @@ class TestStageSequencing:
         stage_ingest(config)
         stage_graph(config)
         assert not marker.exists()
+
+    def test_marker_that_cannot_be_written_keeps_the_stage_error(self, tmp_path):
+        config = fixture_config(tmp_path)
+        (config.out_dir / "FAILED").mkdir(parents=True)
+        with pytest.raises(StageError, match="run stage 'ingest' first"):
+            stage_graph(config)
 
     def test_each_later_stage_requires_its_inputs(self, tmp_path):
         config = fixture_config(tmp_path)
@@ -696,7 +728,7 @@ class TestObservationRows:
             idx = graph.index[pid]
             assert obs.y_citations[k] == int(graph.in_deg[idx])
             assert set(obs.y_d) == {1, 2}
-            assert year_group(int(obs.year[k])) == year_group(int(corpus.year[idx]))
+            assert obs.year[k] == corpus.year[idx]
             assert obs.n_authors[k] == corpus.n_authors[idx]
 
     def test_unclassified_papers_are_skipped(self):
@@ -848,6 +880,25 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "wrote 50 papers" in capsys.readouterr().out
+
+    def test_synth_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        code = cli.main(["synth", "--out", str(out), "--n-papers", "50", "--seed", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert ".tmp" not in err
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        out_file = tmp_path / "outfile"
+        out_file.write_text("")
+        code = cli.main(["run", "--config", str(FIXTURES / "pipeline.conf"),
+                         "--out-dir", str(out_file)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'ingest': cannot create output directory {out_file}: "
+            "File exists\n")
 
     def test_synth_rejects_bad_parameters(self, tmp_path, capsys):
         code = cli.main(["synth", "--out", str(tmp_path / "c.jsonl"),

@@ -17,12 +17,10 @@ from disruptkit.regress import (
     ModelSpec,
     Observations,
     RegressionResult,
-    TableLayout,
     build_design_matrix,
     emit_table,
     fit_model,
     format_p,
-    layout_for,
     ols_fit,
     standard_model_specs,
     two_sided_p,
@@ -390,13 +388,14 @@ class TestRendering:
         rows = synthetic_rows(120, seed=8)
         specs = standard_model_specs((2, 3, 5))[:3]
         results = [fit_model(table(rows), spec) for spec in specs]
-        layout = layout_for(results, title="Citations", decimals=3)
-        assert layout.terms[0] == "intercept"
-        assert layout.terms[-2:] == ("n_authors", "conceptual")
-        text = emit_table(results, layout)
+        text = emit_table(results, "Citations", decimals=3)
         lines = text.splitlines()
         assert lines[0] == "Citations"
         assert lines[2].startswith("Term")
+        # the union of the models' terms, in first-seen order
+        terms = [l.split()[0] for l in lines[4:-2]]
+        assert terms == ["intercept", *(g.label for g in DUMMY_GROUPS),
+                         "n_authors", "conceptual"]
         for name in ("citations-1", "citations-2", "citations-3"):
             assert name in lines[2]
         assert any(l.startswith("Observations") for l in lines)
@@ -405,13 +404,6 @@ class TestRendering:
         # conceptual row has exactly one coefficient (model 3)
         conceptual_line = next(l for l in lines if l.startswith("conceptual"))
         assert conceptual_line.count("(") == 1
-
-    def test_table_rejects_terms_outside_layout(self):
-        rows = synthetic_rows(60, seed=9)
-        result = fit_model(table(rows), standard_model_specs((2, 3, 5))[2])
-        layout = TableLayout(title="t", terms=("intercept",))
-        with pytest.raises(ValueError, match="outside the layout"):
-            emit_table([result], layout)
 
     def test_results_csv(self, tmp_path):
         rows = synthetic_rows(60, seed=10)
