@@ -9,7 +9,7 @@ mixture (see disruptkit.synth); ``--effect`` is the planted conceptual
 boost and the only setting of the process itself.
 
 Exit codes: 0 on success, 1 on a failure (for a stage, the diagnostic
-names it), 2 on bad usage.
+names it), 2 on bad usage, 130 when Ctrl-C interrupts a stage.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print(f"error: {str(exc) or 'interrupted'}", file=sys.stderr)
+        return 130
     for path in artifacts:
         print(path)
     return 0

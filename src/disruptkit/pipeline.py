@@ -12,24 +12,28 @@ full pipeline is nothing more than the six stages in order:
     regress  regression.csv citations_models.txt disruption_models.txt
     report   report.txt            combined human-readable summary
 
-Only ingest, graph and classify (which needs titles and abstracts)
-read corpus records; disrupt, regress and report load the graph arrays
-(see graph.GRAPH_FILES) instead. Run alone, graph and classify parse
-corpus.jsonl; under ``run`` only ingest parses the corpus, and it hands
-the filtered records to graph and classify in memory.
+STAGE_TABLE states what each stage reads and writes and which config
+keys change its output. Only ingest, graph and classify read corpus
+records: under ``run`` ingest's records stay in memory for graph and
+classify, and run alone they parse corpus.jsonl. disrupt, regress and
+report load the graph arrays (see graph.GRAPH_FILES) instead.
 
-A manifest.json accumulates input hashes, the config, library
-versions, and artifact hashes; it carries no clock data, so a rerun
-with identical inputs and the offline classifier stub is byte-
-identical. A failing stage leaves partial outputs in place plus a
-FAILED marker naming the stage and cause.
+manifest.json holds, per finished stage, the sha256 of its inputs, its
+config values and the sha256 of what it wrote. From it alone, a stage
+refuses inputs whose lineage no longer matches the files upstream or the
+config, naming the most upstream stage to run again. It carries no
+clock data, so a rerun with identical inputs and the offline classifier
+stub is byte-identical. A failing stage leaves partial outputs in place,
+unrecorded, plus a FAILED marker naming the stage and cause.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import platform
 import types
@@ -45,33 +49,47 @@ from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache,
                        agreement_report, check_backend_limits, check_choice, classify_batch,
                        stub_backend)
-from .corpus import (Corpus, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
+from .corpus import (EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
                      filter_journals, parse_corpus, read_allowlist, write_corpus)
 from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disruption_batch,
                          read_scores, write_scores)
-from .graph import (GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph,
-                    save_graph)
+from .graph import GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph, save_graph
 from .regress import (Observations, emit_table, fit_model, standard_model_specs,
                       write_results_csv)
 
-STAGES = ("ingest", "graph", "classify", "disrupt", "regress", "report")
 
-# The stages that read corpus records and take run_pipeline's hand-off.
-CORPUS_STAGES = ("ingest", "graph", "classify")
+@dataclass(frozen=True)
+class StageSpec:
+    """Artifacts read and written in out_dir, the config keys that change
+    the output, and the path keys of files read from outside out_dir."""
 
-# Which stage produces each artifact; used to name the needed stage
-# when a prerequisite file is missing.
-ARTIFACT_STAGE = {
-    "corpus.jsonl": "ingest",
-    **{name: "graph" for name in GRAPH_FILES},
-    "eligible.txt": "graph",
-    "classifications.csv": "classify",
-    "disruption.csv": "disrupt",
-    "regression.csv": "regress",
-    "citations_models.txt": "regress",
-    "disruption_models.txt": "regress",
-    "report.txt": "report",
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    keys: tuple[str, ...] = ()
+    sources: tuple[str, ...] = ()
+
+
+# Paths, endpoint, n_jobs and the HTTP client's limits change no output.
+STAGE_TABLE = {
+    "ingest": StageSpec((), ("corpus.jsonl",), sources=("corpus", "allowlist")),
+    "graph": StageSpec(("corpus.jsonl",), (*GRAPH_FILES, "eligible.txt"),
+                       keys=("min_out_links", "min_in_links", "year_min", "year_max",
+                             "min_abstract_chars")),
+    "classify": StageSpec(("corpus.jsonl", "eligible.txt"), ("classifications.csv",),
+                          keys=("stub", "model")),
+    "disrupt": StageSpec(("eligible.txt", *GRAPH_FILES), ("disruption.csv",),
+                         keys=("mode", "thresholds")),
+    "regress": StageSpec(("eligible.txt", "classifications.csv", "disruption.csv", *GRAPH_FILES),
+                         ("regression.csv", "citations_models.txt", "disruption_models.txt"),
+                         keys=("model_thresholds",)),
+    "report": StageSpec(("eligible.txt", "classifications.csv", "citations_models.txt",
+                         "disruption_models.txt", *GRAPH_FILES), ("report.txt",),
+                        sources=("allowlist",)),
 }
+
+STAGES = tuple(STAGE_TABLE)
+
+_PRODUCER = {name: stage for stage, spec in STAGE_TABLE.items() for name in spec.writes}
 
 FAILED_MARKER = "FAILED"
 
@@ -218,21 +236,28 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     type_map = {name: get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
                 for name, hint in get_type_hints(PipelineConfig).items()}
     values: dict = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in type_map:
-                raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _coerce(key, value, type_map[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(exc.object[:exc.start].decode("utf-8") + "-", newline=None)
+        raise ValueError(f"{path}: line {len(before.readlines())}: not UTF-8 "
+                         f"(byte {exc.object[exc.start]:#04x})") from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in type_map:
+            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _coerce(key, value, type_map[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if overrides:
         values.update(overrides)
     return PipelineConfig(**values)
@@ -255,32 +280,52 @@ def _versions() -> dict:
     }
 
 
-def _update_manifest(config: PipelineConfig, inputs: dict[str, Path],
-                     artifacts: list[Path]) -> None:
-    path = config.out_dir / "manifest.json"
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        data = {"inputs": {}, "artifacts": {}}
-    data["config"] = config.as_dict()
-    data["versions"] = _versions()
-    for name, p in inputs.items():
-        data["inputs"][name] = _sha256_file(p)
-    for p in artifacts:
-        data["artifacts"][p.name] = _sha256_file(p)
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _write_manifest(config: PipelineConfig, stages: dict) -> None:
+    with atomic_write(config.out_dir / "manifest.json") as fh:
+        fh.write(json.dumps({"stages": stages, "versions": _versions()},
+                            indent=2, sort_keys=True) + "\n")
 
 
-def _require(config: PipelineConfig, stage: str, filename: str) -> Path:
-    path = config.out_dir / filename
-    if not path.exists():
-        producer = ARTIFACT_STAGE[filename]
-        raise StageError(
-            stage,
-            f"missing artifact {filename!r}; run stage '{producer}' first",
-        )
-    return path
+def _lineage(stage: str, current: dict, stages: dict) -> dict:
+    """What a run of ``stage`` now would record: its config values and the
+    sha256 of each input as its producer recorded writing it."""
+    spec = STAGE_TABLE[stage]
+    return {"config": {key: current[key] for key in spec.keys},
+            "inputs": {name: stages[_PRODUCER[name]]["outputs"][name] for name in spec.reads}}
+
+
+def _upstream(stage: str) -> set[str]:
+    """Every stage whose output feeds ``stage``, directly or not."""
+    direct = {_PRODUCER[name] for name in STAGE_TABLE[stage].reads}
+    return direct.union(*map(_upstream, direct))
+
+
+def _check_inputs(name: str, config: PipelineConfig, current: dict, stages: dict) -> None:
+    """Raise StageError naming the stage to run when an input of ``name`` is
+    missing or, most upstream first, a stage upstream has no record in the
+    manifest, or read other files than its producers last wrote, or used
+    other config values."""
+    for artifact in STAGE_TABLE[name].reads:
+        if not (config.out_dir / artifact).exists():
+            raise StageError(name, f"missing artifact {artifact!r}; "
+                                   f"run stage '{_PRODUCER[artifact]}' first")
+    upstream = _upstream(name)
+    for stage in (s for s in STAGES if s in upstream):
+        entry = stages.get(stage)
+        if entry is None:
+            problem = f"manifest.json records no finished run of stage '{stage}'"
+        else:
+            want = _lineage(stage, current, stages)
+            keys = [k for k, v in want["config"].items() if entry["config"].get(k) != v]
+            inputs = [a for a, h in want["inputs"].items() if entry["inputs"].get(a) != h]
+            if keys:
+                problem = (f"stage '{stage}' ran with {keys[0]} = {entry['config'].get(keys[0])!r},"
+                           f" the config has {current[keys[0]]!r}")
+            elif inputs:
+                problem = f"{inputs[0]!r} has changed since stage '{stage}' read it"
+            else:
+                continue
+        raise StageError(name, f"{problem}; run stage '{stage}' again")
 
 
 def _mark_failed(marker: Path, stage: str, message: str) -> None:
@@ -290,43 +335,76 @@ def _mark_failed(marker: Path, stage: str, message: str) -> None:
         pass  # the stage's own error is the one to report, marker or not
 
 
+# While run_pipeline runs: what a stage handed over in memory, by artifact
+# name, for the later stages of the same run that read it.
+_kept: dict[str, object] | None = None
+
+
+def _reuse(config: PipelineConfig, name: str, read: Callable[[Path], object]):
+    """Artifact ``name`` as this run's producer kept it, else ``read`` from out_dir."""
+    if _kept is not None and name in _kept:
+        return _kept[name]
+    return read(config.out_dir / name)
+
+
 def _run_stage(name: str, config: PipelineConfig,
-               body: Callable[[], list[Path]]) -> list[Path]:
+               body: Callable[[PipelineConfig], Mapping[str, object] | None]) -> list[Path]:
+    """Check the inputs' lineage, drop the stage's manifest entry, run
+    ``body``, then record the entry. ``body`` may return what it wrote,
+    by artifact name, for run_pipeline to keep in memory."""
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StageError(name, f"cannot create output directory {config.out_dir}: "
                                f"{exc.strerror or exc}") from exc
-    marker = config.out_dir / FAILED_MARKER
+    marker, manifest = config.out_dir / FAILED_MARKER, config.out_dir / "manifest.json"
+    current = config.as_dict()
     try:
-        artifacts = body()
+        stages = (json.loads(manifest.read_text(encoding="utf-8")).get("stages", {})
+                  if manifest.exists() else {})
+        _check_inputs(name, config, current, stages)
+        entry = _lineage(name, current, stages)
+        # outputs stay unrecorded until the body has finished
+        if stages.pop(name, None) is not None:
+            _write_manifest(config, stages)
+        kept = body(config) or {}
+        entry["inputs"].update((key, _sha256_file(getattr(config, key)))
+                               for key in STAGE_TABLE[name].sources if current[key] is not None)
+        outputs = [config.out_dir / artifact for artifact in STAGE_TABLE[name].writes]
+        stages[name] = {**entry, "outputs": {p.name: _sha256_file(p) for p in outputs}}
+        _write_manifest(config, stages)
     except StageError as exc:
         _mark_failed(marker, exc.stage, exc.message)
         raise
+    except KeyboardInterrupt as exc:
+        _mark_failed(marker, name, "interrupted")
+        raise KeyboardInterrupt(f"stage '{name}': interrupted") from exc
     except Exception as exc:
         _mark_failed(marker, name, str(exc))
         raise StageError(name, str(exc)) from exc
-    if marker.exists():
-        marker.unlink()
-    return artifacts
+    if _kept is not None:
+        _kept.update(kept)
+    marker.unlink(missing_ok=True)
+    return outputs
 
 
-def _load_filtered_corpus(config: PipelineConfig, stage: str,
-                          handoff: dict[str, Corpus] | None) -> Corpus:
-    if handoff is not None and "corpus" in handoff:
-        return handoff["corpus"]
-    return parse_corpus(_require(config, stage, "corpus.jsonl"))
+STAGE_FUNCTIONS: dict[str, Callable[[PipelineConfig], list[Path]]] = {}
 
 
-def _load_graph(config: PipelineConfig, stage: str) -> CitationGraph:
-    for name in GRAPH_FILES:
-        _require(config, stage, name)
-    return load_graph(config.out_dir)
+def _stage(body: Callable[[PipelineConfig], Mapping[str, object] | None]):
+    """Make ``body`` stage_<name>: run by _run_stage, listed in STAGE_FUNCTIONS."""
+    name = body.__name__.removeprefix("stage_")
+
+    @functools.wraps(body, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+    def stage(config: PipelineConfig) -> list[Path]:
+        return _run_stage(name, config, body)
+
+    STAGE_FUNCTIONS[name] = stage
+    return stage
 
 
-def _load_eligible(config: PipelineConfig, stage: str) -> list[str]:
-    path = _require(config, stage, "eligible.txt")
-    with path.open("r", encoding="utf-8") as fh:
+def _read_eligible(config: PipelineConfig) -> list[str]:
+    with (config.out_dir / "eligible.txt").open("r", encoding="utf-8") as fh:
         return [line.strip() for line in fh if line.strip()]
 
 
@@ -336,96 +414,59 @@ def _read_allowlist(config: PipelineConfig) -> set[str]:
     return read_allowlist(config.allowlist)
 
 
-def stage_ingest(config: PipelineConfig,
-                 handoff: dict[str, Corpus] | None = None) -> list[Path]:
+@_stage
+def stage_ingest(config: PipelineConfig) -> dict:
     """Parse the raw corpus, apply the journal allowlist, and write the
-    normalized corpus sorted by id. Given a ``handoff`` dict, also leave
-    the written records in it under "corpus" for graph and classify."""
-
-    def body() -> list[Path]:
-        if not config.corpus.exists():
-            raise FileNotFoundError(f"corpus file not found: {config.corpus}")
-        corpus = parse_corpus(config.corpus)
-        inputs = {"corpus": config.corpus}
-        if config.allowlist is not None:
-            corpus = filter_journals(corpus, _read_allowlist(config))
-            inputs["allowlist"] = config.allowlist
-        out_path = config.out_dir / "corpus.jsonl"
-        write_corpus(corpus, out_path)
-        _update_manifest(config, inputs, [out_path])
-        if handoff is not None:
-            handoff["corpus"] = corpus
-        return [out_path]
-
-    return _run_stage("ingest", config, body)
+    normalized corpus sorted by id."""
+    if not config.corpus.exists():
+        raise FileNotFoundError(f"corpus file not found: {config.corpus}")
+    corpus = parse_corpus(config.corpus)
+    if config.allowlist is not None:
+        corpus = filter_journals(corpus, _read_allowlist(config))
+    write_corpus(corpus, config.out_dir / "corpus.jsonl")
+    return {"corpus.jsonl": corpus}
 
 
-def stage_graph(config: PipelineConfig,
-                handoff: dict[str, Corpus] | None = None) -> list[Path]:
+@_stage
+def stage_graph(config: PipelineConfig) -> None:
     """Build the citation network, save it with the per-node fields later
-    stages need, and compute the eligible focal set. The records come
-    from ``handoff["corpus"]`` when ingest left them there, else from
-    corpus.jsonl."""
-
-    def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "graph", handoff)
-        graph = build_graph(corpus)
-        paths = save_graph(graph, config.out_dir)
-        eligible = eligible_ids(corpus, graph, config.criteria())
-        eligible_path = config.out_dir / "eligible.txt"
-        with atomic_write(eligible_path) as fh:
-            fh.write("".join(f"{pid}\n" for pid in eligible))
-        paths.append(eligible_path)
-        _update_manifest(config, {}, paths)
-        return paths
-
-    return _run_stage("graph", config, body)
+    stages need, and compute the eligible focal set."""
+    corpus = _reuse(config, "corpus.jsonl", parse_corpus)
+    graph = build_graph(corpus)
+    save_graph(graph, config.out_dir)
+    eligible = eligible_ids(corpus, graph, config.criteria())
+    with atomic_write(config.out_dir / "eligible.txt") as fh:
+        fh.write("".join(f"{pid}\n" for pid in eligible))
 
 
-def stage_classify(config: PipelineConfig,
-                   handoff: dict[str, Corpus] | None = None) -> list[Path]:
-    """Classify each eligible paper as Conceptual/Empirical/Other. The
-    records come from ``handoff["corpus"]`` when ingest left them there,
-    else from corpus.jsonl."""
-
-    def body() -> list[Path]:
-        corpus = _load_filtered_corpus(config, "classify", handoff)
-        eligible = _load_eligible(config, "classify")
-        try:
-            rows = corpus.positions(eligible)
-        except KeyError as exc:
-            raise ValueError(f"eligible.txt names {exc.args[0]!r}, which is not in "
-                             "corpus.jsonl; run stage 'graph' again") from None
-        papers = corpus.take(rows)
-        if config.stub:
-            labels = classify_batch(papers, backend=stub_backend)
-        elif config.cache is None:
-            labels = classify_batch(papers, config=config.backend_config())
-        else:
-            with ResponseCache(config.cache) as cache:
-                labels = classify_batch(papers, config=config.backend_config(), cache=cache)
-        out_path = config.out_dir / "classifications.csv"
-        _write_classifications(labels, out_path)
-        _update_manifest(config, {}, [out_path])
-        return [out_path]
-
-    return _run_stage("classify", config, body)
+@_stage
+def stage_classify(config: PipelineConfig) -> None:
+    """Classify each eligible paper as Conceptual/Empirical/Other."""
+    corpus = _reuse(config, "corpus.jsonl", parse_corpus)
+    eligible = _read_eligible(config)
+    try:
+        rows = corpus.positions(eligible)
+    except KeyError as exc:
+        raise ValueError(f"eligible.txt names {exc.args[0]!r}, which is not in "
+                         "corpus.jsonl; run stage 'graph' again") from None
+    papers = corpus.take(rows)
+    if config.stub:
+        labels = classify_batch(papers, backend=stub_backend)
+    elif config.cache is None:
+        labels = classify_batch(papers, config=config.backend_config())
+    else:
+        with ResponseCache(config.cache) as cache:
+            labels = classify_batch(papers, config=config.backend_config(), cache=cache)
+    _write_classifications(labels, config.out_dir / "classifications.csv")
 
 
-def stage_disrupt(config: PipelineConfig) -> list[Path]:
+@_stage
+def stage_disrupt(config: PipelineConfig) -> None:
     """Score every eligible paper at every configured threshold."""
-
-    def body() -> list[Path]:
-        eligible = _load_eligible(config, "disrupt")
-        graph = _load_graph(config, "disrupt")
-        scores = disruption_batch(graph, eligible, ls=config.thresholds,
-                                  mode=config.mode, n_jobs=config.n_jobs)
-        out_path = config.out_dir / "disruption.csv"
-        write_scores(scores, out_path)
-        _update_manifest(config, {}, [out_path])
-        return [out_path]
-
-    return _run_stage("disrupt", config, body)
+    eligible = _read_eligible(config)
+    scores = disruption_batch(load_graph(config.out_dir), eligible, ls=config.thresholds,
+                              mode=config.mode, n_jobs=config.n_jobs)
+    write_scores(scores, config.out_dir / "disruption.csv")
 
 
 CLASSIFICATION_COLUMNS = ("id", "label", "source", "rationale")
@@ -545,127 +586,82 @@ def build_observation_rows(graph: CitationGraph, eligible: list[str],
     )
 
 
-def stage_regress(config: PipelineConfig) -> list[Path]:
+@_stage
+def stage_regress(config: PipelineConfig) -> None:
     """Fit the citation and disruption models on the eligible papers."""
-
-    def body() -> list[Path]:
-        eligible = _load_eligible(config, "regress")
-        labels = read_classifications(_require(config, "regress", "classifications.csv"))
-        scores = read_scores(_require(config, "regress", "disruption.csv"))
-        graph = _load_graph(config, "regress")
-        obs = build_observation_rows(graph, eligible, labels.by_id(),
-                                     config.thresholds, scores)
-        # after the join, whose score check names a stale disruption.csv first
-        _check_labels(eligible, labels.ids)
-        specs = standard_model_specs(config.model_thresholds)
-        results = [fit_model(obs, spec) for spec in specs]
-        citation_results = [r for r in results if r.model.startswith("citations")]
-        d_results = [r for r in results if r.model.startswith("disruption")]
-
-        csv_path = config.out_dir / "regression.csv"
-        write_results_csv(results, csv_path)
-        cit_path = config.out_dir / "citations_models.txt"
-        with atomic_write(cit_path) as fh:
-            fh.write(emit_table(citation_results,
-                                "OLS models of in-corpus citation counts", decimals=3))
-        d_path = config.out_dir / "disruption_models.txt"
-        with atomic_write(d_path) as fh:
-            fh.write(emit_table(d_results, "OLS models of disruption scores", decimals=4))
-        _update_manifest(config, {}, [csv_path, cit_path, d_path])
-        return [csv_path, cit_path, d_path]
-
-    return _run_stage("regress", config, body)
+    eligible = _read_eligible(config)
+    labels = read_classifications(config.out_dir / "classifications.csv")
+    scores = read_scores(config.out_dir / "disruption.csv")
+    graph = load_graph(config.out_dir)
+    obs = build_observation_rows(graph, eligible, labels.by_id(),
+                                 config.thresholds, scores)
+    # after the join, whose score check names a stale disruption.csv first
+    _check_labels(eligible, labels.ids)
+    specs = standard_model_specs(config.model_thresholds)
+    results = [fit_model(obs, spec) for spec in specs]
+    citation_results = [r for r in results if r.model.startswith("citations")]
+    d_results = [r for r in results if r.model.startswith("disruption")]
+    write_results_csv(results, config.out_dir / "regression.csv")
+    with atomic_write(config.out_dir / "citations_models.txt") as fh:
+        fh.write(emit_table(citation_results,
+                            "OLS models of in-corpus citation counts", decimals=3))
+    with atomic_write(config.out_dir / "disruption_models.txt") as fh:
+        fh.write(emit_table(d_results, "OLS models of disruption scores", decimals=4))
 
 
-def stage_report(config: PipelineConfig) -> list[Path]:
+@_stage
+def stage_report(config: PipelineConfig) -> None:
     """Combine degree statistics, label counts, agreement against any
     gold labels, and both model tables into one text report."""
-
-    def body() -> list[Path]:
-        eligible = _load_eligible(config, "report")
-        labels = read_classifications(_require(config, "report", "classifications.csv"))
-        cit_table = _require(config, "report", "citations_models.txt").read_text(
-            encoding="utf-8")
-        d_table = _require(config, "report", "disruption_models.txt").read_text(
-            encoding="utf-8")
-        _check_labels(eligible, labels.ids)
-        graph = _load_graph(config, "report")
-        stats = degree_stats(graph)
-
-        lines: list[str] = []
-        lines.append("Corpus")
-        lines.append(f"  papers: {graph.n_nodes}")
-        counts = Counter(graph.journal)
-        lines.append(f"  journals with papers: {len(counts)}")
-        if config.allowlist is not None:
-            allow = _read_allowlist(config)
-            empty = sorted(allow - set(counts))
-            lines.append(f"  journals allowed: {len(allow)}"
-                         f" (no papers from {len(empty)})")
-        for journal in sorted(counts):
-            lines.append(f"    {journal}: {counts[journal]}")
-        lines.append("")
-        lines.append("Citation network")
-        lines.append(f"  nodes: {stats['n_nodes']}")
-        lines.append(f"  edges: {stats['n_edges']}")
-        lines.append(f"  mean in-degree: {stats['mean_in_deg']:.3f}")
-        lines.append(f"  mean out-degree: {stats['mean_out_deg']:.3f}")
-        lines.append(f"  max in-degree: {stats['max_in_deg']}")
-        lines.append(f"  max out-degree: {stats['max_out_deg']}")
-        lines.append("")
-        lines.append(f"Eligible papers: {len(eligible)}")
-        label_counts = Counter(labels.labels)
-        source_counts = Counter(labels.sources)
-        lines.append("Labels")
-        for label in sorted(label_counts):
-            lines.append(f"  {label}: {label_counts[label]}")
-        lines.append("Label sources")
-        for source in sorted(source_counts):
-            lines.append(f"  {source}: {source_counts[source]}")
-        gold_labels = {pid: gold for pid in eligible
-                       if (gold := graph.gold_label[graph.index[pid]]) is not None}
-        if gold_labels:
-            report = agreement_report(labels.by_id(), gold_labels)
-            lines.append("Agreement with gold labels")
-            for label in sorted(report.gold_counts):
-                lines.append(
-                    f"  {label}: {report.correct_counts[label]}/"
-                    f"{report.gold_counts[label]} ({report.percent(label)})"
-                )
-            lines.append(f"  overall: {report.overall_percent()}")
-        lines.append("")
-        lines.append(cit_table)
-        lines.append(d_table)
-        out_path = config.out_dir / "report.txt"
-        with atomic_write(out_path) as fh:
-            fh.write("\n".join(lines))
-        _update_manifest(config, {}, [out_path])
-        return [out_path]
-
-    return _run_stage("report", config, body)
-
-
-STAGE_FUNCTIONS: dict[str, Callable[..., list[Path]]] = {
-    "ingest": stage_ingest,
-    "graph": stage_graph,
-    "classify": stage_classify,
-    "disrupt": stage_disrupt,
-    "regress": stage_regress,
-    "report": stage_report,
-}
+    eligible = _read_eligible(config)
+    labels = read_classifications(config.out_dir / "classifications.csv")
+    cit_table = (config.out_dir / "citations_models.txt").read_text(encoding="utf-8")
+    d_table = (config.out_dir / "disruption_models.txt").read_text(encoding="utf-8")
+    _check_labels(eligible, labels.ids)
+    graph = load_graph(config.out_dir)
+    stats = degree_stats(graph)
+    counts = Counter(graph.journal)
+    lines = ["Corpus", f"  papers: {graph.n_nodes}", f"  journals with papers: {len(counts)}"]
+    if config.allowlist is not None:
+        allow = _read_allowlist(config)
+        lines.append(f"  journals allowed: {len(allow)}"
+                     f" (no papers from {len(allow - set(counts))})")
+    lines += [f"    {journal}: {counts[journal]}" for journal in sorted(counts)]
+    lines += ["", "Citation network", f"  nodes: {stats['n_nodes']}",
+              f"  edges: {stats['n_edges']}", f"  mean in-degree: {stats['mean_in_deg']:.3f}",
+              f"  mean out-degree: {stats['mean_out_deg']:.3f}",
+              f"  max in-degree: {stats['max_in_deg']}",
+              f"  max out-degree: {stats['max_out_deg']}", "",
+              f"Eligible papers: {len(eligible)}", "Labels"]
+    label_counts, source_counts = Counter(labels.labels), Counter(labels.sources)
+    lines += [f"  {label}: {label_counts[label]}" for label in sorted(label_counts)]
+    lines.append("Label sources")
+    lines += [f"  {source}: {source_counts[source]}" for source in sorted(source_counts)]
+    gold_labels = {pid: gold for pid in eligible
+                   if (gold := graph.gold_label[graph.index[pid]]) is not None}
+    if gold_labels:
+        report = agreement_report(labels.by_id(), gold_labels)
+        lines.append("Agreement with gold labels")
+        lines += [f"  {label}: {report.correct_counts[label]}/{report.gold_counts[label]} "
+                  f"({report.percent(label)})" for label in sorted(report.gold_counts)]
+        lines.append(f"  overall: {report.overall_percent()}")
+    lines += ["", cit_table, d_table]
+    with atomic_write(config.out_dir / "report.txt") as fh:
+        fh.write("\n".join(lines))
 
 
 def run_pipeline(config: PipelineConfig) -> list[Path]:
-    """All six stages in order. Artifacts land in config.out_dir; the
-    manifest is refreshed by each stage as it completes."""
+    """All six stages in order. Artifacts land in config.out_dir, and each
+    stage records itself in the manifest as it completes. What a stage
+    hands over in memory is kept for as long as a later stage reads it."""
+    global _kept
+    _kept = {}
     artifacts: list[Path] = []
-    # ingest leaves its records here so that graph and classify need not
-    # parse corpus.jsonl again; they are dropped before disrupt starts.
-    handoff: dict[str, Corpus] = {}
-    for stage in STAGES:
-        if stage in CORPUS_STAGES:
-            artifacts.extend(STAGE_FUNCTIONS[stage](config, handoff=handoff))
-        else:
-            handoff.clear()
+    try:
+        for k, stage in enumerate(STAGES):
             artifacts.extend(STAGE_FUNCTIONS[stage](config))
+            wanted = {name for later in STAGES[k + 1:] for name in STAGE_TABLE[later].reads}
+            _kept = {name: value for name, value in _kept.items() if name in wanted}
+    finally:
+        _kept = None
     return artifacts

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -20,8 +19,8 @@ from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
 from disruptkit.graph import build_graph
 from disruptkit.pipeline import (
-    ARTIFACT_STAGE,
     STAGE_FUNCTIONS,
+    STAGE_TABLE,
     STAGES,
     PipelineConfig,
     StageError,
@@ -38,7 +37,8 @@ from httpstub import RecordingServer, completion
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-ARTIFACT_NAMES = list(ARTIFACT_STAGE)
+WRITTEN_BY = sorted((name, stage) for stage, spec in STAGE_TABLE.items() for name in spec.writes)
+ARTIFACT_NAMES = [name for name, _ in WRITTEN_BY]
 
 
 def fixture_config(tmp_path, **overrides):
@@ -179,6 +179,24 @@ class TestConfig:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_missing_config_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "nonexist.conf"
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {path}: No such file or directory\n")
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff", 1),
+        (b"# a comment\nstub = true\nmodel = caf\xff\n", 3),
+        (b"# one\r# two\r\nmodel = \xff\n", 3),
+    ], ids=["first", "lf", "cr"])
+    def test_undecodable_config_names_file_and_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(data)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line {line}: not UTF-8 (byte 0xff)\n"
+        assert not (tmp_path / "out").exists()
+
 
 # No whitespace: the file format strips it from both ends of a value.
 _WORD = st.text("abcXYZ019:/._-=#", min_size=1, max_size=12)
@@ -282,12 +300,9 @@ class TestFullRun:
         for stage in STAGES:
             STAGE_FUNCTIONS[stage](staged)
         assert read_artifacts(staged.out_dir) == read_artifacts(full.out_dir)
-        # manifests agree on everything but the output location
-        m_full = json.loads((full.out_dir / "manifest.json").read_text())
-        m_staged = json.loads((staged.out_dir / "manifest.json").read_text())
-        m_full["config"].pop("out_dir")
-        m_staged["config"].pop("out_dir")
-        assert m_full == m_staged
+        # no path is recorded, so the manifests agree byte for byte
+        assert ((staged.out_dir / "manifest.json").read_bytes()
+                == (full.out_dir / "manifest.json").read_bytes())
 
     def test_stagewise_and_full_run_write_identical_files(self, tmp_path):
         config = fixture_config(tmp_path)
@@ -360,18 +375,44 @@ class TestManifest:
         config = fixture_config(tmp_path)
         run_pipeline(config)
         manifest = json.loads((config.out_dir / "manifest.json").read_text())
-        assert set(manifest) == {"artifacts", "config", "inputs", "versions"}
-        assert set(manifest["artifacts"]) == set(ARTIFACT_NAMES)
-        # hashes are real content hashes
-        ids = (config.out_dir / "graph_ids.npy").read_bytes()
-        assert manifest["artifacts"]["graph_ids.npy"] == hashlib.sha256(ids).hexdigest()
-        corpus_bytes = (FIXTURES / "corpus.jsonl").read_bytes()
-        assert manifest["inputs"]["corpus"] == hashlib.sha256(corpus_bytes).hexdigest()
-        assert "allowlist" in manifest["inputs"]
+        assert set(manifest) == {"stages", "versions"}
+        stages = manifest["stages"]
+        assert set(stages) == set(STAGES)
+        current = config.as_dict()
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        # one entry per stage: its inputs as their producers recorded them,
+        # the values of its config keys, and real content hashes of its outputs
+        for stage, spec in STAGE_TABLE.items():
+            entry = stages[stage]
+            assert set(entry) == {"config", "inputs", "outputs"}
+            assert entry["config"] == {key: current[key] for key in spec.keys}
+            assert set(entry["inputs"]) == set(spec.reads) | set(spec.sources)
+            for name in spec.reads:
+                producer = dict(WRITTEN_BY)[name]
+                assert entry["inputs"][name] == stages[producer]["outputs"][name]
+            assert entry["outputs"] == {name: sha256(config.out_dir / name)
+                                        for name in spec.writes}
+        assert stages["ingest"]["inputs"] == {"corpus": sha256(FIXTURES / "corpus.jsonl"),
+                                              "allowlist": sha256(FIXTURES / "journals.txt")}
+        assert stages["report"]["inputs"]["allowlist"] == sha256(FIXTURES / "journals.txt")
         assert set(manifest["versions"]) == {"disruptkit", "python", "numpy", "scipy"}
         # nothing clock-derived anywhere (determinism itself is covered by
         # the byte-identical rerun test)
         assert "timestamp" not in json.dumps(manifest).lower()
+
+    def test_each_stage_writes_what_the_table_declares(self, tmp_path):
+        config = fixture_config(tmp_path)
+        listing = set()
+        for stage in STAGES:
+            paths = STAGE_FUNCTIONS[stage](config)
+            assert [p.name for p in paths] == list(STAGE_TABLE[stage].writes), stage
+            assert all(p.parent == config.out_dir for p in paths)
+            now = {p.name for p in config.out_dir.iterdir()}
+            assert now - listing - {"manifest.json"} == set(STAGE_TABLE[stage].writes), stage
+            listing = now
 
     def test_failed_write_keeps_old_manifest(self, tmp_path, monkeypatch):
         config = fixture_config(tmp_path)
@@ -386,7 +427,7 @@ class TestManifest:
         assert path.read_bytes() == before
         assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
 
-    @pytest.mark.parametrize("name, stage", sorted(ARTIFACT_STAGE.items()))
+    @pytest.mark.parametrize("name, stage", WRITTEN_BY)
     def test_failed_write_keeps_old_artifact(self, tmp_path, monkeypatch, name, stage):
         config = fixture_config(tmp_path)
         run_pipeline(config)
@@ -504,11 +545,24 @@ class TestStageSequencing:
                         + f"allowlist = {allowlist}\nout_dir = {config.out_dir}\n")
         assert cli.main(["ingest", "--config", str(conf)]) == 0
         assert cli.main(["classify", "--config", str(conf)]) == 1
-        marker = (config.out_dir / "FAILED").read_text()
-        message = marker.removeprefix("classify: ").rstrip("\n")
-        assert re.fullmatch(r"eligible\.txt names 'P\d{6}', which is not in corpus\.jsonl; "
-                            r"run stage 'graph' again", message), marker
+        message = "'corpus.jsonl' has changed since stage 'graph' read it; run stage 'graph' again"
+        assert (config.out_dir / "FAILED").read_text() == f"classify: {message}\n"
         assert f"error: stage 'classify': {message}" in capsys.readouterr().err
+
+    def test_eligible_list_naming_a_paper_not_in_the_corpus_names_the_graph_stage(
+            self, tmp_path, capsys, monkeypatch):
+        # a hand edit leaves the manifest as it was; classify's own check sees it
+        monkeypatch.chdir(FIXTURES)
+        base = ["--config", str(FIXTURES / "pipeline.conf"), "--out-dir", str(tmp_path / "out")]
+        assert cli.main(["run"] + base) == 0
+        with (tmp_path / "out" / "eligible.txt").open("a", encoding="utf-8") as fh:
+            fh.write("P999999\n")
+        capsys.readouterr()
+        assert cli.main(["classify"] + base) == 1
+        message = ("eligible.txt names 'P999999', which is not in corpus.jsonl; "
+                   "run stage 'graph' again")
+        assert (tmp_path / "out" / "FAILED").read_text() == f"classify: {message}\n"
+        assert capsys.readouterr().err == f"error: stage 'classify': {message}\n"
 
     def test_unexpected_exception_is_wrapped(self, tmp_path):
         bad_corpus = tmp_path / "broken.jsonl"
@@ -783,23 +837,36 @@ class TestStaleScores:
         run_pipeline(fixture_config(tmp_path))
         config = fixture_config(tmp_path, min_out_links=8)
         stage_graph(config)
+        # both read eligible.txt; the manifest names the earlier stage first
+        for stale in ("classify", "disrupt"):
+            with pytest.raises(StageError) as excinfo:
+                STAGE_FUNCTIONS["regress"](config)
+            assert excinfo.value.stage == "regress"
+            assert excinfo.value.message == (
+                f"'eligible.txt' has changed since stage '{stale}' read it; "
+                f"run stage '{stale}' again")
+            marker = (config.out_dir / "FAILED").read_text()
+            assert marker == f"regress: {excinfo.value.message}\n"
+            STAGE_FUNCTIONS[stale](config)
+        STAGE_FUNCTIONS["regress"](config)
+        assert not (config.out_dir / "FAILED").exists()
+
+    def test_hand_edited_scores_need_disrupt(self, tmp_path):
+        # an edit outside the pipeline leaves the manifest as it was, so
+        # only the join's own check sees it
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        path = config.out_dir / "disruption.csv"
+        header, first, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        pid, l = first.split(",")[:2]
         with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["regress"](config)
         assert excinfo.value.stage == "regress"
-        assert "run stage 'disrupt' again" in excinfo.value.message
-        marker = (config.out_dir / "FAILED").read_text()
-        assert marker.startswith("regress:") and "run stage 'disrupt' again" in marker
-        STAGE_FUNCTIONS["disrupt"](config)
-        # the labels still cover the papers eligible before
-        with pytest.raises(StageError) as excinfo:
-            STAGE_FUNCTIONS["regress"](config)
-        assert "run stage 'classify' again" in excinfo.value.message
-        assert "which is not an eligible paper" in excinfo.value.message
-        marker = (config.out_dir / "FAILED").read_text()
-        assert marker.startswith("regress:") and "run stage 'classify' again" in marker
-        STAGE_FUNCTIONS["classify"](config)
-        STAGE_FUNCTIONS["regress"](config)
-        assert not (config.out_dir / "FAILED").exists()
+        assert excinfo.value.message == (
+            "disruption.csv does not match eligible.txt and the thresholds: it has no score "
+            f"for ('{pid}', l={l}); run stage 'disrupt' again")
+        assert (config.out_dir / "FAILED").read_text() == f"regress: {excinfo.value.message}\n"
 
 
 class TestStaleLabels:
@@ -825,14 +892,19 @@ class TestStaleLabels:
         assert (config.out_dir / "FAILED").read_text().startswith("regress:")
 
     def test_report_refuses_labels_of_an_older_eligible_set(self, finished_run):
-        config = finished_run[0]
-        STAGE_FUNCTIONS["graph"](dataclasses.replace(config, min_out_links=8))
+        config = dataclasses.replace(finished_run[0], min_out_links=8)
+        STAGE_FUNCTIONS["graph"](config)
         with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["report"](config)
         assert excinfo.value.stage == "report"
-        assert "classifications.csv does not match eligible.txt" in excinfo.value.message
-        assert excinfo.value.message.endswith("run stage 'classify' again")
-        assert (config.out_dir / "FAILED").read_text().startswith("report:")
+        assert excinfo.value.message == ("'eligible.txt' has changed since stage 'classify' "
+                                         "read it; run stage 'classify' again")
+        assert (config.out_dir / "FAILED").read_text() == f"report: {excinfo.value.message}\n"
+        # under the config the other stages ran with, graph is the stale one
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["report"](finished_run[0])
+        assert excinfo.value.message == ("stage 'graph' ran with min_out_links = 8, the config "
+                                         "has 5; run stage 'graph' again")
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda rows: rows[1:], "it has no label for 'P000"),
@@ -853,6 +925,157 @@ class TestStaleLabels:
         path.write_text(header + "".join(reversed(rows)), encoding="utf-8")
         STAGE_FUNCTIONS["regress"](config)
         assert (config.out_dir / "regression.csv").read_bytes() == before
+
+
+class TestLineage:
+    """A stage refuses inputs whose lineage in manifest.json no longer
+    matches the files upstream or the current config."""
+
+    @staticmethod
+    def conf(tmp_path, name, **values):
+        path = tmp_path / name
+        path.write_text((FIXTURES / "pipeline.conf").read_text()
+                        + f"corpus = {FIXTURES / 'corpus.jsonl'}\n"
+                        + f"allowlist = {FIXTURES / 'journals.txt'}\n"
+                        + f"out_dir = {tmp_path / 'out'}\n"
+                        + "".join(f"{key} = {value}\n" for key, value in values.items()))
+        return ["--config", str(path)]
+
+    @staticmethod
+    def refused(tmp_path, capsys, stage, message):
+        assert capsys.readouterr().err == f"error: stage '{stage}': {message}\n"
+        assert (tmp_path / "out" / "FAILED").read_text() == f"{stage}: {message}\n"
+
+    def test_report_after_graph_and_classify_reruns_needs_disrupt(self, tmp_path, capsys):
+        base, eight = self.conf(tmp_path, "base.conf"), self.conf(tmp_path, "eight.conf",
+                                                                  min_out_links=8)
+        assert cli.main(["run"] + base) == 0
+        assert cli.main(["graph"] + eight) == 0
+        assert cli.main(["classify"] + eight) == 0
+        capsys.readouterr()
+        assert cli.main(["report"] + eight) == 1
+        self.refused(tmp_path, capsys, "report", "'eligible.txt' has changed since stage "
+                                                 "'disrupt' read it; run stage 'disrupt' again")
+        for stage in ("disrupt", "regress", "report"):
+            assert cli.main([stage] + eight) == 0
+        staged = read_artifacts(tmp_path / "out")
+        (tmp_path / "out").rename(tmp_path / "staged")
+        assert cli.main(["run"] + eight) == 0
+        assert read_artifacts(tmp_path / "out") == staged
+
+    def test_regress_after_a_mode_change_needs_disrupt(self, tmp_path, capsys):
+        base, overlap = self.conf(tmp_path, "base.conf"), self.conf(tmp_path, "overlap.conf",
+                                                                    mode="overlap")
+        assert cli.main(["run"] + base) == 0
+        before = (tmp_path / "out" / "regression.csv").read_bytes()
+        capsys.readouterr()
+        assert cli.main(["regress"] + overlap) == 1
+        self.refused(tmp_path, capsys, "regress",
+                     "stage 'disrupt' ran with mode = 'ref_indegree', the config has "
+                     "'overlap'; run stage 'disrupt' again")
+        assert (tmp_path / "out" / "regression.csv").read_bytes() == before
+        for stage in ("disrupt", "regress", "report"):
+            assert cli.main([stage] + overlap) == 0
+        assert (tmp_path / "out" / "regression.csv").read_bytes() != before
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+            "stages"]["disrupt"]["config"]["mode"] == "overlap"
+
+    def test_stage_whose_record_was_not_written_is_refused(self, tmp_path, capsys, monkeypatch):
+        base = self.conf(tmp_path, "base.conf")
+        assert cli.main(["run"] + base) == 0
+        eligible = (tmp_path / "out" / "eligible.txt").read_bytes()
+        # graph drops its entry, renames its files into place, then fails
+        # to write the manifest that records them
+        manifest_writes = []
+        real_open = Path.open
+
+        def open_(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if "w" in mode and self.name == ".manifest.json.tmp":
+                manifest_writes.append(self)
+                return TornFile(fh) if len(manifest_writes) == 2 else fh
+            return fh
+
+        monkeypatch.setattr(Path, "open", open_)
+        assert cli.main(["graph"] + base) == 1
+        monkeypatch.undo()
+        assert len(manifest_writes) == 2
+        assert (tmp_path / "out" / "eligible.txt").read_bytes() == eligible
+        assert (tmp_path / "out" / "FAILED").read_text() == "graph: No space left on device\n"
+        capsys.readouterr()
+        assert cli.main(["disrupt"] + base) == 1
+        self.refused(tmp_path, capsys, "disrupt", "manifest.json records no finished run of "
+                                                  "stage 'graph'; run stage 'graph' again")
+        assert cli.main(["graph"] + base) == 0
+        assert cli.main(["disrupt"] + base) == 0
+
+    def test_ctrl_c_in_a_stage_leaves_it_unrecorded(self, tmp_path, capsys, monkeypatch):
+        base = self.conf(tmp_path, "base.conf")
+        assert cli.main(["run"] + base) == 0
+        capsys.readouterr()
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "disruption_batch", interrupt)
+        assert cli.main(["disrupt"] + base) == 130
+        self.refused(tmp_path, capsys, "disrupt", "interrupted")
+        monkeypatch.undo()
+        assert cli.main(["regress"] + base) == 1
+        self.refused(tmp_path, capsys, "regress", "manifest.json records no finished run of "
+                                                  "stage 'disrupt'; run stage 'disrupt' again")
+
+    def test_manifest_of_an_older_format_asks_for_ingest(self, tmp_path):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        (config.out_dir / "manifest.json").write_text(json.dumps(
+            {"artifacts": {}, "config": config.as_dict(), "inputs": {}, "versions": {}}))
+        for stage in STAGES[1:]:
+            with pytest.raises(StageError) as excinfo:
+                STAGE_FUNCTIONS[stage](config)
+            assert excinfo.value.message == ("manifest.json records no finished run of stage "
+                                             "'ingest'; run stage 'ingest' again")
+        run_pipeline(config)
+
+    @pytest.mark.parametrize("key, value, stage", [
+        ("min_out_links", 6, "graph"), ("min_in_links", 2, "graph"),
+        ("year_min", 1992, "graph"), ("year_max", 2019, "graph"),
+        ("min_abstract_chars", 500, "graph"),
+        ("stub", False, "classify"), ("model", "other-model", "classify"),
+        ("mode", "overlap", "disrupt"), ("thresholds", (1, 2, 3, 5, 8), "disrupt"),
+        ("model_thresholds", (2, 3), "regress"),
+    ])
+    def test_each_counted_key_names_its_stage(self, tmp_path, key, value, stage):
+        assert key in STAGE_TABLE[stage].keys
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        old = config.as_dict()[key]
+        changed = dataclasses.replace(config, **{key: value})
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["report"](changed)
+        assert excinfo.value.message == (
+            f"stage '{stage}' ran with {key} = {old!r}, the config has "
+            f"{changed.as_dict()[key]!r}; run stage '{stage}' again")
+
+    def test_paths_and_client_settings_are_not_lineage(self, tmp_path):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        before = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
+        copies = {}
+        for name in ("corpus.jsonl", "journals.txt"):
+            copies[name] = tmp_path / name
+            copies[name].write_bytes((FIXTURES / name).read_bytes())
+        ignored = dict(corpus=copies["corpus.jsonl"], allowlist=copies["journals.txt"],
+                       cache=tmp_path / "cache.jsonl", n_jobs=2, endpoint="http://127.0.0.1:9",
+                       api_key_env="OTHER_KEY", max_in_flight=2, retries=1, backoff_base=0.5,
+                       timeout=5.0)
+        counted = {key for spec in STAGE_TABLE.values() for key in spec.keys}
+        fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert counted | set(ignored) == fields - {"out_dir"}
+        other = dataclasses.replace(config, **ignored)
+        for stage in STAGES:
+            STAGE_FUNCTIONS[stage](other)
+        assert {p.name: p.read_bytes() for p in config.out_dir.iterdir()} == before
 
 
 class TestCli:
