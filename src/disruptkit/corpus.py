@@ -12,6 +12,13 @@ row's references are a run of codes (deduplicated in first-seen order,
 the record's own id dropped) between two offsets. ``_record_problem``
 states every rule a record must meet, in the order the rules are checked,
 and words each message.
+
+``parse_corpus`` is the one JSON-lines parser, for the raw input, and
+``write_corpus`` writes that format back (the synthetic generator uses
+it). Within a pipeline's output directory the corpus is kept as its
+columns instead: ``save_corpus`` writes them as ``.npy`` files and
+``load_corpus`` reads them back, so no stage after ingest decodes JSON.
+``save_columns`` is the file layout they share with the graph's files.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat, zip_longest
 from operator import contains, itemgetter, lt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -330,6 +337,157 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+# A column file is np.save's format. A string column takes two: its
+# strings' UTF-8 bytes end to end (<name>.npy, uint8) and int64 offsets,
+# 0 first and then where each string's bytes end (<name>_offsets.npy).
+# numpy's own str dtype drops trailing NULs, and object arrays would
+# need pickle. Strings are written in chunks of about this many bytes.
+_CHUNK_BYTES = 1 << 20
+
+
+class UnencodableString(ValueError):
+    """String ``index`` of column ``column`` has no UTF-8 encoding (it holds
+    a lone surrogate); ``reason`` is the codec's."""
+
+    def __init__(self, column: str, index: int, reason: str):
+        super().__init__(f"{column}: string {index} not encodable as UTF-8 ({reason})")
+        self.column, self.index, self.reason = column, index, reason
+
+
+def _utf8_offsets(column: str, strings: Sequence[str]) -> np.ndarray:
+    """Where each string's UTF-8 bytes end in their concatenation, after a 0."""
+    n = len(strings)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=n)
+    ascii = np.fromiter(map(str.isascii, strings), dtype=bool, count=n)
+    for k in np.flatnonzero(~ascii).tolist():
+        try:
+            lengths[k] = len(strings[k].encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise UnencodableString(column, k, exc.reason) from exc
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def save_columns(out_dir: str | Path,
+                 columns: Mapping[str, np.ndarray | Sequence[str]]) -> list[Path]:
+    """Write each array in ``columns`` as ``<name>.npy`` in out_dir and each
+    string column as ``<name>.npy`` and ``<name>_offsets.npy``, each file
+    with ``atomic_write``, and return their paths in that order. Every
+    string is checked first, so a string with no UTF-8 encoding raises
+    UnencodableString before any file is touched. The files depend only
+    on the columns, so equal columns give byte-identical files."""
+    out_dir = Path(out_dir)
+    offsets = {name: _utf8_offsets(name, values) for name, values in columns.items()
+               if not isinstance(values, np.ndarray)}
+    paths = []
+    for name, values in columns.items():
+        path = out_dir / f"{name}.npy"
+        # np.save given a file name would append ".npy" to it
+        with atomic_write(path, binary=True) as fh:
+            if isinstance(values, np.ndarray):
+                np.save(fh, values, allow_pickle=False)
+            else:
+                _write_blob(fh, values, offsets[name])
+        paths.append(path)
+        if name in offsets:
+            paths.append(out_dir / f"{name}_offsets.npy")
+            with atomic_write(paths[-1], binary=True) as fh:
+                np.save(fh, offsets[name], allow_pickle=False)
+    return paths
+
+
+def _write_blob(fh: IO[bytes], strings: Sequence[str], offsets: np.ndarray) -> None:
+    """What np.save writes for the strings' UTF-8 bytes as one uint8 array,
+    encoded a chunk of strings at a time."""
+    np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False,
+                                              "shape": (int(offsets[-1]),)})
+    k, n = 0, len(strings)
+    while k < n:
+        end = int(np.searchsorted(offsets, offsets[k] + _CHUNK_BYTES, side="right")) - 1
+        end = max(end, k + 1)
+        fh.write("".join(strings[k:end]).encode("utf-8"))
+        k = end
+
+
+def load_array(out_dir: Path, name: str) -> np.ndarray:
+    """The array save_columns wrote as ``<name>.npy`` in out_dir."""
+    return np.load(out_dir / f"{name}.npy", allow_pickle=False)
+
+
+def load_strings(out_dir: Path, name: str) -> tuple[str, ...]:
+    """A string column that save_columns wrote. ValueError names out_dir if
+    its offsets do not end at the length of its bytes."""
+    offsets = load_array(out_dir, f"{name}_offsets")
+    blob = load_array(out_dir, name).tobytes()
+    if offsets.ndim != 1 or not len(offsets) or offsets[-1] != len(blob):
+        raise ValueError(f"{out_dir}: {name}_offsets.npy does not end at the length "
+                         f"of {name}.npy")
+    bounds = offsets.tolist()
+    return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
+
+
+# The files save_corpus writes in out_dir, in Corpus field order.
+CORPUS_FILES = (
+    "corpus_ids.npy", "corpus_ids_offsets.npy",
+    "corpus_title.npy", "corpus_title_offsets.npy",
+    "corpus_abstract.npy", "corpus_abstract_offsets.npy",
+    "corpus_journal.npy", "corpus_journal_offsets.npy",
+    "corpus_gold_label.npy", "corpus_gold_label_offsets.npy",
+    "corpus_year.npy", "corpus_n_authors.npy",
+    "corpus_ref_offsets.npy", "corpus_ref_codes.npy",
+    "corpus_ref_strings.npy", "corpus_ref_strings_offsets.npy",
+)
+
+
+def save_corpus(corpus: Corpus, out_dir: str | Path) -> list[Path]:
+    """Write the corpus's columns as the CORPUS_FILES in out_dir (see
+    save_columns); a missing gold label is stored as "". A record that
+    cannot be encoded as UTF-8 (a lone surrogate) raises ValueError
+    naming its id before any file is touched."""
+    columns = {
+        "corpus_ids": corpus.ids, "corpus_title": corpus.title,
+        "corpus_abstract": corpus.abstract, "corpus_journal": corpus.journal,
+        "corpus_gold_label": tuple(g or "" for g in corpus.gold_label),
+        "corpus_year": corpus.year, "corpus_n_authors": corpus.n_authors,
+        "corpus_ref_offsets": corpus.ref_offsets, "corpus_ref_codes": corpus.ref_codes,
+        "corpus_ref_strings": corpus.ref_strings,
+    }
+    try:
+        return save_columns(out_dir, columns)
+    except UnencodableString as exc:
+        row = exc.index
+        if exc.column == "corpus_ref_strings":
+            # the first record referring to it, if one does
+            uses = np.flatnonzero(corpus.ref_codes == exc.index)[:1]
+            if not len(uses):
+                raise ValueError(f"reference {corpus.ref_strings[exc.index]!r}: not encodable "
+                                 f"as UTF-8 ({exc.reason})") from exc
+            row = int(np.searchsorted(corpus.ref_offsets, uses[0], side="right")) - 1
+        raise ValueError(f"record {corpus.ids[row]!r}: not encodable as UTF-8 "
+                         f"({exc.reason})") from exc
+
+
+def load_corpus(out_dir: str | Path) -> Corpus:
+    """Read back what save_corpus wrote in out_dir, one column at a time.
+    ValueError names out_dir if the files disagree on the row count or
+    on where a column ends."""
+    out_dir = Path(out_dir)
+    strings = {name: load_strings(out_dir, f"corpus_{name}")
+               for name in ("ids", "title", "abstract", "journal", "gold_label")}
+    arrays = {name: load_array(out_dir, f"corpus_{name}")
+              for name in ("year", "n_authors", "ref_offsets", "ref_codes")}
+    ref_strings = load_strings(out_dir, "corpus_ref_strings")
+    n = len(strings["ids"])
+    offsets = arrays["ref_offsets"]
+    if not (all(len(column) == n for column in strings.values())
+            and arrays["year"].shape == arrays["n_authors"].shape == (n,)
+            and offsets.shape == (n + 1,) and offsets[-1] == len(arrays["ref_codes"])):
+        raise ValueError(f"{out_dir}: corpus files disagree on the row count")
+    strings["gold_label"] = tuple(g or None for g in strings["gold_label"])
+    return Corpus(**strings, **arrays, ref_strings=ref_strings)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -12,9 +12,9 @@ the corpus's reference codes as arrays, and both CSR directions from one
 sort of integer keys each.
 
 ``save_graph`` writes the network and the record fields the graph
-carries for later stages as plain ``.npy`` arrays, and ``load_graph``
-reads them back, so only the stage that builds the graph has to parse
-the corpus.
+carries for later stages as plain ``.npy`` arrays, in the same layout as
+the corpus files, and ``load_graph`` reads them back, so the stages that
+score, model and report never read the corpus.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write
+from .corpus import Corpus, load_array, load_strings, save_columns
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,7 @@ def degree_stats(graph: CitationGraph) -> dict:
     }
 
 
-# The arrays save_graph writes, one np.save file each. A string column
-# is stored as its UTF-8 bytes plus int64 offsets: numpy's own str
-# dtype drops trailing NULs, and object arrays would need pickle.
+# The arrays save_graph writes, in the layout of corpus.save_columns.
 GRAPH_FILES = (
     "graph_ids.npy", "graph_ids_offsets.npy",
     "graph_fwd_indptr.npy", "graph_fwd_indices.npy",
@@ -159,58 +156,28 @@ GRAPH_FILES = (
 )
 
 
-def _encode_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    encoded = [s.encode("utf-8") for s in strings]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
-
-
-def _decode_strings(data: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
-    blob = data.tobytes()
-    bounds = offsets.tolist()
-    return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
-
-
 def save_graph(graph: CitationGraph, out_dir: str | Path) -> list[Path]:
-    """Write the graph, node columns included, as the GRAPH_FILES arrays
-    in out_dir, each with ``atomic_write``, and return their paths.
-    ``np.save`` output depends only on the array, so equal graphs give
-    byte-identical files."""
-    ids, ids_offsets = _encode_strings(graph.ids)
-    journal, journal_offsets = _encode_strings(graph.journal)
-    gold, gold_offsets = _encode_strings(g or "" for g in graph.gold_label)
-    arrays = {
-        "graph_ids.npy": ids, "graph_ids_offsets.npy": ids_offsets,
-        "graph_fwd_indptr.npy": graph.fwd_indptr,
-        "graph_fwd_indices.npy": graph.fwd_indices,
-        "graph_bwd_indptr.npy": graph.bwd_indptr,
-        "graph_bwd_indices.npy": graph.bwd_indices,
-        "graph_year.npy": graph.year, "graph_n_authors.npy": graph.n_authors,
-        "graph_journal.npy": journal, "graph_journal_offsets.npy": journal_offsets,
-        "graph_gold_label.npy": gold, "graph_gold_label_offsets.npy": gold_offsets,
-    }
-    paths = [Path(out_dir) / name for name in GRAPH_FILES]
-    for path in paths:
-        # np.save given a file name would append ".npy" to it
-        with atomic_write(path, binary=True) as fh:
-            np.save(fh, arrays[path.name], allow_pickle=False)
-    return paths
+    """Write the graph, node columns included, as the GRAPH_FILES in
+    out_dir (see corpus.save_columns) and return their paths; an absent
+    gold label is stored as ""."""
+    return save_columns(out_dir, {
+        "graph_ids": graph.ids,
+        "graph_fwd_indptr": graph.fwd_indptr, "graph_fwd_indices": graph.fwd_indices,
+        "graph_bwd_indptr": graph.bwd_indptr, "graph_bwd_indices": graph.bwd_indices,
+        "graph_year": graph.year, "graph_n_authors": graph.n_authors,
+        "graph_journal": graph.journal,
+        "graph_gold_label": tuple(g or "" for g in graph.gold_label),
+    })
 
 
 def load_graph(out_dir: str | Path) -> CitationGraph:
     """Read back what save_graph wrote in out_dir."""
     out_dir = Path(out_dir)
-    arrays = {name: np.load(out_dir / name, allow_pickle=False) for name in GRAPH_FILES}
-
-    def strings(column: str) -> tuple[str, ...]:
-        return _decode_strings(arrays[f"graph_{column}.npy"],
-                               arrays[f"graph_{column}_offsets.npy"])
-
-    ids, journal, gold = strings("ids"), strings("journal"), strings("gold_label")
-    fwd_indptr, fwd_indices = arrays["graph_fwd_indptr.npy"], arrays["graph_fwd_indices.npy"]
-    bwd_indptr, bwd_indices = arrays["graph_bwd_indptr.npy"], arrays["graph_bwd_indices.npy"]
-    year, n_authors = arrays["graph_year.npy"], arrays["graph_n_authors.npy"]
+    ids, journal, gold = (load_strings(out_dir, f"graph_{column}")
+                          for column in ("ids", "journal", "gold_label"))
+    fwd_indptr, fwd_indices, bwd_indptr, bwd_indices, year, n_authors = (
+        load_array(out_dir, f"graph_{name}") for name in
+        ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices", "year", "n_authors"))
     n = len(ids)
     if not (fwd_indptr.shape == bwd_indptr.shape == (n + 1,)
             and fwd_indptr[-1] == len(fwd_indices) == bwd_indptr[-1] == len(bwd_indices)

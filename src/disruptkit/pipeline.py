@@ -4,7 +4,7 @@ Each stage reads the previous stage's files from the output directory
 and writes its own, so any stage can be rerun in isolation and the
 full pipeline is nothing more than the six stages in order:
 
-    ingest   corpus.jsonl          parse, journal-filter, normalize
+    ingest   corpus_*.npy          parse, journal-filter, normalize
     graph    graph_*.npy           citation network and per-node fields
              eligible.txt          ids meeting the eligibility criteria
     classify classifications.csv   article types for eligible papers
@@ -13,15 +13,20 @@ full pipeline is nothing more than the six stages in order:
     report   report.txt            combined human-readable summary
 
 STAGE_TABLE states what each stage reads and writes and which config
-keys change its output. Only ingest, graph and classify read corpus
-records: under ``run`` ingest's records stay in memory for graph and
-classify, and run alone they parse corpus.jsonl. disrupt, regress and
-report load the graph arrays (see graph.GRAPH_FILES) instead.
+keys change its output. ingest parses the raw corpus once and writes its
+columns as arrays (see corpus.CORPUS_FILES). graph and classify read
+them: under ``run`` ingest's columns stay in memory for both, and run
+alone they load the arrays, so no stage after ingest parses JSON.
+disrupt, regress and report load the graph arrays (see
+graph.GRAPH_FILES) instead.
 
 manifest.json holds, per finished stage, the sha256 of its inputs, its
 config values and the sha256 of what it wrote. From it alone, a stage
 refuses inputs whose lineage no longer matches the files upstream or the
-config, naming the most upstream stage to run again. It carries no
+config, naming the most upstream stage to run again. A manifest that is
+not valid asks for ingest again, which then starts a new one; an entry
+that lists other files than its stage now writes asks for that stage
+again. It carries no
 clock data, so a rerun with identical inputs and the offline classifier
 stub is byte-identical. A failing stage leaves partial outputs in place,
 unrecorded, plus a FAILED marker naming the stage and cause.
@@ -49,8 +54,8 @@ from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache,
                        agreement_report, check_backend_limits, check_choice, classify_batch,
                        stub_backend)
-from .corpus import (EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
-                     filter_journals, parse_corpus, read_allowlist, write_corpus)
+from .corpus import (CORPUS_FILES, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
+                     filter_journals, load_corpus, parse_corpus, read_allowlist, save_corpus)
 from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disruption_batch,
                          read_scores, write_scores)
 from .graph import GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph, save_graph
@@ -71,11 +76,11 @@ class StageSpec:
 
 # Paths, endpoint, n_jobs and the HTTP client's limits change no output.
 STAGE_TABLE = {
-    "ingest": StageSpec((), ("corpus.jsonl",), sources=("corpus", "allowlist")),
-    "graph": StageSpec(("corpus.jsonl",), (*GRAPH_FILES, "eligible.txt"),
+    "ingest": StageSpec((), CORPUS_FILES, sources=("corpus", "allowlist")),
+    "graph": StageSpec(CORPUS_FILES, (*GRAPH_FILES, "eligible.txt"),
                        keys=("min_out_links", "min_in_links", "year_min", "year_max",
                              "min_abstract_chars")),
-    "classify": StageSpec(("corpus.jsonl", "eligible.txt"), ("classifications.csv",),
+    "classify": StageSpec((*CORPUS_FILES, "eligible.txt"), ("classifications.csv",),
                           keys=("stub", "model")),
     "disrupt": StageSpec(("eligible.txt", *GRAPH_FILES), ("disruption.csv",),
                          keys=("mode", "thresholds")),
@@ -286,6 +291,31 @@ def _write_manifest(config: PipelineConfig, stages: dict) -> None:
                             indent=2, sort_keys=True) + "\n")
 
 
+def _read_manifest(name: str, path: Path) -> dict:
+    """The finished stages that manifest.json records, none if there is no
+    such file. One that _write_manifest did not write fails every stage
+    but ingest, which starts a new manifest."""
+    if not path.exists():
+        return {}
+    try:
+        # a manifest of an older format, with no stages, records none
+        stages = json.loads(path.read_text(encoding="utf-8")).get("stages", {})
+    except ValueError as exc:  # not UTF-8, or not JSON
+        problem = f"is not valid JSON ({exc})"
+    except AttributeError:
+        problem = "is not a JSON object"
+    else:
+        if isinstance(stages, dict) and all(
+                isinstance(entry, dict)
+                and all(isinstance(entry.get(k), dict) for k in ("config", "inputs", "outputs"))
+                for entry in stages.values()):
+            return stages
+        problem = "holds no object of stage entries under 'stages'"
+    if name == "ingest":
+        return {}
+    raise StageError(name, f"manifest.json {problem}; run stage 'ingest' again")
+
+
 def _lineage(stage: str, current: dict, stages: dict) -> dict:
     """What a run of ``stage`` now would record: its config values and the
     sha256 of each input as its producer recorded writing it."""
@@ -314,6 +344,8 @@ def _check_inputs(name: str, config: PipelineConfig, current: dict, stages: dict
         entry = stages.get(stage)
         if entry is None:
             problem = f"manifest.json records no finished run of stage '{stage}'"
+        elif entry["outputs"].keys() != set(STAGE_TABLE[stage].writes):
+            problem = f"manifest.json records other files than stage '{stage}' now writes"
         else:
             want = _lineage(stage, current, stages)
             keys = [k for k, v in want["config"].items() if entry["config"].get(k) != v]
@@ -341,10 +373,10 @@ _kept: dict[str, object] | None = None
 
 
 def _reuse(config: PipelineConfig, name: str, read: Callable[[Path], object]):
-    """Artifact ``name`` as this run's producer kept it, else ``read`` from out_dir."""
+    """Artifact ``name`` as this run's producer kept it, else ``read`` of out_dir."""
     if _kept is not None and name in _kept:
         return _kept[name]
-    return read(config.out_dir / name)
+    return read(config.out_dir)
 
 
 def _run_stage(name: str, config: PipelineConfig,
@@ -360,8 +392,7 @@ def _run_stage(name: str, config: PipelineConfig,
     marker, manifest = config.out_dir / FAILED_MARKER, config.out_dir / "manifest.json"
     current = config.as_dict()
     try:
-        stages = (json.loads(manifest.read_text(encoding="utf-8")).get("stages", {})
-                  if manifest.exists() else {})
+        stages = _read_manifest(name, manifest)
         _check_inputs(name, config, current, stages)
         entry = _lineage(name, current, stages)
         # outputs stay unrecorded until the body has finished
@@ -417,21 +448,21 @@ def _read_allowlist(config: PipelineConfig) -> set[str]:
 @_stage
 def stage_ingest(config: PipelineConfig) -> dict:
     """Parse the raw corpus, apply the journal allowlist, and write the
-    normalized corpus sorted by id."""
+    normalized corpus, sorted by id, as column arrays."""
     if not config.corpus.exists():
         raise FileNotFoundError(f"corpus file not found: {config.corpus}")
     corpus = parse_corpus(config.corpus)
     if config.allowlist is not None:
         corpus = filter_journals(corpus, _read_allowlist(config))
-    write_corpus(corpus, config.out_dir / "corpus.jsonl")
-    return {"corpus.jsonl": corpus}
+    save_corpus(corpus, config.out_dir)
+    return dict.fromkeys(CORPUS_FILES, corpus)
 
 
 @_stage
 def stage_graph(config: PipelineConfig) -> None:
     """Build the citation network, save it with the per-node fields later
     stages need, and compute the eligible focal set."""
-    corpus = _reuse(config, "corpus.jsonl", parse_corpus)
+    corpus = _reuse(config, CORPUS_FILES[0], load_corpus)
     graph = build_graph(corpus)
     save_graph(graph, config.out_dir)
     eligible = eligible_ids(corpus, graph, config.criteria())
@@ -442,13 +473,13 @@ def stage_graph(config: PipelineConfig) -> None:
 @_stage
 def stage_classify(config: PipelineConfig) -> None:
     """Classify each eligible paper as Conceptual/Empirical/Other."""
-    corpus = _reuse(config, "corpus.jsonl", parse_corpus)
+    corpus = _reuse(config, CORPUS_FILES[0], load_corpus)
     eligible = _read_eligible(config)
     try:
         rows = corpus.positions(eligible)
     except KeyError as exc:
-        raise ValueError(f"eligible.txt names {exc.args[0]!r}, which is not in "
-                         "corpus.jsonl; run stage 'graph' again") from None
+        raise ValueError(f"eligible.txt names {exc.args[0]!r}, which is not in the "
+                         "corpus; run stage 'graph' again") from None
     papers = corpus.take(rows)
     if config.stub:
         labels = classify_batch(papers, backend=stub_backend)

@@ -1,12 +1,15 @@
+import dataclasses
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.corpus import (
+    CORPUS_FILES,
     GOLD_LABELS,
     EligibilityCriteria,
     YearGroup,
@@ -14,8 +17,10 @@ from disruptkit.corpus import (
     abstract_lengths,
     eligible_ids,
     filter_journals,
+    load_corpus,
     parse_corpus,
     read_allowlist,
+    save_corpus,
     write_corpus,
 )
 from disruptkit.graph import build_graph
@@ -145,7 +150,7 @@ class TestWriteCorpus:
 
 
 # Any text JSON can carry except lone surrogates, which have no UTF-8
-# form; write_corpus refuses those (tested with the ingest stage).
+# form; write_corpus and save_corpus refuse those (see TestCorpusFiles).
 _TEXT = st.text(st.one_of(
     st.characters(exclude_categories=("Cs",)),
     st.sampled_from('"\\\'\u2028\u2029\r\n\x00\x85\ufeff{}'),
@@ -192,6 +197,104 @@ class TestCorpusRoundTrip:
             path = Path(tmp) / "corpus.jsonl"
             write_corpus(corpus, path)
             assert columns(parse_corpus(path)) == columns(corpus)
+
+
+def stored(corpus) -> dict[str, list]:
+    """Every Corpus field as a list, reference codes and all, with each
+    array's dtype."""
+    out = {}
+    for field in dataclasses.fields(corpus):
+        value = getattr(corpus, field.name)
+        if isinstance(value, np.ndarray):
+            out[f"{field.name}.dtype"] = str(value.dtype)
+            value = value.tolist()
+        out[field.name] = list(value)
+    return out
+
+
+def save_and_load(corpus, out_dir):
+    paths = save_corpus(corpus, out_dir)
+    assert [p.name for p in paths] == list(CORPUS_FILES)
+    return load_corpus(out_dir)
+
+
+class TestCorpusFiles:
+    def test_strings_roundtrip_exactly(self, tmp_path):
+        # numpy's str dtype would turn "a\x00" into "a", colliding the two ids
+        corpus = corpus_of(
+            mk("a", refs=("a\x00", "outside \u00e9\x00"), title="t\x00",
+               journal="Revue d\u2019\u00e9tudes", gold="conceptual"),
+            mk("a\x00", title="", abstract="\u4e2d\r\n\x00", journal="\u65e5\u672c\x00"),
+            mk("\u00fc\U0001f600", refs=("a",), journal="", gold=" EMPIRICAL", n_authors=7),
+        )
+        loaded = save_and_load(corpus, tmp_path)
+        assert stored(loaded) == stored(corpus)
+        assert loaded.gold_label == ("conceptual", None, "empirical")
+
+    def test_empty_corpus(self, tmp_path):
+        loaded = save_and_load(corpus_of(), tmp_path)
+        assert len(loaded) == 0
+        assert stored(loaded) == stored(corpus_of())
+
+    def test_strings_no_row_refers_to_survive(self, tmp_path):
+        corpus = filter_journals(corpus_of(
+            mk("a", refs=("b", "x"), journal="Kept"),
+            mk("b", refs=("only-b", "\u00e9"), journal="Dropped"),
+            mk("c", refs=("a",), journal="Kept")), {"Kept"})
+        referred = {corpus.ref_strings[c] for c in corpus.ref_codes.tolist()}
+        assert set(corpus.ref_strings) - referred == {"only-b", "\u00e9"}
+        assert stored(save_and_load(corpus, tmp_path)) == stored(corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_records())
+    def test_any_parsed_corpus_roundtrips(self, raw):
+        corpus = parse_corpus(json.dumps(obj) + "\n" for obj in raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert stored(save_and_load(corpus, Path(tmp))) == stored(corpus)
+
+    def test_two_saves_are_byte_identical(self, tmp_path):
+        corpus = corpus_of(mk("z", refs=("a", "\u00e9")), mk("a", gold="empirical"), mk("m"))
+        for side in ("one", "two"):
+            (tmp_path / side).mkdir()
+        save_corpus(corpus, tmp_path / "one")
+        save_corpus(corpus_of(mk("m"), mk("a", gold="empirical"), mk("z", refs=("a", "\u00e9"))),
+                    tmp_path / "two")
+        for name in CORPUS_FILES:
+            first = (tmp_path / "one" / name).read_bytes()
+            assert first == (tmp_path / "two" / name).read_bytes(), name
+            # each file is what np.save writes for the array np.load reads back
+            again = io.BytesIO()
+            np.save(again, np.load(tmp_path / "one" / name, allow_pickle=False))
+            assert again.getvalue() == first, name
+
+    @pytest.mark.parametrize("name, array", [
+        ("corpus_year.npy", np.array([2000], dtype=np.int64)),
+        ("corpus_title_offsets.npy", np.array([0, 1, 1], dtype=np.int64)),
+        ("corpus_title_offsets.npy", np.array([0, 1, 1, 2], dtype=np.int64)),
+        ("corpus_abstract.npy", np.zeros(3, dtype=np.uint8)),
+        ("corpus_ref_offsets.npy", np.array([0, 1], dtype=np.int64)),
+        ("corpus_ref_codes.npy", np.array([0, 0, 0, 0], dtype=np.int64)),
+    ])
+    def test_mismatched_files_name_the_directory(self, tmp_path, name, array):
+        save_corpus(corpus_of(mk("a"), mk("b", refs=("a",))), tmp_path)
+        np.save(tmp_path / name, array)
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value).startswith(f"{tmp_path}: ")
+
+    @pytest.mark.parametrize("records, who", [
+        ([mk("a"), mk("b", title="t\ud800")], "record 'b'"),
+        ([mk("a", refs=("x",)), mk("b", refs=("x", "\ud800"))], "record 'b'"),
+        # a reference only a dropped record made
+        ([mk("a", journal="Kept"), mk("b", refs=("\ud800",), journal="Dropped")],
+         "reference '\\ud800'"),
+    ])
+    def test_unencodable_string_touches_no_file(self, tmp_path, records, who):
+        corpus = filter_journals(corpus_of(*records), {"J", "Kept"})
+        with pytest.raises(ValueError) as excinfo:
+            save_corpus(corpus, tmp_path)
+        assert str(excinfo.value) == f"{who}: not encodable as UTF-8 (surrogates not allowed)"
+        assert not list(tmp_path.iterdir())
 
 
 class TestJournalFiltering:

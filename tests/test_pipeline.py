@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import fnmatch
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.classify import LABELS, SOURCES, LabelTable
-from disruptkit.corpus import EligibilityCriteria, parse_corpus
+from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, load_corpus, parse_corpus,
+                               write_corpus)
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
 from disruptkit.graph import build_graph
@@ -322,7 +325,7 @@ class TestFullRun:
     def test_journal_filter_applied(self, tmp_path):
         config = fixture_config(tmp_path)
         run_pipeline(config)
-        corpus = parse_corpus(config.out_dir / "corpus.jsonl")
+        corpus = load_corpus(config.out_dir)
         assert "Synthetic Journal 07" not in corpus.journal
         assert len(corpus) < 200
 
@@ -359,7 +362,7 @@ class TestFullRun:
         assert outcomes[0] == outcomes[1] == (
             f"stage 'ingest': corpus file not found: {config.corpus}",
             f"ingest: corpus file not found: {config.corpus}\n")
-        assert not (config.out_dir / "corpus.jsonl").exists()
+        assert not list(config.out_dir.glob("corpus_*"))
 
     def test_missing_allowlist_fails_in_ingest(self, tmp_path):
         config = fixture_config(tmp_path, allowlist=tmp_path / "nope.txt")
@@ -445,8 +448,7 @@ class TestManifest:
     def test_unencodable_record_keeps_old_corpus(self, tmp_path):
         config = fixture_config(tmp_path)
         stage_ingest(config)
-        path = config.out_dir / "corpus.jsonl"
-        before = path.read_bytes()
+        before = {name: (config.out_dir / name).read_bytes() for name in CORPUS_FILES}
         listing = sorted(p.name for p in config.out_dir.iterdir())
         # an escaped lone surrogate parses, but has no UTF-8 encoding
         lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
@@ -459,7 +461,8 @@ class TestManifest:
             stage_ingest(fixture_config(tmp_path, corpus=bad))
         assert excinfo.value.stage == "ingest"
         assert f"record {record['id']!r}: not encodable as UTF-8" in excinfo.value.message
-        assert path.read_bytes() == before
+        assert {name: (config.out_dir / name).read_bytes() for name in CORPUS_FILES} == before
+        assert not [p.name for p in config.out_dir.iterdir() if p.name.endswith(".tmp")]
         assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
 
 
@@ -526,11 +529,22 @@ class TestStageSequencing:
         run_pipeline(config)
         # ingest hands its records to graph and classify
         assert calls == {"parse_corpus": 1, "build_graph": 1}
-        # run alone, each of them parses corpus.jsonl
+
+    def test_graph_and_classify_run_alone_parse_no_json(self, tmp_path, monkeypatch):
+        config = fixture_config(tmp_path, out_dir=tmp_path / "full")
+        run_pipeline(config)
+        staged = fixture_config(tmp_path)
+        stage_ingest(staged)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_corpus called")
+
+        monkeypatch.setattr(pipeline, "parse_corpus", refuse)
         for stage in ("graph", "classify"):
-            calls["parse_corpus"] = 0
-            STAGE_FUNCTIONS[stage](config)
-            assert calls["parse_corpus"] == 1, stage
+            STAGE_FUNCTIONS[stage](staged)
+        for name in ("eligible.txt", "classifications.csv", *CORPUS_FILES):
+            assert ((staged.out_dir / name).read_bytes()
+                    == (config.out_dir / name).read_bytes()), name
 
     def test_eligible_list_of_an_older_corpus_names_the_graph_stage(self, tmp_path, capsys):
         config = fixture_config(tmp_path)
@@ -545,7 +559,8 @@ class TestStageSequencing:
                         + f"allowlist = {allowlist}\nout_dir = {config.out_dir}\n")
         assert cli.main(["ingest", "--config", str(conf)]) == 0
         assert cli.main(["classify", "--config", str(conf)]) == 1
-        message = "'corpus.jsonl' has changed since stage 'graph' read it; run stage 'graph' again"
+        message = ("'corpus_ids.npy' has changed since stage 'graph' read it; "
+                   "run stage 'graph' again")
         assert (config.out_dir / "FAILED").read_text() == f"classify: {message}\n"
         assert f"error: stage 'classify': {message}" in capsys.readouterr().err
 
@@ -559,7 +574,7 @@ class TestStageSequencing:
             fh.write("P999999\n")
         capsys.readouterr()
         assert cli.main(["classify"] + base) == 1
-        message = ("eligible.txt names 'P999999', which is not in corpus.jsonl; "
+        message = ("eligible.txt names 'P999999', which is not in the corpus; "
                    "run stage 'graph' again")
         assert (tmp_path / "out" / "FAILED").read_text() == f"classify: {message}\n"
         assert capsys.readouterr().err == f"error: stage 'classify': {message}\n"
@@ -1037,6 +1052,61 @@ class TestLineage:
                                              "'ingest'; run stage 'ingest' again")
         run_pipeline(config)
 
+    @pytest.mark.parametrize("data, problem", [
+        (b'{"stages": ', "is not valid JSON (Expecting value: line 1 column 12 (char 11))"),
+        (b"\xff", "is not valid JSON ('utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte)"),
+        (b"[]", "is not a JSON object"),
+        (b'{"stages": []}', "holds no object of stage entries under 'stages'"),
+        (b'{"stages": {"ingest": {"config": {}, "inputs": {}, "outputs": []}}}',
+         "holds no object of stage entries under 'stages'"),
+    ], ids=["torn", "not-utf8", "list", "stages-list", "entry"])
+    def test_invalid_manifest_asks_for_ingest(self, tmp_path, capsys, data, problem):
+        base = self.conf(tmp_path, "base.conf")
+        assert cli.main(["run"] + base) == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.write_bytes(data)
+        capsys.readouterr()
+        for stage in STAGES[1:]:
+            assert cli.main([stage] + base) == 1
+            self.refused(tmp_path, capsys, stage,
+                         f"manifest.json {problem}; run stage 'ingest' again")
+            assert manifest.read_bytes() == data
+        # ingest starts a new manifest, and the stages after it can run again
+        assert cli.main(["ingest"] + base) == 0
+        assert set(json.loads(manifest.read_text())["stages"]) == {"ingest"}
+        for stage in STAGES[1:]:
+            assert cli.main([stage] + base) == 0
+        assert not (tmp_path / "out" / "FAILED").exists()
+
+    def test_out_dir_of_the_json_lines_format_asks_for_ingest(self, tmp_path, capsys):
+        base = self.conf(tmp_path, "base.conf")
+        assert cli.main(["run"] + base) == 0
+        # what ingest used to write: corpus.jsonl, listed in its manifest entry
+        out = tmp_path / "out"
+        write_corpus(load_corpus(out), out / "corpus.jsonl")
+        for name in CORPUS_FILES:
+            (out / name).unlink()
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest()
+        manifest["stages"]["ingest"]["outputs"] = {"corpus.jsonl": digest}
+        for stage in ("graph", "classify"):
+            inputs = manifest["stages"][stage]["inputs"]
+            inputs = {k: v for k, v in inputs.items() if k not in CORPUS_FILES}
+            manifest["stages"][stage]["inputs"] = {**inputs, "corpus.jsonl": digest}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for stage in ("graph", "classify"):
+            assert cli.main([stage] + base) == 1
+            self.refused(tmp_path, capsys, stage,
+                         "missing artifact 'corpus_ids.npy'; run stage 'ingest' first")
+        assert cli.main(["disrupt"] + base) == 1
+        self.refused(tmp_path, capsys, "disrupt", "manifest.json records other files than "
+                                                  "stage 'ingest' now writes; run stage "
+                                                  "'ingest' again")
+        for stage in STAGES:
+            assert cli.main([stage] + base) == 0
+
     @pytest.mark.parametrize("key, value, stage", [
         ("min_out_links", 6, "graph"), ("min_in_links", 2, "graph"),
         ("year_min", 1992, "graph"), ("year_max", 2019, "graph"),
@@ -1168,3 +1238,20 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run"])  # --config is required
         assert excinfo.value.code == 2
+
+
+class TestReadme:
+    def test_artifact_table_lists_each_written_file_once(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("| artifact | stage | contents |\n| --- | --- | --- |\n")[1]
+        rows = []
+        for line in table.split("\n\n")[0].splitlines():
+            names, stage, _ = line.strip("|").split("|")
+            rows.append((re.findall(r"`([^`]+)`", names), stage.strip()))
+        for name, stage in WRITTEN_BY:
+            matches = [row for row in rows if any(fnmatch.fnmatchcase(name, pattern)
+                                                  for pattern in row[0])]
+            assert [row_stage for _, row_stage in matches] == [stage], name
+        for patterns, _ in rows:
+            for pattern in patterns:
+                assert fnmatch.filter(ARTIFACT_NAMES, pattern), pattern
