@@ -18,7 +18,9 @@ and words each message.
 it). Within a pipeline's output directory the corpus is kept as its
 columns instead: ``save_corpus`` writes them as ``.npy`` files and
 ``load_corpus`` reads them back, so no stage after ingest decodes JSON.
-``save_columns`` is the file layout they share with the graph's files.
+They are the one copy of each record field: ``load_columns`` loads only
+the named columns, from the files ``corpus_files`` names. ``save_columns``
+is the file layout they share with the graph's files.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, repeat, zip_longest
 from operator import contains, itemgetter, lt
 from pathlib import Path
@@ -429,17 +431,19 @@ def load_strings(out_dir: Path, name: str) -> tuple[str, ...]:
     return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
 
 
-# The files save_corpus writes in out_dir, in Corpus field order.
-CORPUS_FILES = (
-    "corpus_ids.npy", "corpus_ids_offsets.npy",
-    "corpus_title.npy", "corpus_title_offsets.npy",
-    "corpus_abstract.npy", "corpus_abstract_offsets.npy",
-    "corpus_journal.npy", "corpus_journal_offsets.npy",
-    "corpus_gold_label.npy", "corpus_gold_label_offsets.npy",
-    "corpus_year.npy", "corpus_n_authors.npy",
-    "corpus_ref_offsets.npy", "corpus_ref_codes.npy",
-    "corpus_ref_strings.npy", "corpus_ref_strings_offsets.npy",
-)
+_COLUMNS = tuple(f.name for f in fields(Corpus))
+_STRING_COLUMNS = {"ids", "title", "abstract", "journal", "gold_label", "ref_strings"}
+
+
+def corpus_files(columns: Iterable[str]) -> tuple[str, ...]:
+    """The files save_corpus writes for the named Corpus columns, in that order."""
+    return tuple(name for column in columns for name in (
+        (f"corpus_{column}.npy", f"corpus_{column}_offsets.npy")
+        if column in _STRING_COLUMNS else (f"corpus_{column}.npy",)))
+
+
+# Every file save_corpus writes, in Corpus field order.
+CORPUS_FILES = corpus_files(_COLUMNS)
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> list[Path]:
@@ -447,14 +451,8 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> list[Path]:
     save_columns); a missing gold label is stored as "". A record that
     cannot be encoded as UTF-8 (a lone surrogate) raises ValueError
     naming its id before any file is touched."""
-    columns = {
-        "corpus_ids": corpus.ids, "corpus_title": corpus.title,
-        "corpus_abstract": corpus.abstract, "corpus_journal": corpus.journal,
-        "corpus_gold_label": tuple(g or "" for g in corpus.gold_label),
-        "corpus_year": corpus.year, "corpus_n_authors": corpus.n_authors,
-        "corpus_ref_offsets": corpus.ref_offsets, "corpus_ref_codes": corpus.ref_codes,
-        "corpus_ref_strings": corpus.ref_strings,
-    }
+    columns = {f"corpus_{column}": getattr(corpus, column) for column in _COLUMNS}
+    columns["corpus_gold_label"] = tuple(g or "" for g in corpus.gold_label)
     try:
         return save_columns(out_dir, columns)
     except UnencodableString as exc:
@@ -470,24 +468,32 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> list[Path]:
                          f"({exc.reason})") from exc
 
 
-def load_corpus(out_dir: str | Path) -> Corpus:
-    """Read back what save_corpus wrote in out_dir, one column at a time.
-    ValueError names out_dir if the files disagree on the row count or
-    on where a column ends."""
+def load_columns(out_dir: str | Path, columns: Iterable[str]) -> dict:
+    """The named columns save_corpus wrote in out_dir (``corpus_files(columns)``)
+    by name, loaded one at a time; an empty gold label reads as None.
+    ValueError names out_dir if they disagree on the row count."""
     out_dir = Path(out_dir)
-    strings = {name: load_strings(out_dir, f"corpus_{name}")
-               for name in ("ids", "title", "abstract", "journal", "gold_label")}
-    arrays = {name: load_array(out_dir, f"corpus_{name}")
-              for name in ("year", "n_authors", "ref_offsets", "ref_codes")}
-    ref_strings = load_strings(out_dir, "corpus_ref_strings")
-    n = len(strings["ids"])
-    offsets = arrays["ref_offsets"]
-    if not (all(len(column) == n for column in strings.values())
-            and arrays["year"].shape == arrays["n_authors"].shape == (n,)
-            and offsets.shape == (n + 1,) and offsets[-1] == len(arrays["ref_codes"])):
+    loaded = {column: (load_strings if column in _STRING_COLUMNS else load_array)(
+        out_dir, f"corpus_{column}") for column in columns}
+    # one entry per row in each column but the ref_* ones; ref_offsets has one more
+    shapes = {(len(values),) if column in _STRING_COLUMNS else values.shape
+              for column, values in loaded.items() if not column.startswith("ref_")}
+    offsets = loaded.get("ref_offsets")
+    if offsets is not None:
+        shapes.add(tuple(size - 1 for size in offsets.shape))
+    agree = len(shapes) <= 1 and all(len(shape) == 1 and shape[0] >= 0 for shape in shapes)
+    if agree and offsets is not None and "ref_codes" in loaded:
+        agree = loaded["ref_codes"].shape == (offsets[-1],)
+    if not agree:
         raise ValueError(f"{out_dir}: corpus files disagree on the row count")
-    strings["gold_label"] = tuple(g or None for g in strings["gold_label"])
-    return Corpus(**strings, **arrays, ref_strings=ref_strings)
+    if "gold_label" in loaded:
+        loaded["gold_label"] = tuple(g or None for g in loaded["gold_label"])
+    return loaded
+
+
+def load_corpus(out_dir: str | Path) -> Corpus:
+    """Every column save_corpus wrote in out_dir (see load_columns)."""
+    return Corpus(**load_columns(out_dir, _COLUMNS))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

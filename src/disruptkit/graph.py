@@ -11,21 +11,21 @@ identical records always produce identical arrays. The edges come from
 the corpus's reference codes as arrays, and both CSR directions from one
 sort of integer keys each.
 
-``save_graph`` writes the network and the record fields the graph
-carries for later stages as plain ``.npy`` arrays, in the same layout as
-the corpus files, and ``load_graph`` reads them back, so the stages that
-score, model and report never read the corpus.
+The graph is the network only: a node's record fields stay in the
+corpus, row i of which is node i. ``save_graph`` writes the CSR arrays
+as plain ``.npy`` files, in the same layout as the corpus files, and
+``load_graph`` reads them back with the node ids from ``corpus_ids.npy``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, load_array, load_strings, save_columns
+from .corpus import Corpus, corpus_files, load_array, load_columns, save_columns
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class CitationGraph:
     ``fwd_*`` rows list the citers of a node (edges leaving a referenced
     paper); ``bwd_*`` rows list the references of a node. ``in_deg[i]``
     is the number of citers of node i, ``out_deg[i]`` the number of its
-    in-corpus references. ``year``, ``n_authors``, ``journal`` and
-    ``gold_label`` are record fields in node order (no gold label: None).
+    in-corpus references.
     """
 
     ids: tuple[str, ...]
@@ -47,10 +46,6 @@ class CitationGraph:
     bwd_indices: np.ndarray
     in_deg: np.ndarray
     out_deg: np.ndarray
-    year: np.ndarray
-    n_authors: np.ndarray
-    journal: tuple[str, ...]
-    gold_label: tuple[str | None, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -79,9 +74,7 @@ def _csr_from_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarra
 
 def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.ndarray) -> CitationGraph:
     """Build a graph from parallel index arrays (src = referenced paper,
-    dst = citing paper) with no records behind it: every node gets year
-    0, n_authors 1, journal "" and no gold label. Used by the synthetic
-    generator and benchmarks; assumes no duplicate or self edges."""
+    dst = citing paper); assumes no duplicate or self edges."""
     ids = tuple(ids)
     n = len(ids)
     src = np.asarray(src, dtype=np.int64)
@@ -94,13 +87,11 @@ def from_edge_arrays(ids: tuple[str, ...] | list[str], src: np.ndarray, dst: np.
         raise ValueError("self-citation edge")
     fwd_indptr, fwd_indices = _csr_from_pairs(n, src, dst)
     bwd_indptr, bwd_indices = _csr_from_pairs(n, dst, src)
-    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
-                     year=np.zeros(n, dtype=np.int64), n_authors=np.ones(n, dtype=np.int64),
-                     journal=("",) * n, gold_label=(None,) * n)
+    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices)
 
 
 def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndarray,
-              bwd_indptr: np.ndarray, bwd_indices: np.ndarray, **columns) -> CitationGraph:
+              bwd_indptr: np.ndarray, bwd_indices: np.ndarray) -> CitationGraph:
     return CitationGraph(
         ids=ids,
         index={pid: i for i, pid in enumerate(ids)},
@@ -110,14 +101,12 @@ def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndar
         bwd_indices=bwd_indices,
         in_deg=np.diff(fwd_indptr).astype(np.int64),
         out_deg=np.diff(bwd_indptr).astype(np.int64),
-        **columns,
     )
 
 
 def build_graph(corpus: Corpus) -> CitationGraph:
     """Resolve the corpus's references against its ids and assemble the
-    citation network: node i is corpus row i, and its year, n_authors,
-    journal and gold_label are that row's. Each distinct reference
+    citation network: node i is corpus row i. Each distinct reference
     string is looked up once, and the rows' reference codes then map to
     node indices (-1 outside the corpus) by one array lookup."""
     ids = corpus.ids
@@ -127,9 +116,7 @@ def build_graph(corpus: Corpus) -> CitationGraph:
     src = node_of[corpus.ref_codes]
     dst = np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(corpus.ref_offsets))
     inside = src >= 0
-    return replace(from_edge_arrays(ids, src[inside], dst[inside]),
-                   year=corpus.year, n_authors=corpus.n_authors,
-                   journal=corpus.journal, gold_label=corpus.gold_label)
+    return from_edge_arrays(ids, src[inside], dst[inside])
 
 
 def degree_stats(graph: CitationGraph) -> dict:
@@ -146,44 +133,33 @@ def degree_stats(graph: CitationGraph) -> dict:
 
 
 # The arrays save_graph writes, in the layout of corpus.save_columns.
-GRAPH_FILES = (
-    "graph_ids.npy", "graph_ids_offsets.npy",
-    "graph_fwd_indptr.npy", "graph_fwd_indices.npy",
-    "graph_bwd_indptr.npy", "graph_bwd_indices.npy",
-    "graph_year.npy", "graph_n_authors.npy",
-    "graph_journal.npy", "graph_journal_offsets.npy",
-    "graph_gold_label.npy", "graph_gold_label_offsets.npy",
-)
+GRAPH_FILES = ("graph_fwd_indptr.npy", "graph_fwd_indices.npy",
+               "graph_bwd_indptr.npy", "graph_bwd_indices.npy")
+
+# Every file load_graph reads.
+LOAD_GRAPH_FILES = (*corpus_files(("ids",)), *GRAPH_FILES)
 
 
 def save_graph(graph: CitationGraph, out_dir: str | Path) -> list[Path]:
-    """Write the graph, node columns included, as the GRAPH_FILES in
-    out_dir (see corpus.save_columns) and return their paths; an absent
-    gold label is stored as ""."""
+    """Write the graph's CSR arrays as the GRAPH_FILES in out_dir and
+    return their paths. The node ids are the corpus's (see load_graph)."""
     return save_columns(out_dir, {
-        "graph_ids": graph.ids,
         "graph_fwd_indptr": graph.fwd_indptr, "graph_fwd_indices": graph.fwd_indices,
         "graph_bwd_indptr": graph.bwd_indptr, "graph_bwd_indices": graph.bwd_indices,
-        "graph_year": graph.year, "graph_n_authors": graph.n_authors,
-        "graph_journal": graph.journal,
-        "graph_gold_label": tuple(g or "" for g in graph.gold_label),
     })
 
 
 def load_graph(out_dir: str | Path) -> CitationGraph:
-    """Read back what save_graph wrote in out_dir."""
+    """The graph save_graph wrote in out_dir, on the ids in corpus_ids.npy;
+    ValueError names out_dir if the arrays disagree with them or each other."""
     out_dir = Path(out_dir)
-    ids, journal, gold = (load_strings(out_dir, f"graph_{column}")
-                          for column in ("ids", "journal", "gold_label"))
-    fwd_indptr, fwd_indices, bwd_indptr, bwd_indices, year, n_authors = (
-        load_array(out_dir, f"graph_{name}") for name in
-        ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices", "year", "n_authors"))
+    ids = load_columns(out_dir, ("ids",))["ids"]
+    fwd_indptr, fwd_indices, bwd_indptr, bwd_indices = (
+        load_array(out_dir, f"graph_{name}")
+        for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices"))
     n = len(ids)
     if not (fwd_indptr.shape == bwd_indptr.shape == (n + 1,)
-            and fwd_indptr[-1] == len(fwd_indices) == bwd_indptr[-1] == len(bwd_indices)
-            and year.shape == n_authors.shape == (n,)
-            and len(journal) == len(gold) == n):
-        raise ValueError(f"{out_dir}: graph files disagree on the node or edge count")
-    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
-                     year=year, n_authors=n_authors, journal=journal,
-                     gold_label=tuple(g or None for g in gold))
+            and fwd_indptr[-1] == len(fwd_indices) == bwd_indptr[-1] == len(bwd_indices)):
+        raise ValueError(f"{out_dir}: graph files disagree with the {n} ids of "
+                         "corpus_ids.npy or with each other")
+    return _from_csr(ids, fwd_indptr, fwd_indices, bwd_indptr, bwd_indices)

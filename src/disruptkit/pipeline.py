@@ -5,7 +5,7 @@ and writes its own, so any stage can be rerun in isolation and the
 full pipeline is nothing more than the six stages in order:
 
     ingest   corpus_*.npy          parse, journal-filter, normalize
-    graph    graph_*.npy           citation network and per-node fields
+    graph    graph_*.npy           citation network (CSR arrays)
              eligible.txt          ids meeting the eligibility criteria
     classify classifications.csv   article types for eligible papers
     disrupt  disruption.csv        scores at each threshold
@@ -15,10 +15,10 @@ full pipeline is nothing more than the six stages in order:
 STAGE_TABLE states what each stage reads and writes and which config
 keys change its output. ingest parses the raw corpus once and writes its
 columns as arrays (see corpus.CORPUS_FILES). graph and classify read
-them: under ``run`` ingest's columns stay in memory for both, and run
-alone they load the arrays, so no stage after ingest parses JSON.
-disrupt, regress and report load the graph arrays (see
-graph.GRAPH_FILES) instead.
+them all: under ``run`` ingest's columns stay in memory for both, and
+run alone they load the arrays, so no stage after ingest parses JSON.
+disrupt, regress and report load the graph (graph.LOAD_GRAPH_FILES) and
+only the other corpus columns they use: a record field is stored once.
 
 manifest.json holds, per finished stage, the sha256 of its inputs, its
 config values and the sha256 of what it wrote. From it alone, a stage
@@ -54,11 +54,13 @@ from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache,
                        agreement_report, check_backend_limits, check_choice, classify_batch,
                        stub_backend)
-from .corpus import (CORPUS_FILES, EligibilityCriteria, YearGroup, atomic_write, eligible_ids,
-                     filter_journals, load_corpus, parse_corpus, read_allowlist, save_corpus)
+from .corpus import (CORPUS_FILES, EligibilityCriteria, YearGroup, atomic_write, corpus_files,
+                     eligible_ids, filter_journals, load_columns, load_corpus, parse_corpus,
+                     read_allowlist, save_corpus)
 from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disruption_batch,
                          read_scores, write_scores)
-from .graph import GRAPH_FILES, CitationGraph, build_graph, degree_stats, load_graph, save_graph
+from .graph import (GRAPH_FILES, LOAD_GRAPH_FILES, CitationGraph, build_graph, degree_stats,
+                    load_graph, save_graph)
 from .regress import (Observations, emit_table, fit_model, standard_model_specs,
                       write_results_csv)
 
@@ -74,6 +76,9 @@ class StageSpec:
     sources: tuple[str, ...] = ()
 
 
+REGRESS_COLUMNS = ("year", "n_authors")
+REPORT_COLUMNS = ("journal", "gold_label")
+
 # Paths, endpoint, n_jobs and the HTTP client's limits change no output.
 STAGE_TABLE = {
     "ingest": StageSpec((), CORPUS_FILES, sources=("corpus", "allowlist")),
@@ -82,13 +87,15 @@ STAGE_TABLE = {
                              "min_abstract_chars")),
     "classify": StageSpec((*CORPUS_FILES, "eligible.txt"), ("classifications.csv",),
                           keys=("stub", "model")),
-    "disrupt": StageSpec(("eligible.txt", *GRAPH_FILES), ("disruption.csv",),
+    "disrupt": StageSpec(("eligible.txt", *LOAD_GRAPH_FILES), ("disruption.csv",),
                          keys=("mode", "thresholds")),
-    "regress": StageSpec(("eligible.txt", "classifications.csv", "disruption.csv", *GRAPH_FILES),
+    "regress": StageSpec(("eligible.txt", "classifications.csv", "disruption.csv",
+                          *LOAD_GRAPH_FILES, *corpus_files(REGRESS_COLUMNS)),
                          ("regression.csv", "citations_models.txt", "disruption_models.txt"),
                          keys=("model_thresholds",)),
     "report": StageSpec(("eligible.txt", "classifications.csv", "citations_models.txt",
-                         "disruption_models.txt", *GRAPH_FILES), ("report.txt",),
+                         "disruption_models.txt", *LOAD_GRAPH_FILES,
+                         *corpus_files(REPORT_COLUMNS)), ("report.txt",),
                         sources=("allowlist",)),
 }
 
@@ -159,6 +166,12 @@ class PipelineConfig:
             year = getattr(self, name)
             if not first <= year <= last:
                 raise ValueError(f"{name} {year} outside the year groups [{first}, {last}]")
+        # and fits a dummy for each, which a group outside the window leaves all zeros
+        for group in YearGroup:
+            if group.end < self.year_min or group.start > self.year_max:
+                name = "year_min" if group.end < self.year_min else "year_max"
+                raise ValueError(f"{name} {getattr(self, name)} leaves year group "
+                                 f"{group.label} empty; regress needs papers in every group")
         if not self.stub:
             check_backend_limits(self.max_in_flight, self.retries, self.backoff_base,
                                  self.timeout)
@@ -367,23 +380,23 @@ def _mark_failed(marker: Path, stage: str, message: str) -> None:
         pass  # the stage's own error is the one to report, marker or not
 
 
-# While run_pipeline runs: what a stage handed over in memory, by artifact
-# name, for the later stages of the same run that read it.
-_kept: dict[str, object] | None = None
+# While run_pipeline runs: what a stage handed over in memory, by the
+# artifact names it stands for, for later stages of the run that read them.
+_kept: dict[tuple[str, ...], object] | None = None
 
 
-def _reuse(config: PipelineConfig, name: str, read: Callable[[Path], object]):
-    """Artifact ``name`` as this run's producer kept it, else ``read`` of out_dir."""
-    if _kept is not None and name in _kept:
-        return _kept[name]
+def _reuse(config: PipelineConfig, names: tuple[str, ...], read: Callable[[Path], object]):
+    """Artifacts ``names`` as this run's producer kept them, else ``read`` of out_dir."""
+    if _kept is not None and names in _kept:
+        return _kept[names]
     return read(config.out_dir)
 
 
 def _run_stage(name: str, config: PipelineConfig,
-               body: Callable[[PipelineConfig], Mapping[str, object] | None]) -> list[Path]:
+               body: Callable[[PipelineConfig], Mapping | None]) -> list[Path]:
     """Check the inputs' lineage, drop the stage's manifest entry, run
     ``body``, then record the entry. ``body`` may return what it wrote,
-    by artifact name, for run_pipeline to keep in memory."""
+    by the artifact names it stands for, for run_pipeline to keep."""
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -422,7 +435,7 @@ def _run_stage(name: str, config: PipelineConfig,
 STAGE_FUNCTIONS: dict[str, Callable[[PipelineConfig], list[Path]]] = {}
 
 
-def _stage(body: Callable[[PipelineConfig], Mapping[str, object] | None]):
+def _stage(body: Callable[[PipelineConfig], Mapping | None]):
     """Make ``body`` stage_<name>: run by _run_stage, listed in STAGE_FUNCTIONS."""
     name = body.__name__.removeprefix("stage_")
 
@@ -455,14 +468,14 @@ def stage_ingest(config: PipelineConfig) -> dict:
     if config.allowlist is not None:
         corpus = filter_journals(corpus, _read_allowlist(config))
     save_corpus(corpus, config.out_dir)
-    return dict.fromkeys(CORPUS_FILES, corpus)
+    return {CORPUS_FILES: corpus}
 
 
 @_stage
 def stage_graph(config: PipelineConfig) -> None:
-    """Build the citation network, save it with the per-node fields later
-    stages need, and compute the eligible focal set."""
-    corpus = _reuse(config, CORPUS_FILES[0], load_corpus)
+    """Build and save the citation network, and compute the eligible
+    focal set."""
+    corpus = _reuse(config, CORPUS_FILES, load_corpus)
     graph = build_graph(corpus)
     save_graph(graph, config.out_dir)
     eligible = eligible_ids(corpus, graph, config.criteria())
@@ -473,7 +486,7 @@ def stage_graph(config: PipelineConfig) -> None:
 @_stage
 def stage_classify(config: PipelineConfig) -> None:
     """Classify each eligible paper as Conceptual/Empirical/Other."""
-    corpus = _reuse(config, CORPUS_FILES[0], load_corpus)
+    corpus = _reuse(config, CORPUS_FILES, load_corpus)
     eligible = _read_eligible(config)
     try:
         rows = corpus.positions(eligible)
@@ -591,12 +604,21 @@ def _check_labels(eligible: list[str], labelled: tuple[str, ...]) -> None:
             raise stale(f"it has no label for {pid!r}")
 
 
-def build_observation_rows(graph: CitationGraph, eligible: list[str],
-                           labels: Mapping[str, str],
+def _load_nodes(config: PipelineConfig, columns: tuple[str, ...]) -> tuple[CitationGraph, dict]:
+    """The graph in out_dir and the named corpus columns, one entry per node."""
+    graph, loaded = load_graph(config.out_dir), load_columns(config.out_dir, columns)
+    if any(len(values) != graph.n_nodes for values in loaded.values()):
+        raise ValueError(f"{config.out_dir}: corpus files disagree on the row count")
+    return graph, loaded
+
+
+def build_observation_rows(graph: CitationGraph, year: np.ndarray, n_authors: np.ndarray,
+                           eligible: list[str], labels: Mapping[str, str],
                            thresholds: tuple[int, ...],
                            scores: ScoreTable) -> Observations:
     """Join the per-paper artifacts into model-ready columns, one entry
-    per eligible paper in eligible order; ``labels`` maps paper id to
+    per eligible paper in eligible order; ``year`` and ``n_authors`` are
+    the corpus columns, in node order, and ``labels`` maps paper id to
     label. Papers whose label is neither Conceptual nor Empirical are
     dropped here, before any model sees them. The scores must cover
     exactly eligible × thresholds."""
@@ -611,8 +633,8 @@ def build_observation_rows(graph: CitationGraph, eligible: list[str],
         ids=tuple(eligible[k] for k in keep),
         y_citations=graph.in_deg[idx],
         y_d={int(l): d[keep, j] for j, l in enumerate(ls)},
-        year=graph.year[idx],
-        n_authors=graph.n_authors[idx],
+        year=year[idx],
+        n_authors=n_authors[idx],
         conceptual=conceptual[keep],
     )
 
@@ -623,11 +645,17 @@ def stage_regress(config: PipelineConfig) -> None:
     eligible = _read_eligible(config)
     labels = read_classifications(config.out_dir / "classifications.csv")
     scores = read_scores(config.out_dir / "disruption.csv")
-    graph = load_graph(config.out_dir)
-    obs = build_observation_rows(graph, eligible, labels.by_id(),
-                                 config.thresholds, scores)
+    graph, nodes = _load_nodes(config, REGRESS_COLUMNS)
+    obs = build_observation_rows(graph, nodes["year"], nodes["n_authors"], eligible,
+                                 labels.by_id(), config.thresholds, scores)
     # after the join, whose score check names a stale disruption.csv first
     _check_labels(eligible, labels.ids)
+    if not len(obs):
+        counts = Counter(labels.labels)
+        raise ValueError(
+            f"no eligible paper is labelled Conceptual or Empirical, so no model can be "
+            f"fitted ({len(eligible)} eligible: "
+            + ", ".join(f"{counts[label]} {label}" for label in LABELS) + ")")
     specs = standard_model_specs(config.model_thresholds)
     results = [fit_model(obs, spec) for spec in specs]
     citation_results = [r for r in results if r.model.startswith("citations")]
@@ -649,9 +677,9 @@ def stage_report(config: PipelineConfig) -> None:
     cit_table = (config.out_dir / "citations_models.txt").read_text(encoding="utf-8")
     d_table = (config.out_dir / "disruption_models.txt").read_text(encoding="utf-8")
     _check_labels(eligible, labels.ids)
-    graph = load_graph(config.out_dir)
+    graph, nodes = _load_nodes(config, REPORT_COLUMNS)
     stats = degree_stats(graph)
-    counts = Counter(graph.journal)
+    counts = Counter(nodes["journal"])
     lines = ["Corpus", f"  papers: {graph.n_nodes}", f"  journals with papers: {len(counts)}"]
     if config.allowlist is not None:
         allow = _read_allowlist(config)
@@ -669,7 +697,7 @@ def stage_report(config: PipelineConfig) -> None:
     lines.append("Label sources")
     lines += [f"  {source}: {source_counts[source]}" for source in sorted(source_counts)]
     gold_labels = {pid: gold for pid in eligible
-                   if (gold := graph.gold_label[graph.index[pid]]) is not None}
+                   if (gold := nodes["gold_label"][graph.index[pid]]) is not None}
     if gold_labels:
         report = agreement_report(labels.by_id(), gold_labels)
         lines.append("Agreement with gold labels")
@@ -684,15 +712,15 @@ def stage_report(config: PipelineConfig) -> None:
 def run_pipeline(config: PipelineConfig) -> list[Path]:
     """All six stages in order. Artifacts land in config.out_dir, and each
     stage records itself in the manifest as it completes. What a stage
-    hands over in memory is kept for as long as a later stage reads it."""
+    hands over in memory is kept while a later stage reads all it stands for."""
     global _kept
     _kept = {}
     artifacts: list[Path] = []
     try:
         for k, stage in enumerate(STAGES):
             artifacts.extend(STAGE_FUNCTIONS[stage](config))
-            wanted = {name for later in STAGES[k + 1:] for name in STAGE_TABLE[later].reads}
-            _kept = {name: value for name, value in _kept.items() if name in wanted}
+            _kept = {names: value for names, value in _kept.items() if any(
+                set(STAGE_TABLE[later].reads).issuperset(names) for later in STAGES[k + 1:])}
     finally:
         _kept = None
     return artifacts

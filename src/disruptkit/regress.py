@@ -205,7 +205,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
     """Least squares with classical standard errors.
 
     Raises on rank deficiency, naming a column that is linearly
-    dependent on its predecessors, and on n <= k.
+    dependent on its predecessors, and on n <= k; either message starts
+    with the model's name if it has one.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -220,8 +221,9 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
         names = tuple(names)
         if len(names) != k:
             raise ValueError("names length must match the columns of X")
+    where = f"model {model!r}: " if model else ""
     if n <= k:
-        raise ValueError(f"need more observations than columns (n={n}, k={k})")
+        raise ValueError(f"{where}need more observations than columns (n={n}, k={k})")
 
     import scipy.linalg  # here rather than at module level: report never fits
 
@@ -238,7 +240,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
         raise ValueError("X has no nonzero column")
     if deficient.size:
         bad = names[int(piv[int(deficient[0])])]
-        raise ValueError(f"design matrix is rank-deficient: column {bad!r} "
+        raise ValueError(f"{where}design matrix is rank-deficient: column {bad!r} "
                          "is linearly dependent on the others")
 
     beta = np.empty(k)

@@ -298,7 +298,8 @@ def _conceptual_terms(seed, effect):
     scores = disruption_batch(graph, eligible, ls=(5,))
     labels = {pid: gold.capitalize()
               for pid, gold in zip(corpus.ids, corpus.gold_label) if gold is not None}
-    rows = build_observation_rows(graph, eligible, labels, (5,), scores)
+    rows = build_observation_rows(graph, corpus.year, corpus.n_authors, eligible, labels,
+                                  (5,), scores)
     cit = fit_model(rows, CITATIONS_SPEC).term("conceptual")
     d5 = fit_model(rows, D5_SPEC).term("conceptual")
     return (cit[0], cit[3]), (d5[0], d5[3])

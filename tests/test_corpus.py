@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from disruptkit.corpus import (
     YearGroup,
     _record_problem,
     abstract_lengths,
+    corpus_files,
     eligible_ids,
     filter_journals,
+    load_columns,
     load_corpus,
     parse_corpus,
     read_allowlist,
@@ -281,6 +284,29 @@ class TestCorpusFiles:
         with pytest.raises(ValueError) as excinfo:
             load_corpus(tmp_path)
         assert str(excinfo.value).startswith(f"{tmp_path}: ")
+
+    def test_named_columns_load_from_their_files_alone(self, tmp_path):
+        corpus = corpus_of(mk("a", gold="conceptual", n_authors=3), mk("b", refs=("a",)))
+        save_corpus(corpus, tmp_path)
+        names = ("gold_label", "year", "ref_offsets", "ref_codes")
+        assert corpus_files(names) == (
+            "corpus_gold_label.npy", "corpus_gold_label_offsets.npy", "corpus_year.npy",
+            "corpus_ref_offsets.npy", "corpus_ref_codes.npy")
+        assert corpus_files(field.name for field in dataclasses.fields(corpus)) == CORPUS_FILES
+        for name in set(CORPUS_FILES) - set(corpus_files(names)):
+            (tmp_path / name).unlink()
+        loaded = load_columns(tmp_path, names)
+        assert list(loaded) == list(names)
+        assert {name: list(column) for name, column in loaded.items()} == {
+            name: stored(corpus)[name] for name in names}
+
+    def test_named_columns_that_disagree_name_the_directory(self, tmp_path):
+        save_corpus(corpus_of(mk("a"), mk("b", refs=("a",))), tmp_path)
+        np.save(tmp_path / "corpus_year.npy", np.array([2000], dtype=np.int64))
+        assert len(load_columns(tmp_path, ("year",))["year"]) == 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path}: corpus files disagree on the row count")):
+            load_columns(tmp_path, ("year", "n_authors"))
 
     @pytest.mark.parametrize("records, who", [
         ([mk("a"), mk("b", title="t\ud800")], "record 'b'"),

@@ -1,12 +1,16 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disruptkit.corpus import EligibilityCriteria, eligible_ids, parse_corpus
+from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, eligible_ids, parse_corpus,
+                               save_corpus)
 from disruptkit.graph import (
     GRAPH_FILES,
+    LOAD_GRAPH_FILES,
     build_graph,
     degree_stats,
     from_edge_arrays,
@@ -24,14 +28,30 @@ def corpus_of(*records):
     return parse_corpus(json.dumps(r) + "\n" for r in records)
 
 @pytest.fixture
-def diamond():
+def diamond_corpus():
     # d cites b and c, both of which cite a
-    return build_graph(corpus_of(
+    return corpus_of(
         mk("a"),
         mk("b", refs=("a",)),
         mk("c", refs=("a",)),
         mk("d", refs=("b", "c")),
-    ))
+    )
+
+
+@pytest.fixture
+def diamond(diamond_corpus):
+    return build_graph(diamond_corpus)
+
+
+def save_and_load(corpus, out_dir):
+    """load_graph after save_corpus and save_graph, with only the files
+    load_graph declares left in out_dir."""
+    save_corpus(corpus, out_dir)
+    paths = save_graph(build_graph(corpus), out_dir)
+    assert [p.name for p in paths] == list(GRAPH_FILES)
+    for name in set(CORPUS_FILES) - set(LOAD_GRAPH_FILES):
+        (out_dir / name).unlink()
+    return load_graph(out_dir)
 
 
 class TestBuildGraph:
@@ -91,10 +111,11 @@ class TestFromEdgeArrays:
         for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices"):
             np.testing.assert_array_equal(getattr(graph, name), getattr(diamond, name))
 
-    def test_record_fields_are_fixed(self):
+    def test_graph_holds_only_the_network(self):
         graph = from_edge_arrays(("a", "b"), np.array([0]), np.array([1]))
-        assert graph.year.tolist() == [0, 0] and graph.n_authors.tolist() == [1, 1]
-        assert graph.journal == ("", "") and graph.gold_label == (None, None)
+        assert [f.name for f in dataclasses.fields(graph)] == [
+            "ids", "index", "fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices",
+            "in_deg", "out_deg"]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -127,18 +148,12 @@ class TestDegreeStats:
 
 
 class TestGraphFiles:
-    def test_roundtrip(self, tmp_path, diamond):
-        paths = save_graph(diamond, tmp_path)
-        assert [p.name for p in paths] == list(GRAPH_FILES)
-        graph = load_graph(tmp_path)
+    def test_roundtrip(self, tmp_path, diamond_corpus, diamond):
+        graph = save_and_load(diamond_corpus, tmp_path)
         assert graph.ids == diamond.ids and graph.index == diamond.index
         for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices",
                      "in_deg", "out_deg"):
             np.testing.assert_array_equal(getattr(graph, name), getattr(diamond, name))
-        assert graph.journal == ("j",) * 4
-        assert graph.gold_label == (None,) * 4
-        assert graph.year.tolist() == [2000] * 4
-        assert graph.n_authors.tolist() == [1] * 4
 
     def test_strings_roundtrip_exactly(self, tmp_path):
         # numpy's str dtype would turn "a\x00" into "a", colliding the two ids
@@ -150,29 +165,22 @@ class TestGraphFiles:
             {**mk("\u00fc\U0001f600", refs=["a"]), "journal": "", "year": 2020,
              "gold_label": "empirical"},
         ]
-        save_graph(build_graph(corpus_of(*records)), tmp_path)
-        graph = load_graph(tmp_path)
+        graph = save_and_load(corpus_of(*records), tmp_path)
         assert graph.ids == ("a", "a\x00", "\u00fc\U0001f600")
         assert graph.citer_row(graph.index["a\x00"]).tolist() == [graph.index["a"]]
         assert graph.citer_row(graph.index["a"]).tolist() == [graph.index["\u00fc\U0001f600"]]
-        by_id = {pid: i for i, pid in enumerate(graph.ids)}
-        for rec in records:
-            i = by_id[rec["id"]]
-            assert graph.journal[i] == rec["journal"]
-            assert graph.gold_label[i] == rec["gold_label"]
-            assert int(graph.year[i]) == rec["year"]
-            assert int(graph.n_authors[i]) == rec["n_authors"]
 
     def test_empty_graph(self, tmp_path):
-        save_graph(build_graph(corpus_of()), tmp_path)
-        graph = load_graph(tmp_path)
+        graph = save_and_load(corpus_of(), tmp_path)
         assert graph.n_nodes == 0 and graph.n_edges == 0
-        assert graph.journal == () and graph.year.shape == (0,)
 
-    def test_rejects_mismatched_files(self, tmp_path, diamond):
+    def test_rejects_mismatched_files(self, tmp_path, diamond_corpus, diamond):
+        save_corpus(diamond_corpus, tmp_path)
         save_graph(diamond, tmp_path)
-        np.save(tmp_path / "graph_year.npy", np.array([2000], dtype=np.int64))
-        with pytest.raises(ValueError, match="disagree"):
+        # the CSR arrays hold four nodes, corpus_ids.npy now three
+        save_corpus(diamond_corpus.take(np.arange(3)), tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path}: graph files disagree with the 3 ids of corpus_ids.npy")):
             load_graph(tmp_path)
 
 

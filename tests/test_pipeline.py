@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.classify import LABELS, SOURCES, LabelTable
-from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, load_corpus, parse_corpus,
-                               write_corpus)
+from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, corpus_files, load_corpus,
+                               parse_corpus, save_corpus, write_corpus)
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
 from disruptkit.graph import build_graph
@@ -151,6 +152,10 @@ class TestConfig:
         ("year_min = 2021", "year_min must be <= year_max"),
         ("year_min = 1985", "year_min 1985 outside the year groups [1991, 2020]"),
         ("year_max = 2025", "year_max 2025 outside the year groups [1991, 2020]"),
+        ("year_min = 1996",
+         "year_min 1996 leaves year group 1991-1995 empty; regress needs papers in every group"),
+        ("year_max = 2015",
+         "year_max 2015 leaves year group 2016-2020 empty; regress needs papers in every group"),
         ("model_thresholds =", "model_thresholds must be non-empty"),
         ("n_jobs = 0", "n_jobs must be >= 1, got 0"),
         ("n_jobs = -2", "n_jobs must be >= 1, got -2"),
@@ -209,13 +214,13 @@ _SPELLINGS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off
 @st.composite
 def configs(draw):
     thresholds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
-    year_min = draw(st.integers(1991, 2020))
     optional_path = st.none() | _WORD.map(Path)
     return PipelineConfig(
         corpus=Path(draw(_WORD)), allowlist=draw(optional_path), cache=draw(optional_path),
         out_dir=Path(draw(_WORD)),
         min_out_links=draw(st.integers(0, 10**6)), min_in_links=draw(st.integers(0, 10**6)),
-        year_min=year_min, year_max=draw(st.integers(year_min, 2020)),
+        # a window that reaches into every year group
+        year_min=draw(st.integers(1991, 1995)), year_max=draw(st.integers(2016, 2020)),
         min_abstract_chars=draw(st.integers(0, 10**6)),
         thresholds=tuple(thresholds), mode=draw(st.sampled_from(MODES)),
         n_jobs=draw(st.integers(1, 8)), stub=draw(st.booleans()),
@@ -530,6 +535,19 @@ class TestStageSequencing:
         # ingest hands its records to graph and classify
         assert calls == {"parse_corpus": 1, "build_graph": 1}
 
+    def test_run_lets_the_corpus_go_after_classify(self, tmp_path, monkeypatch):
+        # disrupt reads corpus_ids.npy, but not the other columns ingest kept
+        kept_in_disrupt = []
+        real = pipeline.disruption_batch
+
+        def spy(*args, **kwargs):
+            kept_in_disrupt.append(dict(pipeline._kept))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "disruption_batch", spy)
+        run_pipeline(fixture_config(tmp_path))
+        assert kept_in_disrupt == [{}]
+
     def test_graph_and_classify_run_alone_parse_no_json(self, tmp_path, monkeypatch):
         config = fixture_config(tmp_path, out_dir=tmp_path / "full")
         run_pipeline(config)
@@ -790,7 +808,8 @@ class TestObservationRows:
     def test_joins_and_drops_other(self):
         corpus, graph, eligible, scores = self.make_inputs()
         labels = {"P000050": "Conceptual", "P000060": "Other", "P000070": "Empirical"}
-        obs = build_observation_rows(graph, eligible, labels, (1, 2), scores)
+        obs = build_observation_rows(graph, corpus.year, corpus.n_authors, eligible, labels,
+                                     (1, 2), scores)
         assert obs.ids == ("P000050", "P000070")
         assert obs.conceptual[0] == 1 and obs.conceptual[1] == 0
         for k, pid in enumerate(obs.ids):
@@ -802,8 +821,8 @@ class TestObservationRows:
 
     def test_unclassified_papers_are_skipped(self):
         corpus, graph, eligible, scores = self.make_inputs()
-        obs = build_observation_rows(graph, eligible, {"P000050": "Empirical"}, (1, 2),
-                                     scores)
+        obs = build_observation_rows(graph, corpus.year, corpus.n_authors, eligible,
+                                     {"P000050": "Empirical"}, (1, 2), scores)
         assert obs.ids == ("P000050",)
 
 
@@ -816,9 +835,10 @@ def take_rows(scores, rows):
 
 class TestStaleScores:
     def join(self, scores, thresholds=(1, 2)):
-        _, graph, eligible, _ = TestObservationRows().make_inputs()
+        corpus, graph, eligible, _ = TestObservationRows().make_inputs()
         labels = dict.fromkeys(eligible, "Empirical")
-        return build_observation_rows(graph, eligible, labels, thresholds, scores)
+        return build_observation_rows(graph, corpus.year, corpus.n_authors, eligible, labels,
+                                      thresholds, scores)
 
     def test_exact_rows_in_any_order_join(self):
         _, _, _, scores = TestObservationRows().make_inputs()
@@ -1096,15 +1116,41 @@ class TestLineage:
             manifest["stages"][stage]["inputs"] = {**inputs, "corpus.jsonl": digest}
         (out / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        for stage in ("graph", "classify"):
+        # every later stage reads corpus_ids.npy
+        for stage in STAGES[1:]:
             assert cli.main([stage] + base) == 1
             self.refused(tmp_path, capsys, stage,
                          "missing artifact 'corpus_ids.npy'; run stage 'ingest' first")
-        assert cli.main(["disrupt"] + base) == 1
-        self.refused(tmp_path, capsys, "disrupt", "manifest.json records other files than "
-                                                  "stage 'ingest' now writes; run stage "
-                                                  "'ingest' again")
         for stage in STAGES:
+            assert cli.main([stage] + base) == 0
+
+    def test_out_dir_of_the_twelve_graph_files_asks_for_graph(self, tmp_path, capsys):
+        base = self.conf(tmp_path, "base.conf")
+        assert cli.main(["run"] + base) == 0
+        # what graph used to write besides the CSR arrays: copies of eight
+        # corpus files, which disrupt, regress and report read instead
+        out = tmp_path / "out"
+        copies = {name.replace("corpus_", "graph_"): name for name in
+                  corpus_files(("ids", "year", "n_authors", "journal", "gold_label"))}
+        for copy, name in copies.items():
+            shutil.copyfile(out / name, out / copy)
+        digests = {copy: hashlib.sha256((out / copy).read_bytes()).hexdigest()
+                   for copy in copies}
+        manifest = json.loads((out / "manifest.json").read_text())
+        stages = manifest["stages"]
+        stages["graph"]["outputs"].update(digests)
+        for stage in ("disrupt", "regress", "report"):
+            inputs = {k: v for k, v in stages[stage]["inputs"].items()
+                      if k not in CORPUS_FILES}
+            stages[stage]["inputs"] = {**inputs, **digests}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for stage in ("disrupt", "regress", "report"):
+            assert cli.main([stage] + base) == 1
+            self.refused(tmp_path, capsys, stage, "manifest.json records other files than "
+                                                  "stage 'graph' now writes; run stage "
+                                                  "'graph' again")
+        for stage in STAGES[1:]:
             assert cli.main([stage] + base) == 0
 
     @pytest.mark.parametrize("key, value, stage", [
@@ -1146,6 +1192,64 @@ class TestLineage:
         for stage in STAGES:
             STAGE_FUNCTIONS[stage](other)
         assert {p.name: p.read_bytes() for p in config.out_dir.iterdir()} == before
+
+
+@pytest.fixture(scope="class")
+def full_run(tmp_path_factory):
+    config = fixture_config(tmp_path_factory.mktemp("full"))
+    run_pipeline(config)
+    return config
+
+
+class TestDeclaredReads:
+    """A stage needs no file in out_dir but those its STAGE_TABLE entry
+    declares, and the manifest."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_runs_on_its_declared_reads_alone(self, full_run, tmp_path, stage):
+        alone = dataclasses.replace(full_run, out_dir=tmp_path / "alone")
+        alone.out_dir.mkdir()
+        for name in (*STAGE_TABLE[stage].reads, "manifest.json"):
+            shutil.copyfile(full_run.out_dir / name, alone.out_dir / name)
+        STAGE_FUNCTIONS[stage](alone)
+        for name in (*STAGE_TABLE[stage].writes, "manifest.json"):
+            assert ((alone.out_dir / name).read_bytes()
+                    == (full_run.out_dir / name).read_bytes()), name
+
+
+class TestRegressErrors:
+    def test_no_labelled_paper_is_named_with_the_counts(self, tmp_path, capsys):
+        allowlist = tmp_path / "none.txt"
+        allowlist.write_text("No Such Journal\n")
+        assert cli.main(["run"] + TestLineage.conf(tmp_path, "none.conf",
+                                                   allowlist=allowlist)) == 1
+        TestLineage.refused(tmp_path, capsys, "regress",
+                            "no eligible paper is labelled Conceptual or Empirical, so no "
+                            "model can be fitted (0 eligible: 0 Conceptual, 0 Empirical, "
+                            "0 Other)")
+
+    def test_too_few_papers_names_the_model(self, tmp_path, capsys):
+        assert cli.main(["run"] + TestLineage.conf(tmp_path, "in40.conf",
+                                                   min_in_links=40)) == 1
+        TestLineage.refused(tmp_path, capsys, "regress", "model 'citations-1': need more "
+                                                         "observations than columns (n=1, k=6)")
+
+    @pytest.mark.parametrize("stage, columns", [("regress", pipeline.REGRESS_COLUMNS),
+                                                ("report", pipeline.REPORT_COLUMNS)],
+                             ids=["regress", "report"])
+    def test_corpus_columns_of_another_length_name_out_dir(self, tmp_path, stage, columns):
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        # a hand edit, which leaves the manifest as it was, drops the last
+        # row of the columns the stage reads beside the graph
+        corpus = load_corpus(config.out_dir)
+        save_corpus(corpus.take(np.arange(len(corpus) - 1)), tmp_path)
+        for name in corpus_files(columns):
+            shutil.copyfile(tmp_path / name, config.out_dir / name)
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS[stage](config)
+        assert excinfo.value.message == (f"{config.out_dir}: corpus files disagree on the "
+                                          "row count")
 
 
 class TestCli:

@@ -259,6 +259,18 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="column 'x' is linearly dependent"):
             ols_fit(X, rng.normal(size=30), names=("intercept", "x", "x2"))
 
+    def test_fit_failures_name_the_model(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=30)
+        with pytest.raises(ValueError) as excinfo:
+            ols_fit(np.column_stack([np.ones(30), x, 2 * x]), rng.normal(size=30),
+                    names=("intercept", "x", "x2"), model="m")
+        assert str(excinfo.value) == ("model 'm': design matrix is rank-deficient: column 'x' "
+                                      "is linearly dependent on the others")
+        with pytest.raises(ValueError) as excinfo:
+            ols_fit(np.ones((2, 2)), np.zeros(2), model="m")
+        assert str(excinfo.value) == "model 'm': need more observations than columns (n=2, k=2)"
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), extra=st.integers(1, 60))
     def test_matches_two_factorisation_fit(self, seed, k, extra):
