@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -157,15 +158,20 @@ class BackendConfig:
 def check_backend_limits(max_in_flight: int, retries: int, backoff_base: float,
                          timeout: float) -> None:
     """Raise ValueError naming the first of these BackendConfig settings
-    that is out of range (NaN included)."""
+    that is out of range (NaN and infinity included: a socket timeout or
+    a sleep of inf overflows)."""
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if not backoff_base >= 0:
         raise ValueError("backoff_base must be >= 0")
+    if backoff_base == math.inf:
+        raise ValueError("backoff_base must be finite")
     if not timeout > 0:
         raise ValueError("timeout must be > 0")
+    if timeout == math.inf:
+        raise ValueError("timeout must be finite")
 
 
 def cache_key(model: str, prompt: str) -> str:

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--n-papers", type=int, required=True)
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--effect", type=float, default=0.0,
-                       help="planted conceptual citation/disruption boost (>= 0)")
+                       help="planted conceptual citation/disruption boost (finite, >= 0)")
     return parser
 
 

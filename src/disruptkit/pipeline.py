@@ -14,9 +14,9 @@ full pipeline is nothing more than the six stages in order:
 
 STAGE_TABLE states what each stage reads and writes and which config
 keys change its output. ingest parses the raw corpus once and writes its
-columns as arrays (see corpus.CORPUS_FILES). graph and classify read
-them all: under ``run`` ingest's columns stay in memory for both, and
-run alone they load the arrays, so no stage after ingest parses JSON.
+columns as arrays (see corpus.CORPUS_FILES). graph and classify load
+them all from out_dir, under ``run`` as when run alone, so no stage
+after ingest parses JSON.
 disrupt, regress and report load the graph (graph.LOAD_GRAPH_FILES) and
 only the other corpus columns they use: a record field is stored once.
 
@@ -177,6 +177,9 @@ class PipelineConfig:
                                  self.timeout)
         if not self.model_thresholds:
             raise ValueError("model_thresholds must be non-empty")
+        repeated = [str(l) for l, n in Counter(self.model_thresholds).items() if n > 1]
+        if repeated:
+            raise ValueError(f"model_thresholds lists {', '.join(repeated)} more than once")
         missing = [l for l in self.model_thresholds if l not in self.thresholds]
         if missing:
             raise ValueError(
@@ -380,23 +383,10 @@ def _mark_failed(marker: Path, stage: str, message: str) -> None:
         pass  # the stage's own error is the one to report, marker or not
 
 
-# While run_pipeline runs: what a stage handed over in memory, by the
-# artifact names it stands for, for later stages of the run that read them.
-_kept: dict[tuple[str, ...], object] | None = None
-
-
-def _reuse(config: PipelineConfig, names: tuple[str, ...], read: Callable[[Path], object]):
-    """Artifacts ``names`` as this run's producer kept them, else ``read`` of out_dir."""
-    if _kept is not None and names in _kept:
-        return _kept[names]
-    return read(config.out_dir)
-
-
 def _run_stage(name: str, config: PipelineConfig,
-               body: Callable[[PipelineConfig], Mapping | None]) -> list[Path]:
+               body: Callable[[PipelineConfig], None]) -> list[Path]:
     """Check the inputs' lineage, drop the stage's manifest entry, run
-    ``body``, then record the entry. ``body`` may return what it wrote,
-    by the artifact names it stands for, for run_pipeline to keep."""
+    ``body``, then record the entry."""
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -411,7 +401,7 @@ def _run_stage(name: str, config: PipelineConfig,
         # outputs stay unrecorded until the body has finished
         if stages.pop(name, None) is not None:
             _write_manifest(config, stages)
-        kept = body(config) or {}
+        body(config)
         entry["inputs"].update((key, _sha256_file(getattr(config, key)))
                                for key in STAGE_TABLE[name].sources if current[key] is not None)
         outputs = [config.out_dir / artifact for artifact in STAGE_TABLE[name].writes]
@@ -426,8 +416,6 @@ def _run_stage(name: str, config: PipelineConfig,
     except Exception as exc:
         _mark_failed(marker, name, str(exc))
         raise StageError(name, str(exc)) from exc
-    if _kept is not None:
-        _kept.update(kept)
     marker.unlink(missing_ok=True)
     return outputs
 
@@ -435,7 +423,7 @@ def _run_stage(name: str, config: PipelineConfig,
 STAGE_FUNCTIONS: dict[str, Callable[[PipelineConfig], list[Path]]] = {}
 
 
-def _stage(body: Callable[[PipelineConfig], Mapping | None]):
+def _stage(body: Callable[[PipelineConfig], None]):
     """Make ``body`` stage_<name>: run by _run_stage, listed in STAGE_FUNCTIONS."""
     name = body.__name__.removeprefix("stage_")
 
@@ -459,7 +447,7 @@ def _read_allowlist(config: PipelineConfig) -> set[str]:
 
 
 @_stage
-def stage_ingest(config: PipelineConfig) -> dict:
+def stage_ingest(config: PipelineConfig) -> None:
     """Parse the raw corpus, apply the journal allowlist, and write the
     normalized corpus, sorted by id, as column arrays."""
     if not config.corpus.exists():
@@ -468,17 +456,25 @@ def stage_ingest(config: PipelineConfig) -> dict:
     if config.allowlist is not None:
         corpus = filter_journals(corpus, _read_allowlist(config))
     save_corpus(corpus, config.out_dir)
-    return {CORPUS_FILES: corpus}
 
 
 @_stage
 def stage_graph(config: PipelineConfig) -> None:
     """Build and save the citation network, and compute the eligible
-    focal set."""
-    corpus = _reuse(config, CORPUS_FILES, load_corpus)
+    focal set. A set on which regress could fit no model is refused."""
+    corpus = load_corpus(config.out_dir)
     graph = build_graph(corpus)
-    save_graph(graph, config.out_dir)
     eligible = eligible_ids(corpus, graph, config.criteria())
+    # Labels and Undefined scores only take papers away, so this is the
+    # first stage that can tell, and classify, which may bill, comes next.
+    widest = max(standard_model_specs(config.model_thresholds),
+                 key=lambda spec: len(spec.column_names()))
+    width = len(widest.column_names())
+    if len(eligible) <= width:
+        raise ValueError(f"{len(eligible)} papers are eligible, and model {widest.name!r} "
+                         f"needs more than its {width} columns; relax "
+                         + ", ".join(STAGE_TABLE["graph"].keys) + " or the allowlist")
+    save_graph(graph, config.out_dir)
     with atomic_write(config.out_dir / "eligible.txt") as fh:
         fh.write("".join(f"{pid}\n" for pid in eligible))
 
@@ -486,7 +482,7 @@ def stage_graph(config: PipelineConfig) -> None:
 @_stage
 def stage_classify(config: PipelineConfig) -> None:
     """Classify each eligible paper as Conceptual/Empirical/Other."""
-    corpus = _reuse(config, CORPUS_FILES, load_corpus)
+    corpus = load_corpus(config.out_dir)
     eligible = _read_eligible(config)
     try:
         rows = corpus.positions(eligible)
@@ -711,16 +707,8 @@ def stage_report(config: PipelineConfig) -> None:
 
 def run_pipeline(config: PipelineConfig) -> list[Path]:
     """All six stages in order. Artifacts land in config.out_dir, and each
-    stage records itself in the manifest as it completes. What a stage
-    hands over in memory is kept while a later stage reads all it stands for."""
-    global _kept
-    _kept = {}
+    stage records itself in the manifest as it completes."""
     artifacts: list[Path] = []
-    try:
-        for k, stage in enumerate(STAGES):
-            artifacts.extend(STAGE_FUNCTIONS[stage](config))
-            _kept = {names: value for names, value in _kept.items() if any(
-                set(STAGE_TABLE[later].reads).issuperset(names) for later in STAGES[k + 1:])}
-    finally:
-        _kept = None
+    for stage in STAGES:
+        artifacts.extend(STAGE_FUNCTIONS[stage](config))
     return artifacts

@@ -24,6 +24,7 @@ so the offline classifier stub can recover them without a network.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -194,8 +195,8 @@ def synth_corpus(
     """
     if n_papers < 10:
         raise ValueError(f"n_papers must be >= 10, got {n_papers}")
-    if effect < 0:
-        raise ValueError(f"effect must be >= 0, got {effect}")
+    if not 0 <= effect < math.inf:
+        raise ValueError(f"effect must be a finite number >= 0, got {effect}")
 
     rng = np.random.default_rng(seed)
     is_conceptual = rng.random(n_papers) < _CONCEPTUAL_FRAC

@@ -157,6 +157,7 @@ class TestConfig:
         ("year_max = 2015",
          "year_max 2015 leaves year group 2016-2020 empty; regress needs papers in every group"),
         ("model_thresholds =", "model_thresholds must be non-empty"),
+        ("model_thresholds = 2,3,2", "model_thresholds lists 2 more than once"),
         ("n_jobs = 0", "n_jobs must be >= 1, got 0"),
         ("n_jobs = -2", "n_jobs must be >= 1, got -2"),
         ("stub = false\nmax_in_flight = 0", "max_in_flight must be >= 1"),
@@ -165,6 +166,8 @@ class TestConfig:
         ("stub = false\ntimeout = -1", "timeout must be > 0"),
         ("stub = false\ntimeout = 0", "timeout must be > 0"),
         ("stub = false\ntimeout = nan", "timeout must be > 0"),
+        ("stub = false\ntimeout = inf", "timeout must be finite"),
+        ("stub = false\nretries = 1\nbackoff_base = inf", "backoff_base must be finite"),
         # values that do not parse name the file and the line
         ("n_jobs = x", "{path}: line {line}: config key 'n_jobs': expected an integer, got 'x'"),
         ("thresholds = 1,a",
@@ -518,7 +521,7 @@ class TestStageSequencing:
         assert marker.startswith(f"{stage}:") and "run stage 'graph' first" in marker
 
     def test_only_ingest_graph_and_classify_parse_the_corpus(self, tmp_path, monkeypatch):
-        calls = {"parse_corpus": 0, "build_graph": 0}
+        calls = {"parse_corpus": 0, "build_graph": 0, "load_corpus": 0}
 
         def counting(name):
             real = getattr(pipeline, name)
@@ -532,21 +535,8 @@ class TestStageSequencing:
             monkeypatch.setattr(pipeline, name, counting(name))
         config = fixture_config(tmp_path)
         run_pipeline(config)
-        # ingest hands its records to graph and classify
-        assert calls == {"parse_corpus": 1, "build_graph": 1}
-
-    def test_run_lets_the_corpus_go_after_classify(self, tmp_path, monkeypatch):
-        # disrupt reads corpus_ids.npy, but not the other columns ingest kept
-        kept_in_disrupt = []
-        real = pipeline.disruption_batch
-
-        def spy(*args, **kwargs):
-            kept_in_disrupt.append(dict(pipeline._kept))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "disruption_batch", spy)
-        run_pipeline(fixture_config(tmp_path))
-        assert kept_in_disrupt == [{}]
+        # ingest parses once, and graph and classify load its columns from out_dir
+        assert calls == {"parse_corpus": 1, "build_graph": 1, "load_corpus": 2}
 
     def test_graph_and_classify_run_alone_parse_no_json(self, tmp_path, monkeypatch):
         config = fixture_config(tmp_path, out_dir=tmp_path / "full")
@@ -1218,21 +1208,40 @@ class TestDeclaredReads:
 
 
 class TestRegressErrors:
+    GRAPH_KEYS = "min_out_links, min_in_links, year_min, year_max, min_abstract_chars"
+
     def test_no_labelled_paper_is_named_with_the_counts(self, tmp_path, capsys):
-        allowlist = tmp_path / "none.txt"
-        allowlist.write_text("No Such Journal\n")
-        assert cli.main(["run"] + TestLineage.conf(tmp_path, "none.conf",
-                                                   allowlist=allowlist)) == 1
-        TestLineage.refused(tmp_path, capsys, "regress",
-                            "no eligible paper is labelled Conceptual or Empirical, so no "
-                            "model can be fitted (0 eligible: 0 Conceptual, 0 Empirical, "
-                            "0 Other)")
+        config = fixture_config(tmp_path)
+        run_pipeline(config)
+        # a hand edit, which leaves the manifest as it was, labels every paper Other
+        path = config.out_dir / "classifications.csv"
+        table = read_classifications(path)
+        n = len(table)
+        pipeline._write_classifications(dataclasses.replace(table, labels=("Other",) * n), path)
+        with pytest.raises(StageError) as excinfo:
+            STAGE_FUNCTIONS["regress"](config)
+        assert excinfo.value.message == (
+            "no eligible paper is labelled Conceptual or Empirical, so no model can be fitted "
+            f"({n} eligible: 0 Conceptual, 0 Empirical, {n} Other)")
+
+    def graph_refused(self, tmp_path, capsys, n_eligible):
+        message = (f"{n_eligible} papers are eligible, and model 'citations-3' needs more "
+                   f"than its 8 columns; relax {self.GRAPH_KEYS} or the allowlist")
+        TestLineage.refused(tmp_path, capsys, "graph", message)
+        assert not (tmp_path / "out" / "eligible.txt").exists()
+        assert not (tmp_path / "out" / "classifications.csv").exists()
 
     def test_too_few_papers_names_the_model(self, tmp_path, capsys):
         assert cli.main(["run"] + TestLineage.conf(tmp_path, "in40.conf",
                                                    min_in_links=40)) == 1
-        TestLineage.refused(tmp_path, capsys, "regress", "model 'citations-1': need more "
-                                                         "observations than columns (n=1, k=6)")
+        self.graph_refused(tmp_path, capsys, 1)
+
+    def test_an_allowlist_that_keeps_no_paper_is_refused_in_graph(self, tmp_path, capsys):
+        allowlist = tmp_path / "none.txt"
+        allowlist.write_text("No Such Journal\n")
+        assert cli.main(["run"] + TestLineage.conf(tmp_path, "none.conf",
+                                                   allowlist=allowlist)) == 1
+        self.graph_refused(tmp_path, capsys, 0)
 
     @pytest.mark.parametrize("stage, columns", [("regress", pipeline.REGRESS_COLUMNS),
                                                 ("report", pipeline.REPORT_COLUMNS)],
@@ -1302,6 +1311,17 @@ class TestCli:
                          "--n-papers", "3", "--seed", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("effect", ["nan", "inf", "-1"])
+    def test_synth_rejects_an_effect_that_is_not_finite_and_nonnegative(self, tmp_path,
+                                                                          capsys, effect):
+        out = tmp_path / "c.jsonl"
+        code = cli.main(["synth", "--out", str(out), "--n-papers", "20", "--seed", "1",
+                         "--effect", effect])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: effect must be a finite number >= 0, got {float(effect)}\n")
+        assert not out.exists()
 
     def test_run_command(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
