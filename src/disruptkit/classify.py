@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import BinaryIO, Callable, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 from urllib.parse import urlsplit
 
 from .corpus import Corpus
@@ -75,6 +75,16 @@ def render_prompt(title: str, abstract: str) -> str:
         raise ValueError("abstract must be non-empty")
     head, mid, tail = _TEMPLATE_PARTS
     return head + title + mid + abstract + tail
+
+
+def _prompts(corpus: Corpus) -> Iterator[str]:
+    """Each row's prompt, in row order. An empty title or abstract raises
+    ValueError naming the row's id."""
+    for paper_id, title, abstract in zip(corpus.ids, corpus.title, corpus.abstract):
+        try:
+            yield render_prompt(title, abstract)
+        except ValueError as exc:
+            raise ValueError(f"record {paper_id!r}: {exc}") from None
 
 
 def _token_label(text: str) -> str | None:
@@ -363,17 +373,18 @@ def classify_batch(
     threads (no more threads than papers, and no pool when there are
     none), which needs the API key. Fresh responses are appended to the
     cache, and a paper whose request fails permanently yields an
-    error-source row instead of aborting the batch.
+    error-source row instead of aborting the batch. A row with an empty
+    title or abstract raises ValueError naming its id, and then no HTTP
+    request is sent.
     """
     if backend is not None:
-        return _label_table(corpus.ids, [
-            (*parse_response(backend(render_prompt(title, abstract))), "stub")
-            for title, abstract in zip(corpus.title, corpus.abstract)])
+        return _label_table(corpus.ids, [(*parse_response(backend(prompt)), "stub")
+                                         for prompt in _prompts(corpus)])
 
     if config is None:
         raise ValueError("either a backend callable or a BackendConfig is required")
 
-    prompts = list(map(render_prompt, corpus.title, corpus.abstract))
+    prompts = list(_prompts(corpus))
     rows: list[tuple[str, str, str] | None] = []
     misses: list[int] = []
     for pos, prompt in enumerate(prompts):

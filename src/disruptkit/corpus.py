@@ -29,11 +29,12 @@ import enum
 import json
 import logging
 import os
+import re
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import islice, repeat, zip_longest
+from itertools import filterfalse, islice, repeat, zip_longest
 from operator import contains, itemgetter, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -100,7 +101,19 @@ def _record_problem(obj) -> str | None:
         return f"record {rec_id!r}: gold_label must be one of {GOLD_LABELS}"
     if not all(isinstance(ref, str) and ref for ref in refs):
         return bad_refs
+    if not _utf8_encodable((rec_id, obj["title"], obj["abstract"], obj["journal"], *refs)):
+        return f"record {rec_id!r}: not encodable as UTF-8 (surrogates not allowed)"
     return None
+
+
+# A string has no UTF-8 form when it holds a surrogate code point, which
+# only a JSON escape such as "\ud800" can put in a decoded string.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _utf8_encodable(strings: Iterable[str]) -> bool:
+    """Whether every string has a UTF-8 form; ASCII ones are not searched."""
+    return not any(map(_SURROGATE.search, filterfalse(str.isascii, strings)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +123,8 @@ class Corpus:
     Row i's references are ``ref_strings[c]`` for each code c in
     ``ref_codes[ref_offsets[i]:ref_offsets[i + 1]]``. ``ref_strings`` may
     hold strings no row refers to (after ``take``). The columns are
-    validated when the corpus is built and are not to be modified.
+    validated when the corpus is built, so every string has a UTF-8 form,
+    and are not to be modified.
     """
 
     ids: tuple[str, ...]
@@ -279,7 +293,8 @@ def _columns_valid(columns: list[tuple], golds: list, table: dict) -> bool:
     except TypeError:  # an unhashable gold_label: a list or an object
         return False
     return (all(map(_valid_gold, distinct_golds))
-            and not set(map(type, table)) - {str} and "" not in table)
+            and not set(map(type, table)) - {str} and "" not in table
+            and all(map(_utf8_encodable, (ids, titles, abstracts, journals, table))))
 
 
 def _one_line_id(paper_id: str) -> bool:
@@ -349,25 +364,13 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 _CHUNK_BYTES = 1 << 20
 
 
-class UnencodableString(ValueError):
-    """String ``index`` of column ``column`` has no UTF-8 encoding (it holds
-    a lone surrogate); ``reason`` is the codec's."""
-
-    def __init__(self, column: str, index: int, reason: str):
-        super().__init__(f"{column}: string {index} not encodable as UTF-8 ({reason})")
-        self.column, self.index, self.reason = column, index, reason
-
-
-def _utf8_offsets(column: str, strings: Sequence[str]) -> np.ndarray:
+def _utf8_offsets(strings: Sequence[str]) -> np.ndarray:
     """Where each string's UTF-8 bytes end in their concatenation, after a 0."""
     n = len(strings)
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=n)
     ascii = np.fromiter(map(str.isascii, strings), dtype=bool, count=n)
     for k in np.flatnonzero(~ascii).tolist():
-        try:
-            lengths[k] = len(strings[k].encode("utf-8"))
-        except UnicodeEncodeError as exc:
-            raise UnencodableString(column, k, exc.reason) from exc
+        lengths[k] = len(strings[k].encode("utf-8"))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return offsets
@@ -378,11 +381,11 @@ def save_columns(out_dir: str | Path,
     """Write each array in ``columns`` as ``<name>.npy`` in out_dir and each
     string column as ``<name>.npy`` and ``<name>_offsets.npy``, each file
     with ``atomic_write``, and return their paths in that order. Every
-    string is checked first, so a string with no UTF-8 encoding raises
-    UnencodableString before any file is touched. The files depend only
+    string is measured first, so a string with no UTF-8 form raises
+    UnicodeEncodeError before any file is touched. The files depend only
     on the columns, so equal columns give byte-identical files."""
     out_dir = Path(out_dir)
-    offsets = {name: _utf8_offsets(name, values) for name, values in columns.items()
+    offsets = {name: _utf8_offsets(values) for name, values in columns.items()
                if not isinstance(values, np.ndarray)}
     paths = []
     for name, values in columns.items():
@@ -448,24 +451,10 @@ CORPUS_FILES = corpus_files(_COLUMNS)
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> list[Path]:
     """Write the corpus's columns as the CORPUS_FILES in out_dir (see
-    save_columns); a missing gold label is stored as "". A record that
-    cannot be encoded as UTF-8 (a lone surrogate) raises ValueError
-    naming its id before any file is touched."""
+    save_columns); a missing gold label is stored as ""."""
     columns = {f"corpus_{column}": getattr(corpus, column) for column in _COLUMNS}
     columns["corpus_gold_label"] = tuple(g or "" for g in corpus.gold_label)
-    try:
-        return save_columns(out_dir, columns)
-    except UnencodableString as exc:
-        row = exc.index
-        if exc.column == "corpus_ref_strings":
-            # the first record referring to it, if one does
-            uses = np.flatnonzero(corpus.ref_codes == exc.index)[:1]
-            if not len(uses):
-                raise ValueError(f"reference {corpus.ref_strings[exc.index]!r}: not encodable "
-                                 f"as UTF-8 ({exc.reason})") from exc
-            row = int(np.searchsorted(corpus.ref_offsets, uses[0], side="right")) - 1
-        raise ValueError(f"record {corpus.ids[row]!r}: not encodable as UTF-8 "
-                         f"({exc.reason})") from exc
+    return save_columns(out_dir, columns)
 
 
 def load_columns(out_dir: str | Path, columns: Iterable[str]) -> dict:
@@ -500,10 +489,8 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Serialize records, one JSON object per line, in id order; each line
     is what ``json.dumps(obj, ensure_ascii=False)`` gives for the object
     with keys ``id, title, abstract, journal, year, n_authors, references``
-    in that order, then ``gold_label`` if the row has one.
-
-    The file is written with ``atomic_write``. A record that cannot be
-    encoded as UTF-8 (a lone surrogate) raises ValueError naming its id.
+    in that order, then ``gold_label`` if the row has one. The file is
+    written with ``atomic_write``.
     """
     quote = json.encoder.encode_basestring
     refs = np.array([quote(s) for s in corpus.ref_strings], dtype=object)
@@ -520,18 +507,14 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
                     f'"year": {year}, "n_authors": {n_authors}, '
                     f'"references": [{", ".join(refs[bounds[k]:bounds[k + 1]])}]'
                     f'{gold_tail[gold]}}}\n')
-            try:
-                fh.write(line)
-            except UnicodeEncodeError as exc:
-                raise ValueError(
-                    f"record {paper_id!r}: not encodable as UTF-8 ({exc.reason})"
-                ) from exc
+            fh.write(line)
 
 
 def read_allowlist(path: str | Path) -> set[str]:
-    """Journal allowlist: one name per line, exact match after trimming."""
+    """Journal allowlist: one name per line, exact match after trimming.
+    A leading byte-order mark, as spreadsheets write, is dropped."""
     names: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
         for line in fh:
             name = line.strip()
             if name:

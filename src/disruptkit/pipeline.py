@@ -23,13 +23,15 @@ only the other corpus columns they use: a record field is stored once.
 manifest.json holds, per finished stage, the sha256 of its inputs, its
 config values and the sha256 of what it wrote. From it alone, a stage
 refuses inputs whose lineage no longer matches the files upstream or the
-config, naming the most upstream stage to run again. A manifest that is
-not valid asks for ingest again, which then starts a new one; an entry
-that lists other files than its stage now writes asks for that stage
-again. It carries no
-clock data, so a rerun with identical inputs and the offline classifier
-stub is byte-identical. A failing stage leaves partial outputs in place,
-unrecorded, plus a FAILED marker naming the stage and cause.
+config, naming the most upstream stage to run again. The one file it
+hashes first is a source that a stage upstream read too (report's
+allowlist, which ingest applied): it must be the file that stage read.
+A manifest that is not valid asks for ingest again, which then starts a
+new one; an entry that lists other files than its stage now writes asks
+for that stage again. It carries no clock data, so a rerun with
+identical inputs and the offline classifier stub is byte-identical. A
+failing stage leaves partial outputs in place, unrecorded, plus a FAILED
+marker naming the stage and cause.
 """
 
 from __future__ import annotations
@@ -250,15 +252,15 @@ def _coerce(name: str, text: str, target_type) -> object:
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a `key = value` file (# comments, blank lines allowed) into
-    a PipelineConfig; unknown keys are errors. ``overrides`` wins over
-    file values."""
+    a PipelineConfig; unknown keys are errors, and a leading byte-order
+    mark is dropped. ``overrides`` wins over file values."""
     path = Path(path)
     # A field annotated X | None is read as an X.
     type_map = {name: get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
                 for name, hint in get_type_hints(PipelineConfig).items()}
     values: dict = {}
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -290,6 +292,17 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _source_sha256(config: PipelineConfig, key: str) -> str | None:
+    """The sha256 of the file outside out_dir that config key ``key``
+    names, or None if it names none."""
+    path = getattr(config, key)
+    if path is None:
+        return None
+    if not path.exists():
+        raise FileNotFoundError(f"{key} file not found: {path}")
+    return _sha256_file(path)
 
 
 def _versions() -> dict:
@@ -350,7 +363,9 @@ def _check_inputs(name: str, config: PipelineConfig, current: dict, stages: dict
     """Raise StageError naming the stage to run when an input of ``name`` is
     missing or, most upstream first, a stage upstream has no record in the
     manifest, or read other files than its producers last wrote, or used
-    other config values."""
+    other config values; or when a file outside out_dir that ``name``
+    reads (a source) is not the one a stage upstream read under that key.
+    Only sources are hashed here."""
     for artifact in STAGE_TABLE[name].reads:
         if not (config.out_dir / artifact).exists():
             raise StageError(name, f"missing artifact {artifact!r}; "
@@ -374,6 +389,19 @@ def _check_inputs(name: str, config: PipelineConfig, current: dict, stages: dict
             else:
                 continue
         raise StageError(name, f"{problem}; run stage '{stage}' again")
+    for stage in (s for s in STAGES if s in upstream):
+        for key in (k for k in STAGE_TABLE[name].sources if k in STAGE_TABLE[stage].sources):
+            recorded, now = stages[stage]["inputs"].get(key), _source_sha256(config, key)
+            if recorded == now:
+                continue
+            path = getattr(config, key)
+            if recorded and now:
+                problem = f"{key} {path} has changed since stage '{stage}' read it"
+            elif now:
+                problem = f"stage '{stage}' ran with no {key}, the config names {path}"
+            else:
+                problem = f"stage '{stage}' ran with {key} set, the config sets none"
+            raise StageError(name, f"{problem}; run stage '{stage}' again")
 
 
 def _mark_failed(marker: Path, stage: str, message: str) -> None:
@@ -402,7 +430,7 @@ def _run_stage(name: str, config: PipelineConfig,
         if stages.pop(name, None) is not None:
             _write_manifest(config, stages)
         body(config)
-        entry["inputs"].update((key, _sha256_file(getattr(config, key)))
+        entry["inputs"].update((key, _source_sha256(config, key))
                                for key in STAGE_TABLE[name].sources if current[key] is not None)
         outputs = [config.out_dir / artifact for artifact in STAGE_TABLE[name].writes]
         stages[name] = {**entry, "outputs": {p.name: _sha256_file(p) for p in outputs}}

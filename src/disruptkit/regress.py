@@ -274,11 +274,13 @@ def fit_model(obs: Observations, spec: ModelSpec) -> RegressionResult:
 
 
 def format_p(p: float) -> str:
-    """Journal-style p rendering: '< .001' below a thousandth, else a
-    three-decimal value with no leading zero."""
+    """Journal-style p rendering: '< .001' below a thousandth, '> .999'
+    where three decimals would round to 1.000, else a three-decimal value
+    with no leading zero."""
     if p < 0.001:
         return "< .001"
-    return f"{p:.3f}"[1:]
+    text = f"{p:.3f}"
+    return "> .999" if text == "1.000" else text[1:]
 
 
 def emit_table(results: Sequence[RegressionResult], title: str, decimals: int = 3) -> str:

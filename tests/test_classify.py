@@ -478,6 +478,17 @@ class TestHttpBackend:
             classify_batch(papers(mk("p1")), config=http_config(backend_server))
         assert backend_server.calls == []
 
+    @pytest.mark.parametrize("field", ["title", "abstract"])
+    def test_empty_text_names_the_record_before_any_request(self, backend_server,
+                                                            monkeypatch, field):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        corpus = papers(mk("p1"), mk("p2", **{field: ""}), mk("p3"))
+        for kwargs in (dict(backend=stub_backend), dict(config=http_config(backend_server))):
+            with pytest.raises(ValueError) as excinfo:
+                classify_batch(corpus, **kwargs)
+            assert str(excinfo.value) == f"record 'p2': {field} must be non-empty"
+        assert backend_server.calls == []
+
     def test_empty_corpus_gives_an_empty_table(self, backend_server, monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         result = classify_batch(papers(), config=http_config(backend_server))

@@ -114,6 +114,20 @@ class TestParseCorpus:
                                              "non-empty strings"):
             parse_corpus(io.StringIO(text))
 
+    # Rule 13 holds for every record: journal "Dropped" is one the
+    # allowlist would later drop.
+    @pytest.mark.parametrize("field, value", [
+        ("id", "b\ud800"), ("title", "t\ud800"), ("abstract", "\udfff"),
+        ("journal", "Dropped\ud800"), ("references", ["a", "\ud800"]),
+    ], ids=["id", "title", "abstract", "journal", "reference"])
+    def test_string_with_no_utf8_form_names_line(self, field, value):
+        bad = {**mk("b", journal="Dropped"), field: value}
+        text = json.dumps(mk("a")) + "\n" + json.dumps(bad) + "\n" + json.dumps(mk("c"))
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == (f"<stream>: line 2: record {bad['id']!r}: not encodable "
+                                      "as UTF-8 (surrogates not allowed)")
+
     @pytest.mark.parametrize("paper_id", ["b ", " b", "\tb", "b\u2028", "\x85", "b\rc", "b\nc"])
     def test_id_eligible_txt_cannot_hold_names_line(self, paper_id):
         bad = {**mk("b"), "id": paper_id}
@@ -153,7 +167,7 @@ class TestWriteCorpus:
 
 
 # Any text JSON can carry except lone surrogates, which have no UTF-8
-# form; write_corpus and save_corpus refuse those (see TestCorpusFiles).
+# form; parse_corpus refuses those (see TestParseCorpus).
 _TEXT = st.text(st.one_of(
     st.characters(exclude_categories=("Cs",)),
     st.sampled_from('"\\\'\u2028\u2029\r\n\x00\x85\ufeff{}'),
@@ -308,18 +322,11 @@ class TestCorpusFiles:
                 f"{tmp_path}: corpus files disagree on the row count")):
             load_columns(tmp_path, ("year", "n_authors"))
 
-    @pytest.mark.parametrize("records, who", [
-        ([mk("a"), mk("b", title="t\ud800")], "record 'b'"),
-        ([mk("a", refs=("x",)), mk("b", refs=("x", "\ud800"))], "record 'b'"),
-        # a reference only a dropped record made
-        ([mk("a", journal="Kept"), mk("b", refs=("\ud800",), journal="Dropped")],
-         "reference '\\ud800'"),
-    ])
-    def test_unencodable_string_touches_no_file(self, tmp_path, records, who):
-        corpus = filter_journals(corpus_of(*records), {"J", "Kept"})
-        with pytest.raises(ValueError) as excinfo:
+    def test_string_with_no_utf8_form_touches_no_file(self, tmp_path):
+        # parse_corpus refuses such a string; a corpus built by hand may hold one
+        corpus = dataclasses.replace(corpus_of(mk("a"), mk("b")), abstract=("x", "\ud800"))
+        with pytest.raises(UnicodeEncodeError):
             save_corpus(corpus, tmp_path)
-        assert str(excinfo.value) == f"{who}: not encodable as UTF-8 (surrogates not allowed)"
         assert not list(tmp_path.iterdir())
 
 
@@ -327,6 +334,12 @@ class TestJournalFiltering:
     def test_read_allowlist_trims_and_skips_blanks(self, tmp_path):
         path = tmp_path / "allow.txt"
         path.write_text("  Journal A \n\nJournal B\n", encoding="utf-8")
+        assert read_allowlist(path) == {"Journal A", "Journal B"}
+
+    def test_read_allowlist_drops_a_byte_order_mark(self, tmp_path):
+        # as a spreadsheet's "CSV UTF-8" starts a file
+        path = tmp_path / "allow.txt"
+        path.write_bytes(b"\xef\xbb\xbfJournal A\nJournal B\n")
         assert read_allowlist(path) == {"Journal A", "Journal B"}
 
     def test_filter_keeps_only_allowed(self):
@@ -494,6 +507,19 @@ class TestErrorPrecedence:
         assert str(excinfo.value) == (
             "<stream>: line 2: record 'b': references must be non-empty strings")
 
+    def test_string_with_no_utf8_form_beats_a_later_bad_field(self):
+        text = _line("a", title="t\ud800") + _line("b") + _line("c", year=3000)
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == (
+            "<stream>: line 1: record 'a': not encodable as UTF-8 (surrogates not allowed)")
+
+    def test_string_with_no_utf8_form_is_the_last_check_of_a_line(self):
+        text = _line("a") + _line("b", title="t\ud800", year=3000)
+        with pytest.raises(ValueError) as excinfo:
+            parse_corpus(io.StringIO(text))
+        assert str(excinfo.value) == "<stream>: line 2: record 'b': year 3000 outside [1800, 2100]"
+
     def test_a_record_duplicating_a_bad_record_names_the_bad_one(self):
         text = _line("a") + _line("b", gold_label="other") + _line("b")
         with pytest.raises(ValueError) as excinfo:
@@ -531,7 +557,8 @@ def _reference_parse(lines):
 # field, and right for others.
 _ODD_VALUES = st.sampled_from([
     None, True, 0, -1, 1799, 2101, 1.5, 10**19, "", "x", " Empirical ", "other", "a\rb",
-    [], ["a"], [""], [3], [["a"]], [{"a": 1}], ["", ["a"]], [3, {"a": 1}], {"a": 1},
+    "\ud800", [], ["a"], [""], [3], [["a"]], [{"a": 1}], ["", ["a"]], [3, {"a": 1}],
+    ["\ud800"], {"a": 1},
 ])
 
 

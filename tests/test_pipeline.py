@@ -128,6 +128,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="expected a boolean"):
             load_config(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as a spreadsheet's "CSV UTF-8" starts a file
+        path = tmp_path / "bom.conf"
+        path.write_bytes(b"\xef\xbb\xbfmin_in_links = 2\n")
+        assert load_config(path).min_in_links == 2
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.conf"
         path.write_text("# a comment\n\nmin_in_links = 2\n")
@@ -458,20 +464,25 @@ class TestManifest:
         stage_ingest(config)
         before = {name: (config.out_dir / name).read_bytes() for name in CORPUS_FILES}
         listing = sorted(p.name for p in config.out_dir.iterdir())
-        # an escaped lone surrogate parses, but has no UTF-8 encoding
+        # an escaped lone surrogate decodes, but has no UTF-8 form, whether
+        # the allowlist keeps the record or drops it
         lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[0])
-        assert record["journal"] in (FIXTURES / "journals.txt").read_text().splitlines()
-        lines[0] = json.dumps({**record, "title": "t\ud800"})
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(StageError) as excinfo:
-            stage_ingest(fixture_config(tmp_path, corpus=bad))
-        assert excinfo.value.stage == "ingest"
-        assert f"record {record['id']!r}: not encodable as UTF-8" in excinfo.value.message
-        assert {name: (config.out_dir / name).read_bytes() for name in CORPUS_FILES} == before
-        assert not [p.name for p in config.out_dir.iterdir() if p.name.endswith(".tmp")]
-        assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
+        journals = (FIXTURES / "journals.txt").read_text().splitlines()
+        for allowed in (True, False):
+            k = next(k for k, line in enumerate(lines)
+                     if (json.loads(line)["journal"] in journals) == allowed)
+            record = json.loads(lines[k])
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text("\n".join([*lines[:k], json.dumps({**record, "title": "t\ud800"}),
+                                      *lines[k + 1:]]) + "\n", encoding="utf-8")
+            with pytest.raises(StageError) as excinfo:
+                stage_ingest(fixture_config(tmp_path, corpus=bad))
+            assert excinfo.value.stage == "ingest"
+            assert excinfo.value.message == (f"{bad}: line {k + 1}: record {record['id']!r}: "
+                                             "not encodable as UTF-8 (surrogates not allowed)")
+            assert {name: (config.out_dir / name).read_bytes() for name in CORPUS_FILES} == before
+            assert not [p.name for p in config.out_dir.iterdir() if p.name.endswith(".tmp")]
+            assert sorted(p.name for p in config.out_dir.iterdir()) == sorted(listing + ["FAILED"])
 
 
 class TestStageSequencing:
@@ -764,6 +775,37 @@ class TestClassifyStage:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("stub", [True, False])
+    def test_empty_title_of_an_eligible_paper_is_named(self, tmp_path, capsys, monkeypatch,
+                                                       stub):
+        # eligibility does not look at titles, so classify is the first to see one
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "run.conf"
+        server = RecordingServer()
+        path.write_text(
+            (FIXTURES / "pipeline.conf").read_text()
+            + f"corpus = {corpus}\nallowlist = {FIXTURES / 'journals.txt'}\n"
+            + f"stub = {str(stub).lower()}\nendpoint = {server.endpoint}\nmodel = test-model\n")
+        base = ["--config", str(path), "--out-dir", str(tmp_path / "out")]
+        lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            assert cli.main(["ingest"] + base) == 0
+            assert cli.main(["graph"] + base) == 0
+            paper_id = (tmp_path / "out" / "eligible.txt").read_text().split()[-1]
+            records = [json.loads(line) for line in lines]
+            corpus.write_text("".join(json.dumps({**r, "title": ""} if r["id"] == paper_id
+                                                 else r) + "\n" for r in records))
+            assert cli.main(["ingest"] + base) == 0
+            assert cli.main(["graph"] + base) == 0
+            capsys.readouterr()
+            assert cli.main(["classify"] + base) == 1
+            assert capsys.readouterr().err == (
+                f"error: stage 'classify': record {paper_id!r}: title must be non-empty\n")
+            assert server.calls == []
+        finally:
+            server.close()
+
     def test_cache_file_is_closed_after_the_stage(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
         handles = []
@@ -957,11 +999,12 @@ class TestLineage:
     matches the files upstream or the current config."""
 
     @staticmethod
-    def conf(tmp_path, name, **values):
+    def conf(tmp_path, name, allowlist=FIXTURES / "journals.txt", **values):
         path = tmp_path / name
-        path.write_text((FIXTURES / "pipeline.conf").read_text()
+        fixture = (FIXTURES / "pipeline.conf").read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in fixture if not line.startswith("allowlist"))
                         + f"corpus = {FIXTURES / 'corpus.jsonl'}\n"
-                        + f"allowlist = {FIXTURES / 'journals.txt'}\n"
+                        + (f"allowlist = {allowlist}\n" if allowlist else "")
                         + f"out_dir = {tmp_path / 'out'}\n"
                         + "".join(f"{key} = {value}\n" for key, value in values.items()))
         return ["--config", str(path)]
@@ -987,6 +1030,30 @@ class TestLineage:
         (tmp_path / "out").rename(tmp_path / "staged")
         assert cli.main(["run"] + eight) == 0
         assert read_artifacts(tmp_path / "out") == staged
+
+    # report counts the allowed journals, so its allowlist must be the one
+    # ingest filtered the corpus with
+    @pytest.mark.parametrize("before, after, problem", [
+        (False, "kept", "stage 'ingest' ran with no allowlist, the config names {path}"),
+        (True, "removed", "stage 'ingest' ran with allowlist set, the config sets none"),
+        (True, "edited", "allowlist {path} has changed since stage 'ingest' read it"),
+    ], ids=["added", "removed", "edited"])
+    def test_report_refuses_an_allowlist_ingest_did_not_apply(self, tmp_path, capsys,
+                                                              before, after, problem):
+        path = tmp_path / "journals.txt"
+        path.write_bytes((FIXTURES / "journals.txt").read_bytes())
+        assert cli.main(["run"] + self.conf(tmp_path, "run.conf",
+                                            allowlist=path if before else None)) == 0
+        if after == "edited":
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write("Synthetic Journal 07\n")
+        later = self.conf(tmp_path, "later.conf", allowlist=None if after == "removed" else path)
+        assert cli.main(["regress"] + later) == 0
+        capsys.readouterr()
+        assert cli.main(["report"] + later) == 1
+        self.refused(tmp_path, capsys, "report",
+                     problem.format(path=path) + "; run stage 'ingest' again")
+        assert cli.main(["run"] + later) == 0
 
     def test_regress_after_a_mode_change_needs_disrupt(self, tmp_path, capsys):
         base, overlap = self.conf(tmp_path, "base.conf"), self.conf(tmp_path, "overlap.conf",

@@ -394,6 +394,9 @@ class TestRendering:
         assert format_p(0.0004) == "< .001"
         assert format_p(0.001) == ".001"
         assert format_p(0.0789) == ".079"
+        assert format_p(0.9994) == ".999"
+        assert format_p(0.9995) == "> .999"
+        assert format_p(1.0) == "> .999"
         assert format_p(0.5) == ".500"
 
     def test_table_contents(self):
