@@ -197,10 +197,10 @@ class ResponseCache:
 
     Each line holds {key_hash, model, label, rationale, timestamp}.
     Later lines win on duplicate keys. The file is opened for appending
-    on the first ``put`` and stays open until ``close`` (or the end of a
-    ``with`` block). Each put writes its whole line and flushes it while
-    holding a lock, so concurrent workers never interleave partial lines
-    and a crash leaves at most a torn last line.
+    by ``open``, or else by the first ``put``, and stays open until
+    ``close`` (or the end of a ``with`` block). Each put writes its whole
+    line and flushes it while holding a lock, so concurrent workers never
+    interleave partial lines and a crash leaves at most a torn last line.
 
     A final line with no newline is what a crash in the middle of an
     append leaves behind: it is ignored on load and cut from the file
@@ -259,20 +259,31 @@ class ResponseCache:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+        self.open()
         with self._lock:
-            if self._fh is None:
-                fh = self.path.open("ab")
-                if self._intact_size is not None:
-                    fh.truncate(self._intact_size)
-                    self._intact_size = None
-                self._fh = fh
             self._fh.write(line)
             self._fh.flush()
             self._entries[key] = (label, rationale)
 
+    def open(self) -> None:
+        """Open the append handle, if it is not open, and cut a torn final
+        line. An OSError names the cache file."""
+        with self._lock:
+            if self._fh is not None:
+                return
+            try:
+                fh = self.path.open("ab")
+            except OSError as exc:
+                raise OSError(f"cannot append to cache file {self.path}: "
+                              f"{exc.strerror or exc}") from exc
+            if self._intact_size is not None:
+                fh.truncate(self._intact_size)
+                self._intact_size = None
+            self._fh = fh
+
     def close(self) -> None:
-        """Close the append handle, if a put opened one; a later put
-        opens it again."""
+        """Close the append handle, if it is open; a later put opens it
+        again."""
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
@@ -371,8 +382,9 @@ def classify_batch(
     and cached prompts are served from it with no request and no worker.
     Only the papers left over go to a pool of at most ``max_in_flight``
     threads (no more threads than papers, and no pool when there are
-    none), which needs the API key. Fresh responses are appended to the
-    cache, and a paper whose request fails permanently yields an
+    none), which needs the API key. The cache file is opened for
+    appending before the first request, and fresh responses are appended
+    to it. A paper whose request fails permanently yields an
     error-source row instead of aborting the batch. A row with an empty
     title or abstract raises ValueError naming its id, and then no HTTP
     request is sent.
@@ -402,6 +414,9 @@ def classify_batch(
         raise RuntimeError(
             f"backend required but environment variable {config.api_key_env} is not set"
         )
+    if cache is not None:
+        # before any request, so no paid answer is lost to a cache it cannot keep
+        cache.open()
 
     def work(pos: int) -> tuple[str, str, str]:
         try:

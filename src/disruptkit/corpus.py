@@ -182,11 +182,12 @@ def parse_corpus(source: str | Path | IO[str] | Iterable[str]) -> Corpus:
     Raises ValueError with the 1-based line number for malformed lines and
     names the offending id for duplicates. Of several faults the one on
     the lowest line is reported, and within a line the first that
-    ``_record_problem`` checks.
+    ``_record_problem`` checks. A file's leading byte-order mark is
+    dropped.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:
             return _parse_lines(fh, source_name=str(path))
     return _parse_lines(source, source_name=getattr(source, "name", "<stream>"))
 

@@ -21,11 +21,13 @@ disrupt, regress and report load the graph (graph.LOAD_GRAPH_FILES) and
 only the other corpus columns they use: a record field is stored once.
 
 manifest.json holds, per finished stage, the sha256 of its inputs, its
-config values and the sha256 of what it wrote. From it alone, a stage
-refuses inputs whose lineage no longer matches the files upstream or the
-config, naming the most upstream stage to run again. The one file it
-hashes first is a source that a stage upstream read too (report's
-allowlist, which ingest applied): it must be the file that stage read.
+config values and the sha256 of what it wrote. Before its body runs, a
+stage hashes every file it reads, in out_dir and outside it, and refuses
+inputs whose lineage no longer matches the files upstream or the config,
+or whose bytes are not those their producer recorded writing, naming
+the most upstream stage to run again. A source that a stage upstream
+read too (report's allowlist, which ingest applied) must be the file
+that stage read. It records the hashes it took as its inputs.
 A manifest that is not valid asks for ingest again, which then starts a
 new one; an entry that lists other files than its stage now writes asks
 for that stage again. It carries no clock data, so a rerun with
@@ -345,63 +347,66 @@ def _read_manifest(name: str, path: Path) -> dict:
     raise StageError(name, f"manifest.json {problem}; run stage 'ingest' again")
 
 
-def _lineage(stage: str, current: dict, stages: dict) -> dict:
-    """What a run of ``stage`` now would record: its config values and the
-    sha256 of each input as its producer recorded writing it."""
-    spec = STAGE_TABLE[stage]
-    return {"config": {key: current[key] for key in spec.keys},
-            "inputs": {name: stages[_PRODUCER[name]]["outputs"][name] for name in spec.reads}}
-
-
 def _upstream(stage: str) -> set[str]:
     """Every stage whose output feeds ``stage``, directly or not."""
     direct = {_PRODUCER[name] for name in STAGE_TABLE[stage].reads}
     return direct.union(*map(_upstream, direct))
 
 
-def _check_inputs(name: str, config: PipelineConfig, current: dict, stages: dict) -> None:
-    """Raise StageError naming the stage to run when an input of ``name`` is
-    missing or, most upstream first, a stage upstream has no record in the
-    manifest, or read other files than its producers last wrote, or used
-    other config values; or when a file outside out_dir that ``name``
-    reads (a source) is not the one a stage upstream read under that key.
-    Only sources are hashed here."""
-    for artifact in STAGE_TABLE[name].reads:
-        if not (config.out_dir / artifact).exists():
+def _check_inputs(name: str, config: PipelineConfig, current: dict, stages: dict) -> dict:
+    """The manifest entry a run of ``name`` now records, less its outputs:
+    its config values and the sha256 of each file it reads, in out_dir by
+    artifact name and outside it (a source) by config key.
+
+    Raise StageError naming the stage to run when an input is missing or,
+    most upstream first, a stage upstream has no record in the manifest,
+    read other files than its producers last wrote, used other config
+    values, or wrote other bytes than ``name`` would read; or when a
+    source is not the one a stage upstream read under that key."""
+    spec = STAGE_TABLE[name]
+    read = {}
+    for artifact in spec.reads:
+        try:
+            read[artifact] = _sha256_file(config.out_dir / artifact)
+        except FileNotFoundError:
             raise StageError(name, f"missing artifact {artifact!r}; "
-                                   f"run stage '{_PRODUCER[artifact]}' first")
+                                   f"run stage '{_PRODUCER[artifact]}' first") from None
+    read.update((key, _source_sha256(config, key)) for key in spec.sources)
     upstream = _upstream(name)
     for stage in (s for s in STAGES if s in upstream):
-        entry = stages.get(stage)
+        entry, writer = stages.get(stage), STAGE_TABLE[stage]
         if entry is None:
             problem = f"manifest.json records no finished run of stage '{stage}'"
-        elif entry["outputs"].keys() != set(STAGE_TABLE[stage].writes):
+        elif entry["outputs"].keys() != set(writer.writes):
             problem = f"manifest.json records other files than stage '{stage}' now writes"
         else:
-            want = _lineage(stage, current, stages)
-            keys = [k for k, v in want["config"].items() if entry["config"].get(k) != v]
-            inputs = [a for a, h in want["inputs"].items() if entry["inputs"].get(a) != h]
+            keys = [k for k in writer.keys if entry["config"].get(k) != current[k]]
+            inputs = [a for a in writer.reads
+                      if entry["inputs"].get(a) != stages[_PRODUCER[a]]["outputs"][a]]
+            edited = [a for a in spec.reads
+                      if _PRODUCER[a] == stage and read[a] != entry["outputs"][a]]
+            sources = [k for k in spec.sources
+                       if k in writer.sources and entry["inputs"].get(k) != read[k]]
             if keys:
                 problem = (f"stage '{stage}' ran with {keys[0]} = {entry['config'].get(keys[0])!r},"
                            f" the config has {current[keys[0]]!r}")
             elif inputs:
                 problem = f"{inputs[0]!r} has changed since stage '{stage}' read it"
+            elif edited:
+                problem = f"{edited[0]!r} is not the file stage '{stage}' wrote"
+            elif sources:
+                key, path = sources[0], getattr(config, sources[0])
+                if path is None:
+                    problem = f"stage '{stage}' ran with {key} set, the config sets none"
+                elif key in entry["inputs"]:
+                    problem = f"{key} {path} has changed since stage '{stage}' read it"
+                else:
+                    problem = f"stage '{stage}' ran with no {key}, the config names {path}"
             else:
                 continue
         raise StageError(name, f"{problem}; run stage '{stage}' again")
-    for stage in (s for s in STAGES if s in upstream):
-        for key in (k for k in STAGE_TABLE[name].sources if k in STAGE_TABLE[stage].sources):
-            recorded, now = stages[stage]["inputs"].get(key), _source_sha256(config, key)
-            if recorded == now:
-                continue
-            path = getattr(config, key)
-            if recorded and now:
-                problem = f"{key} {path} has changed since stage '{stage}' read it"
-            elif now:
-                problem = f"stage '{stage}' ran with no {key}, the config names {path}"
-            else:
-                problem = f"stage '{stage}' ran with {key} set, the config sets none"
-            raise StageError(name, f"{problem}; run stage '{stage}' again")
+    return {"config": {key: current[key] for key in spec.keys},
+            "inputs": {key: digest for key, digest in read.items() if digest is not None}}
 
 
 def _mark_failed(marker: Path, stage: str, message: str) -> None:
@@ -413,8 +418,8 @@ def _mark_failed(marker: Path, stage: str, message: str) -> None:
 
 def _run_stage(name: str, config: PipelineConfig,
                body: Callable[[PipelineConfig], None]) -> list[Path]:
-    """Check the inputs' lineage, drop the stage's manifest entry, run
-    ``body``, then record the entry."""
+    """Check the inputs' lineage and bytes, drop the stage's manifest
+    entry, run ``body``, then record the entry."""
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -424,14 +429,11 @@ def _run_stage(name: str, config: PipelineConfig,
     current = config.as_dict()
     try:
         stages = _read_manifest(name, manifest)
-        _check_inputs(name, config, current, stages)
-        entry = _lineage(name, current, stages)
+        entry = _check_inputs(name, config, current, stages)
         # outputs stay unrecorded until the body has finished
         if stages.pop(name, None) is not None:
             _write_manifest(config, stages)
         body(config)
-        entry["inputs"].update((key, _source_sha256(config, key))
-                               for key in STAGE_TABLE[name].sources if current[key] is not None)
         outputs = [config.out_dir / artifact for artifact in STAGE_TABLE[name].writes]
         stages[name] = {**entry, "outputs": {p.name: _sha256_file(p) for p in outputs}}
         _write_manifest(config, stages)
@@ -468,21 +470,13 @@ def _read_eligible(config: PipelineConfig) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _read_allowlist(config: PipelineConfig) -> set[str]:
-    if not config.allowlist.exists():
-        raise FileNotFoundError(f"allowlist file not found: {config.allowlist}")
-    return read_allowlist(config.allowlist)
-
-
 @_stage
 def stage_ingest(config: PipelineConfig) -> None:
     """Parse the raw corpus, apply the journal allowlist, and write the
     normalized corpus, sorted by id, as column arrays."""
-    if not config.corpus.exists():
-        raise FileNotFoundError(f"corpus file not found: {config.corpus}")
     corpus = parse_corpus(config.corpus)
     if config.allowlist is not None:
-        corpus = filter_journals(corpus, _read_allowlist(config))
+        corpus = filter_journals(corpus, read_allowlist(config.allowlist))
     save_corpus(corpus, config.out_dir)
 
 
@@ -498,10 +492,16 @@ def stage_graph(config: PipelineConfig) -> None:
     widest = max(standard_model_specs(config.model_thresholds),
                  key=lambda spec: len(spec.column_names()))
     width = len(widest.column_names())
+    relax = "relax " + ", ".join(STAGE_TABLE["graph"].keys) + " or the allowlist"
     if len(eligible) <= width:
         raise ValueError(f"{len(eligible)} papers are eligible, and model {widest.name!r} "
-                         f"needs more than its {width} columns; relax "
-                         + ", ".join(STAGE_TABLE["graph"].keys) + " or the allowlist")
+                         f"needs more than its {width} columns; {relax}")
+    # an empty year group makes every model's year columns linearly dependent
+    years = corpus.year[[graph.index[pid] for pid in eligible]]
+    for group in YearGroup:
+        if not ((years >= group.start) & (years <= group.end)).any():
+            raise ValueError(f"no eligible paper is from year group {group.label}, "
+                             f"which every model needs; {relax}")
     save_graph(graph, config.out_dir)
     with atomic_write(config.out_dir / "eligible.txt") as fh:
         fh.write("".join(f"{pid}\n" for pid in eligible))
@@ -511,13 +511,7 @@ def stage_graph(config: PipelineConfig) -> None:
 def stage_classify(config: PipelineConfig) -> None:
     """Classify each eligible paper as Conceptual/Empirical/Other."""
     corpus = load_corpus(config.out_dir)
-    eligible = _read_eligible(config)
-    try:
-        rows = corpus.positions(eligible)
-    except KeyError as exc:
-        raise ValueError(f"eligible.txt names {exc.args[0]!r}, which is not in the "
-                         "corpus; run stage 'graph' again") from None
-    papers = corpus.take(rows)
+    papers = corpus.take(corpus.positions(_read_eligible(config)))
     if config.stub:
         labels = classify_batch(papers, backend=stub_backend)
     elif config.cache is None:
@@ -580,60 +574,16 @@ def read_classifications(path: str | Path) -> LabelTable:
 def _score_matrix(eligible: list[str], thresholds: np.ndarray,
                   scores: ScoreTable) -> np.ndarray:
     """d as an (eligible paper, threshold) matrix. The score rows must be
-    exactly eligible × thresholds, each once; anything else means
-    disruption.csv predates the current eligible set or thresholds."""
-    n_l = len(thresholds)
-    position = {pid: k for k, pid in enumerate(eligible)}
-    row = np.fromiter((position.get(pid, -1) for pid in scores.ids),
-                      dtype=np.int64, count=len(scores))
-    col = np.minimum(np.searchsorted(thresholds, scores.l), n_l - 1)
-    known = (row >= 0) & (thresholds[col] == scores.l)
-    hits = np.bincount(row[known] * n_l + col[known], minlength=len(eligible) * n_l)
-    problem = None
-    if not known.all():
-        k = int(np.argmin(known))
-        problem = (f"it scores ({scores.ids[k]!r}, l={scores.l[k]}), which is not "
-                   "an eligible paper at a configured threshold")
-    elif (hits != 1).any():
-        cell = int(np.argmax(hits != 1))
-        key = f"({eligible[cell // n_l]!r}, l={thresholds[cell % n_l]})"
-        problem = (f"it scores {key} {hits[cell]} times" if hits[cell]
-                   else f"it has no score for {key}")
-    if problem is not None:
-        raise ValueError(f"disruption.csv does not match eligible.txt and the "
-                         f"thresholds: {problem}; run stage 'disrupt' again")
-    d = np.empty((len(eligible), n_l), dtype=np.float64)
-    d[row, col] = scores.d
-    return d
-
-
-def _check_labels(eligible: list[str], labelled: tuple[str, ...]) -> None:
-    """The labels must cover exactly the eligible papers, each once;
-    anything else means classifications.csv predates eligible.txt."""
-
-    def stale(problem: str) -> ValueError:
-        return ValueError(f"classifications.csv does not match eligible.txt: "
-                          f"{problem}; run stage 'classify' again")
-
-    wanted = set(eligible)
-    seen: set[str] = set()
-    for pid in labelled:
-        if pid not in wanted:
-            raise stale(f"it labels {pid!r}, which is not an eligible paper")
-        if pid in seen:
-            raise stale(f"it labels {pid!r} more than once")
-        seen.add(pid)
-    for pid in eligible:
-        if pid not in seen:
-            raise stale(f"it has no label for {pid!r}")
-
-
-def _load_nodes(config: PipelineConfig, columns: tuple[str, ...]) -> tuple[CitationGraph, dict]:
-    """The graph in out_dir and the named corpus columns, one entry per node."""
-    graph, loaded = load_graph(config.out_dir), load_columns(config.out_dir, columns)
-    if any(len(values) != graph.n_nodes for values in loaded.values()):
-        raise ValueError(f"{config.out_dir}: corpus files disagree on the row count")
-    return graph, loaded
+    eligible × ascending thresholds, in that order, as disruption_batch
+    gives them; anything else means disruption.csv predates the current
+    eligible set or thresholds."""
+    ids, n_l = tuple(eligible), len(thresholds)
+    if not (len(scores) == len(ids) * n_l
+            and np.array_equal(scores.l, np.tile(thresholds, len(ids)))
+            and all(scores.ids[j::n_l] == ids for j in range(n_l))):
+        raise ValueError("disruption.csv does not score each eligible paper at each "
+                         "threshold, in order; run stage 'disrupt' again")
+    return scores.d.reshape(len(eligible), n_l)
 
 
 def build_observation_rows(graph: CitationGraph, year: np.ndarray, n_authors: np.ndarray,
@@ -644,8 +594,8 @@ def build_observation_rows(graph: CitationGraph, year: np.ndarray, n_authors: np
     per eligible paper in eligible order; ``year`` and ``n_authors`` are
     the corpus columns, in node order, and ``labels`` maps paper id to
     label. Papers whose label is neither Conceptual nor Empirical are
-    dropped here, before any model sees them. The scores must cover
-    exactly eligible × thresholds."""
+    dropped here, before any model sees them. The score rows must be
+    eligible × ascending thresholds, in that order."""
     ls = np.unique(np.asarray(thresholds, dtype=np.int64))
     d = _score_matrix(eligible, ls, scores)
     indicator = {"Conceptual": 1.0, "Empirical": 0.0}
@@ -669,11 +619,9 @@ def stage_regress(config: PipelineConfig) -> None:
     eligible = _read_eligible(config)
     labels = read_classifications(config.out_dir / "classifications.csv")
     scores = read_scores(config.out_dir / "disruption.csv")
-    graph, nodes = _load_nodes(config, REGRESS_COLUMNS)
+    graph, nodes = load_graph(config.out_dir), load_columns(config.out_dir, REGRESS_COLUMNS)
     obs = build_observation_rows(graph, nodes["year"], nodes["n_authors"], eligible,
                                  labels.by_id(), config.thresholds, scores)
-    # after the join, whose score check names a stale disruption.csv first
-    _check_labels(eligible, labels.ids)
     if not len(obs):
         counts = Counter(labels.labels)
         raise ValueError(
@@ -700,13 +648,12 @@ def stage_report(config: PipelineConfig) -> None:
     labels = read_classifications(config.out_dir / "classifications.csv")
     cit_table = (config.out_dir / "citations_models.txt").read_text(encoding="utf-8")
     d_table = (config.out_dir / "disruption_models.txt").read_text(encoding="utf-8")
-    _check_labels(eligible, labels.ids)
-    graph, nodes = _load_nodes(config, REPORT_COLUMNS)
+    graph, nodes = load_graph(config.out_dir), load_columns(config.out_dir, REPORT_COLUMNS)
     stats = degree_stats(graph)
     counts = Counter(nodes["journal"])
     lines = ["Corpus", f"  papers: {graph.n_nodes}", f"  journals with papers: {len(counts)}"]
     if config.allowlist is not None:
-        allow = _read_allowlist(config)
+        allow = read_allowlist(config.allowlist)
         lines.append(f"  journals allowed: {len(allow)}"
                      f" (no papers from {len(allow - set(counts))})")
     lines += [f"    {journal}: {counts[journal]}" for journal in sorted(counts)]

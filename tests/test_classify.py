@@ -470,12 +470,25 @@ class TestHttpBackend:
         assert warm == LabelTable(ids=("p1", "p2"), labels=first.labels,
                                   sources=("cache", "cache"), rationales=first.rationales)
         assert len(backend_server.calls) == 2
+        assert cache._fh is None  # nothing to append, so the file was not opened
 
     def test_missing_api_key_fails_before_any_request(self, backend_server,
                                                       monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         with pytest.raises(RuntimeError, match=KEY_ENV):
             classify_batch(papers(mk("p1")), config=http_config(backend_server))
+        assert backend_server.calls == []
+
+    def test_cache_that_cannot_be_appended_to_fails_before_any_request(
+            self, backend_server, tmp_path, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        path = tmp_path / "missing" / "cache.jsonl"
+        corpus = papers(*(mk(f"p{k}", title=f"T{k}") for k in range(20)))
+        config = http_config(backend_server, max_in_flight=4)
+        with ResponseCache(path) as cache, pytest.raises(OSError) as excinfo:
+            classify_batch(corpus, config=config, cache=cache)
+        assert str(excinfo.value) == (f"cannot append to cache file {path}: "
+                                      "No such file or directory")
         assert backend_server.calls == []
 
     @pytest.mark.parametrize("field", ["title", "abstract"])

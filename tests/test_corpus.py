@@ -148,6 +148,13 @@ class TestParseCorpus:
         corpus = parse_corpus(path)
         assert corpus.ids == ("a", "b")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        plain.write_text(json.dumps(mk("a")) + "\n", encoding="utf-8")
+        marked.write_text(json.dumps(mk("a")) + "\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert columns(parse_corpus(marked)) == columns(parse_corpus(plain))
+
 
 class TestWriteCorpus:
     def test_sorted_by_id_and_stable(self, tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disruptkit.classify import LABELS, SOURCES, LabelTable
 from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, corpus_files, load_corpus,
-                               parse_corpus, save_corpus, write_corpus)
+                               parse_corpus, write_corpus)
 from disruptkit import pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
 from disruptkit.graph import build_graph
@@ -585,7 +585,7 @@ class TestStageSequencing:
 
     def test_eligible_list_naming_a_paper_not_in_the_corpus_names_the_graph_stage(
             self, tmp_path, capsys, monkeypatch):
-        # a hand edit leaves the manifest as it was; classify's own check sees it
+        # a hand edit leaves the manifest as it was, and the file's hash no longer matches it
         monkeypatch.chdir(FIXTURES)
         base = ["--config", str(FIXTURES / "pipeline.conf"), "--out-dir", str(tmp_path / "out")]
         assert cli.main(["run"] + base) == 0
@@ -593,8 +593,7 @@ class TestStageSequencing:
             fh.write("P999999\n")
         capsys.readouterr()
         assert cli.main(["classify"] + base) == 1
-        message = ("eligible.txt names 'P999999', which is not in the corpus; "
-                   "run stage 'graph' again")
+        message = "'eligible.txt' is not the file stage 'graph' wrote; run stage 'graph' again"
         assert (tmp_path / "out" / "FAILED").read_text() == f"classify: {message}\n"
         assert capsys.readouterr().err == f"error: stage 'classify': {message}\n"
 
@@ -806,6 +805,25 @@ class TestClassifyStage:
         finally:
             server.close()
 
+    def test_cache_that_cannot_be_appended_to_fails_before_any_request(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        cache = tmp_path / "missing" / "cache.jsonl"
+        server = RecordingServer()
+        try:
+            conf = TestLineage.conf(tmp_path, "http.conf", stub="false", cache=cache,
+                                    endpoint=server.endpoint, model="test-model",
+                                    max_in_flight=4)
+            for stage in ("ingest", "graph"):
+                assert cli.main([stage] + conf) == 0
+            assert cli.main(["classify"] + conf) == 1
+            TestLineage.refused(tmp_path, capsys, "classify", f"cannot append to cache file "
+                                                              f"{cache}: No such file or directory")
+            assert not (tmp_path / "out" / "classifications.csv").exists()
+            assert server.calls == []
+        finally:
+            server.close()
+
     def test_cache_file_is_closed_after_the_stage(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
         handles = []
@@ -872,33 +890,33 @@ class TestStaleScores:
         return build_observation_rows(graph, corpus.year, corpus.n_authors, eligible, labels,
                                       thresholds, scores)
 
-    def test_exact_rows_in_any_order_join(self):
-        _, _, _, scores = TestObservationRows().make_inputs()
-        forward = self.join(scores)
-        backward = self.join(take_rows(scores, list(range(len(scores)))[::-1]))
-        assert forward.ids == backward.ids
-        for l in (1, 2):
-            np.testing.assert_array_equal(forward.y_d[l], backward.y_d[l])
+    STALE = ("disruption.csv does not score each eligible paper at each threshold, in "
+             "order; run stage 'disrupt' again")
 
-    @pytest.mark.parametrize("rows, thresholds, problem", [
-        ([0, 1, 2, 3, 4], (1, 2), r"no score for \('P000070', l=2\)"),
-        ([0, 1, 2, 3, 4, 5, 5], (1, 2), r"scores \('P000070', l=2\) 2 times"),
-        ([0, 1, 2, 3, 4, 4], (1, 2), r"scores \('P000070', l=1\) 2 times"),
-        ([0, 1, 2, 3, 4, 5], (1,), r"scores \('P000050', l=2\), which is not"),
-        ([0, 1, 2, 3, 4, 5], (1, 2, 3), r"no score for \('P000050', l=3\)"),
+    # rows as disruption_batch orders them, (P000050, 1), (P000050, 2), ..., (P000070, 2)
+    @pytest.mark.parametrize("rows, thresholds", [
+        ([0, 1, 2, 3, 4], (1, 2)),  # a score missing
+        ([0, 1, 2, 3, 4, 5, 5], (1, 2)),  # a score twice
+        ([0, 1, 2, 3, 4, 4], (1, 2)),  # one in place of another
+        ([0, 1, 2, 3, 4, 5], (1,)),  # a threshold not configured
+        ([0, 1, 2, 3, 4, 5], (1, 2, 3)),  # a threshold not scored
+        ([5, 4, 3, 2, 1, 0], (1, 2)),  # every score, in another order
+        ([2, 3, 0, 1, 4, 5], (1, 2)),
     ])
-    def test_rows_other_than_eligible_times_thresholds_fail(self, rows, thresholds, problem):
+    def test_rows_other_than_eligible_times_thresholds_fail(self, rows, thresholds):
         _, _, _, scores = TestObservationRows().make_inputs()
-        with pytest.raises(ValueError, match=problem + ".*run stage 'disrupt' again"):
+        with pytest.raises(ValueError) as excinfo:
             self.join(take_rows(scores, rows), thresholds)
+        assert str(excinfo.value) == self.STALE
 
     def test_score_for_a_paper_no_longer_eligible_fails(self):
         _, _, _, scores = TestObservationRows().make_inputs()
         extra = ScoreTable(ids=scores.ids + ("P000080",), l=np.append(scores.l, 1),
                            n_f=np.append(scores.n_f, 0), n_b=np.append(scores.n_b, 0),
                            n_r=np.append(scores.n_r, 0), d=np.append(scores.d, np.nan))
-        with pytest.raises(ValueError, match=r"scores \('P000080', l=1\), which is not"):
+        with pytest.raises(ValueError) as excinfo:
             self.join(extra)
+        assert str(excinfo.value) == self.STALE
 
     def test_graph_rerun_with_other_eligibility_needs_disrupt(self, tmp_path):
         run_pipeline(fixture_config(tmp_path))
@@ -919,24 +937,28 @@ class TestStaleScores:
         assert not (config.out_dir / "FAILED").exists()
 
     def test_hand_edited_scores_need_disrupt(self, tmp_path):
-        # an edit outside the pipeline leaves the manifest as it was, so
-        # only the join's own check sees it
+        # an edit outside the pipeline leaves the manifest as it was, and
+        # the file's hash no longer matches it
         config = fixture_config(tmp_path)
         run_pipeline(config)
         path = config.out_dir / "disruption.csv"
         header, first, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text(header + "".join(rows), encoding="utf-8")
-        pid, l = first.split(",")[:2]
         with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["regress"](config)
         assert excinfo.value.stage == "regress"
-        assert excinfo.value.message == (
-            "disruption.csv does not match eligible.txt and the thresholds: it has no score "
-            f"for ('{pid}', l={l}); run stage 'disrupt' again")
+        assert excinfo.value.message == ("'disruption.csv' is not the file stage 'disrupt' "
+                                         "wrote; run stage 'disrupt' again")
         assert (config.out_dir / "FAILED").read_text() == f"regress: {excinfo.value.message}\n"
 
 
 class TestStaleLabels:
+    EDITS = [lambda rows: rows[1:], lambda rows: rows + rows[-1:],
+             lambda rows: rows + ["P999999,Empirical,stub,\n"]]
+    EDIT_IDS = ["missing", "duplicate", "extra"]
+    STALE = ("'classifications.csv' is not the file stage 'classify' wrote; "
+             "run stage 'classify' again")
+
     @pytest.fixture
     def finished_run(self, tmp_path):
         config = fixture_config(tmp_path)
@@ -945,18 +967,14 @@ class TestStaleLabels:
         header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
         return config, path, header, rows
 
-    @pytest.mark.parametrize("edit, problem", [
-        (lambda rows: rows[1:], "it has no label for 'P000"),
-        (lambda rows: rows + rows[-1:], "it labels 'P000.*' more than once"),
-        (lambda rows: rows + ["P999999,Empirical,stub,\n"],
-         "it labels 'P999999', which is not an eligible paper"),
-    ], ids=["missing", "duplicate", "extra"])
-    def test_labels_other_than_eligible_fail(self, finished_run, edit, problem):
+    @pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
+    def test_labels_other_than_eligible_fail(self, finished_run, edit):
         config, path, header, rows = finished_run
         path.write_text(header + "".join(edit(rows)), encoding="utf-8")
-        with pytest.raises(StageError, match=problem + ".*run stage 'classify' again"):
+        with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["regress"](config)
-        assert (config.out_dir / "FAILED").read_text().startswith("regress:")
+        assert excinfo.value.message == self.STALE
+        assert (config.out_dir / "FAILED").read_text() == f"regress: {self.STALE}\n"
 
     def test_report_refuses_labels_of_an_older_eligible_set(self, finished_run):
         config = dataclasses.replace(finished_run[0], min_out_links=8)
@@ -973,25 +991,14 @@ class TestStaleLabels:
         assert excinfo.value.message == ("stage 'graph' ran with min_out_links = 8, the config "
                                          "has 5; run stage 'graph' again")
 
-    @pytest.mark.parametrize("edit, problem", [
-        (lambda rows: rows[1:], "it has no label for 'P000"),
-        (lambda rows: rows + rows[-1:], "it labels 'P000.*' more than once"),
-        (lambda rows: rows + ["P999999,Empirical,stub,\n"],
-         "it labels 'P999999', which is not an eligible paper"),
-    ], ids=["missing", "duplicate", "extra"])
-    def test_report_refuses_labels_other_than_eligible(self, finished_run, edit, problem):
+    @pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
+    def test_report_refuses_labels_other_than_eligible(self, finished_run, edit):
         config, path, header, rows = finished_run
         path.write_text(header + "".join(edit(rows)), encoding="utf-8")
-        with pytest.raises(StageError, match=problem + ".*run stage 'classify' again"):
+        with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["report"](config)
-        assert (config.out_dir / "FAILED").read_text().startswith("report:")
-
-    def test_labels_in_any_order_pass(self, finished_run):
-        config, path, header, rows = finished_run
-        before = (config.out_dir / "regression.csv").read_bytes()
-        path.write_text(header + "".join(reversed(rows)), encoding="utf-8")
-        STAGE_FUNCTIONS["regress"](config)
-        assert (config.out_dir / "regression.csv").read_bytes() == before
+        assert excinfo.value.message == self.STALE
+        assert (config.out_dir / "FAILED").read_text() == f"report: {self.STALE}\n"
 
 
 class TestLineage:
@@ -1071,6 +1078,22 @@ class TestLineage:
         assert (tmp_path / "out" / "regression.csv").read_bytes() != before
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
             "stages"]["disrupt"]["config"]["mode"] == "overlap"
+
+    def test_scores_of_a_lost_manifest_update_are_refused(self, tmp_path, capsys):
+        base, overlap = self.conf(tmp_path, "base.conf"), self.conf(tmp_path, "overlap.conf",
+                                                                    mode="overlap")
+        assert cli.main(["run"] + base) == 0
+        out = tmp_path / "out"
+        manifest = (out / "manifest.json").read_bytes()
+        fitted = {name: (out / name).read_bytes() for name in STAGE_TABLE["regress"].writes}
+        assert cli.main(["disrupt"] + overlap) == 0
+        # a stage that read the manifest before disrupt ran writes its copy back
+        (out / "manifest.json").write_bytes(manifest)
+        capsys.readouterr()
+        assert cli.main(["regress"] + base) == 1
+        self.refused(tmp_path, capsys, "regress", "'disruption.csv' is not the file stage "
+                                                  "'disrupt' wrote; run stage 'disrupt' again")
+        assert {name: (out / name).read_bytes() for name in fitted} == fitted
 
     def test_stage_whose_record_was_not_written_is_refused(self, tmp_path, capsys, monkeypatch):
         base = self.conf(tmp_path, "base.conf")
@@ -1274,19 +1297,49 @@ class TestDeclaredReads:
                     == (full_run.out_dir / name).read_bytes()), name
 
 
+def producer_reads():
+    """(stage, producer, file): the last file each stage reads from each
+    of its producers."""
+    cases = {}
+    for stage, spec in STAGE_TABLE.items():
+        for name in spec.reads:
+            cases[stage, dict(WRITTEN_BY)[name]] = name
+    return [(stage, producer, name) for (stage, producer), name in cases.items()]
+
+
+class TestHandEdits:
+    """A stage reads only the bytes that manifest.json says their
+    producer wrote."""
+
+    @pytest.mark.parametrize("stage, producer, name", producer_reads())
+    def test_edited_input_names_its_producer(self, full_run, tmp_path, capsys, stage,
+                                            producer, name):
+        out = tmp_path / "out"
+        shutil.copytree(full_run.out_dir, out)
+        data = bytearray((out / name).read_bytes())
+        data[len(data) // 2] ^= 1
+        (out / name).write_bytes(data)
+        kept = {p: os.stat(out / p) for p in (*STAGE_TABLE[stage].writes, "manifest.json")}
+        assert cli.main([stage] + TestLineage.conf(tmp_path, "base.conf")) == 1
+        TestLineage.refused(tmp_path, capsys, stage, f"{name!r} is not the file stage "
+                                                     f"'{producer}' wrote; run stage "
+                                                     f"'{producer}' again")
+        for p, before in kept.items():
+            after = os.stat(out / p)
+            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns), p
+
+
 class TestRegressErrors:
     GRAPH_KEYS = "min_out_links, min_in_links, year_min, year_max, min_abstract_chars"
 
-    def test_no_labelled_paper_is_named_with_the_counts(self, tmp_path, capsys):
+    def test_no_labelled_paper_is_named_with_the_counts(self, tmp_path, monkeypatch):
+        # a backend that names neither category labels every paper Other
+        monkeypatch.setattr(pipeline, "stub_backend", lambda prompt: "No category fits.")
         config = fixture_config(tmp_path)
-        run_pipeline(config)
-        # a hand edit, which leaves the manifest as it was, labels every paper Other
-        path = config.out_dir / "classifications.csv"
-        table = read_classifications(path)
-        n = len(table)
-        pipeline._write_classifications(dataclasses.replace(table, labels=("Other",) * n), path)
         with pytest.raises(StageError) as excinfo:
-            STAGE_FUNCTIONS["regress"](config)
+            run_pipeline(config)
+        assert excinfo.value.stage == "regress"
+        n = len(read_classifications(config.out_dir / "classifications.csv"))
         assert excinfo.value.message == (
             "no eligible paper is labelled Conceptual or Empirical, so no model can be fitted "
             f"({n} eligible: 0 Conceptual, 0 Empirical, {n} Other)")
@@ -1310,22 +1363,28 @@ class TestRegressErrors:
                                                    allowlist=allowlist)) == 1
         self.graph_refused(tmp_path, capsys, 0)
 
-    @pytest.mark.parametrize("stage, columns", [("regress", pipeline.REGRESS_COLUMNS),
-                                                ("report", pipeline.REPORT_COLUMNS)],
-                             ids=["regress", "report"])
-    def test_corpus_columns_of_another_length_name_out_dir(self, tmp_path, stage, columns):
-        config = fixture_config(tmp_path)
-        run_pipeline(config)
-        # a hand edit, which leaves the manifest as it was, drops the last
-        # row of the columns the stage reads beside the graph
-        corpus = load_corpus(config.out_dir)
-        save_corpus(corpus.take(np.arange(len(corpus) - 1)), tmp_path)
-        for name in corpus_files(columns):
-            shutil.copyfile(tmp_path / name, config.out_dir / name)
-        with pytest.raises(StageError) as excinfo:
-            STAGE_FUNCTIONS[stage](config)
-        assert excinfo.value.message == (f"{config.out_dir}: corpus files disagree on the "
-                                          "row count")
+    def test_an_empty_year_group_is_refused_in_graph(self, tmp_path, capsys, monkeypatch):
+        # no eligible paper from 1996-2000 would make every model rank-deficient,
+        # after classify had sent its requests
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({**r, "year": 2001} if 1996 <= r["year"] <= 2000
+                                             else r) + "\n" for r in records))
+        server = RecordingServer()
+        try:
+            # a later line wins, so this corpus replaces the fixture's
+            conf = TestLineage.conf(tmp_path, "http.conf", corpus=corpus, stub="false",
+                                    endpoint=server.endpoint, model="test-model")
+            assert cli.main(["run"] + conf) == 1
+            TestLineage.refused(tmp_path, capsys, "graph", (
+                "no eligible paper is from year group 1996-2000, which every model needs; "
+                f"relax {self.GRAPH_KEYS} or the allowlist"))
+            assert not (tmp_path / "out" / "classifications.csv").exists()
+            assert server.calls == []
+        finally:
+            server.close()
 
 
 class TestCli:
