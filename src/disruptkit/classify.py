@@ -18,13 +18,12 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Mapping
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .corpus import Corpus
 
@@ -161,8 +160,17 @@ class BackendConfig:
 
     def __post_init__(self):
         check_backend_limits(self.max_in_flight, self.retries, self.backoff_base, self.timeout)
-        if urlsplit(self.endpoint).scheme not in ("http", "https"):
+        try:
+            parts = urlsplit(self.endpoint)
+            port = parts.port
+        except ValueError as exc:  # a bad port or an unclosed IPv6 bracket
+            raise ValueError(f"endpoint {self.endpoint!r}: {exc}") from None
+        if parts.scheme not in ("http", "https"):
             raise ValueError(f"endpoint must be an http or https URL, got {self.endpoint!r}")
+        if not parts.hostname:
+            raise ValueError(f"endpoint {self.endpoint!r}: no host given")
+        if port == 0:
+            raise ValueError(f"endpoint {self.endpoint!r}: Port out of range 1-65535")
 
 
 def check_backend_limits(max_in_flight: int, retries: int, backoff_base: float,
@@ -313,55 +321,107 @@ def _retry_after(status: int, headers: Mapping[str, str]) -> float:
     return 0.0
 
 
-def _request_completion(config: BackendConfig, prompt: str, api_key: str) -> str:
-    # Only the HTTP path needs the client; stub runs skip its import.
+def _sender(config: BackendConfig, api_key: str) -> Callable[[str], str]:
+    """A function that sends one prompt to the backend, with retries, and
+    returns the completion text or raises BackendError.
+
+    What every request needs is derived here, once per batch: the address
+    and request target, the proxy, the headers, and for https one TLS
+    context. Each attempt opens its own connection and closes it.
+    """
+    # Only the HTTP path needs the client; stub runs skip these imports.
+    import base64
     import http.client
-    import urllib.error
+    import ssl
     import urllib.request
 
-    payload = {
-        "model": config.model,
-        "temperature": 0.0,
-        "messages": [{"role": "user", "content": prompt}],
-    }
-    data = json.dumps(payload).encode("utf-8")
-    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-    last_error: Exception | None = None
-    wait = 0.0
-    for attempt in range(config.retries + 1):
-        if attempt:
-            backoff = config.backoff_base * (2 ** (attempt - 1))
-            time.sleep(max(backoff * (0.5 + 0.5 * _JITTER.random()), wait))
-        request = urllib.request.Request(config.endpoint, data=data, headers=headers,
-                                         method="POST")
-        # The body is read inside the try, so a timeout while reading it
-        # is retried like one while connecting.
+    from . import __version__
+
+    parts = urlsplit(config.endpoint)
+    https = parts.scheme == "https"
+    host, port = parts.hostname, parts.port  # no port: the scheme's default
+    hostport = parts.netloc.rpartition("@")[2]
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json",
+               "User-Agent": f"disruptkit/{__version__}"}
+    # Each connection goes to the endpoint, or to the proxy for its scheme.
+    address = (host, port)
+    tunnel = None
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(hostport):
         try:
+            # A proxy given without a scheme is a bare host[:port].
+            proxy_parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
+            address = (proxy_parts.hostname, proxy_parts.port)
+        except ValueError as exc:  # a bad port or an unclosed IPv6 bracket
+            raise ValueError(f"{parts.scheme}_proxy {proxy!r}: {exc}") from None
+        if not address[0]:
+            raise ValueError(f"{parts.scheme}_proxy {proxy!r}: no host given")
+        proxy_headers = {}
+        if proxy_parts.username and proxy_parts.password:
+            credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
+            proxy_headers["Proxy-Authorization"] = (
+                "Basic " + base64.b64encode(credentials.encode()).decode("ascii"))
+        if https:
+            tunnel = proxy_headers
+        else:
+            # The proxy is asked for the endpoint's absolute URL.
+            target = f"{parts.scheme}://{hostport}{target}"
+            headers.update(proxy_headers)
+    context = ssl.create_default_context() if https else None
+
+    def connect() -> http.client.HTTPConnection:
+        if not https:
+            return http.client.HTTPConnection(*address, timeout=config.timeout)
+        conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
+        if tunnel is not None:
+            conn.set_tunnel(host, port, headers=tunnel)
+        return conn
+
+    def send(prompt: str) -> str:
+        payload = {
+            "model": config.model,
+            "temperature": 0.0,
+            "messages": [{"role": "user", "content": prompt}],
+        }
+        data = json.dumps(payload).encode("utf-8")
+        last_error: Exception | None = None
+        wait = 0.0
+        for attempt in range(config.retries + 1):
+            if attempt:
+                backoff = config.backoff_base * (2 ** (attempt - 1))
+                time.sleep(max(backoff * (0.5 + 0.5 * _JITTER.random()), wait))
+            conn = connect()
+            # The body is read inside the try, so a timeout while reading
+            # it is retried like one while connecting.
             try:
-                with urllib.request.urlopen(request, timeout=config.timeout) as resp:
-                    status, reply, body = resp.status, resp.headers, resp.read()
-            except urllib.error.HTTPError as exc:
-                with exc:
-                    status, reply, body = exc.code, exc.headers, exc.read()
-        except (OSError, http.client.HTTPException) as exc:
-            last_error, wait = exc, 0.0
-            continue
-        if status == 429 or status >= 500:
-            last_error = BackendError(f"HTTP {status}")
-            wait = _retry_after(status, reply)
-            continue
-        if status != 200:
-            text = body.decode("utf-8", errors="replace")
-            raise BackendError(f"HTTP {status}: {text[:200]}")
-        try:
-            content = json.loads(body)["choices"][0]["message"]["content"]
-            # Content that is not text, or that holds a lone surrogate,
-            # has no UTF-8 form to cache or write out.
-            content.encode("utf-8")
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-            raise BackendError(f"malformed backend response: {exc}") from exc
-        return content
-    raise BackendError(f"backend unreachable after {config.retries} retries: {last_error}")
+                conn.request("POST", target, body=data, headers=headers)
+                reply = conn.getresponse()
+                body = reply.read()
+            except (OSError, http.client.HTTPException) as exc:
+                last_error, wait = exc, 0.0
+                continue
+            finally:
+                conn.close()
+            status = reply.status
+            if status == 429 or status >= 500:
+                last_error = BackendError(f"HTTP {status}")
+                wait = _retry_after(status, reply.headers)
+                continue
+            if status != 200:
+                text = body.decode("utf-8", errors="replace")
+                raise BackendError(f"HTTP {status}: {text[:200]}")
+            try:
+                content = json.loads(body)["choices"][0]["message"]["content"]
+                # Content that is not text, or that holds a lone surrogate,
+                # has no UTF-8 form to cache or write out.
+                content.encode("utf-8")
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+                raise BackendError(f"malformed backend response: {exc}") from exc
+            return content
+        raise BackendError(f"backend unreachable after {config.retries} retries: {last_error}")
+
+    return send
 
 
 def classify_batch(
@@ -380,14 +440,16 @@ def classify_batch(
     real backend output. Otherwise ``config`` drives HTTP requests.
     Every prompt is first looked up in the cache in the calling thread,
     and cached prompts are served from it with no request and no worker.
-    Only the papers left over go to a pool of at most ``max_in_flight``
-    threads (no more threads than papers, and no pool when there are
-    none), which needs the API key. The cache file is opened for
-    appending before the first request, and fresh responses are appended
-    to it. A paper whose request fails permanently yields an
-    error-source row instead of aborting the batch. A row with an empty
-    title or abstract raises ValueError naming its id, and then no HTTP
-    request is sent.
+    Only the papers left over are requested, which needs the API key, by
+    ``min(max_in_flight, misses)`` worker threads that each take the next
+    paper until none is left (no thread starts when every prompt is
+    cached). The cache file is opened for appending before the first
+    request, and fresh responses are appended to it. A paper whose
+    request fails permanently yields an error-source row instead of
+    aborting the batch. Any other exception in a worker stops every
+    worker from taking another paper and is raised here once all have
+    ended. A row with an empty title or abstract raises ValueError naming
+    its id, and then no HTTP request is sent.
     """
     if backend is not None:
         return _label_table(corpus.ids, [(*parse_response(backend(prompt)), "stub")
@@ -418,19 +480,46 @@ def classify_batch(
         # before any request, so no paid answer is lost to a cache it cannot keep
         cache.open()
 
-    def work(pos: int) -> tuple[str, str, str]:
+    send = _sender(config, api_key)
+
+    def request_row(prompt: str) -> tuple[str, str, str]:
         try:
-            response = _request_completion(config, prompts[pos], api_key)
+            response = send(prompt)
         except BackendError as exc:
             return "Other", str(exc), "error"
         label, rationale = parse_response(response)
         if cache is not None:
-            cache.put(config.model, prompts[pos], label, rationale)
+            cache.put(config.model, prompt, label, rationale)
         return label, rationale, "backend"
 
-    with ThreadPoolExecutor(max_workers=min(config.max_in_flight, len(misses))) as pool:
-        for pos, row in zip(misses, pool.map(work, misses)):
-            rows[pos] = row
+    todo = iter(misses)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        while True:
+            with lock:
+                pos = None if failures else next(todo, None)
+            if pos is None:
+                return
+            try:
+                rows[pos] = request_row(prompts[pos])
+            except BaseException as exc:
+                failures.append(exc)
+
+    workers = [threading.Thread(target=work, name=f"classify-worker-{k}")
+               for k in range(min(config.max_in_flight, len(misses)))]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:
+        # Interrupted while waiting: no worker takes another paper.
+        failures.append(exc)
+        raise
+    if failures:
+        raise failures[0]
     return _label_table(corpus.ids, rows)
 
 

@@ -17,7 +17,9 @@ class _Handler(BaseHTTPRequestHandler):
             n_seen = len(server.calls)
             server.calls.append({
                 "body": body,
+                "path": self.path,
                 "authorization": self.headers.get("Authorization"),
+                "headers": dict(self.headers),
             })
         if server.delay:
             time.sleep(server.delay)

@@ -1,18 +1,22 @@
+import base64
+import contextlib
 import hashlib
+import http.client
 import json
 import os
 import re
 import socket
+import ssl
 import sys
 import tempfile
 import threading
-import urllib.request
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import disruptkit
 from disruptkit import classify
 from disruptkit.classify import (
     _CONCEPTUAL_CUES,
@@ -139,9 +143,23 @@ class TestBackendConfig:
         with pytest.raises(ValueError, match=f"http or https URL, got {re.escape(repr(endpoint))}"):
             BackendConfig(endpoint=endpoint, model="m")
 
-    @pytest.mark.parametrize("endpoint", ["http://x/v1", "https://x/v1", "HTTPS://x"])
+    @pytest.mark.parametrize("endpoint", ["http://x/v1", "https://x/v1", "HTTPS://x",
+                                          "http://[::1]:8080/v1", "http://x:65535/v1"])
     def test_http_endpoints_pass(self, endpoint):
         assert BackendConfig(endpoint=endpoint, model="m").endpoint == endpoint
+
+    @pytest.mark.parametrize("endpoint, problem", [
+        ("http:///v1/chat", "no host given"),
+        ("https://user@:443/v1", "no host given"),
+        ("http://127.0.0.1:99999/v1", "Port out of range 0-65535"),
+        ("http://127.0.0.1:0/v1", "Port out of range 1-65535"),
+        ("http://127.0.0.1:80a/v1", "Port could not be cast to integer value as '80a'"),
+        ("http://[::1/v1", "Invalid IPv6 URL"),
+    ])
+    def test_endpoint_without_a_host_or_with_a_bad_port_is_refused(self, endpoint, problem):
+        with pytest.raises(ValueError) as excinfo:
+            BackendConfig(endpoint=endpoint, model="m")
+        assert str(excinfo.value) == f"endpoint {endpoint!r}: {problem}"
 
 
 class TestCache:
@@ -422,6 +440,38 @@ def http_config(server, **kwargs):
     return BackendConfig(**defaults)
 
 
+@contextlib.contextmanager
+def recorded_workers():
+    """The classify worker threads started inside the block, in order.
+    Other threads (the stub server's) start as usual and are not listed."""
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            if self.name.startswith("classify-worker"):
+                started.append(self)
+            super().start()
+
+    with mock.patch.object(threading, "Thread", RecordingThread):
+        yield started
+
+
+def set_proxies(monkeypatch, **values):
+    """Clear every proxy variable, then set ``values`` (name -> value)."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+def closed_port():
+    """A port on 127.0.0.1 that was just free and is now closed."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 class TestHttpBackend:
     def test_request_shape_and_result(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
@@ -431,7 +481,9 @@ class TestHttpBackend:
         assert result.labels == ("Empirical",)
         assert result.sources == ("backend",)
         [call] = backend_server.calls
+        assert call["path"] == "/v1/chat/completions"
         assert call["authorization"] == "Bearer sk-test"
+        assert call["headers"]["User-Agent"] == f"disruptkit/{disruptkit.__version__}"
         assert call["body"]["model"] == "test-model"
         assert call["body"]["temperature"] == 0.0
         [message] = call["body"]["messages"]
@@ -458,15 +510,14 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
-        with ResponseCache(tmp_path / "cache.jsonl") as cache:
+        with ResponseCache(tmp_path / "cache.jsonl") as cache, recorded_workers() as cold:
             first = classify_batch(corpus, config=config, cache=cache)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("worker pool started for a fully cached batch")
+        assert len(cold) == 2
 
         monkeypatch.delenv(KEY_ENV)
-        monkeypatch.setattr(classify, "ThreadPoolExecutor", no_pool)
-        warm = classify_batch(corpus, config=config, cache=cache)
+        with recorded_workers() as workers:
+            warm = classify_batch(corpus, config=config, cache=cache)
+        assert workers == []
         assert warm == LabelTable(ids=("p1", "p2"), labels=first.labels,
                                   sources=("cache", "cache"), rationales=first.rationales)
         assert len(backend_server.calls) == 2
@@ -591,26 +642,34 @@ class TestHttpBackend:
         assert result.rationales[0].startswith(f"HTTP {status}")
         assert len(backend_server.calls) == 1
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307])
+    def test_redirects_are_not_followed(self, backend_server, monkeypatch, status):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        backend_server.server.behavior = lambda n, _: (
+            status, '{"moved": true}', {"Location": backend_server.endpoint + "/elsewhere"})
+        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        assert result.sources == ("error",)
+        assert result.rationales[0] == f'HTTP {status}: {{"moved": true}}'
+        assert len(backend_server.calls) == 1
+
     def test_refused_connection_is_retried_then_an_error(self, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
-        with socket.socket() as sock:  # a port that was just free and is now closed
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
+        port = closed_port()
         attempts = []
-        urlopen = urllib.request.urlopen
+        create_connection = socket.create_connection
 
-        def counting(*args, **kwargs):
-            attempts.append(1)
-            return urlopen(*args, **kwargs)
+        def counting(address, *args, **kwargs):
+            attempts.append(address)
+            return create_connection(address, *args, **kwargs)
 
-        monkeypatch.setattr("urllib.request.urlopen", counting)
+        monkeypatch.setattr(socket, "create_connection", counting)
         config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m",
                                retries=2, backoff_base=0.0, timeout=5.0)
         result = classify_batch(papers(mk("p1")), config=config)
         assert result.sources == ("error",)
-        assert "after 2 retries" in result.rationales[0]
-        assert "refused" in result.rationales[0].lower()
-        assert len(attempts) == 3
+        assert re.fullmatch(r"backend unreachable after 2 retries: \[Errno \d+\] "
+                            r"Connection refused", result.rationales[0])
+        assert attempts == [("127.0.0.1", port)] * 3
 
     def test_read_timeout_is_retried_then_an_error(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
@@ -688,6 +747,122 @@ class TestHttpBackend:
         assert len(backend_server.calls) == 6
         assert backend_server.server.max_active <= 2
 
+    def test_each_miss_is_requested_once_by_contending_workers(self, backend_server,
+                                                               monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        corpus = papers(*(mk(f"p{k:03d}", title=f"T{k}") for k in range(120)))
+        config = http_config(backend_server, max_in_flight=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with recorded_workers() as workers:
+                result = classify_batch(corpus, config=config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.sources == ("backend",) * 120
+        requested = sorted(c["body"]["messages"][0]["content"] for c in backend_server.calls)
+        assert requested == sorted(render_prompt(f"T{k}", "An abstract") for k in range(120))
+        assert len(workers) == 8
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_failure_outside_the_backend_stops_every_worker(self, backend_server,
+                                                            tmp_path, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        backend_server.server.delay = 0.01
+
+        class FailingCache(ResponseCache):
+            puts = 0
+
+            def put(self, *args):
+                self.puts += 1
+                if self.puts == 3:
+                    raise OSError("disk full")
+                super().put(*args)
+
+        corpus = papers(*(mk(f"p{k:02d}", title=f"T{k}") for k in range(20)))
+        config = http_config(backend_server, max_in_flight=2)
+        with FailingCache(tmp_path / "cache.jsonl") as cache, recorded_workers() as workers, \
+                pytest.raises(OSError, match="disk full"):
+            classify_batch(corpus, config=config, cache=cache)
+        # the failing put's request, and at most one more per worker
+        assert 3 <= len(backend_server.calls) <= 3 + 2
+        assert len(workers) == 2
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_http_proxy_is_asked_for_the_absolute_url(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        host, port = backend_server.server.server_address
+        set_proxies(monkeypatch, http_proxy=f"http://user:p%40ss@{host}:{port}")
+        endpoint = "http://backend.invalid:8080/v1/chat?x=1"
+        config = BackendConfig(endpoint=endpoint, model="m", retries=0, timeout=5.0)
+        result = classify_batch(papers(mk("p1")), config=config)
+        assert result.sources == ("backend",)
+        [call] = backend_server.calls
+        assert call["path"] == endpoint
+        assert call["headers"]["Host"] == "backend.invalid:8080"
+        assert call["authorization"] == "Bearer sk-test"
+        assert call["headers"]["Proxy-Authorization"] == (
+            "Basic " + base64.b64encode(b"user:p@ss").decode("ascii"))
+
+    def test_no_proxy_host_is_requested_direct(self, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        # a proxy that would refuse the connection
+        set_proxies(monkeypatch, http_proxy=f"http://127.0.0.1:{closed_port()}",
+                    no_proxy="example.org,127.0.0.1")
+        result = classify_batch(papers(mk("p1")), config=http_config(backend_server))
+        assert result.sources == ("backend",)
+        [call] = backend_server.calls
+        assert call["path"] == "/v1/chat/completions"
+        assert "Proxy-Authorization" not in call["headers"]
+
+    @pytest.mark.parametrize("proxy, problem", [
+        ("http://proxy.example:80a", "Port could not be cast to integer value as '80a'"),
+        ("http://u:pw@:3128", "no host given"),
+        ("[::1:3128", "Invalid IPv6 URL"),
+    ])
+    def test_proxy_without_a_host_or_with_a_bad_port_fails_before_any_request(
+            self, monkeypatch, proxy, problem):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        set_proxies(monkeypatch, http_proxy=proxy)
+        connections = []
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda *args, **kwargs: connections.append(args))
+        config = BackendConfig(endpoint="http://backend.example/v1", model="m")
+        with pytest.raises(ValueError) as excinfo:
+            classify_batch(papers(mk("p1")), config=config)
+        assert str(excinfo.value) == f"http_proxy {proxy!r}: {problem}"
+        assert connections == []
+
+    def test_https_is_tunnelled_through_the_proxy(self, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        set_proxies(monkeypatch, https_proxy="http://u:pw@127.0.0.1:3128")
+        tunnels, addresses, contexts = [], [], []
+
+        def set_tunnel(conn, host, port=None, headers=None):
+            tunnels.append((host, port, headers))
+
+        def refuse(address, *args, **kwargs):
+            addresses.append(address)
+            raise ConnectionRefusedError("refused by the test")
+
+        create_default_context = ssl.create_default_context
+
+        def counting_context(*args, **kwargs):
+            contexts.append(1)
+            return create_default_context(*args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPSConnection, "set_tunnel", set_tunnel)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.setattr(ssl, "create_default_context", counting_context)
+        config = BackendConfig(endpoint="https://backend.example:8443/v1", model="m",
+                               retries=1, backoff_base=0.0, timeout=5.0)
+        result = classify_batch(papers(mk("p1"), mk("p2", title="T2")), config=config)
+        assert result.sources == ("error", "error")
+        auth = {"Proxy-Authorization": "Basic " + base64.b64encode(b"u:pw").decode("ascii")}
+        assert tunnels == [("backend.example", 8443, auth)] * 4
+        assert addresses == [("127.0.0.1", 3128)] * 4
+        assert len(contexts) == 1  # one TLS context for the batch
+
     @settings(max_examples=40, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["hit", "miss", "fail"]), max_size=10),
            max_in_flight=st.integers(1, 4))
@@ -713,16 +888,10 @@ class TestHttpBackend:
         config = http_config(shared_server, model="m", retries=0,
                              max_in_flight=max_in_flight)
         n_misses = sum(kind != "hit" for kind in kinds)
-        pools = []
-
-        class RecordingPool(classify.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
 
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.dict(os.environ, {KEY_ENV: "sk-test"}), \
-                mock.patch.object(classify, "ThreadPoolExecutor", RecordingPool):
+                recorded_workers() as workers:
             with ResponseCache(Path(tmp) / "cache.jsonl") as cache:
                 for kind, title, prompt in zip(kinds, titles, prompts):
                     if kind == "hit":
@@ -741,7 +910,8 @@ class TestHttpBackend:
             requested = [call["body"]["messages"][0]["content"] for call in server.calls]
             assert sorted(requested) == sorted(
                 p for kind, p in zip(kinds, prompts) if kind != "hit")
-            assert pools == ([min(max_in_flight, n_misses)] if n_misses else [])
+            assert len(workers) == min(max_in_flight, n_misses)
+            assert not any(worker.is_alive() for worker in workers)
             assert server.max_active <= min(max_in_flight, n_misses)
             reloaded = ResponseCache(Path(tmp) / "cache.jsonl")
             for kind, title, prompt in zip(kinds, titles, prompts):
@@ -751,12 +921,18 @@ class TestHttpBackend:
                     assert reloaded.get("m", prompt) is None
 
     def test_stub_path_never_touches_the_network(self, monkeypatch):
-        def boom(*args, **kwargs):
+        def boom(sock, *args, **kwargs):
+            sock.close()
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr("urllib.request.urlopen", boom)
+        monkeypatch.setattr(socket.socket, "connect", boom)
         results = classify_batch(papers(mk("p1")), backend=stub_backend)
         assert results.sources == ("stub",)
+        # the guard is one the HTTP path goes through
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        config = BackendConfig(endpoint=f"http://127.0.0.1:{closed_port()}/v1", model="m")
+        with pytest.raises(AssertionError, match="network call attempted"):
+            classify_batch(papers(mk("p1")), config=config)
 
     def test_stub_path_ignores_cache(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path / "cache.jsonl")

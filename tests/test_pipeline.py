@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -654,10 +655,11 @@ class TestClassifyStage:
                 assert path.read_bytes() == plain.getvalue().encode("utf-8")
 
     def test_stub_sources_and_no_network(self, tmp_path, monkeypatch):
-        def boom(*args, **kwargs):
+        def boom(sock, *args, **kwargs):
+            sock.close()
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr("urllib.request.urlopen", boom)
+        monkeypatch.setattr(socket.socket, "connect", boom)
         config = fixture_config(tmp_path)
         run_pipeline(config)
         results = read_classifications(config.out_dir / "classifications.csv")
@@ -823,6 +825,24 @@ class TestClassifyStage:
             assert server.calls == []
         finally:
             server.close()
+
+    @pytest.mark.parametrize("endpoint, problem", [
+        ("http:///v1/chat", "no host given"),
+        ("http://127.0.0.1:99999/v1", "Port out of range 0-65535"),
+        ("http://[::1/v1", "Invalid IPv6 URL"),
+    ], ids=["no-host", "bad-port", "bad-ipv6"])
+    def test_endpoint_without_a_host_or_with_a_bad_port_fails_before_any_request(
+            self, tmp_path, capsys, monkeypatch, endpoint, problem):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        connections = []
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda *args, **kwargs: connections.append(args))
+        conf = TestLineage.conf(tmp_path, "http.conf", stub="false", endpoint=endpoint,
+                                model="test-model", backoff_base=0)
+        assert cli.main(["run"] + conf) == 1
+        TestLineage.refused(tmp_path, capsys, "classify", f"endpoint {endpoint!r}: {problem}")
+        assert not (tmp_path / "out" / "classifications.csv").exists()
+        assert connections == []
 
     def test_cache_file_is_closed_after_the_stage(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
