@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlsplit
 
-from .corpus import Corpus
 
 LABELS = ("Conceptual", "Empirical", "Other")
 
@@ -76,10 +75,11 @@ def render_prompt(title: str, abstract: str) -> str:
     return head + title + mid + abstract + tail
 
 
-def _prompts(corpus: Corpus) -> Iterator[str]:
+def _prompts(ids: Sequence[str], titles: Sequence[str],
+             abstracts: Sequence[str]) -> Iterator[str]:
     """Each row's prompt, in row order. An empty title or abstract raises
     ValueError naming the row's id."""
-    for paper_id, title, abstract in zip(corpus.ids, corpus.title, corpus.abstract):
+    for paper_id, title, abstract in zip(ids, titles, abstracts):
         try:
             yield render_prompt(title, abstract)
         except ValueError as exc:
@@ -171,6 +171,8 @@ class BackendConfig:
             raise ValueError(f"endpoint {self.endpoint!r}: no host given")
         if port == 0:
             raise ValueError(f"endpoint {self.endpoint!r}: Port out of range 1-65535")
+        if not self.model:
+            raise ValueError("model must be non-empty")
 
 
 def check_backend_limits(max_in_flight: int, retries: int, backoff_base: float,
@@ -425,13 +427,15 @@ def _sender(config: BackendConfig, api_key: str) -> Callable[[str], str]:
 
 
 def classify_batch(
-    corpus: Corpus,
+    ids: Sequence[str],
+    titles: Sequence[str],
+    abstracts: Sequence[str],
     config: BackendConfig | None = None,
     cache: ResponseCache | None = None,
     backend: Callable[[str], str] | None = None,
 ) -> LabelTable:
-    """Classify each row of the corpus from its title and abstract; the
-    table's rows are the corpus's, in order.
+    """Classify each paper from its title and abstract, given as three
+    columns with one row per paper; the table's rows are those, in order.
 
     With ``backend`` set (any prompt -> response callable, normally
     ``stub_backend``) everything runs locally and the cache is not
@@ -452,13 +456,13 @@ def classify_batch(
     its id, and then no HTTP request is sent.
     """
     if backend is not None:
-        return _label_table(corpus.ids, [(*parse_response(backend(prompt)), "stub")
-                                         for prompt in _prompts(corpus)])
+        return _label_table(ids, [(*parse_response(backend(prompt)), "stub")
+                                  for prompt in _prompts(ids, titles, abstracts)])
 
     if config is None:
         raise ValueError("either a backend callable or a BackendConfig is required")
 
-    prompts = list(_prompts(corpus))
+    prompts = list(_prompts(ids, titles, abstracts))
     rows: list[tuple[str, str, str] | None] = []
     misses: list[int] = []
     for pos, prompt in enumerate(prompts):
@@ -469,7 +473,7 @@ def classify_batch(
         else:
             rows.append((*hit, "cache"))
     if not misses:
-        return _label_table(corpus.ids, rows)
+        return _label_table(ids, rows)
 
     api_key = os.environ.get(config.api_key_env, "")
     if not api_key:
@@ -520,13 +524,13 @@ def classify_batch(
         raise
     if failures:
         raise failures[0]
-    return _label_table(corpus.ids, rows)
+    return _label_table(ids, rows)
 
 
-def _label_table(ids: tuple[str, ...], rows: list[tuple[str, str, str]]) -> LabelTable:
+def _label_table(ids: Sequence[str], rows: list[tuple[str, str, str]]) -> LabelTable:
     """The table of these ids and their (label, rationale, source) rows."""
     labels, rationales, sources = zip(*rows) if rows else ((), (), ())
-    return LabelTable(ids=ids, labels=labels, sources=sources, rationales=rationales)
+    return LabelTable(ids=tuple(ids), labels=labels, sources=sources, rationales=rationales)
 
 
 _CONCEPTUAL_CUES = (

@@ -16,11 +16,15 @@ and words each message.
 ``parse_corpus`` is the one JSON-lines parser, for the raw input, and
 ``write_corpus`` writes that format back (the synthetic generator uses
 it). Within a pipeline's output directory the corpus is kept as its
-columns instead: ``save_corpus`` writes them as ``.npy`` files and
-``load_corpus`` reads them back, so no stage after ingest decodes JSON.
-They are the one copy of each record field: ``load_columns`` loads only
-the named columns, from the files ``corpus_files`` names. ``save_columns``
-is the file layout they share with the graph's files.
+columns instead: ``save_corpus`` writes them as ``.npy`` files, so no
+stage after ingest decodes JSON. They are the one copy of each record
+field, and a stage reads only what it uses: ``load_columns`` loads only
+the named columns, from the files ``corpus_files`` names, and of a
+string column it decodes only the rows asked for. ``load_char_counts``
+counts each row's characters from a string column's UTF-8 bytes without
+decoding any. Both read a string column's bytes a chunk of rows at a
+time. ``save_columns`` is the file layout they share with the graph's
+files, and ``load_corpus`` reads back every column.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import filterfalse, islice, repeat, zip_longest
-from operator import contains, itemgetter, lt
+from itertools import filterfalse, islice, repeat
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -140,18 +144,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def positions(self, ids: Iterable[str]) -> np.ndarray:
-        """The row of each id; KeyError names the first id not in the
-        corpus."""
-        ids = tuple(ids)
-        if ids == self.ids:
-            return np.arange(len(ids), dtype=np.int64)
-        row = dict(zip(self.ids, range(len(self.ids))))
-        out = np.fromiter(map(row.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
-        if len(out) and out.min() < 0:
-            raise KeyError(ids[int(np.argmin(out))])
-        return out
 
     def take(self, rows: np.ndarray) -> "Corpus":
         """The given rows, in the order given, sharing ``ref_strings``.
@@ -361,7 +353,8 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 # strings' UTF-8 bytes end to end (<name>.npy, uint8) and int64 offsets,
 # 0 first and then where each string's bytes end (<name>_offsets.npy).
 # numpy's own str dtype drops trailing NULs, and object arrays would
-# need pickle. Strings are written in chunks of about this many bytes.
+# need pickle. Strings are written and read in chunks of whole rows of
+# about this many bytes.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -375,6 +368,17 @@ def _utf8_offsets(strings: Sequence[str]) -> np.ndarray:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return offsets
+
+
+def _row_chunks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Successive row ranges [k, end) of a string column with these
+    offsets, each of about _CHUNK_BYTES of strings and one row at least."""
+    k, n = 0, len(offsets) - 1
+    while k < n:
+        end = int(np.searchsorted(offsets, offsets[k] + _CHUNK_BYTES, side="right")) - 1
+        end = max(end, k + 1)
+        yield k, end
+        k = end
 
 
 def save_columns(out_dir: str | Path,
@@ -410,12 +414,8 @@ def _write_blob(fh: IO[bytes], strings: Sequence[str], offsets: np.ndarray) -> N
     encoded a chunk of strings at a time."""
     np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False,
                                               "shape": (int(offsets[-1]),)})
-    k, n = 0, len(strings)
-    while k < n:
-        end = int(np.searchsorted(offsets, offsets[k] + _CHUNK_BYTES, side="right")) - 1
-        end = max(end, k + 1)
+    for k, end in _row_chunks(offsets):
         fh.write("".join(strings[k:end]).encode("utf-8"))
-        k = end
 
 
 def load_array(out_dir: Path, name: str) -> np.ndarray:
@@ -423,16 +423,91 @@ def load_array(out_dir: Path, name: str) -> np.ndarray:
     return np.load(out_dir / f"{name}.npy", allow_pickle=False)
 
 
-def load_strings(out_dir: Path, name: str) -> tuple[str, ...]:
-    """A string column that save_columns wrote. ValueError names out_dir if
-    its offsets do not end at the length of its bytes."""
+def _string_offsets(out_dir: Path, name: str) -> np.ndarray:
+    """The offsets of a string column that save_columns wrote. Rows are
+    found by them, so ValueError names out_dir and the file if they do
+    not start at 0 or decrease anywhere."""
     offsets = load_array(out_dir, f"{name}_offsets")
-    blob = load_array(out_dir, name).tobytes()
-    if offsets.ndim != 1 or not len(offsets) or offsets[-1] != len(blob):
-        raise ValueError(f"{out_dir}: {name}_offsets.npy does not end at the length "
-                         f"of {name}.npy")
-    bounds = offsets.tolist()
-    return tuple(blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
+    if offsets.ndim != 1 or not len(offsets) or offsets[0] != 0:
+        raise ValueError(f"{out_dir}: {name}_offsets.npy does not start at 0")
+    drops = np.flatnonzero(offsets[1:] < offsets[:-1])
+    if len(drops):
+        raise ValueError(f"{out_dir}: {name}_offsets.npy puts the end of row {drops[0]} "
+                         "before its start")
+    return offsets
+
+
+def _read_chunks(out_dir: Path, name: str,
+                 offsets: np.ndarray) -> Iterator[tuple[int, int, bytes]]:
+    """(k, end, the bytes of rows k to end - 1) for each of the
+    ``_row_chunks`` of a string column, read from ``<name>.npy`` one chunk
+    at a time. ValueError names out_dir if the file does not hold
+    ``offsets[-1]`` bytes."""
+    fmt = np.lib.format
+    with (out_dir / f"{name}.npy").open("rb") as fh:
+        version = fmt.read_magic(fh)
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, _, dtype = read_header(fh)
+        if dtype != np.uint8 or shape != (int(offsets[-1]),):
+            raise ValueError(f"{out_dir}: {name}_offsets.npy does not end at the length "
+                             f"of {name}.npy")
+        for k, end in _row_chunks(offsets):
+            size = int(offsets[end] - offsets[k])
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{out_dir}: {name}.npy ends before its header says")
+            yield k, end, data
+
+
+def load_strings(out_dir: Path, name: str, rows: Sequence[int] | None = None) -> tuple[str, ...]:
+    """A string column that save_columns wrote, or only the given rows of
+    it, which must be ascending. Its bytes are read a chunk of rows at a
+    time and only the rows asked for are decoded. ValueError names out_dir
+    if its offsets do not start at 0, decrease, or do not end at the
+    length of its bytes, or if the rows are not ascending rows of it."""
+    offsets = _string_offsets(out_dir, name)
+    n = len(offsets) - 1
+    if rows is not None:
+        wanted = np.asarray(rows, dtype=np.int64)
+        if len(wanted) and not (0 <= wanted[0] and wanted[-1] < n
+                                and (wanted[1:] >= wanted[:-1]).all()):
+            raise ValueError(f"{out_dir}: the rows asked of {name}.npy are not ascending "
+                             f"or not among its {n} rows")
+    decoded: list[str] = []
+    for k, end, data in _read_chunks(out_dir, name, offsets):
+        bounds = (offsets[k:end + 1] - offsets[k]).tolist()
+        picked = (range(end - k) if rows is None
+                  else (wanted[len(decoded):np.searchsorted(wanted, end)] - k).tolist())
+        decoded.extend([data[bounds[j]:bounds[j + 1]].decode("utf-8") for j in picked])
+    return tuple(decoded)
+
+
+def _per_row(positions: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many of the ascending positions fall in each row [start, end)."""
+    return np.searchsorted(positions, ends) - np.searchsorted(positions, starts)
+
+
+def load_char_counts(out_dir: str | Path, column: str) -> np.ndarray:
+    """Each row's length in characters in a string column save_corpus
+    wrote in out_dir, as an int64 array, counted from its UTF-8 bytes a
+    chunk of rows at a time with nothing decoded: its code points, less
+    one for each CRLF pair within the row, so CRLF, CR and LF line
+    endings count one character each. ValueError names out_dir as
+    ``load_strings`` does."""
+    out_dir, name = Path(out_dir), f"corpus_{column}"
+    offsets = _string_offsets(out_dir, name)
+    counts = np.diff(offsets)
+    for k, end, data in _read_chunks(out_dir, name, offsets):
+        chunk = np.frombuffer(data, dtype=np.uint8)
+        starts = offsets[k:end] - offsets[k]
+        ends = offsets[k + 1:end + 1] - offsets[k]
+        # every byte of a code point after its first is 10xxxxxx
+        continuation = np.flatnonzero((chunk & 0xC0) == 0x80)
+        # the LF of a CR LF, unless the CR ends the row before
+        crlf = np.flatnonzero((chunk[1:] == 0x0A) & (chunk[:-1] == 0x0D)) + 1
+        crlf = crlf[~np.isin(crlf, starts)]
+        counts[k:end] -= _per_row(continuation, starts, ends) + _per_row(crlf, starts, ends)
+    return counts
 
 
 _COLUMNS = tuple(f.name for f in fields(Corpus))
@@ -458,13 +533,24 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> list[Path]:
     return save_columns(out_dir, columns)
 
 
-def load_columns(out_dir: str | Path, columns: Iterable[str]) -> dict:
+def load_columns(out_dir: str | Path, columns: Iterable[str],
+                 rows: Sequence[int] | None = None) -> dict:
     """The named columns save_corpus wrote in out_dir (``corpus_files(columns)``)
     by name, loaded one at a time; an empty gold label reads as None.
-    ValueError names out_dir if they disagree on the row count."""
+    With ``rows`` (ascending), each column, which must have one entry per
+    row, holds only those rows, and a string column decodes no other (see
+    load_strings). ValueError names out_dir if the columns disagree on the
+    row count."""
     out_dir = Path(out_dir)
-    loaded = {column: (load_strings if column in _STRING_COLUMNS else load_array)(
-        out_dir, f"corpus_{column}") for column in columns}
+
+    def load(column: str):
+        name = f"corpus_{column}"
+        if column in _STRING_COLUMNS:
+            return load_strings(out_dir, name, rows)
+        values = load_array(out_dir, name)
+        return values if rows is None else values[np.asarray(rows, dtype=np.int64)]
+
+    loaded = {column: load(column) for column in columns}
     # one entry per row in each column but the ref_* ones; ref_offsets has one more
     shapes = {(len(values),) if column in _STRING_COLUMNS else values.shape
               for column, values in loaded.items() if not column.startswith("ref_")}
@@ -563,19 +649,6 @@ class YearGroup(enum.IntEnum):
         return f"{self.start}-{self.end}"
 
 
-def abstract_lengths(texts: Sequence[str]) -> np.ndarray:
-    """Character count of each abstract, whitespace included, after
-    normalizing CRLF/CR line endings to single characters, as an int64
-    array."""
-    chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    # Each CRLF pair counts once. Counting pairs is several times slower
-    # than finding no "\r", so only texts holding one are counted.
-    has_cr = np.fromiter(map(contains, texts, repeat("\r")), dtype=bool, count=len(texts))
-    for k in np.flatnonzero(has_cr).tolist():
-        chars[k] -= texts[k].count("\r\n")
-    return chars
-
-
 @dataclass(frozen=True)
 class EligibilityCriteria:
     """Thresholds are minimum counts: the defaults encode 'strictly more
@@ -595,32 +668,23 @@ class EligibilityCriteria:
             raise ValueError("year_min must be <= year_max")
 
 
-def check_node_rows(corpus: Corpus, graph) -> None:
-    """Raise ValueError, naming the first node that differs, unless node i
-    of the graph is row i of the corpus for every i."""
-    if graph.ids == corpus.ids:
-        return
-    k = next(i for i, (node, row) in enumerate(zip_longest(graph.ids, corpus.ids))
-             if node != row)
-    if k < len(graph.ids):
-        raise ValueError(f"graph node {graph.ids[k]!r} missing from corpus row {k}")
-    raise ValueError(f"corpus row {k} ({corpus.ids[k]!r}) is not a graph node")
-
-
-def eligible_ids(corpus: Corpus, graph, criteria: EligibilityCriteria | None = None) -> list[str]:
+def eligible_ids(graph, year: np.ndarray, abstract_chars: np.ndarray,
+                 criteria: EligibilityCriteria | None = None) -> list[str]:
     """Ids meeting all eligibility thresholds, ascending.
 
     out_deg counts a paper's in-corpus references, in_deg its in-corpus
     citers; both must meet the minima, the year must fall in range, and
-    the abstract must be long enough. Node i of the graph must be row i
-    of the corpus (see ``check_node_rows``).
+    the abstract must be long enough. ``year`` and ``abstract_chars``
+    (see ``load_char_counts``) are in node order; ValueError names the
+    first that has another length than the graph has nodes.
     """
     criteria = criteria or EligibilityCriteria()
-    check_node_rows(corpus, graph)
-    year = corpus.year
+    for name, column in (("year", year), ("abstract_chars", abstract_chars)):
+        if len(column) != graph.n_nodes:
+            raise ValueError(f"{name} has {len(column)} rows, the graph {graph.n_nodes} nodes")
     keep = ((graph.out_deg >= criteria.min_out_links) & (graph.in_deg >= criteria.min_in_links)
             & (year >= criteria.year_min) & (year <= criteria.year_max)
-            & (abstract_lengths(corpus.abstract) >= criteria.min_abstract_chars))
+            & (abstract_chars >= criteria.min_abstract_chars))
     out = list(map(graph.ids.__getitem__, np.flatnonzero(keep).tolist()))
     out.sort()
     return out

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, corpus_files, load_array, load_columns, save_columns
+from .corpus import corpus_files, load_array, load_columns, save_columns
 
 
 @dataclass(frozen=True)
@@ -104,17 +105,19 @@ def _from_csr(ids: tuple[str, ...], fwd_indptr: np.ndarray, fwd_indices: np.ndar
     )
 
 
-def build_graph(corpus: Corpus) -> CitationGraph:
+def build_graph(ids: Sequence[str], ref_offsets: np.ndarray, ref_codes: np.ndarray,
+                ref_strings: Sequence[str]) -> CitationGraph:
     """Resolve the corpus's references against its ids and assemble the
-    citation network: node i is corpus row i. Each distinct reference
-    string is looked up once, and the rows' reference codes then map to
-    node indices (-1 outside the corpus) by one array lookup."""
-    ids = corpus.ids
+    citation network from those four Corpus columns: node i is corpus
+    row i. Each distinct reference string is looked up once, and the
+    rows' reference codes then map to node indices (-1 outside the
+    corpus) by one array lookup."""
+    ids = tuple(ids)
     index = dict(zip(ids, range(len(ids))))
-    node_of = np.fromiter(map(index.get, corpus.ref_strings, repeat(-1)),
-                          dtype=np.int64, count=len(corpus.ref_strings))
-    src = node_of[corpus.ref_codes]
-    dst = np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(corpus.ref_offsets))
+    node_of = np.fromiter(map(index.get, ref_strings, repeat(-1)),
+                          dtype=np.int64, count=len(ref_strings))
+    src = node_of[ref_codes]
+    dst = np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(ref_offsets))
     inside = src >= 0
     return from_edge_arrays(ids, src[inside], dst[inside])
 

@@ -14,11 +14,15 @@ full pipeline is nothing more than the six stages in order:
 
 STAGE_TABLE states what each stage reads and writes and which config
 keys change its output. ingest parses the raw corpus once and writes its
-columns as arrays (see corpus.CORPUS_FILES). graph and classify load
-them all from out_dir, under ``run`` as when run alone, so no stage
-after ingest parses JSON.
-disrupt, regress and report load the graph (graph.LOAD_GRAPH_FILES) and
-only the other corpus columns they use: a record field is stored once.
+columns as arrays (see corpus.CORPUS_FILES), and every later stage loads
+from out_dir only the columns it uses, under ``run`` as when run alone,
+so no stage after ingest parses JSON and a record field is stored once.
+Of the record text, graph decodes only the ids and the reference
+strings, and counts each abstract's characters from its bytes;
+classify decodes the ids, and the titles and abstracts of the eligible
+rows only. disrupt, regress and report load the graph
+(graph.LOAD_GRAPH_FILES), which decodes the ids, and report decodes the
+journal and gold label of every row.
 
 manifest.json holds, per finished stage, the sha256 of its inputs, its
 config values and the sha256 of what it wrote. Before its body runs, a
@@ -56,11 +60,10 @@ import scipy
 
 from . import __version__
 from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache,
-                       agreement_report, check_backend_limits, check_choice, classify_batch,
-                       stub_backend)
+                       agreement_report, check_choice, classify_batch, stub_backend)
 from .corpus import (CORPUS_FILES, EligibilityCriteria, YearGroup, atomic_write, corpus_files,
-                     eligible_ids, filter_journals, load_columns, load_corpus, parse_corpus,
-                     read_allowlist, save_corpus)
+                     eligible_ids, filter_journals, load_char_counts, load_columns,
+                     parse_corpus, read_allowlist, save_corpus)
 from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disruption_batch,
                          read_scores, write_scores)
 from .graph import (GRAPH_FILES, LOAD_GRAPH_FILES, CitationGraph, build_graph, degree_stats,
@@ -80,16 +83,23 @@ class StageSpec:
     sources: tuple[str, ...] = ()
 
 
+# The corpus columns the stages after ingest load. graph also counts the
+# characters of each abstract from its bytes, and classify maps the
+# eligible ids to rows and decodes only those rows of its columns.
+GRAPH_COLUMNS = ("ids", "year", "ref_offsets", "ref_codes", "ref_strings")
+CLASSIFY_COLUMNS = ("title", "abstract")
 REGRESS_COLUMNS = ("year", "n_authors")
 REPORT_COLUMNS = ("journal", "gold_label")
 
 # Paths, endpoint, n_jobs and the HTTP client's limits change no output.
 STAGE_TABLE = {
     "ingest": StageSpec((), CORPUS_FILES, sources=("corpus", "allowlist")),
-    "graph": StageSpec(CORPUS_FILES, (*GRAPH_FILES, "eligible.txt"),
+    "graph": StageSpec(corpus_files((*GRAPH_COLUMNS, "abstract")),
+                       (*GRAPH_FILES, "eligible.txt"),
                        keys=("min_out_links", "min_in_links", "year_min", "year_max",
                              "min_abstract_chars")),
-    "classify": StageSpec((*CORPUS_FILES, "eligible.txt"), ("classifications.csv",),
+    "classify": StageSpec((*corpus_files(("ids", *CLASSIFY_COLUMNS)), "eligible.txt"),
+                          ("classifications.csv",),
                           keys=("stub", "model")),
     "disrupt": StageSpec(("eligible.txt", *LOAD_GRAPH_FILES), ("disruption.csv",),
                          keys=("mode", "thresholds")),
@@ -176,9 +186,6 @@ class PipelineConfig:
                 name = "year_min" if group.end < self.year_min else "year_max"
                 raise ValueError(f"{name} {getattr(self, name)} leaves year group "
                                  f"{group.label} empty; regress needs papers in every group")
-        if not self.stub:
-            check_backend_limits(self.max_in_flight, self.retries, self.backoff_base,
-                                 self.timeout)
         if not self.model_thresholds:
             raise ValueError("model_thresholds must be non-empty")
         repeated = [str(l) for l, n in Counter(self.model_thresholds).items() if n > 1]
@@ -189,6 +196,9 @@ class PipelineConfig:
             raise ValueError(
                 f"model_thresholds {missing} not among scored thresholds {self.thresholds}"
             )
+        if not self.stub:
+            # what classify's backend would refuse, each named by its key
+            self.backend_config()
 
     def criteria(self) -> EligibilityCriteria:
         return EligibilityCriteria(
@@ -200,10 +210,6 @@ class PipelineConfig:
         )
 
     def backend_config(self) -> BackendConfig:
-        if not self.endpoint or not self.model:
-            raise ValueError(
-                "backend endpoint and model must be configured (or set stub = true)"
-            )
         return BackendConfig(
             endpoint=self.endpoint,
             model=self.model,
@@ -484,9 +490,11 @@ def stage_ingest(config: PipelineConfig) -> None:
 def stage_graph(config: PipelineConfig) -> None:
     """Build and save the citation network, and compute the eligible
     focal set. A set on which regress could fit no model is refused."""
-    corpus = load_corpus(config.out_dir)
-    graph = build_graph(corpus)
-    eligible = eligible_ids(corpus, graph, config.criteria())
+    abstract_chars = load_char_counts(config.out_dir, "abstract")
+    nodes = load_columns(config.out_dir, GRAPH_COLUMNS)
+    graph = build_graph(nodes["ids"], nodes["ref_offsets"], nodes["ref_codes"],
+                        nodes["ref_strings"])
+    eligible = eligible_ids(graph, nodes["year"], abstract_chars, config.criteria())
     # Labels and Undefined scores only take papers away, so this is the
     # first stage that can tell, and classify, which may bill, comes next.
     widest = max(standard_model_specs(config.model_thresholds),
@@ -497,7 +505,7 @@ def stage_graph(config: PipelineConfig) -> None:
         raise ValueError(f"{len(eligible)} papers are eligible, and model {widest.name!r} "
                          f"needs more than its {width} columns; {relax}")
     # an empty year group makes every model's year columns linearly dependent
-    years = corpus.year[[graph.index[pid] for pid in eligible]]
+    years = nodes["year"][[graph.index[pid] for pid in eligible]]
     for group in YearGroup:
         if not ((years >= group.start) & (years <= group.end)).any():
             raise ValueError(f"no eligible paper is from year group {group.label}, "
@@ -510,15 +518,17 @@ def stage_graph(config: PipelineConfig) -> None:
 @_stage
 def stage_classify(config: PipelineConfig) -> None:
     """Classify each eligible paper as Conceptual/Empirical/Other."""
-    corpus = load_corpus(config.out_dir)
-    papers = corpus.take(corpus.positions(_read_eligible(config)))
+    eligible = _read_eligible(config)
+    row = {pid: k for k, pid in enumerate(load_columns(config.out_dir, ("ids",))["ids"])}
+    texts = load_columns(config.out_dir, CLASSIFY_COLUMNS, rows=[row[pid] for pid in eligible])
+    papers = (eligible, texts["title"], texts["abstract"])
     if config.stub:
-        labels = classify_batch(papers, backend=stub_backend)
+        labels = classify_batch(*papers, backend=stub_backend)
     elif config.cache is None:
-        labels = classify_batch(papers, config=config.backend_config())
+        labels = classify_batch(*papers, config=config.backend_config())
     else:
         with ResponseCache(config.cache) as cache:
-            labels = classify_batch(papers, config=config.backend_config(), cache=cache)
+            labels = classify_batch(*papers, config=config.backend_config(), cache=cache)
     _write_classifications(labels, config.out_dir / "classifications.csv")
 
 

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from disruptkit.classify import agreement_report
-from disruptkit.corpus import EligibilityCriteria, eligible_ids
+from disruptkit.corpus import EligibilityCriteria
 from disruptkit.disruption import MODES, disruption_batch
-from disruptkit.graph import build_graph
 from disruptkit.oracle import brute_force_partition
 from disruptkit.pipeline import (
     build_observation_rows,
@@ -25,6 +24,7 @@ from disruptkit.pipeline import (
 from disruptkit.regress import ModelSpec, fit_model, ols_fit
 from disruptkit.synth import synth_corpus, synth_graph
 
+from corpus_columns import eligible_of, graph_of
 from exact_ols import exact_ols
 from netgen import graph_from_pairs, random_digraph
 
@@ -293,8 +293,8 @@ def _conceptual_terms(seed, effect):
     """Fit both full models on one synthetic corpus using gold labels;
     returns the conceptual (coefficient, p) pair per model."""
     corpus = synth_corpus(5000, seed=seed, effect=effect)
-    graph = build_graph(corpus)
-    eligible = eligible_ids(corpus, graph, EligibilityCriteria(min_in_links=6))
+    graph = graph_of(corpus)
+    eligible = eligible_of(corpus, graph, EligibilityCriteria(min_in_links=6))
     scores = disruption_batch(graph, eligible, ls=(5,))
     labels = {pid: gold.capitalize()
               for pid, gold in zip(corpus.ids, corpus.gold_label) if gold is not None}

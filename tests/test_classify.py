@@ -49,8 +49,9 @@ def mk(paper_id, title="A title", abstract="An abstract"):
 
 
 def papers(*records):
-    """A Corpus of the given records, in id order."""
-    return parse_corpus(json.dumps(r) + "\n" for r in records)
+    """The ids, titles and abstracts of the given records, in id order."""
+    corpus = parse_corpus(json.dumps(r) + "\n" for r in records)
+    return corpus.ids, corpus.title, corpus.abstract
 
 
 class TestPrompt:
@@ -361,7 +362,7 @@ class TestStubBackend:
 
     def test_recovers_generated_labels(self):
         corpus = synth_corpus(n_papers=60, seed=3)
-        results = classify_batch(corpus, backend=stub_backend)
+        results = classify_batch(corpus.ids, corpus.title, corpus.abstract, backend=stub_backend)
         report = agreement_report(results.by_id(),
                                   dict(zip(corpus.ids, corpus.gold_label)))
         assert report.correct_counts == report.gold_counts
@@ -476,7 +477,7 @@ class TestHttpBackend:
     def test_request_shape_and_result(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         corpus = papers(mk("p1", title="T1", abstract="A1"))
-        result = classify_batch(corpus, config=http_config(backend_server))
+        result = classify_batch(*corpus, config=http_config(backend_server))
         assert result.ids == ("p1",)
         assert result.labels == ("Empirical",)
         assert result.sources == ("backend",)
@@ -496,12 +497,12 @@ class TestHttpBackend:
         corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
         with ResponseCache(tmp_path / "cache.jsonl") as cache:
-            first = classify_batch(corpus, config=config, cache=cache)
+            first = classify_batch(*corpus, config=config, cache=cache)
         assert first.sources == ("backend", "backend")
         assert len(backend_server.calls) == 2
 
         warm = ResponseCache(tmp_path / "cache.jsonl")
-        second = classify_batch(corpus, config=config, cache=warm)
+        second = classify_batch(*corpus, config=config, cache=warm)
         assert second.sources == ("cache", "cache")
         assert second.labels == first.labels and second.rationales == first.rationales
         assert len(backend_server.calls) == 2  # no new requests
@@ -511,12 +512,12 @@ class TestHttpBackend:
         corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
         config = http_config(backend_server)
         with ResponseCache(tmp_path / "cache.jsonl") as cache, recorded_workers() as cold:
-            first = classify_batch(corpus, config=config, cache=cache)
+            first = classify_batch(*corpus, config=config, cache=cache)
         assert len(cold) == 2
 
         monkeypatch.delenv(KEY_ENV)
         with recorded_workers() as workers:
-            warm = classify_batch(corpus, config=config, cache=cache)
+            warm = classify_batch(*corpus, config=config, cache=cache)
         assert workers == []
         assert warm == LabelTable(ids=("p1", "p2"), labels=first.labels,
                                   sources=("cache", "cache"), rationales=first.rationales)
@@ -527,7 +528,7 @@ class TestHttpBackend:
                                                       monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         with pytest.raises(RuntimeError, match=KEY_ENV):
-            classify_batch(papers(mk("p1")), config=http_config(backend_server))
+            classify_batch(*papers(mk("p1")), config=http_config(backend_server))
         assert backend_server.calls == []
 
     def test_cache_that_cannot_be_appended_to_fails_before_any_request(
@@ -537,7 +538,7 @@ class TestHttpBackend:
         corpus = papers(*(mk(f"p{k}", title=f"T{k}") for k in range(20)))
         config = http_config(backend_server, max_in_flight=4)
         with ResponseCache(path) as cache, pytest.raises(OSError) as excinfo:
-            classify_batch(corpus, config=config, cache=cache)
+            classify_batch(*corpus, config=config, cache=cache)
         assert str(excinfo.value) == (f"cannot append to cache file {path}: "
                                       "No such file or directory")
         assert backend_server.calls == []
@@ -549,13 +550,13 @@ class TestHttpBackend:
         corpus = papers(mk("p1"), mk("p2", **{field: ""}), mk("p3"))
         for kwargs in (dict(backend=stub_backend), dict(config=http_config(backend_server))):
             with pytest.raises(ValueError) as excinfo:
-                classify_batch(corpus, **kwargs)
+                classify_batch(*corpus, **kwargs)
             assert str(excinfo.value) == f"record 'p2': {field} must be non-empty"
         assert backend_server.calls == []
 
     def test_empty_corpus_gives_an_empty_table(self, backend_server, monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
-        result = classify_batch(papers(), config=http_config(backend_server))
+        result = classify_batch(*papers(), config=http_config(backend_server))
         assert len(result) == 0 and result.rationales == ()
         assert backend_server.calls == []
 
@@ -566,7 +567,7 @@ class TestHttpBackend:
             (500, "{}") if n == 0 else (429, "{}") if n == 1 else (200, ok)
         )
         config = http_config(backend_server, retries=3)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.labels == ("Conceptual",)
         assert result.sources == ("backend",)
         assert len(backend_server.calls) == 3
@@ -586,7 +587,7 @@ class TestHttpBackend:
         backend_server.server.behavior = behavior
         corpus = papers(mk("bad", title="T-fail"), mk("good", title="T-ok"))
         config = http_config(backend_server, retries=1, max_in_flight=1)
-        results = classify_batch(corpus, config=config)
+        results = classify_batch(*corpus, config=config)
         assert results.ids == ("bad", "good")
         assert results.sources == ("error", "backend")
         assert results.labels[0] == "Other"
@@ -600,7 +601,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (400, '{"error": "bad"}')
         config = http_config(backend_server, retries=3)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("error",)
         assert len(backend_server.calls) == 1
 
@@ -609,7 +610,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (200, '{"unexpected": true}')
         config = http_config(backend_server, retries=3)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("error",)
         assert "malformed" in result.rationales[0]
         assert len(backend_server.calls) == 1
@@ -617,7 +618,7 @@ class TestHttpBackend:
     def test_content_that_is_not_text_is_malformed(self, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (200, completion(None))
-        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
         assert result.sources == ("error",)
         assert "malformed" in result.rationales[0]
         assert len(backend_server.calls) == 1
@@ -626,7 +627,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         body = '{"error": "model not found: test-model"}' + " " * 300
         backend_server.server.behavior = lambda n, _: (404, body)
-        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
         assert result.sources == ("error",)
         assert result.rationales[0] == "HTTP 404: " + body[:200]
         assert len(backend_server.calls) == 1
@@ -637,7 +638,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         backend_server.server.behavior = lambda n, _: (status, ok if status != 204 else "")
-        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
         assert result.sources == ("error",)
         assert result.rationales[0].startswith(f"HTTP {status}")
         assert len(backend_server.calls) == 1
@@ -647,7 +648,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, _: (
             status, '{"moved": true}', {"Location": backend_server.endpoint + "/elsewhere"})
-        result = classify_batch(papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
         assert result.sources == ("error",)
         assert result.rationales[0] == f'HTTP {status}: {{"moved": true}}'
         assert len(backend_server.calls) == 1
@@ -665,7 +666,7 @@ class TestHttpBackend:
         monkeypatch.setattr(socket, "create_connection", counting)
         config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m",
                                retries=2, backoff_base=0.0, timeout=5.0)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("error",)
         assert re.fullmatch(r"backend unreachable after 2 retries: \[Errno \d+\] "
                             r"Connection refused", result.rationales[0])
@@ -675,7 +676,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 1.0
         config = http_config(backend_server, retries=2, timeout=0.2)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("error",)
         assert "after 2 retries" in result.rationales[0]
         assert "timed out" in result.rationales[0]
@@ -705,7 +706,7 @@ class TestHttpBackend:
         monkeypatch.setattr(classify.time, "sleep", sleeps.append)
         monkeypatch.setattr(classify, "_JITTER", Draws([0.0, 0.0]))
         config = http_config(backend_server, retries=2, backoff_base=backoff_base)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("backend",)
         assert sleeps == waits
 
@@ -720,7 +721,7 @@ class TestHttpBackend:
         monkeypatch.setattr(classify.time, "sleep", sleeps.append)
         monkeypatch.setattr(classify, "_JITTER", Draws([0.5, 0.5, 0.75]))
         config = http_config(backend_server, retries=3, backoff_base=2.0)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("backend",)
         # factors 0.75, 0.75 and 0.875 on backoffs of 2, 4 and 8 s; the
         # first wait is held up to the 3 s that Retry-After asked for
@@ -732,7 +733,7 @@ class TestHttpBackend:
         sleeps = []
         monkeypatch.setattr(classify.time, "sleep", sleeps.append)
         config = http_config(backend_server, retries=6, backoff_base=1.0)
-        assert classify_batch(papers(mk("p1")), config=config).sources == ("error",)
+        assert classify_batch(*papers(mk("p1")), config=config).sources == ("error",)
         assert len(sleeps) == 6
         for attempt, wait in enumerate(sleeps, start=1):
             assert 0.5 <= wait / 2 ** (attempt - 1) < 1.0
@@ -742,7 +743,7 @@ class TestHttpBackend:
         backend_server.server.delay = 0.1
         corpus = papers(*(mk(f"p{i}", title=f"T{i}") for i in range(6)))
         config = http_config(backend_server, max_in_flight=2)
-        results = classify_batch(corpus, config=config)
+        results = classify_batch(*corpus, config=config)
         assert len(results) == 6
         assert len(backend_server.calls) == 6
         assert backend_server.server.max_active <= 2
@@ -756,7 +757,7 @@ class TestHttpBackend:
         sys.setswitchinterval(1e-5)
         try:
             with recorded_workers() as workers:
-                result = classify_batch(corpus, config=config)
+                result = classify_batch(*corpus, config=config)
         finally:
             sys.setswitchinterval(interval)
         assert result.sources == ("backend",) * 120
@@ -783,7 +784,7 @@ class TestHttpBackend:
         config = http_config(backend_server, max_in_flight=2)
         with FailingCache(tmp_path / "cache.jsonl") as cache, recorded_workers() as workers, \
                 pytest.raises(OSError, match="disk full"):
-            classify_batch(corpus, config=config, cache=cache)
+            classify_batch(*corpus, config=config, cache=cache)
         # the failing put's request, and at most one more per worker
         assert 3 <= len(backend_server.calls) <= 3 + 2
         assert len(workers) == 2
@@ -795,7 +796,7 @@ class TestHttpBackend:
         set_proxies(monkeypatch, http_proxy=f"http://user:p%40ss@{host}:{port}")
         endpoint = "http://backend.invalid:8080/v1/chat?x=1"
         config = BackendConfig(endpoint=endpoint, model="m", retries=0, timeout=5.0)
-        result = classify_batch(papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config)
         assert result.sources == ("backend",)
         [call] = backend_server.calls
         assert call["path"] == endpoint
@@ -809,7 +810,7 @@ class TestHttpBackend:
         # a proxy that would refuse the connection
         set_proxies(monkeypatch, http_proxy=f"http://127.0.0.1:{closed_port()}",
                     no_proxy="example.org,127.0.0.1")
-        result = classify_batch(papers(mk("p1")), config=http_config(backend_server))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server))
         assert result.sources == ("backend",)
         [call] = backend_server.calls
         assert call["path"] == "/v1/chat/completions"
@@ -829,7 +830,7 @@ class TestHttpBackend:
                             lambda *args, **kwargs: connections.append(args))
         config = BackendConfig(endpoint="http://backend.example/v1", model="m")
         with pytest.raises(ValueError) as excinfo:
-            classify_batch(papers(mk("p1")), config=config)
+            classify_batch(*papers(mk("p1")), config=config)
         assert str(excinfo.value) == f"http_proxy {proxy!r}: {problem}"
         assert connections == []
 
@@ -856,7 +857,7 @@ class TestHttpBackend:
         monkeypatch.setattr(ssl, "create_default_context", counting_context)
         config = BackendConfig(endpoint="https://backend.example:8443/v1", model="m",
                                retries=1, backoff_base=0.0, timeout=5.0)
-        result = classify_batch(papers(mk("p1"), mk("p2", title="T2")), config=config)
+        result = classify_batch(*papers(mk("p1"), mk("p2", title="T2")), config=config)
         assert result.sources == ("error", "error")
         auth = {"Proxy-Authorization": "Basic " + base64.b64encode(b"u:pw").decode("ascii")}
         assert tunnels == [("backend.example", 8443, auth)] * 4
@@ -896,7 +897,7 @@ class TestHttpBackend:
                 for kind, title, prompt in zip(kinds, titles, prompts):
                     if kind == "hit":
                         cache.put("m", prompt, "Empirical", f"cached {title}")
-                result = classify_batch(corpus, config=config, cache=cache)
+                result = classify_batch(*corpus, config=config, cache=cache)
 
             expected = {
                 "hit": lambda t: ("Empirical", "cache", f"cached {t}"),
@@ -905,7 +906,7 @@ class TestHttpBackend:
                                    "backend unreachable after 0 retries: HTTP 500"),
             }
             rows = [expected[kind](t) for kind, t in zip(kinds, titles)]
-            assert result.ids == corpus.ids
+            assert result.ids == corpus[0]
             assert list(zip(result.labels, result.sources, result.rationales)) == rows
             requested = [call["body"]["messages"][0]["content"] for call in server.calls]
             assert sorted(requested) == sorted(
@@ -926,23 +927,23 @@ class TestHttpBackend:
             raise AssertionError("network call attempted")
 
         monkeypatch.setattr(socket.socket, "connect", boom)
-        results = classify_batch(papers(mk("p1")), backend=stub_backend)
+        results = classify_batch(*papers(mk("p1")), backend=stub_backend)
         assert results.sources == ("stub",)
         # the guard is one the HTTP path goes through
         monkeypatch.setenv(KEY_ENV, "sk-test")
         config = BackendConfig(endpoint=f"http://127.0.0.1:{closed_port()}/v1", model="m")
         with pytest.raises(AssertionError, match="network call attempted"):
-            classify_batch(papers(mk("p1")), config=config)
+            classify_batch(*papers(mk("p1")), config=config)
 
     def test_stub_path_ignores_cache(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path / "cache.jsonl")
-        classify_batch(papers(mk("p1")), cache=cache, backend=stub_backend)
+        classify_batch(*papers(mk("p1")), cache=cache, backend=stub_backend)
         assert len(cache) == 0
         assert not (tmp_path / "cache.jsonl").exists()
 
     def test_requires_config_or_backend(self):
         with pytest.raises(ValueError, match="backend callable or a BackendConfig"):
-            classify_batch(papers(mk("p1")))
+            classify_batch(*papers(mk("p1")))
 
 
 class TestAgreement:

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,20 +16,21 @@ from disruptkit.corpus import (
     EligibilityCriteria,
     YearGroup,
     _record_problem,
-    abstract_lengths,
     corpus_files,
     eligible_ids,
     filter_journals,
+    load_char_counts,
     load_columns,
     load_corpus,
     parse_corpus,
     read_allowlist,
+    save_columns,
     save_corpus,
     write_corpus,
 )
-from disruptkit.graph import build_graph
+from disruptkit import corpus as corpus_module
 
-from corpus_columns import columns, record_columns
+from corpus_columns import abstract_lengths, columns, eligible_of, graph_of, record_columns
 
 
 def mk(paper_id, year=2000, refs=(), journal="J", n_authors=1,
@@ -329,6 +331,42 @@ class TestCorpusFiles:
                 f"{tmp_path}: corpus files disagree on the row count")):
             load_columns(tmp_path, ("year", "n_authors"))
 
+    def test_rows_asked_for_are_the_rows_loaded(self, tmp_path):
+        corpus = corpus_of(mk("a", title="Ta", year=1991),
+                           mk("b", title="T\u00e9b", gold="empirical", year=1992),
+                           mk("c", title="", year=1993))
+        save_corpus(corpus, tmp_path)
+        for rows in ([0, 0, 1, 2], [0, 2], [1], []):
+            loaded = load_columns(tmp_path, ("title", "gold_label", "year"), rows=rows)
+            assert {name: list(column) for name, column in loaded.items()} == {
+                name: [stored(corpus)[name][row] for row in rows]
+                for name in ("title", "gold_label", "year")}
+
+    @pytest.mark.parametrize("rows", [[3], [-1, 0], [2, 1]])
+    def test_rows_that_are_not_ascending_rows_of_the_column_are_refused(self, tmp_path, rows):
+        save_corpus(corpus_of(mk("a"), mk("b"), mk("c")), tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path}: the rows asked of corpus_title.npy are not ascending "
+                f"or not among its 3 rows")):
+            load_columns(tmp_path, ("title",), rows=rows)
+
+    @pytest.mark.parametrize("offsets, problem", [
+        ([1, 600, 1200], "does not start at 0"),
+        ([0, 1300, 1200], "puts the end of row 1 before its start"),
+    ])
+    def test_offsets_that_do_not_start_at_0_or_that_decrease_are_refused(
+            self, tmp_path, offsets, problem):
+        # rows are found by their offsets, so wrong ones would decode the wrong bytes
+        save_corpus(corpus_of(mk("a"), mk("b")), tmp_path)
+        np.save(tmp_path / "corpus_abstract_offsets.npy", np.array(offsets, dtype=np.int64))
+        message = f"^{re.escape(f'{tmp_path}: corpus_abstract_offsets.npy {problem}')}$"
+        with pytest.raises(ValueError, match=message):
+            load_columns(tmp_path, ("abstract",), rows=[1])
+        with pytest.raises(ValueError, match=message):
+            load_char_counts(tmp_path, "abstract")
+        with pytest.raises(ValueError, match=message):
+            load_corpus(tmp_path)
+
     def test_string_with_no_utf8_form_touches_no_file(self, tmp_path):
         # parse_corpus refuses such a string; a corpus built by hand may hold one
         corpus = dataclasses.replace(corpus_of(mk("a"), mk("b")), abstract=("x", "\ud800"))
@@ -388,13 +426,43 @@ class TestYearGroups:
         assert not any(g.start <= year <= g.end for g in YearGroup)
 
 
-class TestAbstractLength:
-    def test_counts_whitespace(self):
-        assert abstract_lengths(["a b"]).tolist() == [3]
+def char_counts(texts, out_dir):
+    """load_char_counts of the texts, saved as the abstract column."""
+    save_columns(out_dir, {"corpus_abstract": texts})
+    return load_char_counts(out_dir, "abstract").tolist()
 
-    def test_normalizes_crlf(self):
+
+# Rows of 1- to 4-byte characters and every kind of line ending.
+_ROWS = st.lists(st.lists(st.sampled_from(
+    ["a", " ", "\u00e9", "\u4e2d", "\U0001f600", "\r", "\n", "\r\n"])).map("".join))
+
+
+class TestAbstractLength:
+    def test_counts_whitespace(self, tmp_path):
+        assert char_counts(["a b"], tmp_path) == abstract_lengths(["a b"]).tolist() == [3]
+
+    def test_normalizes_crlf(self, tmp_path):
         # each line break counts as one character regardless of encoding
-        assert abstract_lengths(["a\r\nb", "a\rb", "a\nb"]).tolist() == [3, 3, 3]
+        texts = ["a\r\nb", "a\rb", "a\nb"]
+        assert char_counts(texts, tmp_path) == abstract_lengths(texts).tolist() == [3, 3, 3]
+
+    def test_cr_ending_a_row_and_lf_starting_the_next_count_apart(self, tmp_path):
+        texts = ["a\r", "\nb", "", "\r", "", "\n"]
+        assert char_counts(texts, tmp_path) == abstract_lengths(texts).tolist() == [
+            2, 2, 0, 1, 0, 1]
+
+    def test_empty_column(self, tmp_path):
+        assert char_counts([], tmp_path) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS, st.integers(1, 16))
+    @example(["x\r", "\ny"], 1)
+    @example(["\u00e9\r", "", "\n\U0001f600\r\n"], 4)
+    def test_byte_count_equals_str_count(self, texts, chunk_bytes):
+        # small chunks put chunk bounds between rows of every kind
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
+            assert char_counts(texts, Path(tmp)) == abstract_lengths(texts).tolist()
 
 
 class TestEligibility:
@@ -417,44 +485,42 @@ class TestEligibility:
             mk("b", year=2000, refs=("a", "c")),
             mk("c", year=2020, refs=("a",)),
         )
-        return corpus, build_graph(corpus)
+        return corpus, graph_of(corpus)
 
     def test_thresholds_and_order(self):
         corpus, graph = self._corpus_and_graph()
         crit = EligibilityCriteria(min_out_links=1, min_in_links=1,
                                    min_abstract_chars=1)
-        assert eligible_ids(corpus, graph, crit) == ["c"]
+        assert eligible_of(corpus, graph, crit) == ["c"]
         crit = EligibilityCriteria(min_out_links=0, min_in_links=0,
                                    min_abstract_chars=1)
-        assert eligible_ids(corpus, graph, crit) == ["a", "b", "c"]
+        assert eligible_of(corpus, graph, crit) == ["a", "b", "c"]
 
     def test_year_window(self):
         corpus, graph = self._corpus_and_graph()
         crit = EligibilityCriteria(min_out_links=0, min_in_links=0,
                                    year_min=1996, year_max=2019,
                                    min_abstract_chars=1)
-        assert eligible_ids(corpus, graph, crit) == ["b"]
+        assert eligible_of(corpus, graph, crit) == ["b"]
 
     def test_abstract_threshold_uses_normalized_length(self):
         short = mk("s", abstract="x" * 500)
         long_enough = mk("l", abstract="x" * 501)
         crlf = mk("c", abstract=("x" * 499) + "\r\n")  # 500 after normalization
         corpus = corpus_of(short, long_enough, crlf)
-        graph = build_graph(corpus)
+        graph = graph_of(corpus)
         crit = EligibilityCriteria(min_out_links=0, min_in_links=0)
-        assert eligible_ids(corpus, graph, crit) == ["l"]
+        assert eligible_of(corpus, graph, crit) == ["l"]
 
-    def test_graph_node_missing_from_corpus(self):
-        corpus, graph = self._corpus_and_graph()
-        corpus = corpus.take(corpus.positions(["a", "c"]))
-        with pytest.raises(ValueError, match="graph node 'b' missing"):
-            eligible_ids(corpus, graph, EligibilityCriteria())
-
-    def test_corpus_row_missing_from_graph(self):
-        corpus, graph = self._corpus_and_graph()
-        corpus = corpus_of(mk("a"), mk("b"), mk("c"), mk("d"))
-        with pytest.raises(ValueError, match=r"corpus row 3 \('d'\) is not a graph node"):
-            eligible_ids(corpus, graph, EligibilityCriteria())
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_columns_of_another_length_than_the_graph_are_refused(self, rows):
+        _, graph = self._corpus_and_graph()
+        year, chars = np.full(3, 2000), np.full(3, 600)
+        with pytest.raises(ValueError, match=f"^year has {rows} rows, the graph 3 nodes$"):
+            eligible_ids(graph, np.full(rows, 2000), chars)
+        with pytest.raises(ValueError,
+                           match=f"^abstract_chars has {rows} rows, the graph 3 nodes$"):
+            eligible_ids(graph, year, np.full(rows, 600))
 
 
 def _line(paper_id, **fields):
@@ -629,6 +695,6 @@ class TestReferencesOutsideTheCorpus:
         path = tmp_path / "corpus.jsonl"
         write_corpus(kept, path)
         assert path.read_bytes() == (lines[0] + lines[2]).encode("utf-8")
-        graph = build_graph(kept)
+        graph = graph_of(kept)
         assert graph.ids == ("a", "c") and graph.n_edges == 1
         assert graph.reference_row(0).tolist() == [1]

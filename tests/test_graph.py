@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, eligible_ids, parse_corpus,
-                               save_corpus)
+from disruptkit.corpus import CORPUS_FILES, EligibilityCriteria, parse_corpus, save_corpus
 from disruptkit.graph import (
     GRAPH_FILES,
     LOAD_GRAPH_FILES,
-    build_graph,
     degree_stats,
     from_edge_arrays,
     load_graph,
     save_graph,
 )
+
+from corpus_columns import eligible_of, graph_of
 
 
 def mk(paper_id, refs=()):
@@ -40,14 +40,14 @@ def diamond_corpus():
 
 @pytest.fixture
 def diamond(diamond_corpus):
-    return build_graph(diamond_corpus)
+    return graph_of(diamond_corpus)
 
 
 def save_and_load(corpus, out_dir):
     """load_graph after save_corpus and save_graph, with only the files
     load_graph declares left in out_dir."""
     save_corpus(corpus, out_dir)
-    paths = save_graph(build_graph(corpus), out_dir)
+    paths = save_graph(graph_of(corpus), out_dir)
     assert [p.name for p in paths] == list(GRAPH_FILES)
     for name in set(CORPUS_FILES) - set(LOAD_GRAPH_FILES):
         (out_dir / name).unlink()
@@ -71,27 +71,27 @@ class TestBuildGraph:
         assert diamond.n_nodes == 4 and diamond.n_edges == 4
 
     def test_out_of_corpus_references_are_ignored(self):
-        graph = build_graph(corpus_of(mk("a", refs=("a-missing", "b")), mk("b")))
+        graph = graph_of(corpus_of(mk("a", refs=("a-missing", "b")), mk("b")))
         assert graph.n_edges == 1
         assert graph.reference_row(graph.index["a"]).tolist() == [graph.index["b"]]
 
     def test_insertion_order_does_not_matter(self):
         records = [mk("a"), mk("b", refs=("a",)), mk("c", refs=("a", "b"))]
-        g1 = build_graph(corpus_of(*records))
-        g2 = build_graph(corpus_of(*reversed(records)))
+        g1 = graph_of(corpus_of(*records))
+        g2 = graph_of(corpus_of(*reversed(records)))
         assert g1.ids == g2.ids
         for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices"):
             np.testing.assert_array_equal(getattr(g1, name), getattr(g2, name))
 
     def test_rows_are_sorted(self):
-        graph = build_graph(corpus_of(
+        graph = graph_of(corpus_of(
             mk("a"), mk("z", refs=("a",)), mk("m", refs=("a",)), mk("b", refs=("a",)),
         ))
         assert graph.ids == ("a", "b", "m", "z")
         assert graph.citer_row(graph.index["a"]).tolist() == [1, 2, 3]
 
     def test_empty_corpus(self):
-        graph = build_graph(corpus_of())
+        graph = graph_of(corpus_of())
         assert graph.n_nodes == 0 and graph.n_edges == 0
         stats = degree_stats(graph)
         assert stats["n_nodes"] == 0 and stats["max_in_deg"] == 0
@@ -141,7 +141,7 @@ class TestDegreeStats:
 
     def test_isolated_nodes(self):
         # a record with no in-corpus links is still a node
-        graph = build_graph(corpus_of(mk("a"), mk("b", refs=("a",)), mk("lone")))
+        graph = graph_of(corpus_of(mk("a"), mk("b", refs=("a",)), mk("lone")))
         stats = degree_stats(graph)
         assert (stats["n_nodes"], stats["n_edges"]) == (3, 1)
         assert (graph.in_deg[2], graph.out_deg[2]) == (0, 0)
@@ -263,14 +263,14 @@ class TestAgainstRecordWalk:
     @given(raw_corpora(), st.integers(0, 3), st.integers(0, 3), st.integers(3, 5))
     def test_graph_and_eligibility(self, raw, min_out, min_in, min_chars):
         corpus = parse_corpus(json.dumps(obj) + "\n" for obj in raw)
-        graph = build_graph(corpus)
+        graph = graph_of(corpus)
         ids, src, dst = _reference_edges(raw)
         assert graph.ids == tuple(ids)
         assert graph.index == {pid: i for i, pid in enumerate(ids)}
         assert_csr_equal(graph, len(ids), src, dst)
         criteria = EligibilityCriteria(min_out_links=min_out, min_in_links=min_in,
                                        min_abstract_chars=min_chars)
-        assert eligible_ids(corpus, graph, criteria) == _reference_eligible(
+        assert eligible_of(corpus, graph, criteria) == _reference_eligible(
             raw, graph.in_deg, graph.out_deg, criteria)
 
     @settings(max_examples=200, deadline=None)

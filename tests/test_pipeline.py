@@ -11,6 +11,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 from disruptkit.classify import LABELS, SOURCES, LabelTable
 from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, corpus_files, load_corpus,
                                parse_corpus, write_corpus)
-from disruptkit import pipeline
+from disruptkit import corpus as corpus_module, pipeline
 from disruptkit.disruption import MODES, ScoreTable, disruption_batch
-from disruptkit.graph import build_graph
 from disruptkit.pipeline import (
     STAGE_FUNCTIONS,
     STAGE_TABLE,
@@ -38,6 +38,7 @@ from disruptkit.pipeline import (
 )
 from disruptkit import cli
 
+from corpus_columns import graph_of
 from httpstub import RecordingServer, completion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,12 +133,12 @@ class TestConfig:
     def test_byte_order_mark_is_dropped(self, tmp_path):
         # as a spreadsheet's "CSV UTF-8" starts a file
         path = tmp_path / "bom.conf"
-        path.write_bytes(b"\xef\xbb\xbfmin_in_links = 2\n")
+        path.write_bytes(b"\xef\xbb\xbfmin_in_links = 2\nstub = true\n")
         assert load_config(path).min_in_links == 2
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.conf"
-        path.write_text("# a comment\n\nmin_in_links = 2\n")
+        path.write_text("# a comment\n\nmin_in_links = 2\nstub = true\n")
         assert load_config(path).min_in_links == 2
 
     def test_validation(self):
@@ -149,8 +150,11 @@ class TestConfig:
             PipelineConfig(thresholds=(1, 2), model_thresholds=(5,))
 
     def test_backend_config_requires_endpoint(self):
-        with pytest.raises(ValueError, match="endpoint and model"):
-            PipelineConfig().backend_config()
+        with pytest.raises(ValueError, match="^endpoint must be an http or https URL, got ''$"):
+            PipelineConfig()
+        with pytest.raises(ValueError, match="^model must be non-empty$"):
+            PipelineConfig(endpoint="http://backend.example/v1")
+        assert PipelineConfig(stub=True).endpoint == ""
 
     @pytest.mark.parametrize("line, message", [
         ("thresholds = 0,1,2,3,5", "thresholds must be >= 1, got 0"),
@@ -175,6 +179,15 @@ class TestConfig:
         ("stub = false\ntimeout = nan", "timeout must be > 0"),
         ("stub = false\ntimeout = inf", "timeout must be finite"),
         ("stub = false\nretries = 1\nbackoff_base = inf", "backoff_base must be finite"),
+        # classify's endpoint and model, before ingest writes anything
+        ("stub = false", "endpoint must be an http or https URL, got ''"),
+        ("stub = false\nendpoint = http:///v1/chat\nmodel = m",
+         "endpoint 'http:///v1/chat': no host given"),
+        ("stub = false\nendpoint = http://127.0.0.1:99999/v1\nmodel = m",
+         "endpoint 'http://127.0.0.1:99999/v1': Port out of range 0-65535"),
+        ("stub = false\nendpoint = ftp://backend.example/v1\nmodel = m",
+         "endpoint must be an http or https URL, got 'ftp://backend.example/v1'"),
+        ("stub = false\nendpoint = http://backend.example/v1", "model must be non-empty"),
         # values that do not parse name the file and the line
         ("n_jobs = x", "{path}: line {line}: config key 'n_jobs': expected an integer, got 'x'"),
         ("thresholds = 1,a",
@@ -219,12 +232,19 @@ class TestConfig:
 # No whitespace: the file format strips it from both ends of a value.
 _WORD = st.text("abcXYZ019:/._-=#", min_size=1, max_size=12)
 _SPELLINGS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off"]}
+# What BackendConfig accepts as an endpoint.
+_URL = st.builds("{}://{}{}/{}".format, st.sampled_from(["http", "https"]),
+                 st.sampled_from(["localhost", "127.0.0.1", "backend.example", "[::1]"]),
+                 st.just("") | st.integers(1, 65535).map(":{}".format),
+                 st.text("abcXYZ019/._-", max_size=12))
 
 
 @st.composite
 def configs(draw):
     thresholds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
     optional_path = st.none() | _WORD.map(Path)
+    # a config for the HTTP backend names a URL and a model; a stub one need not
+    stub = draw(st.booleans())
     return PipelineConfig(
         corpus=Path(draw(_WORD)), allowlist=draw(optional_path), cache=draw(optional_path),
         out_dir=Path(draw(_WORD)),
@@ -233,8 +253,9 @@ def configs(draw):
         year_min=draw(st.integers(1991, 1995)), year_max=draw(st.integers(2016, 2020)),
         min_abstract_chars=draw(st.integers(0, 10**6)),
         thresholds=tuple(thresholds), mode=draw(st.sampled_from(MODES)),
-        n_jobs=draw(st.integers(1, 8)), stub=draw(st.booleans()),
-        endpoint=draw(st.just("") | _WORD), model=draw(st.just("") | _WORD),
+        n_jobs=draw(st.integers(1, 8)), stub=stub,
+        endpoint=draw(st.just("") | _WORD | _URL if stub else _URL),
+        model=draw(st.just("") | _WORD if stub else _WORD),
         api_key_env=draw(_WORD), max_in_flight=draw(st.integers(1, 16)),
         retries=draw(st.integers(0, 10)),
         backoff_base=draw(st.floats(0, 100, allow_nan=False)),
@@ -285,7 +306,8 @@ class TestConfigFiles:
         padding = st.text(" \t", max_size=2)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.conf"
-            path.write_text(f"stub ={data.draw(padding)}{spelled}{data.draw(padding)}\n")
+            path.write_text(f"stub ={data.draw(padding)}{spelled}{data.draw(padding)}\n"
+                            "endpoint = http://backend.example/v1\nmodel = m\n")
             assert load_config(path).stub is (word in _SPELLINGS[True])
             path.write_text(f"stub = {spelled}x\n")
             with pytest.raises(ValueError, match="expected a boolean"):
@@ -533,7 +555,7 @@ class TestStageSequencing:
         assert marker.startswith(f"{stage}:") and "run stage 'graph' first" in marker
 
     def test_only_ingest_graph_and_classify_parse_the_corpus(self, tmp_path, monkeypatch):
-        calls = {"parse_corpus": 0, "build_graph": 0, "load_corpus": 0}
+        calls = {"parse_corpus": 0, "build_graph": 0}
 
         def counting(name):
             real = getattr(pipeline, name)
@@ -545,10 +567,44 @@ class TestStageSequencing:
 
         for name in calls:
             monkeypatch.setattr(pipeline, name, counting(name))
+        # the rows of each string column decoded, by stage
+        decoded = {stage: Counter() for stage in STAGES}
+        running = []
+        real_load_strings = corpus_module.load_strings
+
+        def recording(out_dir, name, rows=None):
+            strings = real_load_strings(out_dir, name, rows)
+            decoded[running[-1]][name.removeprefix("corpus_")] += len(strings)
+            return strings
+
+        def staged(stage, run):
+            def wrapper(config):
+                running.append(stage)
+                try:
+                    return run(config)
+                finally:
+                    running.pop()
+            return wrapper
+
+        monkeypatch.setattr(corpus_module, "load_strings", recording)
+        for stage in STAGES:
+            monkeypatch.setitem(STAGE_FUNCTIONS, stage, staged(stage, STAGE_FUNCTIONS[stage]))
         config = fixture_config(tmp_path)
         run_pipeline(config)
+        monkeypatch.undo()
         # ingest parses once, and graph and classify load its columns from out_dir
-        assert calls == {"parse_corpus": 1, "build_graph": 1, "load_corpus": 2}
+        assert calls == {"parse_corpus": 1, "build_graph": 1}
+        corpus = load_corpus(config.out_dir)
+        n, refs = len(corpus), len(corpus.ref_strings)
+        eligible = len((config.out_dir / "eligible.txt").read_text().split())
+        assert 0 < eligible < n
+        # graph counts the abstracts' characters from their bytes, and
+        # classify decodes the titles and abstracts of eligible rows only
+        assert decoded == {
+            "ingest": {}, "graph": {"ids": n, "ref_strings": refs},
+            "classify": {"ids": n, "title": eligible, "abstract": eligible},
+            "disrupt": {"ids": n}, "regress": {"ids": n},
+            "report": {"ids": n, "journal": n, "gold_label": n}}
 
     def test_graph_and_classify_run_alone_parse_no_json(self, tmp_path, monkeypatch):
         config = fixture_config(tmp_path, out_dir=tmp_path / "full")
@@ -839,9 +895,10 @@ class TestClassifyStage:
                             lambda *args, **kwargs: connections.append(args))
         conf = TestLineage.conf(tmp_path, "http.conf", stub="false", endpoint=endpoint,
                                 model="test-model", backoff_base=0)
+        # refused when the config is loaded, before ingest writes anything
         assert cli.main(["run"] + conf) == 1
-        TestLineage.refused(tmp_path, capsys, "classify", f"endpoint {endpoint!r}: {problem}")
-        assert not (tmp_path / "out" / "classifications.csv").exists()
+        assert capsys.readouterr().err == f"error: endpoint {endpoint!r}: {problem}\n"
+        assert not (tmp_path / "out").exists()
         assert connections == []
 
     def test_cache_file_is_closed_after_the_stage(self, tmp_path, monkeypatch):
@@ -870,7 +927,7 @@ class TestClassifyStage:
 class TestObservationRows:
     def make_inputs(self):
         corpus = parse_corpus(FIXTURES / "corpus.jsonl")
-        graph = build_graph(corpus)
+        graph = graph_of(corpus)
         eligible = ["P000050", "P000060", "P000070"]
         scores = disruption_batch(graph, eligible, ls=(1, 2))
         return corpus, graph, eligible, scores
@@ -1266,7 +1323,9 @@ class TestLineage:
         config = fixture_config(tmp_path)
         run_pipeline(config)
         old = config.as_dict()[key]
-        changed = dataclasses.replace(config, **{key: value})
+        # the HTTP backend needs an endpoint and a model, which change no output
+        backend = {"endpoint": "http://127.0.0.1:9", "model": "test-model"}
+        changed = dataclasses.replace(config, **{key: value}, **backend if key == "stub" else {})
         with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["report"](changed)
         assert excinfo.value.message == (

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from disruptkit.classify import _CONCEPTUAL_CUES, _EMPIRICAL_CUES
-from disruptkit.corpus import abstract_lengths, parse_corpus
+from disruptkit.corpus import parse_corpus
 from disruptkit.disruption import disruption_batch
-from disruptkit.graph import build_graph
 from disruptkit.synth import synth_corpus, synth_graph
 
-from corpus_columns import columns, references
+from corpus_columns import abstract_lengths, columns, graph_of, references
 
 
 class TestValidation:
@@ -127,7 +126,7 @@ class TestSynthGraph:
 class TestPlantedEffect:
     def label_stats(self, effect, seed=1):
         corpus = synth_corpus(1200, seed=seed, effect=effect)
-        graph = build_graph(corpus)
+        graph = graph_of(corpus)
         cited = [pid for pid, deg in zip(graph.ids, graph.in_deg.tolist()) if deg >= 3]
         scores = disruption_batch(graph, cited, ls=(1,))
         d_by_id = {pid: d for pid, d in zip(scores.ids, scores.d.tolist()) if d == d}
