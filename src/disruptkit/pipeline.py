@@ -84,8 +84,9 @@ class StageSpec:
 
 
 # The corpus columns the stages after ingest load. graph also counts the
-# characters of each abstract from its bytes, and classify maps the
-# eligible ids to rows and decodes only those rows of its columns.
+# characters of each abstract from its bytes, classify maps the eligible
+# ids to rows and decodes only those rows of its columns, and report
+# decodes the gold labels of the eligible rows only.
 GRAPH_COLUMNS = ("ids", "year", "ref_offsets", "ref_codes", "ref_strings")
 CLASSIFY_COLUMNS = ("title", "abstract")
 REGRESS_COLUMNS = ("year", "n_authors")
@@ -658,9 +659,9 @@ def stage_report(config: PipelineConfig) -> None:
     labels = read_classifications(config.out_dir / "classifications.csv")
     cit_table = (config.out_dir / "citations_models.txt").read_text(encoding="utf-8")
     d_table = (config.out_dir / "disruption_models.txt").read_text(encoding="utf-8")
-    graph, nodes = load_graph(config.out_dir), load_columns(config.out_dir, REPORT_COLUMNS)
+    graph = load_graph(config.out_dir)
     stats = degree_stats(graph)
-    counts = Counter(nodes["journal"])
+    counts = Counter(load_columns(config.out_dir, ("journal",))["journal"])
     lines = ["Corpus", f"  papers: {graph.n_nodes}", f"  journals with papers: {len(counts)}"]
     if config.allowlist is not None:
         allow = read_allowlist(config.allowlist)
@@ -677,8 +678,9 @@ def stage_report(config: PipelineConfig) -> None:
     lines += [f"  {label}: {label_counts[label]}" for label in sorted(label_counts)]
     lines.append("Label sources")
     lines += [f"  {source}: {source_counts[source]}" for source in sorted(source_counts)]
-    gold_labels = {pid: gold for pid in eligible
-                   if (gold := nodes["gold_label"][graph.index[pid]]) is not None}
+    gold = load_columns(config.out_dir, ("gold_label",),
+                        rows=[graph.index[pid] for pid in eligible])["gold_label"]
+    gold_labels = {pid: g for pid, g in zip(eligible, gold) if g is not None}
     if gold_labels:
         report = agreement_report(labels.by_id(), gold_labels)
         lines.append("Agreement with gold labels")

@@ -20,11 +20,20 @@ controlled by a single ``effect`` knob:
 With effect = 0 both mechanisms are label-blind. Gold labels are
 embedded in the records, and abstracts carry matching cue vocabulary
 so the offline classifier stub can recover them without a network.
+
+After the per-paper labels and counts, every random choice takes the
+next float of one stream (``_float_stream``): the references first,
+then each paper's title and abstract. So a seed and an effect fix every
+output byte, and tests/test_synth.py pins the digests of a few corpora
+and of one graph. An abstract sentence is one template with two topics;
+``synth_corpus`` formats each such sentence once per call, into a table
+of (sentence, length), and an abstract picks its sentences from it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import chain
 from pathlib import Path
 
@@ -33,7 +42,7 @@ import numpy as np
 from .corpus import Corpus, EligibilityCriteria, id_order, write_corpus
 from .graph import CitationGraph, from_edge_arrays
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 12  # floats per draw from the Generator: 128 KiB as a list
 
 # The generator's fixed mixture; only ``effect`` varies between corpora.
 _CONCEPTUAL_FRAC = 0.3  # share of papers with a conceptual gold label
@@ -73,83 +82,74 @@ _EMPIRICAL_TEMPLATES = (
 )
 
 
-class _FloatStream:
-    """Sequential uniform floats drawn from a Generator in fixed-size
-    blocks; keeps the hot loops off per-call RNG overhead while staying
-    fully deterministic."""
-
-    __slots__ = ("_rng", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.random(_BLOCK)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == _BLOCK:
-            self._buf = self._rng.random(_BLOCK)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-    def pick(self, n: int) -> int:
-        return int(self.next() * n)
+def _float_stream(rng: np.random.Generator) -> Callable[[], float]:
+    """A draw function: each call returns the next uniform float of rng
+    as a Python float. The floats come from rng ``_BLOCK`` at a time, are
+    converted by ``tolist`` and handed out in order through one iterator,
+    so a draw costs one C-level call and makes no numpy scalar. The
+    sequence is the one ``rng.random`` gives, whatever the block size."""
+    blocks = iter(lambda: rng.random(_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 def _generate_references(
     n: int,
-    stream: _FloatStream,
-    want_refs: np.ndarray,
-    is_conceptual: np.ndarray,
+    draw: Callable[[], float],
+    want_refs: list[int],
+    is_conceptual: list[bool],
     effect: float,
 ) -> list[list[int]]:
     """Reference lists per paper, chronological, mixed attachment with
     the two planted mechanisms described in the module docstring."""
     refs_by_paper: list[list[int]] = []
     pool: list[int] = []
+    to_pool = pool.append
     accept_empirical = 1.0 / (1.0 + effect)
     follow_reduced = _FOLLOW_PROB / (1.0 + effect)
     recency_cut = _UNIFORM_MIX + _RECENCY_MIX
+    label_effect = effect > 0.0
     for i in range(n):
-        want = min(int(want_refs[i]), i)
+        want = min(want_refs[i], i)
         refs: list[int] = []
         chosen: set[int] = set()
-        attempts = 0
+        take, mark = refs.append, chosen.add
+        accepted = attempts = 0
         window = min(i, max(25, i // 5))
         # Rejection sampling can stall on duplicate-heavy small pools,
         # so a soft cap lifts the label rejection and a hard cap stops
         # the search; a short reference list is acceptable output.
         soft_cap = 30 * want + 30
         hard_cap = 60 * want + 60
-        while len(refs) < want and attempts < hard_cap:
+        while accepted < want and attempts < hard_cap:
             attempts += 1
-            branch = stream.next()
+            branch = draw()
             if branch < _UNIFORM_MIX:
-                r = stream.pick(i)
+                r = int(draw() * i)
             elif branch < recency_cut:
-                r = i - window + stream.pick(window)
+                r = i - window + int(draw() * window)
             else:
-                r = pool[stream.pick(len(pool))]
-            if effect > 0.0 and not is_conceptual[r] and attempts <= soft_cap:
-                if stream.next() >= accept_empirical:
+                r = pool[int(draw() * len(pool))]
+            if label_effect and not is_conceptual[r] and attempts <= soft_cap:
+                if draw() >= accept_empirical:
                     continue
             if r in chosen:
                 continue
-            chosen.add(r)
-            refs.append(r)
-            pool.append(r)
+            mark(r)
+            take(r)
+            to_pool(r)
+            accepted += 1
             anchor_refs = refs_by_paper[r]
-            if anchor_refs and len(refs) < want:
+            if anchor_refs and accepted < want:
                 p_follow = follow_reduced if is_conceptual[r] else _FOLLOW_PROB
-                if stream.next() < p_follow:
-                    x = anchor_refs[stream.pick(len(anchor_refs))]
+                if draw() < p_follow:
+                    x = anchor_refs[int(draw() * len(anchor_refs))]
                     if x not in chosen:
-                        chosen.add(x)
-                        refs.append(x)
-                        pool.append(x)
+                        mark(x)
+                        take(x)
+                        to_pool(x)
+                        accepted += 1
         refs_by_paper.append(refs)
-        pool.append(i)
+        to_pool(i)
     return refs_by_paper
 
 
@@ -163,16 +163,26 @@ def _flatten(refs_by_paper: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, refs
 
 
-def _abstract(stream: _FloatStream, conceptual: bool) -> str:
-    templates = _CONCEPTUAL_TEMPLATES if conceptual else _EMPIRICAL_TEMPLATES
+def _sentence_table(templates: tuple[str, ...]) -> list[tuple[str, int]]:
+    """Every sentence a template and two topics give, with its length, at
+    index ``(template * len(_TOPICS) + t1) * len(_TOPICS) + t2``."""
+    return [(sentence, len(sentence))
+            for template in templates for t1 in _TOPICS for t2 in _TOPICS
+            for sentence in (template.format(t1=t1, t2=t2),)]
+
+
+def _abstract(draw: Callable[[], float], table: list[tuple[str, int]]) -> str:
+    """Sentences drawn from one label's table, each as a template and two
+    topics in that order, until the abstract meets the length floor."""
+    n_topics = len(_TOPICS)
+    n_templates = len(table) // n_topics ** 2
     sentences: list[str] = []
-    length = 0
+    length = -1  # the first sentence needs no separating space
     while length < EligibilityCriteria.min_abstract_chars:
-        template = templates[stream.pick(len(templates))]
-        t1 = _TOPICS[stream.pick(len(_TOPICS))]
-        t2 = _TOPICS[stream.pick(len(_TOPICS))]
-        sentence = template.format(t1=t1, t2=t2)
-        length += len(sentence) + (1 if sentences else 0)
+        template = int(draw() * n_templates)
+        t1 = int(draw() * n_topics)
+        sentence, chars = table[(template * n_topics + t1) * n_topics + int(draw() * n_topics)]
+        length += chars + 1
         sentences.append(sentence)
     return " ".join(sentences)
 
@@ -199,22 +209,25 @@ def synth_corpus(
         raise ValueError(f"effect must be a finite number >= 0, got {effect}")
 
     rng = np.random.default_rng(seed)
-    is_conceptual = rng.random(n_papers) < _CONCEPTUAL_FRAC
-    want_refs = 11 + rng.poisson(_EXTRA_REFS_MEAN, size=n_papers)
+    is_conceptual = (rng.random(n_papers) < _CONCEPTUAL_FRAC).tolist()
+    want_refs = (11 + rng.poisson(_EXTRA_REFS_MEAN, size=n_papers)).tolist()
     n_authors = 1 + rng.poisson(2.0, size=n_papers)
-    stream = _FloatStream(rng)
-    refs_by_paper = _generate_references(n_papers, stream, want_refs, is_conceptual, effect)
+    draw = _float_stream(rng)
+    refs_by_paper = _generate_references(n_papers, draw, want_refs, is_conceptual, effect)
 
     year_min = EligibilityCriteria.year_min
     span = EligibilityCriteria.year_max - year_min + 1
     journals = [f"Synthetic Journal {k:02d}" for k in range(_N_JOURNALS)]
+    tables = {True: _sentence_table(_CONCEPTUAL_TEMPLATES),
+              False: _sentence_table(_EMPIRICAL_TEMPLATES)}
+    n_topics = len(_TOPICS)
     titles: list[str] = []
     abstracts: list[str] = []
-    for i, conceptual in enumerate(is_conceptual.tolist()):
-        t1 = _TOPICS[stream.pick(len(_TOPICS))]
-        t2 = _TOPICS[(stream.pick(len(_TOPICS) - 1) + _TOPICS.index(t1) + 1) % len(_TOPICS)]
-        titles.append(f"Paper {i:06d} on {t1} and {t2}")
-        abstracts.append(_abstract(stream, conceptual))
+    for i, conceptual in enumerate(is_conceptual):
+        t1 = int(draw() * n_topics)
+        t2 = (int(draw() * (n_topics - 1)) + t1 + 1) % n_topics  # any topic but t1
+        titles.append(f"Paper {i:06d} on {_TOPICS[t1]} and {_TOPICS[t2]}")
+        abstracts.append(_abstract(draw, tables[conceptual]))
     # Built as columns: the references are paper indices, which serve as
     # codes into the id column, and every value is valid by construction.
     ids = tuple(map(_paper_id, range(n_papers)))
@@ -224,7 +237,7 @@ def synth_corpus(
         title=tuple(titles),
         abstract=tuple(abstracts),
         journal=tuple(journals[i % _N_JOURNALS] for i in range(n_papers)),
-        gold_label=tuple("conceptual" if c else "empirical" for c in is_conceptual.tolist()),
+        gold_label=tuple("conceptual" if c else "empirical" for c in is_conceptual),
         year=year_min + (np.arange(n_papers, dtype=np.int64) * span) // n_papers,
         n_authors=n_authors.astype(np.int64),
         ref_offsets=ref_offsets,
@@ -245,10 +258,9 @@ def synth_graph(n_nodes: int, seed: int) -> CitationGraph:
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
     rng = np.random.default_rng(seed)
-    is_conceptual = np.zeros(n_nodes, dtype=bool)
-    want_refs = 11 + rng.poisson(_EXTRA_REFS_MEAN, size=n_nodes)
-    stream = _FloatStream(rng)
-    refs_by_paper = _generate_references(n_nodes, stream, want_refs, is_conceptual, 0.0)
+    want_refs = (11 + rng.poisson(_EXTRA_REFS_MEAN, size=n_nodes)).tolist()
+    refs_by_paper = _generate_references(n_nodes, _float_stream(rng), want_refs,
+                                         [False] * n_nodes, 0.0)
     offsets, src = _flatten(refs_by_paper)
     dst = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(offsets))
     ids = tuple(_paper_id(i) for i in range(n_nodes))

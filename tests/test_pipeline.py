@@ -598,13 +598,14 @@ class TestStageSequencing:
         n, refs = len(corpus), len(corpus.ref_strings)
         eligible = len((config.out_dir / "eligible.txt").read_text().split())
         assert 0 < eligible < n
-        # graph counts the abstracts' characters from their bytes, and
-        # classify decodes the titles and abstracts of eligible rows only
+        # graph counts the abstracts' characters from their bytes, classify
+        # decodes the titles and abstracts of eligible rows only, and report
+        # their gold labels only
         assert decoded == {
             "ingest": {}, "graph": {"ids": n, "ref_strings": refs},
             "classify": {"ids": n, "title": eligible, "abstract": eligible},
             "disrupt": {"ids": n}, "regress": {"ids": n},
-            "report": {"ids": n, "journal": n, "gold_label": n}}
+            "report": {"ids": n, "journal": n, "gold_label": eligible}}
 
     def test_graph_and_classify_run_alone_parse_no_json(self, tmp_path, monkeypatch):
         config = fixture_config(tmp_path, out_dir=tmp_path / "full")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,34 @@ class TestDeterminism:
         g2 = synth_graph(300, seed=4)
         np.testing.assert_array_equal(g1.fwd_indptr, g2.fwd_indptr)
         np.testing.assert_array_equal(g1.fwd_indices, g2.fwd_indices)
+
+
+class TestGoldenBytes:
+    """The generator's output, pinned by digest: any change to the draw
+    order, the mixture or the text shows here."""
+
+    @pytest.mark.parametrize("n_papers,seed,effect,digest", [
+        (80, 99, 0.0, "5a45b3ea7fcb1e2b27df126f1b5041892274768f495ec733d5cd33f087e90b49"),
+        # the first papers have fewer earlier papers than references wanted
+        (12, 0, 1.0, "8e6fa74a641a4c779d55f083c037a8ba00e58fc79e939e6b814307ffcd039d23"),
+        # the draws run through many blocks of floats
+        (2000, 5, 1.0, "24ccccf4f5fb365a62c27a6e9ad32df9d162920770269aa3c28cf8c2bdfe44cc"),
+    ], ids=("80-papers", "12-papers", "2000-papers"))
+    def test_corpus_file(self, tmp_path, n_papers, seed, effect, digest):
+        path = tmp_path / "c.jsonl"
+        synth_corpus(n_papers, seed=seed, effect=effect, path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_graph_arrays(self):
+        graph = synth_graph(300, seed=4)
+        digests = {name: hashlib.sha256(getattr(graph, name).astype("<i8").tobytes()).hexdigest()
+                   for name in ("fwd_indptr", "fwd_indices", "bwd_indptr", "bwd_indices")}
+        assert digests == {
+            "fwd_indptr": "f7fec281461b91287f0b121dcddfc33e52114c96d03661d3346ccb3f89486269",
+            "fwd_indices": "90ea0ef2f270d043d1ca86834789b4159879f3325e6a5dbc9dd6881942d4b8b9",
+            "bwd_indptr": "1694ce391e22afb3b1560e40aec71838d04d1719b749e149a644dc277469bdf0",
+            "bwd_indices": "e07fb4af744208c54f0546641ef68ff3b4717e93e45ac0e808f5cb252786c2dc",
+        }
 
 
 @pytest.fixture(scope="module")
