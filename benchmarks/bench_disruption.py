@@ -12,8 +12,8 @@ import argparse
 import time
 
 import numpy as np
-# The kernel imports scipy.sparse on its first large input; importing it
-# here keeps that import out of the timings.
+# The kernel imports scipy.sparse on its first call; importing it here
+# keeps that import out of the timings.
 import scipy.sparse  # noqa: F401
 
 from disruptkit import _kernels

@@ -1,11 +1,8 @@
 """The counting kernel behind the citer partition.
 
 ``partition_counts`` scores a block of focals at every threshold with
-one product of a left factor (the focals' weighted references) and the
-citer matrix. Inputs that expand to at most ``SMALL_PAIRS`` (reference,
-citer) pairs form that product in plain numpy (``_expand_product``);
-larger ones form it with scipy.sparse. Both give the same counts; the
-choice depends on the input size only.
+one scipy.sparse product of a left factor (the focals' weighted
+references) and the citer matrix.
 
 Array contract: CSR adjacency as produced by ``graph.build_graph``.
 ``fwd_*`` rows are the citers of each node, ``bwd_*`` rows its
@@ -31,20 +28,6 @@ _CITER_FLAG = 1 << _FIELD_BITS
 # MB whatever the number of focals; a focal whose own pairs exceed it
 # gets a block to itself.
 BLOCK_PAIRS = 1 << 17
-
-# Inputs that expand to at most this many pairs in all skip scipy.sparse
-# and sum the expanded pairs instead (``_expand_product``), which costs
-# no matrix set-up but an argsort of the pairs. Per-call medians on a
-# 2-CPU Xeon VM (numpy 2.4, scipy 1.17), sparse against expanded: the
-# 6-node worked example 260-320 µs against 160-200 µs; synth_graph of
-# 600 and 5,000 nodes about even at 5-7k pairs, and 4.5 ms against
-# 9 ms at 90k pairs. On the 50k-paper benchmark graph building the
-# citer matrix costs O(edges), so the two are even only at 30-60k
-# pairs; one full BLOCK_PAIRS block takes 1.9 ms against 6.9 ms, and
-# its whole 39,581-focal batch 0.7 s against 1.4 s. The benchmark's
-# ``disrupt`` stage scores every eligible paper in one call, far above
-# this cutoff; single-paper scores sit below it.
-SMALL_PAIRS = 1 << 12
 
 
 def _gather_rows(indptr, indices, rows):
@@ -83,25 +66,6 @@ def _threshold_words(in_deg, ls, overlap_mode, bits):
         weights = prefix[np.clip(reached - lo, 0, hi - lo)]
         words.append((lo, hi, weights, offsets))
     return words
-
-
-def _expand_product(left_cols, left_ptr, vals, fwd_indptr, fwd_indices, n):
-    """Rows, columns and values of the non-zero cells of the product that
-    ``partition_counts`` forms with scipy.sparse, where the left
-    factor is the CSR matrix (vals, left_cols, left_ptr). Every (left
-    entry, citer) pair is expanded, and the pairs that land in one cell
-    are summed in integer arithmetic."""
-    pair_ptr, citers = _gather_rows(fwd_indptr, fwd_indices, left_cols)
-    fan = np.diff(pair_ptr)
-    rows = np.repeat(np.repeat(np.arange(left_ptr.shape[0] - 1), np.diff(left_ptr)), fan)
-    key = rows * n + citers
-    order = np.argsort(key)
-    key = key[order]
-    if not key.shape[0]:
-        return key, key, key
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    data = np.add.reduceat(np.repeat(vals, fan)[order], first)
-    return key[first] // n, key[first] % n, data
 
 
 def partition_counts(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
@@ -145,16 +109,14 @@ def partition_counts(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
                            side="right")
     bounds = np.unique(np.concatenate(([0], cuts, [n_focal])))
 
-    citer_matrix = None
-    if cum_pairs[-1] > SMALL_PAIRS:
-        # Imported where it is used: it adds about 0.2 s to the start of
-        # every process that imports this module.
-        import scipy.sparse as sp
+    # Imported where it is used: it adds about 0.2 s to the start of
+    # every process that imports this module.
+    import scipy.sparse as sp
 
-        citer_matrix = sp.csr_array(
-            (np.ones(fwd_indices.shape[0], dtype=np.int64),
-             fwd_indices.astype(idx, copy=False), fwd_indptr.astype(idx, copy=False)),
-            shape=(n, n))
+    citer_matrix = sp.csr_array(
+        (np.ones(fwd_indices.shape[0], dtype=np.int64),
+         fwd_indices.astype(idx, copy=False), fwd_indptr.astype(idx, copy=False)),
+        shape=(n, n))
 
     for start, stop in zip(bounds[:-1], bounds[1:]):
         block = focals[start:stop]
@@ -164,16 +126,11 @@ def partition_counts(fwd_indptr, fwd_indices, bwd_indptr, bwd_indices,
         block_ptr = (row_ptr[start:stop + 1] - lo_pos).astype(idx)
         for lo, hi, weights, edges in words:
             vals = np.where(is_ref[lo_pos:hi_pos], weights[block_cols], _CITER_FLAG)
-            if citer_matrix is None:
-                rows, cell_cols, cells = _expand_product(block_cols, block_ptr, vals,
-                                                         fwd_indptr, fwd_indices, n)
-            else:
-                product = sp.csr_array((vals, block_cols, block_ptr),
-                                       shape=(size, n)) @ citer_matrix
-                rows = np.repeat(np.arange(size), np.diff(product.indptr))
-                cell_cols, cells = product.indices, product.data
-            keep = cell_cols != block[rows]
-            cell = cells[keep]
+            product = sp.csr_array((vals, block_cols, block_ptr),
+                                   shape=(size, n)) @ citer_matrix
+            rows = np.repeat(np.arange(size), np.diff(product.indptr))
+            keep = product.indices != block[rows]
+            cell = product.data[keep]
             is_citer = cell >= _CITER_FLAG
             reached = np.searchsorted(edges, cell & (_CITER_FLAG - 1), side="right")
             n_bins = hi - lo + 1

@@ -30,6 +30,7 @@ files, and ``load_corpus`` reads back every column.
 from __future__ import annotations
 
 import enum
+import io
 import json
 import logging
 import os
@@ -175,13 +176,38 @@ def parse_corpus(source: str | Path | IO[str] | Iterable[str]) -> Corpus:
     names the offending id for duplicates. Of several faults the one on
     the lowest line is reported, and within a line the first that
     ``_record_problem`` checks. A file's leading byte-order mark is
-    dropped.
+    dropped, and a byte that is not UTF-8 is a fault of its line.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
+    if not isinstance(source, (str, Path)):
+        return _parse_lines(source, source_name=getattr(source, "name", "<stream>"))
+    path = Path(source)
+    try:
         with path.open("r", encoding="utf-8-sig") as fh:
             return _parse_lines(fh, source_name=str(path))
-    return _parse_lines(source, source_name=getattr(source, "name", "<stream>"))
+    except UnicodeDecodeError:
+        fault = utf8_fault(path, path.read_bytes())
+        if fault is None:  # the file changed since the failed read
+            raise
+    before, message = fault
+    _parse_lines(before, source_name=str(path))
+    raise ValueError(message)
+
+
+def utf8_fault(path: Path, data: bytes) -> tuple[list[str], str] | None:
+    """None if ``data``, the bytes of file ``path``, is UTF-8. Else the
+    lines before the line of its first bad byte, split as a text-mode
+    read splits them (universal newlines, a leading byte-order mark
+    dropped), and a message that names that line and byte."""
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is data without its byte-order mark; the "-" makes
+        # the bad byte's own line the last line, even at a line's start.
+        lines = io.StringIO(exc.object[:exc.start].decode("utf-8") + "-",
+                            newline=None).readlines()
+        return lines[:-1], (f"{path}: line {len(lines)}: not UTF-8 "
+                            f"(byte {exc.object[exc.start]:#04x})")
+    return None
 
 
 def _parse_lines(lines: Iterable[str], source_name: str) -> Corpus:
@@ -600,12 +626,19 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 def read_allowlist(path: str | Path) -> set[str]:
     """Journal allowlist: one name per line, exact match after trimming.
     A leading byte-order mark, as spreadsheets write, is dropped."""
+    path = Path(path)
     names: set[str] = set()
-    with Path(path).open("r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            name = line.strip()
-            if name:
-                names.add(name)
+    try:
+        with path.open("r", encoding="utf-8-sig") as fh:
+            for line in fh:
+                name = line.strip()
+                if name:
+                    names.add(name)
+    except UnicodeDecodeError:
+        fault = utf8_fault(path, path.read_bytes())
+        if fault is None:  # the file changed since the failed read
+            raise
+        raise ValueError(fault[1]) from None
     return names
 
 

@@ -63,7 +63,7 @@ from .classify import (LABELS, SOURCES, BackendConfig, LabelTable, ResponseCache
                        agreement_report, check_choice, classify_batch, stub_backend)
 from .corpus import (CORPUS_FILES, EligibilityCriteria, YearGroup, atomic_write, corpus_files,
                      eligible_ids, filter_journals, load_char_counts, load_columns,
-                     parse_corpus, read_allowlist, save_corpus)
+                     parse_corpus, read_allowlist, save_corpus, utf8_fault)
 from .disruption import (DEFAULT_THRESHOLDS, ScoreTable, _validate_scoring, disruption_batch,
                          read_scores, write_scores)
 from .graph import (GRAPH_FILES, LOAD_GRAPH_FILES, CitationGraph, build_graph, degree_stats,
@@ -269,13 +269,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
                 for name, hint in get_type_hints(PipelineConfig).items()}
     values: dict = {}
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        data = path.read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        before = io.StringIO(exc.object[:exc.start].decode("utf-8") + "-", newline=None)
-        raise ValueError(f"{path}: line {len(before.readlines())}: not UTF-8 "
-                         f"(byte {exc.object[exc.start]:#04x})") from None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise ValueError(utf8_fault(path, data)[1]) from None
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

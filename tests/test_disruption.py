@@ -329,11 +329,10 @@ class TestSparseKernelContract:
 @st.composite
 def kernel_cases(draw, min_hub_refs=0):
     """A random graph, a focal list (repeats, any order), an ascending
-    threshold set that may reach above every in-degree, a block budget,
-    and a SMALL_PAIRS cutoff that picks the summed expansion or (-1) the
-    scipy.sparse product. With min_hub_refs, one extra focal cites at
-    least that many papers, so its field width times 9+ thresholds
-    overflows one packed word."""
+    threshold set that may reach above every in-degree, and a block
+    budget. With min_hub_refs, one extra focal cites at least that many
+    papers, so its field width times 9+ thresholds overflows one packed
+    word."""
     n = draw(st.integers(1, 12))
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     edges = set(draw(st.lists(st.sampled_from(slots), unique=True))) if slots else set()
@@ -354,17 +353,15 @@ def kernel_cases(draw, min_hub_refs=0):
     ls = sorted(draw(st.sets(st.integers(1, max(int(in_deg.max()) + 2, 16)),
                              min_size=n_ls[0], max_size=n_ls[1])))
     block_pairs = draw(st.one_of(st.integers(1, 32), st.just(_kernels.BLOCK_PAIRS)))
-    small_pairs = draw(st.sampled_from([-1, _kernels.SMALL_PAIRS]))
     ids = tuple(f"n{i:03d}" for i in range(n))
     pairs = sorted((ids[ref], ids[cit]) for ref, cit in edges)
-    return ids, pairs, focals, ls, block_pairs, small_pairs
+    return ids, pairs, focals, ls, block_pairs
 
 
 def check_against_oracle(case, mode):
-    ids, pairs, focals, ls, block_pairs, small_pairs = case
+    ids, pairs, focals, ls, block_pairs = case
     graph = graph_from_pairs(ids, pairs)
-    with mock.patch.object(_kernels, "BLOCK_PAIRS", block_pairs), \
-            mock.patch.object(_kernels, "SMALL_PAIRS", small_pairs):
+    with mock.patch.object(_kernels, "BLOCK_PAIRS", block_pairs):
         got = sparse_counts(graph, focals, ls, mode)
     for arr in got:
         assert arr.dtype == np.int64 and arr.shape == (len(focals), len(ls))
@@ -390,7 +387,7 @@ class TestSparseKernelProperties:
            mode=st.sampled_from(["ref_indegree", "overlap"]))
     def test_hub_needs_several_packed_words(self, case, mode):
         graph = check_against_oracle(case, mode)
-        _, _, focals, ls, _, _ = case
+        _, _, focals, ls, _ = case
         bits = int(graph.out_deg[focals].max()).bit_length()
         assert bits * len(ls) > 62
 

@@ -13,6 +13,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1409,6 +1410,77 @@ class TestHandEdits:
             assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns), p
 
 
+class Crash(BaseException):
+    """Ends a run as a kill would: no handler in the pipeline catches it."""
+
+
+def dir_files(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.fixture(scope="class")
+def clean_files(tmp_path_factory):
+    config = fixture_config(tmp_path_factory.mktemp("clean"))
+    run_pipeline(config)
+    return dir_files(config.out_dir)
+
+
+class TestCrashPoints:
+    """A run killed at any artifact or manifest write (each ends in
+    atomic_write's os.replace) leaves an out_dir on which each later
+    stage alone refuses, naming a stage to run, or writes the bytes of a
+    finished run: the clean run's or, where the kill left the start
+    intact, the start's. A new run then writes the clean files."""
+
+    @pytest.mark.parametrize("start", ["empty", "other-corpus"])
+    def test_run_killed_at_each_write(self, clean_files, tmp_path, start):
+        start_dir = tmp_path / "start"
+        start_dir.mkdir()
+        if start == "other-corpus":
+            lines = (FIXTURES / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+            other = tmp_path / "other.jsonl"
+            other.write_bytes(b"".join(line for k, line in enumerate(lines) if k % 7))
+            run_pipeline(fixture_config(tmp_path, corpus=other, out_dir=start_dir))
+        start_files = dir_files(start_dir)
+        # The stage that makes each os.replace call of a run over start.
+        probe = fixture_config(tmp_path, out_dir=tmp_path / "probe")
+        shutil.copytree(start_dir, probe.out_dir)
+        made: list[str] = []
+        with mock.patch.object(os, "replace", side_effect=os.replace) as replace:
+            for stage in STAGES:
+                STAGE_FUNCTIONS[stage](probe)
+                made += [stage] * (replace.call_count - len(made))
+        assert dir_files(probe.out_dir) == clean_files
+
+        real_replace = os.replace
+        for crash_at, crashed in enumerate(made):
+            config = fixture_config(tmp_path, out_dir=tmp_path / f"out{crash_at}")
+            shutil.copytree(start_dir, config.out_dir)
+            calls = iter(range(len(made)))
+
+            def replace(src, dst):
+                if next(calls) == crash_at:
+                    raise Crash
+                real_replace(src, dst)
+
+            with mock.patch.object(os, "replace", replace), pytest.raises(Crash):
+                run_pipeline(config)
+            for stage in STAGES[STAGES.index(crashed) + 1:]:
+                where = f"killed at write {crash_at} ({crashed}), then {stage}"
+                try:
+                    STAGE_FUNCTIONS[stage](config)
+                except StageError as exc:
+                    named = re.search(r"; run stage '(\w+)' (?:again|first)$", exc.message)
+                    assert named and named[1] in STAGES, f"{where}: {exc.message}"
+                else:
+                    wrote = {name: (config.out_dir / name).read_bytes()
+                             for name in STAGE_TABLE[stage].writes}
+                    assert wrote in ({name: clean_files[name] for name in wrote},
+                                     {name: start_files.get(name) for name in wrote}), where
+            run_pipeline(config)
+            assert dir_files(config.out_dir) == clean_files, f"killed at write {crash_at}"
+
+
 class TestRegressErrors:
     GRAPH_KEYS = "min_out_links, min_in_links, year_min, year_max, min_abstract_chars"
 
@@ -1563,6 +1635,31 @@ class TestCli:
         code = cli.main(["regress"] + base)
         assert code == 1
         assert "run stage 'classify' first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("corpus.jsonl", lambda lines: {3: lines[3].replace(b"Paper", b"Pap\xffer", 1)},
+         "corpus.jsonl: line 4: not UTF-8 (byte 0xff)"),
+        # the decoder fails on a chunk of lines; the lowest bad line wins
+        ("corpus.jsonl", lambda lines: {147: lines[146], 149: lines[149] + b"\xff"},
+         "corpus.jsonl: line 148: duplicate id 'P000146'"),
+        ("journals.txt", lambda lines: {2: b"Synthetic Jour\xffnal 02"},
+         "journals.txt: line 3: not UTF-8 (byte 0xff)"),
+    ], ids=["corpus", "corpus-earlier-fault", "allowlist"])
+    @pytest.mark.parametrize("newline, bom", [(b"\n", b""), (b"\r", b"\xef\xbb\xbf")],
+                             ids=["lf", "cr-bom"])
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, capsys, monkeypatch,
+                                                            name, edit, message, newline, bom):
+        monkeypatch.chdir(tmp_path)
+        for fixture in ("corpus.jsonl", "journals.txt"):
+            lines = (FIXTURES / fixture).read_bytes().split(b"\n")
+            if fixture == name:
+                for k, line in edit(lines).items():
+                    lines[k] = line
+            (tmp_path / fixture).write_bytes(bom + newline.join(lines))
+        code = cli.main(["ingest", "--config", str(FIXTURES / "pipeline.conf")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: stage 'ingest': {message}\n"
+        assert (tmp_path / "out" / "FAILED").read_text() == f"ingest: {message}\n"
 
     def test_bad_usage_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
