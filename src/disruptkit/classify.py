@@ -17,7 +17,6 @@ import os
 import random
 import re
 import threading
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -59,6 +58,15 @@ _RESPONSE_RE = re.compile(
 
 class BackendError(RuntimeError):
     """A backend request failed permanently (after retries)."""
+
+
+class BackendRefused(RuntimeError):
+    """The backend refused the client, not the paper: no other request
+    can succeed either, so the batch stops."""
+
+
+class _Stopped(Exception):
+    """The batch stopped before this paper's next attempt."""
 
 
 def render_prompt(title: str, abstract: str) -> str:
@@ -179,7 +187,7 @@ def check_backend_limits(max_in_flight: int, retries: int, backoff_base: float,
                          timeout: float) -> None:
     """Raise ValueError naming the first of these BackendConfig settings
     that is out of range (NaN and infinity included: a socket timeout or
-    a sleep of inf overflows)."""
+    a wait of inf overflows)."""
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     if retries < 0:
@@ -323,9 +331,49 @@ def _retry_after(status: int, headers: Mapping[str, str]) -> float:
     return 0.0
 
 
-def _sender(config: BackendConfig, api_key: str) -> Callable[[str], str]:
+# Statuses that refuse the client rather than the paper: a wrong key
+# (401), a model or endpoint it may not use (403, 404, 405), or proxy
+# credentials (407).
+_REFUSED_STATUSES = frozenset({401, 403, 404, 405, 407})
+
+
+def _completion(status: int, body: bytes) -> str | None:
+    """Sort one reply into the three kinds a batch tells apart, and give
+    the completion text of a good one.
+
+    - Retry: a 429 or a 5xx gives None, and is retried like a transport
+      error or a timeout.
+    - A failure of this paper: any other status than 200 (a 3xx, a 2xx
+      other than 200, a 4xx not in _REFUSED_STATUSES), or a 200 whose body
+      is not a completion with text content, raises BackendError.
+    - A failure of the configuration: a status in _REFUSED_STATUSES raises
+      BackendRefused.
+    The message of a status other than 200 names it and the start of the
+    body.
+    """
+    if status == 429 or status >= 500:
+        return None
+    if status != 200:
+        text = body.decode("utf-8", errors="replace")[:200]
+        if status in _REFUSED_STATUSES:
+            raise BackendRefused(f"backend refused the client with HTTP {status}: {text}")
+        raise BackendError(f"HTTP {status}: {text}")
+    try:
+        content = json.loads(body)["choices"][0]["message"]["content"]
+        # Content that is not text, or that holds a lone surrogate, has
+        # no UTF-8 form to cache or write out.
+        content.encode("utf-8")
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise BackendError(f"malformed backend response: {exc}") from exc
+    return content
+
+
+def _sender(config: BackendConfig, api_key: str,
+            stop: threading.Event) -> Callable[[str], str]:
     """A function that sends one prompt to the backend, with retries, and
-    returns the completion text or raises BackendError.
+    returns the completion text, or raises as _completion sorts the
+    reply. Once ``stop`` is set it makes no further attempt and waits no
+    longer for one: it raises _Stopped instead.
 
     What every request needs is derived here, once per batch: the address
     and request target, the proxy, the headers, and for https one TLS
@@ -392,7 +440,11 @@ def _sender(config: BackendConfig, api_key: str) -> Callable[[str], str]:
         for attempt in range(config.retries + 1):
             if attempt:
                 backoff = config.backoff_base * (2 ** (attempt - 1))
-                time.sleep(max(backoff * (0.5 + 0.5 * _JITTER.random()), wait))
+                # a stop ends the wait at once
+                stop.wait(max(backoff * (0.5 + 0.5 * _JITTER.random()), wait))
+            # every attempt is a paid request
+            if stop.is_set():
+                raise _Stopped
             conn = connect()
             # The body is read inside the try, so a timeout while reading
             # it is retried like one while connecting.
@@ -405,22 +457,11 @@ def _sender(config: BackendConfig, api_key: str) -> Callable[[str], str]:
                 continue
             finally:
                 conn.close()
-            status = reply.status
-            if status == 429 or status >= 500:
-                last_error = BackendError(f"HTTP {status}")
-                wait = _retry_after(status, reply.headers)
-                continue
-            if status != 200:
-                text = body.decode("utf-8", errors="replace")
-                raise BackendError(f"HTTP {status}: {text[:200]}")
-            try:
-                content = json.loads(body)["choices"][0]["message"]["content"]
-                # Content that is not text, or that holds a lone surrogate,
-                # has no UTF-8 form to cache or write out.
-                content.encode("utf-8")
-            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-                raise BackendError(f"malformed backend response: {exc}") from exc
-            return content
+            content = _completion(reply.status, body)
+            if content is not None:
+                return content
+            last_error = BackendError(f"HTTP {reply.status}")
+            wait = _retry_after(reply.status, reply.headers)
         raise BackendError(f"backend unreachable after {config.retries} retries: {last_error}")
 
     return send
@@ -441,32 +482,39 @@ def classify_batch(
     ``stub_backend``) everything runs locally and the cache is not
     consulted or written: local responses are free to recompute and
     keeping them out of the cache preserves its meaning as a record of
-    real backend output. Otherwise ``config`` drives HTTP requests.
-    Every prompt is first looked up in the cache in the calling thread,
-    and cached prompts are served from it with no request and no worker.
-    Only the papers left over are requested, which needs the API key, by
-    ``min(max_in_flight, misses)`` worker threads that each take the next
-    paper until none is left (no thread starts when every prompt is
-    cached). The cache file is opened for appending before the first
-    request, and fresh responses are appended to it. A paper whose
-    request fails permanently yields an error-source row instead of
-    aborting the batch. Any other exception in a worker stops every
-    worker from taking another paper and is raised here once all have
-    ended. A row with an empty title or abstract raises ValueError naming
-    its id, and then no HTTP request is sent.
+    real backend output. Otherwise ``config`` drives HTTP requests, and
+    ``cache`` keeps every answer paid for. Every prompt is first looked
+    up in the cache in the calling thread, and cached prompts are served
+    from it with no request and no worker. Only the papers left over are
+    requested, which needs the API key, by ``min(max_in_flight, misses)``
+    worker threads that each take the next paper until none is left (no
+    thread starts when every prompt is cached). The cache file is opened
+    for appending before the first request, and each answer is appended
+    to it as it arrives. A paper whose request fails permanently yields
+    an error-source row instead of aborting the batch.
+
+    Every other stop takes one path: a backend that refuses the client
+    (BackendRefused), any other exception in a worker, or an interrupt
+    of the calling thread. No worker then starts another paper or
+    another attempt, the requests in flight are waited for, and their
+    answers reach the cache before the exception leaves here. A second
+    interrupt during that wait leaves at once. A row with an empty title
+    or abstract raises ValueError naming its id, and then no HTTP
+    request is sent.
     """
     if backend is not None:
         return _label_table(ids, [(*parse_response(backend(prompt)), "stub")
                                   for prompt in _prompts(ids, titles, abstracts)])
 
-    if config is None:
-        raise ValueError("either a backend callable or a BackendConfig is required")
+    if config is None or cache is None:
+        raise ValueError("either a backend callable or a BackendConfig and a ResponseCache "
+                         "are required")
 
     prompts = list(_prompts(ids, titles, abstracts))
     rows: list[tuple[str, str, str] | None] = []
     misses: list[int] = []
     for pos, prompt in enumerate(prompts):
-        hit = cache.get(config.model, prompt) if cache is not None else None
+        hit = cache.get(config.model, prompt)
         if hit is None:
             misses.append(pos)
             rows.append(None)
@@ -480,11 +528,11 @@ def classify_batch(
         raise RuntimeError(
             f"backend required but environment variable {config.api_key_env} is not set"
         )
-    if cache is not None:
-        # before any request, so no paid answer is lost to a cache it cannot keep
-        cache.open()
+    # before any request, so no paid answer is lost to a cache it cannot keep
+    cache.open()
 
-    send = _sender(config, api_key)
+    stop = threading.Event()
+    send = _sender(config, api_key, stop)
 
     def request_row(prompt: str) -> tuple[str, str, str]:
         try:
@@ -492,35 +540,64 @@ def classify_batch(
         except BackendError as exc:
             return "Other", str(exc), "error"
         label, rationale = parse_response(response)
-        if cache is not None:
-            cache.put(config.model, prompt, label, rationale)
+        cache.put(config.model, prompt, label, rationale)
         return label, rationale, "backend"
 
     todo = iter(misses)
-    lock = threading.Lock()
     failures: list[BaseException] = []
+    # Guards ``todo``, counts the workers that have entered work() and
+    # lists those that have left it. The calling thread waits on these
+    # instead of joining a worker that may still run: an interrupt inside
+    # Thread.join() can mark the joined thread as ended while it still
+    # runs, and the interpreter then exits without waiting for its answer.
+    state = threading.Condition()
+    entered = 0
+    left: list[threading.Thread] = []
 
     def work() -> None:
-        while True:
-            with lock:
-                pos = None if failures else next(todo, None)
-            if pos is None:
-                return
-            try:
+        nonlocal entered
+        with state:
+            entered += 1
+        try:
+            # send() checks the stop before each attempt, the first included
+            while True:
+                with state:
+                    pos = next(todo, None)
+                if pos is None:
+                    return
                 rows[pos] = request_row(prompts[pos])
-            except BaseException as exc:
-                failures.append(exc)
+        except _Stopped:
+            pass
+        except BaseException as exc:
+            failures.append(exc)
+            stop.set()
+        finally:
+            with state:
+                left.append(threading.current_thread())
+                state.notify()
 
-    workers = [threading.Thread(target=work, name=f"classify-worker-{k}")
+    def wait_until(done: Callable[[], bool]) -> None:
+        """Wait until ``done()`` holds, then join the workers that have
+        left work()."""
+        with state:
+            state.wait_for(done)
+            finished = list(left)
+        for worker in finished:
+            worker.join()
+
+    # Daemon threads: after a second interrupt the process may exit
+    # without waiting for the requests still in flight.
+    workers = [threading.Thread(target=work, name=f"classify-worker-{k}", daemon=True)
                for k in range(min(config.max_in_flight, len(misses)))]
     try:
         for worker in workers:
             worker.start()
-        for worker in workers:
-            worker.join()
-    except BaseException as exc:
-        # Interrupted while waiting: no worker takes another paper.
-        failures.append(exc)
+        wait_until(lambda: len(left) == len(workers))
+    except BaseException:
+        # Interrupted: the workers inside work() finish what they have in
+        # flight; one that enters later meets the stop before it sends.
+        stop.set()
+        wait_until(lambda: len(left) == entered)
         raise
     if failures:
         raise failures[0]

@@ -200,6 +200,9 @@ class PipelineConfig:
         if not self.stub:
             # what classify's backend would refuse, each named by its key
             self.backend_config()
+            if self.cache is None:
+                raise ValueError("cache must be set when stub is false: it keeps every "
+                                 "answer the backend is paid for")
 
     def criteria(self) -> EligibilityCriteria:
         return EligibilityCriteria(
@@ -525,8 +528,6 @@ def stage_classify(config: PipelineConfig) -> None:
     papers = (eligible, texts["title"], texts["abstract"])
     if config.stub:
         labels = classify_batch(*papers, backend=stub_backend)
-    elif config.cache is None:
-        labels = classify_batch(*papers, config=config.backend_config())
     else:
         with ResponseCache(config.cache) as cache:
             labels = classify_batch(*papers, config=config.backend_config(), cache=cache)

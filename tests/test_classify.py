@@ -5,11 +5,13 @@ import http.client
 import json
 import os
 import re
+import signal
 import socket
 import ssl
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -425,6 +427,13 @@ def backend_server():
     server.close()
 
 
+@pytest.fixture
+def cache(tmp_path):
+    """A fresh response cache, which every HTTP batch needs."""
+    with ResponseCache(tmp_path / "cache.jsonl") as fresh:
+        yield fresh
+
+
 @pytest.fixture(scope="module")
 def shared_server():
     """One server for every example of a Hypothesis test, which cannot
@@ -457,6 +466,22 @@ def recorded_workers():
         yield started
 
 
+def recorded_waits(monkeypatch):
+    """The waits before each retry, in order; each passes at once. Waits
+    with no timeout (a thread's start, say) are not listed."""
+    waits = []
+
+    class RecordingEvent(threading.Event):
+        def wait(self, timeout=None):
+            if timeout is None:
+                return super().wait()
+            waits.append(timeout)
+            return self.is_set()
+
+    monkeypatch.setattr(threading, "Event", RecordingEvent)
+    return waits
+
+
 def set_proxies(monkeypatch, **values):
     """Clear every proxy variable, then set ``values`` (name -> value)."""
     for name in list(os.environ):
@@ -474,10 +499,10 @@ def closed_port():
 
 
 class TestHttpBackend:
-    def test_request_shape_and_result(self, backend_server, monkeypatch):
+    def test_request_shape_and_result(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         corpus = papers(mk("p1", title="T1", abstract="A1"))
-        result = classify_batch(*corpus, config=http_config(backend_server))
+        result = classify_batch(*corpus, config=http_config(backend_server), cache=cache)
         assert result.ids == ("p1",)
         assert result.labels == ("Empirical",)
         assert result.sources == ("backend",)
@@ -524,11 +549,11 @@ class TestHttpBackend:
         assert len(backend_server.calls) == 2
         assert cache._fh is None  # nothing to append, so the file was not opened
 
-    def test_missing_api_key_fails_before_any_request(self, backend_server,
+    def test_missing_api_key_fails_before_any_request(self, cache, backend_server,
                                                       monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         with pytest.raises(RuntimeError, match=KEY_ENV):
-            classify_batch(*papers(mk("p1")), config=http_config(backend_server))
+            classify_batch(*papers(mk("p1")), config=http_config(backend_server), cache=cache)
         assert backend_server.calls == []
 
     def test_cache_that_cannot_be_appended_to_fails_before_any_request(
@@ -544,35 +569,36 @@ class TestHttpBackend:
         assert backend_server.calls == []
 
     @pytest.mark.parametrize("field", ["title", "abstract"])
-    def test_empty_text_names_the_record_before_any_request(self, backend_server,
+    def test_empty_text_names_the_record_before_any_request(self, cache, backend_server,
                                                             monkeypatch, field):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         corpus = papers(mk("p1"), mk("p2", **{field: ""}), mk("p3"))
-        for kwargs in (dict(backend=stub_backend), dict(config=http_config(backend_server))):
+        for kwargs in (dict(backend=stub_backend), dict(config=http_config(backend_server),
+                                                        cache=cache)):
             with pytest.raises(ValueError) as excinfo:
                 classify_batch(*corpus, **kwargs)
             assert str(excinfo.value) == f"record 'p2': {field} must be non-empty"
         assert backend_server.calls == []
 
-    def test_empty_corpus_gives_an_empty_table(self, backend_server, monkeypatch):
+    def test_empty_corpus_gives_an_empty_table(self, cache, backend_server, monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
-        result = classify_batch(*papers(), config=http_config(backend_server))
+        result = classify_batch(*papers(), config=http_config(backend_server), cache=cache)
         assert len(result) == 0 and result.rationales == ()
         assert backend_server.calls == []
 
-    def test_transient_errors_are_retried(self, backend_server, monkeypatch):
+    def test_transient_errors_are_retried(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         backend_server.server.behavior = lambda n, body: (
             (500, "{}") if n == 0 else (429, "{}") if n == 1 else (200, ok)
         )
         config = http_config(backend_server, retries=3)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.labels == ("Conceptual",)
         assert result.sources == ("backend",)
         assert len(backend_server.calls) == 3
 
-    def test_permanent_failure_yields_error_entry(self, backend_server, monkeypatch):
+    def test_permanent_failure_yields_error_entry(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         # first record always fails, second succeeds; distinct titles give
@@ -587,7 +613,7 @@ class TestHttpBackend:
         backend_server.server.behavior = behavior
         corpus = papers(mk("bad", title="T-fail"), mk("good", title="T-ok"))
         config = http_config(backend_server, retries=1, max_in_flight=1)
-        results = classify_batch(*corpus, config=config)
+        results = classify_batch(*corpus, config=config, cache=cache)
         assert results.ids == ("bad", "good")
         assert results.sources == ("error", "backend")
         assert results.labels[0] == "Other"
@@ -597,63 +623,67 @@ class TestHttpBackend:
                            if "T-fail" in c["body"]["messages"][0]["content"])
         assert n_fail_calls == 2
 
-    def test_client_errors_are_not_retried(self, backend_server, monkeypatch):
+    def test_client_errors_are_not_retried(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (400, '{"error": "bad"}')
         config = http_config(backend_server, retries=3)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("error",)
         assert len(backend_server.calls) == 1
 
-    def test_malformed_success_body_is_an_error_without_retry(self, backend_server,
+    def test_malformed_success_body_is_an_error_without_retry(self, cache, backend_server,
                                                               monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (200, '{"unexpected": true}')
         config = http_config(backend_server, retries=3)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("error",)
         assert "malformed" in result.rationales[0]
         assert len(backend_server.calls) == 1
 
-    def test_content_that_is_not_text_is_malformed(self, backend_server, monkeypatch):
+    def test_content_that_is_not_text_is_malformed(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, body: (200, completion(None))
-        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3),
+                                cache=cache)
         assert result.sources == ("error",)
         assert "malformed" in result.rationales[0]
         assert len(backend_server.calls) == 1
 
-    def test_client_error_body_is_in_the_rationale(self, backend_server, monkeypatch):
+    def test_client_error_body_is_in_the_rationale(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
-        body = '{"error": "model not found: test-model"}' + " " * 300
-        backend_server.server.behavior = lambda n, _: (404, body)
-        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
+        body = '{"error": "prompt exceeds the context window"}' + " " * 300
+        backend_server.server.behavior = lambda n, _: (422, body)
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3),
+                                cache=cache)
         assert result.sources == ("error",)
-        assert result.rationales[0] == "HTTP 404: " + body[:200]
+        assert result.rationales[0] == "HTTP 422: " + body[:200]
         assert len(backend_server.calls) == 1
 
     @pytest.mark.parametrize("status", [201, 204])
-    def test_other_success_codes_are_errors_without_retry(self, backend_server,
+    def test_other_success_codes_are_errors_without_retry(self, cache, backend_server,
                                                          monkeypatch, status):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         backend_server.server.behavior = lambda n, _: (status, ok if status != 204 else "")
-        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3),
+                                cache=cache)
         assert result.sources == ("error",)
         assert result.rationales[0].startswith(f"HTTP {status}")
         assert len(backend_server.calls) == 1
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307])
-    def test_redirects_are_not_followed(self, backend_server, monkeypatch, status):
+    def test_redirects_are_not_followed(self, cache, backend_server, monkeypatch, status):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, _: (
             status, '{"moved": true}', {"Location": backend_server.endpoint + "/elsewhere"})
-        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server, retries=3),
+                                cache=cache)
         assert result.sources == ("error",)
         assert result.rationales[0] == f'HTTP {status}: {{"moved": true}}'
         assert len(backend_server.calls) == 1
 
-    def test_refused_connection_is_retried_then_an_error(self, monkeypatch):
+    def test_refused_connection_is_retried_then_an_error(self, cache, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         port = closed_port()
         attempts = []
@@ -666,17 +696,17 @@ class TestHttpBackend:
         monkeypatch.setattr(socket, "create_connection", counting)
         config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m",
                                retries=2, backoff_base=0.0, timeout=5.0)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("error",)
         assert re.fullmatch(r"backend unreachable after 2 retries: \[Errno \d+\] "
                             r"Connection refused", result.rationales[0])
         assert attempts == [("127.0.0.1", port)] * 3
 
-    def test_read_timeout_is_retried_then_an_error(self, backend_server, monkeypatch):
+    def test_read_timeout_is_retried_then_an_error(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 1.0
         config = http_config(backend_server, retries=2, timeout=0.2)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("error",)
         assert "after 2 retries" in result.rationales[0]
         assert "timed out" in result.rationales[0]
@@ -693,7 +723,7 @@ class TestHttpBackend:
         (429, "1.5", 0.5, [0.25, 0.5]),
         (500, "7", 0.5, [0.25, 0.5]),
     ], ids=["429", "backoff-longer", "capped", "http-date", "fraction", "500"])
-    def test_retry_after(self, backend_server, monkeypatch, status, retry_after,
+    def test_retry_after(self, cache, backend_server, monkeypatch, status, retry_after,
                          backoff_base, waits):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
@@ -702,53 +732,50 @@ class TestHttpBackend:
             (status, "{}", {"Retry-After": retry_after}) if n == 0
             else (500, "{}") if n == 1 else (200, ok)
         )
-        sleeps = []
-        monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        sleeps = recorded_waits(monkeypatch)
         monkeypatch.setattr(classify, "_JITTER", Draws([0.0, 0.0]))
         config = http_config(backend_server, retries=2, backoff_base=backoff_base)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("backend",)
         assert sleeps == waits
 
-    def test_backoff_is_jittered_per_attempt(self, backend_server, monkeypatch):
+    def test_backoff_is_jittered_per_attempt(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         ok = completion("This article is in the conceptual category because theory.")
         backend_server.server.behavior = lambda n, _: (
             (503, "{}", {"Retry-After": "3"}) if n == 0
             else (500, "{}") if n < 3 else (200, ok)
         )
-        sleeps = []
-        monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        sleeps = recorded_waits(monkeypatch)
         monkeypatch.setattr(classify, "_JITTER", Draws([0.5, 0.5, 0.75]))
         config = http_config(backend_server, retries=3, backoff_base=2.0)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("backend",)
         # factors 0.75, 0.75 and 0.875 on backoffs of 2, 4 and 8 s; the
         # first wait is held up to the 3 s that Retry-After asked for
         assert sleeps == [3.0, 3.0, 7.0]
 
-    def test_jitter_factor_stays_in_its_range(self, backend_server, monkeypatch):
+    def test_jitter_factor_stays_in_its_range(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.behavior = lambda n, _: (500, "{}")
-        sleeps = []
-        monkeypatch.setattr(classify.time, "sleep", sleeps.append)
+        sleeps = recorded_waits(monkeypatch)
         config = http_config(backend_server, retries=6, backoff_base=1.0)
-        assert classify_batch(*papers(mk("p1")), config=config).sources == ("error",)
+        assert classify_batch(*papers(mk("p1")), config=config, cache=cache).sources == ("error",)
         assert len(sleeps) == 6
         for attempt, wait in enumerate(sleeps, start=1):
             assert 0.5 <= wait / 2 ** (attempt - 1) < 1.0
 
-    def test_in_flight_bound_is_respected(self, backend_server, monkeypatch):
+    def test_in_flight_bound_is_respected(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         backend_server.server.delay = 0.1
         corpus = papers(*(mk(f"p{i}", title=f"T{i}") for i in range(6)))
         config = http_config(backend_server, max_in_flight=2)
-        results = classify_batch(*corpus, config=config)
+        results = classify_batch(*corpus, config=config, cache=cache)
         assert len(results) == 6
         assert len(backend_server.calls) == 6
         assert backend_server.server.max_active <= 2
 
-    def test_each_miss_is_requested_once_by_contending_workers(self, backend_server,
+    def test_each_miss_is_requested_once_by_contending_workers(self, cache, backend_server,
                                                                monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         corpus = papers(*(mk(f"p{k:03d}", title=f"T{k}") for k in range(120)))
@@ -757,7 +784,7 @@ class TestHttpBackend:
         sys.setswitchinterval(1e-5)
         try:
             with recorded_workers() as workers:
-                result = classify_batch(*corpus, config=config)
+                result = classify_batch(*corpus, config=config, cache=cache)
         finally:
             sys.setswitchinterval(interval)
         assert result.sources == ("backend",) * 120
@@ -790,13 +817,134 @@ class TestHttpBackend:
         assert len(workers) == 2
         assert not any(worker.is_alive() for worker in workers)
 
-    def test_http_proxy_is_asked_for_the_absolute_url(self, backend_server, monkeypatch):
+    @pytest.mark.parametrize("status, kind", [
+        *((s, "retry") for s in (429, 500, 502, 503, 504)),
+        *((s, "paper") for s in (201, 204, 301, 302, 400, 402, 408, 409, 413, 422)),
+        *((s, "client") for s in (401, 403, 404, 405, 407)),
+    ])
+    def test_each_status_is_sorted_into_one_kind(self, status, kind):
+        body = b'{"error": "no"}'
+        if kind == "retry":
+            assert classify._completion(status, body) is None
+            return
+        error = classify.BackendRefused if kind == "client" else classify.BackendError
+        with pytest.raises(error) as excinfo:
+            classify._completion(status, body)
+        prefix = "backend refused the client with " if kind == "client" else ""
+        assert str(excinfo.value) == f'{prefix}HTTP {status}: {{"error": "no"}}'
+
+    def test_a_refusal_stops_the_batch_once_the_answer_in_flight_is_cached(
+            self, cache, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        body = '{"error": {"message": "Incorrect API key provided"}}'
+        in_flight = threading.Barrier(2, timeout=5)
+
+        def behavior(n, _):
+            if n < 2:
+                in_flight.wait()
+            if n == 0:
+                return 401, body
+            time.sleep(0.2)  # answered after the refusal
+            return 200, completion("This article is in the empirical category because data.")
+
+        backend_server.server.behavior = behavior
+        corpus = papers(*(mk(f"p{k}", title=f"T{k}") for k in range(10)))
+        config = http_config(backend_server, max_in_flight=2, retries=3)
+        with recorded_workers() as workers, pytest.raises(classify.BackendRefused) as excinfo:
+            classify_batch(*corpus, config=config, cache=cache)
+        assert str(excinfo.value) == f"backend refused the client with HTTP 401: {body}"
+        # no other paper is started once the refusal is in
+        assert len(backend_server.calls) == 2
+        answered = backend_server.calls[1]["body"]["messages"][0]["content"]
+        reloaded = ResponseCache(cache.path)
+        assert len(reloaded) == 1
+        assert reloaded.get("test-model", answered) == ("Empirical", "data.")
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_a_refusal_stops_the_retries_of_another_paper(self, cache, backend_server,
+                                                          monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+
+        def behavior(n, body):
+            if "T-busy" in body["messages"][0]["content"]:
+                return 503, "{}"
+            time.sleep(0.1)
+            return 401, "{}"
+
+        backend_server.server.behavior = behavior
+        corpus = papers(mk("p1", title="T-busy"), mk("p2", title="T-refused"))
+        config = http_config(backend_server, max_in_flight=2, retries=5, backoff_base=0.05)
+        with pytest.raises(classify.BackendRefused):
+            classify_batch(*corpus, config=config, cache=cache)
+        busy = [c for c in backend_server.calls
+                if "T-busy" in c["body"]["messages"][0]["content"]]
+        # waits of 0.025-0.05, 0.05-0.1 and 0.1-0.2 s before its second,
+        # third and fourth attempt; the refusal comes after 0.1 s
+        assert 1 <= len(busy) <= 4
+
+    def test_a_refusal_ends_another_papers_wait_to_retry(self, cache, backend_server,
+                                                         monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+
+        def behavior(n, body):
+            if "T-busy" in body["messages"][0]["content"]:
+                return 503, "{}", {"Retry-After": "30"}
+            time.sleep(0.1)
+            return 401, "{}"
+
+        backend_server.server.behavior = behavior
+        corpus = papers(mk("p1", title="T-busy"), mk("p2", title="T-refused"))
+        config = http_config(backend_server, max_in_flight=2, retries=5)
+        start = time.monotonic()
+        with pytest.raises(classify.BackendRefused):
+            classify_batch(*corpus, config=config, cache=cache)
+        # the busy paper's 30 s wait to retry ends with the refusal
+        assert time.monotonic() - start < 5
+        assert len(backend_server.calls) == 2
+
+    def test_an_interrupt_leaves_once_the_answer_in_flight_is_cached(
+            self, cache, backend_server, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "sk-test")
+        arrived, release = threading.Event(), threading.Event()
+
+        def behavior(n, _):
+            arrived.set()
+            release.wait(5)
+            return 200, completion("This article is in the conceptual category because theory.")
+
+        def interrupt():
+            arrived.wait(5)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            # the answer is held until well after Ctrl-C
+            time.sleep(0.3)
+            release.set()
+
+        backend_server.server.behavior = behavior
+        corpus = papers(mk("p1", title="T1"), mk("p2", title="T2"))
+        config = http_config(backend_server, max_in_flight=1)
+        interrupter = threading.Thread(target=interrupt)
+        interrupter.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                classify_batch(*corpus, config=config, cache=cache)
+            assert not [thread for thread in threading.enumerate()
+                        if thread.name.startswith("classify-worker")]
+            assert release.is_set()
+        finally:
+            release.set()
+            interrupter.join(5)
+        # the answer in flight is a line of the cache; p2 was never requested
+        assert ResponseCache(cache.path).get("test-model", render_prompt("T1", "An abstract")) \
+            == ("Conceptual", "theory.")
+        assert len(backend_server.calls) == 1
+
+    def test_http_proxy_is_asked_for_the_absolute_url(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         host, port = backend_server.server.server_address
         set_proxies(monkeypatch, http_proxy=f"http://user:p%40ss@{host}:{port}")
         endpoint = "http://backend.invalid:8080/v1/chat?x=1"
         config = BackendConfig(endpoint=endpoint, model="m", retries=0, timeout=5.0)
-        result = classify_batch(*papers(mk("p1")), config=config)
+        result = classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert result.sources == ("backend",)
         [call] = backend_server.calls
         assert call["path"] == endpoint
@@ -805,12 +953,12 @@ class TestHttpBackend:
         assert call["headers"]["Proxy-Authorization"] == (
             "Basic " + base64.b64encode(b"user:p@ss").decode("ascii"))
 
-    def test_no_proxy_host_is_requested_direct(self, backend_server, monkeypatch):
+    def test_no_proxy_host_is_requested_direct(self, cache, backend_server, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         # a proxy that would refuse the connection
         set_proxies(monkeypatch, http_proxy=f"http://127.0.0.1:{closed_port()}",
                     no_proxy="example.org,127.0.0.1")
-        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server))
+        result = classify_batch(*papers(mk("p1")), config=http_config(backend_server), cache=cache)
         assert result.sources == ("backend",)
         [call] = backend_server.calls
         assert call["path"] == "/v1/chat/completions"
@@ -822,7 +970,7 @@ class TestHttpBackend:
         ("[::1:3128", "Invalid IPv6 URL"),
     ])
     def test_proxy_without_a_host_or_with_a_bad_port_fails_before_any_request(
-            self, monkeypatch, proxy, problem):
+            self, cache, monkeypatch, proxy, problem):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         set_proxies(monkeypatch, http_proxy=proxy)
         connections = []
@@ -830,11 +978,11 @@ class TestHttpBackend:
                             lambda *args, **kwargs: connections.append(args))
         config = BackendConfig(endpoint="http://backend.example/v1", model="m")
         with pytest.raises(ValueError) as excinfo:
-            classify_batch(*papers(mk("p1")), config=config)
+            classify_batch(*papers(mk("p1")), config=config, cache=cache)
         assert str(excinfo.value) == f"http_proxy {proxy!r}: {problem}"
         assert connections == []
 
-    def test_https_is_tunnelled_through_the_proxy(self, monkeypatch):
+    def test_https_is_tunnelled_through_the_proxy(self, cache, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "sk-test")
         set_proxies(monkeypatch, https_proxy="http://u:pw@127.0.0.1:3128")
         tunnels, addresses, contexts = [], [], []
@@ -857,7 +1005,8 @@ class TestHttpBackend:
         monkeypatch.setattr(ssl, "create_default_context", counting_context)
         config = BackendConfig(endpoint="https://backend.example:8443/v1", model="m",
                                retries=1, backoff_base=0.0, timeout=5.0)
-        result = classify_batch(*papers(mk("p1"), mk("p2", title="T2")), config=config)
+        result = classify_batch(*papers(mk("p1"), mk("p2", title="T2")), config=config,
+                                cache=cache)
         assert result.sources == ("error", "error")
         auth = {"Proxy-Authorization": "Basic " + base64.b64encode(b"u:pw").decode("ascii")}
         assert tunnels == [("backend.example", 8443, auth)] * 4
@@ -921,7 +1070,7 @@ class TestHttpBackend:
                 elif kind == "fail":
                     assert reloaded.get("m", prompt) is None
 
-    def test_stub_path_never_touches_the_network(self, monkeypatch):
+    def test_stub_path_never_touches_the_network(self, cache, monkeypatch):
         def boom(sock, *args, **kwargs):
             sock.close()
             raise AssertionError("network call attempted")
@@ -933,7 +1082,7 @@ class TestHttpBackend:
         monkeypatch.setenv(KEY_ENV, "sk-test")
         config = BackendConfig(endpoint=f"http://127.0.0.1:{closed_port()}/v1", model="m")
         with pytest.raises(AssertionError, match="network call attempted"):
-            classify_batch(*papers(mk("p1")), config=config)
+            classify_batch(*papers(mk("p1")), config=config, cache=cache)
 
     def test_stub_path_ignores_cache(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path / "cache.jsonl")
@@ -941,9 +1090,13 @@ class TestHttpBackend:
         assert len(cache) == 0
         assert not (tmp_path / "cache.jsonl").exists()
 
-    def test_requires_config_or_backend(self):
+    def test_requires_config_or_backend(self, tmp_path):
         with pytest.raises(ValueError, match="backend callable or a BackendConfig"):
             classify_batch(*papers(mk("p1")))
+        # the HTTP path keeps every answer it pays for, so it needs a cache
+        config = BackendConfig(endpoint="http://127.0.0.1:9/v1", model="m")
+        with pytest.raises(ValueError, match="a BackendConfig and a ResponseCache"):
+            classify_batch(*papers(mk("p1")), config=config)
 
 
 class TestAgreement:

@@ -7,10 +7,13 @@ import json
 import os
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -189,6 +192,8 @@ class TestConfig:
         ("stub = false\nendpoint = ftp://backend.example/v1\nmodel = m",
          "endpoint must be an http or https URL, got 'ftp://backend.example/v1'"),
         ("stub = false\nendpoint = http://backend.example/v1", "model must be non-empty"),
+        ("stub = false\nendpoint = http://backend.example/v1\nmodel = m",
+         "cache must be set when stub is false: it keeps every answer the backend is paid for"),
         # values that do not parse name the file and the line
         ("n_jobs = x", "{path}: line {line}: config key 'n_jobs': expected an integer, got 'x'"),
         ("thresholds = 1,a",
@@ -244,10 +249,11 @@ _URL = st.builds("{}://{}{}/{}".format, st.sampled_from(["http", "https"]),
 def configs(draw):
     thresholds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
     optional_path = st.none() | _WORD.map(Path)
-    # a config for the HTTP backend names a URL and a model; a stub one need not
+    # a config for the HTTP backend names a URL, a model and a cache; a stub one need not
     stub = draw(st.booleans())
     return PipelineConfig(
-        corpus=Path(draw(_WORD)), allowlist=draw(optional_path), cache=draw(optional_path),
+        corpus=Path(draw(_WORD)), allowlist=draw(optional_path),
+        cache=draw(optional_path if stub else _WORD.map(Path)),
         out_dir=Path(draw(_WORD)),
         min_out_links=draw(st.integers(0, 10**6)), min_in_links=draw(st.integers(0, 10**6)),
         # a window that reaches into every year group
@@ -308,7 +314,8 @@ class TestConfigFiles:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.conf"
             path.write_text(f"stub ={data.draw(padding)}{spelled}{data.draw(padding)}\n"
-                            "endpoint = http://backend.example/v1\nmodel = m\n")
+                            "endpoint = http://backend.example/v1\nmodel = m\n"
+                            "cache = cache.jsonl\n")
             assert load_config(path).stub is (word in _SPELLINGS[True])
             path.write_text(f"stub = {spelled}x\n")
             with pytest.raises(ValueError, match="expected a boolean"):
@@ -791,8 +798,7 @@ class TestClassifyStage:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_reply_with_no_utf8_form_is_an_error_row(self, tmp_path, monkeypatch, cached):
+    def test_reply_with_no_utf8_form_is_an_error_row(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
         out_dir, cache = tmp_path / "out", tmp_path / "cache.jsonl"
         path = tmp_path / "http.conf"
@@ -801,7 +807,7 @@ class TestClassifyStage:
             (FIXTURES / "pipeline.conf").read_text()
             + f"corpus = {FIXTURES / 'corpus.jsonl'}\nallowlist = {FIXTURES / 'journals.txt'}\n"
             + f"stub = false\nendpoint = {server.endpoint}\nmodel = test-model\n"
-            + "max_in_flight = 1\nbackoff_base = 0\n" + (f"cache = {cache}\n" if cached else ""))
+            + f"max_in_flight = 1\nbackoff_base = 0\ncache = {cache}\n")
         first_prompt = []
 
         def behavior(n, body):
@@ -818,7 +824,7 @@ class TestClassifyStage:
         try:
             assert cli.main(["ingest"] + base) == 0
             assert cli.main(["graph"] + base) == 0
-            for run in range(1 + cached):
+            for run in range(2):
                 cached_before = cache.read_bytes() if cache.exists() else b""
                 n_calls = len(server.calls)
                 assert cli.main(["classify"] + base) == 0
@@ -830,7 +836,6 @@ class TestClassifyStage:
                     assert set(table.sources) == {"cache", "error"}
                     assert len(server.calls) == n_calls + 1  # not retried
                     assert cache.read_bytes() == cached_before
-            assert cache.exists() == cached
         finally:
             server.close()
 
@@ -844,7 +849,8 @@ class TestClassifyStage:
         path.write_text(
             (FIXTURES / "pipeline.conf").read_text()
             + f"corpus = {corpus}\nallowlist = {FIXTURES / 'journals.txt'}\n"
-            + f"stub = {str(stub).lower()}\nendpoint = {server.endpoint}\nmodel = test-model\n")
+            + f"stub = {str(stub).lower()}\nendpoint = {server.endpoint}\nmodel = test-model\n"
+            + f"cache = {tmp_path / 'cache.jsonl'}\n")
         base = ["--config", str(path), "--out-dir", str(tmp_path / "out")]
         lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -924,6 +930,128 @@ class TestClassifyStage:
             server.close()
         assert handles and all(fh.closed for fh in handles)
         assert len(set(map(id, handles))) == 1  # one handle for the whole batch
+
+    def test_cache_is_required_only_by_the_http_backend(self, tmp_path, capsys):
+        conf = TestLineage.conf(tmp_path, "http.conf", stub="false",
+                                endpoint="http://127.0.0.1:9/v1", model="test-model")
+        assert cli.main(["run"] + conf) == 1
+        assert capsys.readouterr().err == ("error: cache must be set when stub is false: it "
+                                           "keeps every answer the backend is paid for\n")
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["run", "--stub"] + conf) == 0
+
+    @staticmethod
+    def http_stages(tmp_path, server, **values):
+        """Options of a config for the HTTP backend at ``server``, with a
+        cache, once ingest and graph have run on it."""
+        conf = TestLineage.conf(tmp_path, "http.conf", stub="false", endpoint=server.endpoint,
+                                model="test-model", cache=tmp_path / "cache.jsonl",
+                                backoff_base=0, **values)
+        for stage in ("ingest", "graph"):
+            assert cli.main([stage] + conf) == 0
+        return conf
+
+    @pytest.mark.parametrize("status", [401, 404])
+    def test_a_backend_that_refuses_the_client_fails_the_stage(self, tmp_path, capsys,
+                                                               monkeypatch, status):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        body = '{"error": {"message": "Incorrect API key provided"}}'
+        server = RecordingServer()
+        server.server.delay = 0.02
+        calls_at_refusal = []
+
+        def behavior(n, _):
+            with server.server.lock:
+                if not calls_at_refusal:
+                    calls_at_refusal.append(len(server.calls))
+            return status, body
+
+        server.server.behavior = behavior
+        try:
+            conf = self.http_stages(tmp_path, server, max_in_flight=4)
+            capsys.readouterr()
+            assert cli.main(["classify"] + conf) == 1
+            TestLineage.refused(tmp_path, capsys, "classify",
+                                f"backend refused the client with HTTP {status}: {body}")
+            assert len(server.calls) - calls_at_refusal[0] <= 4
+            assert not (tmp_path / "out" / "classifications.csv").exists()
+        finally:
+            server.close()
+
+    def test_a_refusal_of_one_paper_is_its_error_row(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        server = RecordingServer()
+        refused = []
+
+        def behavior(n, body):
+            prompt = body["messages"][0]["content"]
+            with server.server.lock:
+                refused[:] = refused or [prompt]
+            if prompt == refused[0]:
+                return 400, '{"error": "bad request"}'
+            return 200, completion("This article is in the empirical category because data.")
+
+        server.server.behavior = behavior
+        try:
+            conf = self.http_stages(tmp_path, server)
+            assert cli.main(["classify"] + conf) == 0
+        finally:
+            server.close()
+        table = read_classifications(tmp_path / "out" / "classifications.csv")
+        assert table.sources.count("error") == 1
+        assert table.sources.count("backend") == len(table) - 1
+        assert table.rationales[table.sources.index("error")] == 'HTTP 400: {"error": "bad request"}'
+        assert len(server.calls) == len(table)  # not retried
+
+    def test_a_second_ctrl_c_ends_the_wait_for_answers_in_flight(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
+        server = RecordingServer()
+        release = threading.Event()
+
+        def behavior(n, _):
+            if n >= 6:
+                release.wait(5)  # both workers' seventh and eighth requests are held
+            return 200, completion("This article is in the empirical category because data.")
+
+        server.server.behavior = behavior
+        cache = tmp_path / "cache.jsonl"
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        try:
+            conf = self.http_stages(tmp_path, server, max_in_flight=2)
+            # A shell may start the tests with SIGINT ignored, which a child inherits.
+            proc = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "from disruptkit.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "classify"] + conf,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src))
+            deadline = time.monotonic() + 10
+            while len(server.calls) < 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server.calls) == 8
+            proc.send_signal(signal.SIGINT)
+            time.sleep(0.3)
+            assert proc.poll() is None  # waiting for the two held answers
+            proc.send_signal(signal.SIGINT)
+            second = time.monotonic()
+            _, err = proc.communicate(timeout=10)
+            assert time.monotonic() - second < 1.0
+        finally:
+            release.set()
+            server.close()
+        assert proc.returncode == 130
+        assert err.endswith("error: stage 'classify': interrupted\n")
+        assert (tmp_path / "out" / "FAILED").read_text() == "classify: interrupted\n"
+        # every answer given before the held ones is a line of the cache
+        # (after at most a torn last line, which the next open cuts)
+        answered = [call["body"]["messages"][0]["content"] for call in server.calls[:6]]
+        reloaded = pipeline.ResponseCache(cache)
+        assert all(reloaded.get("test-model", prompt) for prompt in answered)
+        reloaded.open()
+        reloaded.close()
+        assert cache.read_bytes().count(b"\n") == len(reloaded) == 6
+        assert cache.read_bytes().endswith(b"\n")
 
 
 class TestObservationRows:
@@ -1325,8 +1453,9 @@ class TestLineage:
         config = fixture_config(tmp_path)
         run_pipeline(config)
         old = config.as_dict()[key]
-        # the HTTP backend needs an endpoint and a model, which change no output
-        backend = {"endpoint": "http://127.0.0.1:9", "model": "test-model"}
+        # the HTTP backend needs an endpoint, a model and a cache, which change no output
+        backend = {"endpoint": "http://127.0.0.1:9", "model": "test-model",
+                   "cache": tmp_path / "cache.jsonl"}
         changed = dataclasses.replace(config, **{key: value}, **backend if key == "stub" else {})
         with pytest.raises(StageError) as excinfo:
             STAGE_FUNCTIONS["report"](changed)
@@ -1528,7 +1657,8 @@ class TestRegressErrors:
         try:
             # a later line wins, so this corpus replaces the fixture's
             conf = TestLineage.conf(tmp_path, "http.conf", corpus=corpus, stub="false",
-                                    endpoint=server.endpoint, model="test-model")
+                                    endpoint=server.endpoint, model="test-model",
+                                    cache=tmp_path / "cache.jsonl")
             assert cli.main(["run"] + conf) == 1
             TestLineage.refused(tmp_path, capsys, "graph", (
                 "no eligible paper is from year group 1996-2000, which every model needs; "
