@@ -264,13 +264,14 @@ def _coerce(name: str, text: str, target_type) -> object:
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a `key = value` file (# comments, blank lines allowed) into
-    a PipelineConfig; unknown keys are errors, and a leading byte-order
-    mark is dropped. ``overrides`` wins over file values."""
+    a PipelineConfig; unknown or repeated keys are errors, and a leading
+    byte-order mark is dropped. ``overrides`` wins over file values."""
     path = Path(path)
     # A field annotated X | None is read as an X.
     type_map = {name: get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
                 for name, hint in get_type_hints(PipelineConfig).items()}
     values: dict = {}
+    seen: dict[str, int] = {}
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -289,6 +290,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         key = key.strip()
         if key not in type_map:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        if (first := seen.setdefault(key, lineno)) != lineno:
+            raise ValueError(f"{path}: line {lineno}: config key {key!r} repeats line {first}")
         try:
             values[key] = _coerce(key, value, type_map[key])
         except ValueError as exc:

@@ -180,7 +180,7 @@ class RegressionResult:
                 raise ValueError("result vectors must match the column count")
         if self.n_obs <= k:
             raise ValueError("n_obs must exceed the column count")
-        if np.any((self.p < 0) | (self.p > 1)):
+        if not np.all((self.p >= 0) & (self.p <= 1)):
             raise ValueError("p values must lie in [0, 1]")
 
     def term(self, name: str) -> tuple[float, float, float, float]:
@@ -204,9 +204,9 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
             model: str = "") -> RegressionResult:
     """Least squares with classical standard errors.
 
-    Raises on rank deficiency, naming a column that is linearly
-    dependent on its predecessors, and on n <= k; either message starts
-    with the model's name if it has one.
+    Raises on non-finite input, on n <= k, and on rank deficiency,
+    naming a column of the linear dependence; each message starts with
+    the model's name if it has one.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -224,48 +224,45 @@ def ols_fit(X: np.ndarray, y: np.ndarray,
     where = f"model {model!r}: " if model else ""
     if n <= k:
         raise ValueError(f"{where}need more observations than columns (n={n}, k={k})")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError(f"{where}X and y must be finite")
+    if not X.any():
+        raise ValueError(f"{where}X has no nonzero column")
 
-    import scipy.linalg  # here rather than at module level: report never fits
-
-    # Pivoted QR, X[:, piv] = Q R, exposes rank deficiency column by
-    # column: the first negligible diagonal entry names a column
-    # dependent on the others. Otherwise the same factors solve the
-    # least-squares problem, and (X^T X)^-1 permuted by piv is
-    # R^-1 R^-T, whose diagonal holds the row sums of R^-1 squared.
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag[0] * max(n, k) * np.finfo(np.float64).eps if diag.size else 0.0
-    deficient = np.nonzero(diag <= tol)[0]
-    if diag.size == 0 or diag[0] == 0.0:
-        raise ValueError("X has no nonzero column")
-    if deficient.size:
-        bad = names[int(piv[int(deficient[0])])]
+    # One QR of [X | y], without Q: its triangle holds X's R, Q^T y and,
+    # in the corner, the residual norm, so no pass over the rows follows.
+    t = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    r = t[:k, :k]
+    # numpy's matrix_rank rule on R's singular values, which are X's. The
+    # largest weight in a null vector names a column of the dependence.
+    tol = max(n, k) * np.finfo(np.float64).eps
+    _, s, vt = np.linalg.svd(r)
+    if s[-1] <= s[0] * tol:
+        bad = names[int(np.argmax(np.abs(vt[-1])))]
         raise ValueError(f"{where}design matrix is rank-deficient: column {bad!r} "
                          "is linearly dependent on the others")
 
-    beta = np.empty(k)
-    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
-    residuals = y - X @ beta
-    ssr = float(residuals @ residuals)
+    # (X^T X)^-1 = R^-1 R^-T, whose diagonal holds the row sums of R^-1 squared.
+    r_inv = np.linalg.inv(r)
+    beta = r_inv @ t[:k, k]
+    xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
+    ssr = float(t[k, k] ** 2)
+    # A residual within rounding of zero is a perfect fit: every standard
+    # error is zero, and so is a coefficient within rounding of zero.
+    rounding = float(np.linalg.norm(t[:, k])) * tol
+    if ssr <= rounding ** 2:
+        ssr = 0.0
+        beta[np.abs(beta) <= rounding * np.sqrt(xtx_inv_diag)] = 0.0
     dof = n - k
-    sigma2 = ssr / dof
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
-    xtx_inv_diag = np.empty(k)
-    xtx_inv_diag[piv] = np.sum(r_inv * r_inv, axis=1)
-    se = np.sqrt(sigma2 * xtx_inv_diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = two_sided_p(t, dof)
+    se = np.sqrt(ssr / dof * xtx_inv_diag)
+    with np.errstate(divide="ignore"):  # a zero coefficient has t = 0, even where se = 0
+        tstat = np.divide(beta, se, out=np.zeros(k), where=beta != 0)
     sst = float(np.sum((y - y.mean()) ** 2))
-    if sst > 0:
-        r_squared = 1.0 - ssr / sst
-    else:
-        r_squared = 1.0 if ssr == 0.0 else 0.0
+    r_squared = 1.0 - ssr / sst if sst > 0 else float(ssr == 0.0)
     adj_r_squared = 1.0 - (1.0 - r_squared) * (n - 1) / dof
-    return RegressionResult(model=model, names=names, coef=beta, se=se, t=t,
-                            p=np.clip(p, 0.0, 1.0), n_obs=n,
-                            r_squared=float(r_squared),
-                            adj_r_squared=float(adj_r_squared))
+    return RegressionResult(model=model, names=names, coef=beta, se=se, t=tstat,
+                            p=np.clip(two_sided_p(tstat, dof), 0.0, 1.0), n_obs=n,
+                            r_squared=r_squared, adj_r_squared=adj_r_squared)
 
 
 def fit_model(obs: Observations, spec: ModelSpec) -> RegressionResult:

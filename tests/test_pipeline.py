@@ -61,6 +61,16 @@ def fixture_config(tmp_path, **overrides):
     return load_config(FIXTURES / "pipeline.conf", overrides=values)
 
 
+def fixture_conf_text(**values):
+    """The fixture config's text with a `key = value` line for each of
+    ``values`` in place of the fixture's line for that key, since a key
+    given twice is an error. A value of None only drops the key."""
+    fixture = (FIXTURES / "pipeline.conf").read_text().splitlines(keepends=True)
+    return ("".join(line for line in fixture if line.partition("=")[0].strip() not in values)
+            + "".join(f"{key} = {value}\n" for key, value in values.items()
+                      if value is not None))
+
+
 def read_artifacts(out_dir):
     return {name: (out_dir / name).read_bytes() for name in ARTIFACT_NAMES}
 
@@ -205,7 +215,8 @@ class TestConfig:
     ])
     def test_values_a_stage_would_reject_fail_at_load(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.conf"
-        text = (FIXTURES / "pipeline.conf").read_text() + line + "\n"
+        text = fixture_conf_text(**{key.strip(): value.strip() for key, _, value in
+                                    (entry.partition("=") for entry in line.splitlines())})
         path.write_text(text)
         message = message.format(path=path, line=len(text.splitlines()))
         with pytest.raises(ValueError) as excinfo:
@@ -294,7 +305,8 @@ class TestConfigFiles:
             assert load_config(path) == config
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.sampled_from(["", "# comment", "  ", "min_in_links = 3"]), max_size=6),
+    @given(st.lists(st.sampled_from(["", "# comment", "  ", "min_in_links = 3"]), max_size=6)
+           .filter(lambda before: before.count("min_in_links = 3") <= 1),
            st.text("abcdefghij_", min_size=1, max_size=10).filter(
                lambda k: k not in {f.name for f in dataclasses.fields(PipelineConfig)}))
     def test_unknown_key_named_with_its_line(self, before, key):
@@ -305,6 +317,24 @@ class TestConfigFiles:
                 load_config(path)
             assert str(excinfo.value) == (
                 f"{path}: line {len(before) + 1}: unknown config key {key!r}")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["", "# comment", "min_in_links = 3"]), max_size=4)
+           .filter(lambda between: "min_in_links = 3" not in between),
+           st.sampled_from([("mode = overlap", "mode = ref_indegree"),
+                            ("stub = true", "stub = false"),
+                            ("n_jobs = 2", "n_jobs = 2"),
+                            ("thresholds = 1,2", " thresholds=1,2,3")]))
+    def test_a_key_given_twice_names_both_lines(self, between, pair):
+        first, second = pair
+        key = first.partition("=")[0].strip()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.conf"
+            path.write_text("\n".join(["# run", first, *between, second]) + "\n")
+            with pytest.raises(ValueError) as excinfo:
+                load_config(path)
+            assert str(excinfo.value) == (
+                f"{path}: line {len(between) + 3}: config key {key!r} repeats line 2")
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(sorted(_SPELLINGS[True] + _SPELLINGS[False])), st.data())
@@ -639,9 +669,8 @@ class TestStageSequencing:
         journals = (FIXTURES / "journals.txt").read_text().splitlines(keepends=True)
         allowlist.write_text("".join(journals[:3]))
         conf = tmp_path / "three.conf"
-        conf.write_text((FIXTURES / "pipeline.conf").read_text()
-                        + f"corpus = {FIXTURES / 'corpus.jsonl'}\n"
-                        + f"allowlist = {allowlist}\nout_dir = {config.out_dir}\n")
+        conf.write_text(fixture_conf_text(corpus=FIXTURES / "corpus.jsonl", allowlist=allowlist,
+                                          out_dir=config.out_dir))
         assert cli.main(["ingest", "--config", str(conf)]) == 0
         assert cli.main(["classify", "--config", str(conf)]) == 1
         message = ("'corpus_ids.npy' has changed since stage 'graph' read it; "
@@ -803,11 +832,10 @@ class TestClassifyStage:
         out_dir, cache = tmp_path / "out", tmp_path / "cache.jsonl"
         path = tmp_path / "http.conf"
         server = RecordingServer()
-        path.write_text(
-            (FIXTURES / "pipeline.conf").read_text()
-            + f"corpus = {FIXTURES / 'corpus.jsonl'}\nallowlist = {FIXTURES / 'journals.txt'}\n"
-            + f"stub = false\nendpoint = {server.endpoint}\nmodel = test-model\n"
-            + f"max_in_flight = 1\nbackoff_base = 0\ncache = {cache}\n")
+        path.write_text(fixture_conf_text(
+            corpus=FIXTURES / "corpus.jsonl", allowlist=FIXTURES / "journals.txt",
+            stub="false", endpoint=server.endpoint, model="test-model",
+            max_in_flight=1, backoff_base=0, cache=cache))
         first_prompt = []
 
         def behavior(n, body):
@@ -846,11 +874,9 @@ class TestClassifyStage:
         monkeypatch.setenv("DISRUPTKIT_API_KEY", "sk-test")
         corpus, path = tmp_path / "corpus.jsonl", tmp_path / "run.conf"
         server = RecordingServer()
-        path.write_text(
-            (FIXTURES / "pipeline.conf").read_text()
-            + f"corpus = {corpus}\nallowlist = {FIXTURES / 'journals.txt'}\n"
-            + f"stub = {str(stub).lower()}\nendpoint = {server.endpoint}\nmodel = test-model\n"
-            + f"cache = {tmp_path / 'cache.jsonl'}\n")
+        path.write_text(fixture_conf_text(
+            corpus=corpus, allowlist=FIXTURES / "journals.txt", stub=str(stub).lower(),
+            endpoint=server.endpoint, model="test-model", cache=tmp_path / "cache.jsonl"))
         base = ["--config", str(path), "--out-dir", str(tmp_path / "out")]
         lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -1215,12 +1241,9 @@ class TestLineage:
     @staticmethod
     def conf(tmp_path, name, allowlist=FIXTURES / "journals.txt", **values):
         path = tmp_path / name
-        fixture = (FIXTURES / "pipeline.conf").read_text().splitlines(keepends=True)
-        path.write_text("".join(line for line in fixture if not line.startswith("allowlist"))
-                        + f"corpus = {FIXTURES / 'corpus.jsonl'}\n"
-                        + (f"allowlist = {allowlist}\n" if allowlist else "")
-                        + f"out_dir = {tmp_path / 'out'}\n"
-                        + "".join(f"{key} = {value}\n" for key, value in values.items()))
+        path.write_text(fixture_conf_text(**{"corpus": FIXTURES / "corpus.jsonl",
+                                             "allowlist": allowlist,
+                                             "out_dir": tmp_path / "out", **values}))
         return ["--config", str(path)]
 
     @staticmethod
@@ -1655,7 +1678,7 @@ class TestRegressErrors:
                                              else r) + "\n" for r in records))
         server = RecordingServer()
         try:
-            # a later line wins, so this corpus replaces the fixture's
+            # this corpus replaces the fixture's
             conf = TestLineage.conf(tmp_path, "http.conf", corpus=corpus, stub="false",
                                     endpoint=server.endpoint, model="test-model",
                                     cache=tmp_path / "cache.jsonl")
@@ -1670,22 +1693,33 @@ class TestRegressErrors:
 
 
 class TestCli:
-    def test_report_process_leaves_heavy_modules_unloaded(self, tmp_path):
+    @staticmethod
+    def loaded_by_stage(tmp_path, stage, modules):
+        """Which of ``modules`` a `disruptkit <stage>` process has loaded
+        when its stage ends, after a run of the fixture config."""
         config = fixture_config(tmp_path)
         run_pipeline(config)
-        heavy = ("scipy.sparse", "scipy.linalg", "requests", "urllib.request", "http.client")
         src = str(Path(pipeline.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys; from disruptkit.cli import main; "
              "code = main(sys.argv[1:]); "
-             f"print([m for m in {heavy!r} if m in sys.modules]); sys.exit(code)",
-             "report", "--config", str(FIXTURES / "pipeline.conf"),
+             f"print([m for m in {modules!r} if m in sys.modules]); sys.exit(code)",
+             stage, "--config", str(FIXTURES / "pipeline.conf"),
              "--out-dir", str(config.out_dir)],
             capture_output=True, text=True, check=True, cwd=FIXTURES,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert out.stdout.splitlines()[-1] == "[]"
+        return out.stdout.splitlines()[-1]
+
+    def test_report_process_leaves_heavy_modules_unloaded(self, tmp_path):
+        heavy = ("scipy.sparse", "scipy.linalg", "requests", "urllib.request", "http.client")
+        assert self.loaded_by_stage(tmp_path, "report", heavy) == "[]"
+
+    def test_regress_process_loads_scipy_special_only(self, tmp_path):
+        # the fits need numpy alone; p values need scipy.special
+        scipy_modules = ("scipy.special", "scipy.linalg", "scipy.sparse")
+        assert self.loaded_by_stage(tmp_path, "regress", scipy_modules) == "['scipy.special']"
 
     def test_synth_command(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +286,52 @@ class TestOlsFit:
         np.testing.assert_allclose(result.coef, coef, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(result.se, se, rtol=1e-8, atol=1e-8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8), extra=st.integers(1, 60),
+           data=st.data())
+    def test_a_dependent_column_is_named(self, seed, k, extra, data):
+        # a full-rank X with one column replaced by a non-zero combination
+        # of one or two others names a column of that combination
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        scales = rng.uniform(0.1, 10, k - 1)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1)) * scales])
+        assume(np.linalg.cond(X) < 1e4)
+        j = data.draw(st.integers(0, k - 1))
+        others = data.draw(st.lists(st.sampled_from([i for i in range(k) if i != j]),
+                                    min_size=1, max_size=2, unique=True))
+        weights = rng.uniform(0.1, 10, len(others)) * rng.choice([-1.0, 1.0], len(others))
+        X[:, j] = X[:, others] @ weights
+        with pytest.raises(ValueError) as excinfo:
+            ols_fit(X, rng.normal(size=n), model="m")
+        match = re.fullmatch(r"model 'm': design matrix is rank-deficient: column 'x(\d)' "
+                             r"is linearly dependent on the others", str(excinfo.value))
+        assert match and int(match.group(1)) in {j, *others}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_input_names_the_model(self, where, value):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(20), rng.normal(size=20)])
+        y = rng.normal(size=20)
+        (X[:, 1] if where == "X" else y)[7] = value
+        with pytest.raises(ValueError) as excinfo:
+            ols_fit(X, y, model="m")
+        assert str(excinfo.value) == "model 'm': X and y must be finite"
+
+    def test_a_zero_coefficient_with_a_zero_se_has_p_one(self, tmp_path):
+        # y = 3 fits exactly with a zero slope: 0 / 0 is t = 0 and p = 1
+        result = ols_fit(np.column_stack([np.ones(4), [0.0, 1, 0, 1]]), np.full(4, 3.0),
+                         names=("intercept", "x"), model="m")
+        assert result.term("x") == (0.0, 0.0, 0.0, 1.0)
+        assert result.term("intercept") == (3.0, 0.0, np.inf, 0.0)
+        x_line = next(line for line in emit_table([result], "T").splitlines()
+                      if line.startswith("x "))
+        assert x_line.split() == ["x", "0.000", "(0.000)", ">", ".999"]
+        write_results_csv([result], tmp_path / "results.csv")
+        assert (tmp_path / "results.csv").read_text().splitlines()[1:] == [
+            "m,intercept,3,0,inf,0", "m,x,0,0,0,1"]
+
     def test_all_zero_cohort_names_its_column(self):
         # no row falls in 2016-2020, so that dummy column is all zeros
         rows = [row(f"p{i}", group=GROUP_CYCLE[i % 5], citations=i) for i in range(30)]
@@ -377,6 +424,14 @@ class TestResultValidation:
             RegressionResult(
                 model="m", names=("a",), coef=np.zeros(1), se=np.zeros(1),
                 t=np.zeros(1), p=np.array([1.5]), n_obs=5,
+                r_squared=0.0, adj_r_squared=0.0,
+            )
+
+    def test_rejects_nan_p(self):
+        with pytest.raises(ValueError, match="p values"):
+            RegressionResult(
+                model="m", names=("a", "b"), coef=np.zeros(2), se=np.zeros(2),
+                t=np.array([0.0, np.nan]), p=np.array([1.0, np.nan]), n_obs=5,
                 r_squared=0.0, adj_r_squared=0.0,
             )
 
