@@ -22,6 +22,7 @@ while the R-class keeps the share-at-least-one rule at every l.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,11 +43,11 @@ SCORE_COLUMNS = ("id", "l", "n_f", "n_b", "n_r", "d")
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """A disruption.csv table as columns, one entry per row. ``d`` is
-    NaN where the score is Undefined."""
+    """Scores as a paper × threshold grid: ``ids`` once per paper, ``ls``
+    ascending, and counts and ``d`` (NaN if Undefined) as (paper, threshold) arrays."""
 
     ids: tuple[str, ...]
-    l: np.ndarray
+    ls: np.ndarray
     n_f: np.ndarray
     n_b: np.ndarray
     n_r: np.ndarray
@@ -60,7 +61,7 @@ class ScoreTable:
             return NotImplemented
         return (self.ids == other.ids
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in ("l", "n_f", "n_b", "n_r"))
+                        for name in ("ls", "n_f", "n_b", "n_r"))
                 and np.array_equal(self.d, other.d, equal_nan=True))
 
 
@@ -93,18 +94,20 @@ def disruption_batch(graph: CitationGraph, ids: Sequence[str],
                      ls: Sequence[int] = DEFAULT_THRESHOLDS,
                      mode: str = "ref_indegree",
                      n_jobs: int = 1) -> ScoreTable:
-    """Score each id at each threshold, as a ScoreTable whose rows are
-    ordered by input id, then ascending l (thresholds are deduplicated).
+    """Score each id at each threshold, as a ScoreTable with one row per
+    input id and one column per threshold (deduplicated, ascending).
 
     One kernel pass counts every threshold (one sparse product per block
-    of focals), and focal papers are processed in parallel when
-    n_jobs > 1. The counts are checked and scored as whole arrays."""
+    of focals), on min(n_jobs, CPU count) threads at once. The counts
+    are checked and scored as whole arrays."""
     ls_clean = _validate_scoring(ls, mode, n_jobs)
     focals = _focal_indices(graph, ids)
     args = (graph.fwd_indptr, graph.fwd_indices, graph.bwd_indptr,
             graph.bwd_indices, graph.in_deg)
     ls_arr = np.asarray(ls_clean, dtype=np.int64)
     overlap = mode == "overlap"
+    # each thread builds its own citer matrix: more threads than CPUs add only memory
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     if n_jobs == 1 or len(focals) < 2 * n_jobs:
         counts = partition_counts(*args, focals, ls_arr, overlap)
     else:
@@ -114,17 +117,13 @@ def disruption_batch(graph: CitationGraph, ids: Sequence[str],
                 np.array_split(focals, n_jobs),
             ))
         counts = [np.concatenate(column) for column in zip(*parts)]
-    n_f, n_b, n_r = (np.asarray(c, dtype=np.int64).reshape(-1) for c in counts)
+    n_f, n_b, n_r = counts
     if (n_f < 0).any() or (n_b < 0).any() or (n_r < 0).any():
         raise ValueError("partition counts must be >= 0")
     denom = n_f + n_b + n_r
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(denom > 0, (n_f - n_b) / denom, np.nan)
-    return ScoreTable(
-        ids=tuple(paper_id for paper_id in ids for _ in ls_clean),
-        l=np.tile(ls_arr, len(ids)),
-        n_f=n_f, n_b=n_b, n_r=n_r, d=d,
-    )
+    return ScoreTable(ids=tuple(ids), ls=ls_arr, n_f=n_f, n_b=n_b, n_r=n_r, d=d)
 
 
 def format_score(d: float) -> str:
@@ -134,14 +133,16 @@ def format_score(d: float) -> str:
 
 def write_scores(scores: ScoreTable, path: str | Path) -> None:
     """Write a ScoreTable as CSV with columns id, l, n_f, n_b, n_r, d:
-    one row per table row, d with 6 decimals and NA where Undefined,
-    with ``atomic_write``. read_scores parses it back."""
-    d = [format_score(v) for v in scores.d.tolist()]
+    one row per paper and threshold, paper by paper and each paper's
+    thresholds ascending, d with 6 decimals and NA where Undefined, with
+    ``atomic_write``. read_scores parses it back."""
+    ids = np.repeat(np.array(scores.ids, dtype=object), len(scores.ls)).tolist()
+    counts = (c.ravel().tolist() for c in (scores.n_f, scores.n_b, scores.n_r))
+    d = [format_score(v) for v in scores.d.ravel().tolist()]
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORE_COLUMNS)
-        writer.writerows(zip(scores.ids, scores.l.tolist(), scores.n_f.tolist(),
-                             scores.n_b.tolist(), scores.n_r.tolist(), d))
+        writer.writerows(zip(ids, scores.ls.tolist() * len(scores.ids), *counts, d))
 
 
 _SCORE_DTYPE = np.dtype([("id", object), ("l", np.int64), ("n_f", np.int64),
@@ -154,7 +155,7 @@ def _parse_d(text: str) -> float:
 
 def read_scores(path: str | Path) -> ScoreTable:
     """Parse a table written by write_scores: the header with the csv
-    module, the body in one ``np.loadtxt`` pass."""
+    module, the body in one ``np.loadtxt`` pass, then checked to be a grid."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
         if header != list(SCORE_COLUMNS):
@@ -173,9 +174,18 @@ def read_scores(path: str | Path) -> ScoreTable:
             except ValueError as exc:
                 fh.seek(body)
                 raise ValueError(f"{path}: malformed row {_first_bad_row(fh, exc)}") from exc
-    return ScoreTable(ids=tuple(table["id"].tolist()),
-                      **{name: np.ascontiguousarray(table[name])
-                         for name in ("l", "n_f", "n_b", "n_r", "d")})
+    ids, l, n = table["id"], table["l"], len(table)
+    # Each id's block of rows repeats the first id's thresholds, the
+    # ascending run that opens the body; a short last block is out of place.
+    n_l = int(np.append(np.flatnonzero(np.diff(l) <= 0), n - 1)[0]) + 1
+    first = np.arange(n) // (n_l or 1) * n_l
+    bad = np.flatnonzero((l != l[np.arange(n) - first]) | (ids != ids[first]) | (first + n_l > n))
+    if bad.size:
+        raise ValueError(f"{path}: the row of {ids[bad[0]]!r} at l = {l[bad[0]]} is out of "
+                         f"place; each id needs a row at each of l = {l[:n_l].tolist()}, in order")
+    return ScoreTable(ids=tuple(ids[::n_l or 1].tolist()), ls=np.ascontiguousarray(l[:n_l]),
+                      **{name: np.ascontiguousarray(table[name]).reshape(n // (n_l or 1), n_l)
+                         for name in ("n_f", "n_b", "n_r", "d")})
 
 
 def _first_bad_row(fh, exc: ValueError) -> list[str] | str:

@@ -22,7 +22,7 @@ strings, and counts each abstract's characters from its bytes;
 classify decodes the ids, and the titles and abstracts of the eligible
 rows only. disrupt, regress and report load the graph
 (graph.LOAD_GRAPH_FILES), which decodes the ids, and report decodes the
-journal and gold label of every row.
+journal of every row and the gold labels of the eligible rows.
 
 manifest.json holds, per finished stage, the sha256 of its inputs, its
 config values and the sha256 of what it wrote. Before its body runs, a
@@ -242,6 +242,8 @@ _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 def _coerce(name: str, text: str, target_type) -> object:
     text = text.strip()
     if target_type is Path:
+        if not text:
+            raise ValueError(f"config key {name!r}: expected a path, got ''")
         return Path(text)
     if target_type is str:
         return text
@@ -586,21 +588,6 @@ def read_classifications(path: str | Path) -> LabelTable:
     return LabelTable(ids=ids, labels=labels, sources=sources, rationales=rationales)
 
 
-def _score_matrix(eligible: list[str], thresholds: np.ndarray,
-                  scores: ScoreTable) -> np.ndarray:
-    """d as an (eligible paper, threshold) matrix. The score rows must be
-    eligible × ascending thresholds, in that order, as disruption_batch
-    gives them; anything else means disruption.csv predates the current
-    eligible set or thresholds."""
-    ids, n_l = tuple(eligible), len(thresholds)
-    if not (len(scores) == len(ids) * n_l
-            and np.array_equal(scores.l, np.tile(thresholds, len(ids)))
-            and all(scores.ids[j::n_l] == ids for j in range(n_l))):
-        raise ValueError("disruption.csv does not score each eligible paper at each "
-                         "threshold, in order; run stage 'disrupt' again")
-    return scores.d.reshape(len(eligible), n_l)
-
-
 def build_observation_rows(graph: CitationGraph, year: np.ndarray, n_authors: np.ndarray,
                            eligible: list[str], labels: Mapping[str, str],
                            thresholds: tuple[int, ...],
@@ -609,10 +596,11 @@ def build_observation_rows(graph: CitationGraph, year: np.ndarray, n_authors: np
     per eligible paper in eligible order; ``year`` and ``n_authors`` are
     the corpus columns, in node order, and ``labels`` maps paper id to
     label. Papers whose label is neither Conceptual nor Empirical are
-    dropped here, before any model sees them. The score rows must be
-    eligible × ascending thresholds, in that order."""
-    ls = np.unique(np.asarray(thresholds, dtype=np.int64))
-    d = _score_matrix(eligible, ls, scores)
+    dropped here, before any model sees them. Scores of other papers or
+    thresholds than these mean disruption.csv is stale, and are refused."""
+    if scores.ids != tuple(eligible) or scores.ls.tolist() != sorted(set(thresholds)):
+        raise ValueError("disruption.csv does not score each eligible paper at each "
+                         "threshold, in order; run stage 'disrupt' again")
     indicator = {"Conceptual": 1.0, "Empirical": 0.0}
     conceptual = np.array([indicator.get(labels.get(pid), np.nan) for pid in eligible])
     keep = np.flatnonzero(~np.isnan(conceptual))
@@ -621,7 +609,7 @@ def build_observation_rows(graph: CitationGraph, year: np.ndarray, n_authors: np
     return Observations(
         ids=tuple(eligible[k] for k in keep),
         y_citations=graph.in_deg[idx],
-        y_d={int(l): d[keep, j] for j, l in enumerate(ls)},
+        y_d={l: scores.d[keep, j] for j, l in enumerate(scores.ls.tolist())},
         year=year[idx],
         n_authors=n_authors[idx],
         conceptual=conceptual[keep],

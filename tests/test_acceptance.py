@@ -97,10 +97,10 @@ def test_criterion_1_worked_examples():
     high, low = worked_example_graphs()
     disruption_batch(high, ["i"], ls=(1,))  # warm the kernel outside the timing
     t0 = time.perf_counter()
-    [d_high] = disruption_batch(high, ["i"], ls=(1,)).d.tolist()
+    [[d_high]] = disruption_batch(high, ["i"], ls=(1,)).d.tolist()
     t_high = time.perf_counter() - t0
     t0 = time.perf_counter()
-    [d_low] = disruption_batch(low, ["i"], ls=(1,)).d.tolist()
+    [[d_low]] = disruption_batch(low, ["i"], ls=(1,)).d.tolist()
     t_low = time.perf_counter() - t0
     ok = d_high == 0.75 and d_low == -1.0 and t_high < 1e-3 and t_low < 1e-3
     report(1, ok,
@@ -116,7 +116,9 @@ def test_criterion_2_brute_force_parity():
         graph = graph_from_pairs(ids, pairs)
         for mode in MODES:
             scores = disruption_batch(graph, ids, ls=LS, mode=mode)
-            got = zip(scores.n_f.tolist(), scores.n_b.tolist(), scores.n_r.tolist())
+            # paper by paper, each paper's thresholds ascending
+            got = zip(scores.n_f.ravel().tolist(), scores.n_b.ravel().tolist(),
+                      scores.n_r.ravel().tolist())
             for focal in ids:
                 for l in LS:
                     counts = next(got)
@@ -161,7 +163,7 @@ def test_criterion_3_threshold_one_collapse():
         ids, pairs = random_digraph(rng, n, p)
         graph = graph_from_pairs(ids, pairs)
         scores = disruption_batch(graph, ids, ls=(1,))
-        for focal, d in zip(scores.ids, scores.d.tolist()):
+        for focal, d in zip(scores.ids, scores.d[:, 0].tolist()):
             want = base_disruption(pairs, ids, focal)
             # Undefined is None in the definition and NaN in the table
             assert (d != d) if want is None else d == want, (
@@ -179,8 +181,9 @@ def test_criterion_4_bounds_and_partition():
         graph = graph_from_pairs(ids, pairs)
         for mode in MODES:
             scores = disruption_batch(graph, ids, ls=LS, mode=mode)
-            rows = zip(scores.ids, scores.l.tolist(), scores.n_f.tolist(),
-                       scores.n_b.tolist(), scores.d.tolist())
+            rows = ((focal, l, int(scores.n_f[k, j]), int(scores.n_b[k, j]), scores.d[k, j])
+                    for k, focal in enumerate(scores.ids)
+                    for j, l in enumerate(scores.ls.tolist()))
             for focal, l, n_f, n_b, d in rows:
                 if d == d:
                     assert -1.0 <= d <= 1.0, (
@@ -340,7 +343,7 @@ def test_criterion_8_scale_target():
     t0 = time.perf_counter()
     scores = disruption_batch(graph, ids, ls=LS, n_jobs=1)
     single = time.perf_counter() - t0
-    assert len(scores) == len(ids) * len(LS)
+    assert scores.d.shape == (len(ids), len(LS))
 
     cpus = os.cpu_count() or 1
     if cpus >= 8:

@@ -367,6 +367,23 @@ class TestCorpusFiles:
         with pytest.raises(ValueError, match=message):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("blob, problem", [
+        ("truncated", "corpus_title.npy ends before its header says"),
+        ("int64", "corpus_title_offsets.npy does not end at the length of corpus_title.npy"),
+    ])
+    def test_a_string_blob_its_offsets_do_not_fit_is_refused(self, tmp_path, blob, problem):
+        save_corpus(corpus_of(mk("a", title="Ta"), mk("b", title="T\u00e9b")), tmp_path)
+        path = tmp_path / "corpus_title.npy"
+        if blob == "truncated":
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            np.save(path, np.load(path).astype(np.int64))
+        message = f"^{re.escape(f'{tmp_path}: {problem}')}$"
+        with pytest.raises(ValueError, match=message):
+            corpus_module.load_strings(tmp_path, "corpus_title")
+        with pytest.raises(ValueError, match=message):
+            load_char_counts(tmp_path, "title")
+
     def test_string_with_no_utf8_form_touches_no_file(self, tmp_path):
         # parse_corpus refuses such a string; a corpus built by hand may hold one
         corpus = dataclasses.replace(corpus_of(mk("a"), mk("b")), abstract=("x", "\ud800"))

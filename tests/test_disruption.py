@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import os
 import re
 import tempfile
 import warnings
@@ -32,9 +34,9 @@ def small_graph(pairs, extra_nodes=()):
     return graph_from_pairs(tuple(nodes), pairs)
 
 
-def counts(scores, k=0):
-    """Row k's (n_f, n_b, n_r)."""
-    return (int(scores.n_f[k]), int(scores.n_b[k]), int(scores.n_r[k]))
+def counts(scores, k=0, j=0):
+    """Paper k's (n_f, n_b, n_r) at threshold j."""
+    return (int(scores.n_f[k, j]), int(scores.n_b[k, j]), int(scores.n_r[k, j]))
 
 
 # The two hand-checkable networks: in the first, the focal paper is
@@ -63,12 +65,12 @@ class TestWorkedExamples:
     def test_high_disruption_network(self):
         scores = disruption_batch(small_graph(EXAMPLE_HIGH), ["i"], ls=(1,))
         assert counts(scores) == (3, 0, 1)
-        assert scores.d.tolist() == [0.75]
+        assert scores.d.tolist() == [[0.75]]
 
     def test_low_disruption_network(self):
         scores = disruption_batch(small_graph(EXAMPLE_LOW), ["i"], ls=(1,))
         assert counts(scores) == (0, 4, 0)
-        assert scores.d.tolist() == [-1.0]
+        assert scores.d.tolist() == [[-1.0]]
 
 
 class TestPartitionValidation:
@@ -108,7 +110,7 @@ class TestScoreSemantics:
     def test_isolated_focal_is_undefined_not_zero(self):
         graph = small_graph([("a", "b")], extra_nodes=["lone"])
         scores = disruption_batch(graph, ["lone"], ls=(1,))
-        assert np.isnan(scores.d[0])
+        assert np.isnan(scores.d[0, 0])
         assert counts(scores) == (0, 0, 0)
 
     def test_zero_score_is_defined(self):
@@ -116,11 +118,11 @@ class TestScoreSemantics:
         graph = small_graph([("r", "i"), ("r", "x")])
         scores = disruption_batch(graph, ["i"], ls=(1,))
         assert counts(scores) == (0, 0, 1)
-        assert scores.d.tolist() == [0.0]
+        assert scores.d.tolist() == [[0.0]]
 
     def test_pure_forward_citations(self):
         graph = small_graph([("i", "p1"), ("i", "p2")])
-        assert disruption_batch(graph, ["i"], ls=(1,)).d.tolist() == [1.0]
+        assert disruption_batch(graph, ["i"], ls=(1,)).d.tolist() == [[1.0]]
 
     def test_modes_differ_on_shared_reference_count(self):
         graph = small_graph(MODES_DIFFER)
@@ -135,7 +137,7 @@ class TestScoreSemantics:
         # and only drops out at l = 3, moving p1 from B to F.
         pairs = [("r1", "i"), ("i", "p1"), ("r1", "p1")]
         scores = disruption_batch(small_graph(pairs), ["i"], ls=(1, 2, 3))
-        assert [counts(scores, k) for k in range(3)] == [(0, 1, 0), (0, 1, 0), (1, 0, 0)]
+        assert [counts(scores, 0, j) for j in range(3)] == [(0, 1, 0), (0, 1, 0), (1, 0, 0)]
 
 
 class TestAgainstBruteForce:
@@ -147,8 +149,8 @@ class TestAgainstBruteForce:
             ids, pairs = random_digraph(rng, n, p)
             graph = graph_from_pairs(ids, pairs)
             scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-            by_key = {(scores.ids[k], int(scores.l[k])): counts(scores, k)
-                      for k in range(len(scores))}
+            by_key = {(focal, l): counts(scores, k, j) for k, focal in enumerate(scores.ids)
+                      for j, l in enumerate(scores.ls.tolist())}
             for focal in ids:
                 for l in THRESHOLDS:
                     expected = brute_force_partition(pairs, focal, l=l,
@@ -184,7 +186,7 @@ class TestInvariants:
                 scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
                 idx = np.array([graph.index[pid] for pid in scores.ids], dtype=np.int64)
                 # F and B exactly split the focal paper's citers
-                np.testing.assert_array_equal(scores.n_f + scores.n_b, graph.in_deg[idx])
+                assert (scores.n_f + scores.n_b == graph.in_deg[idx, None]).all()
                 undefined = np.isnan(scores.d)
                 assert (np.abs(scores.d[~undefined]) <= 1.0).all()
                 np.testing.assert_array_equal(
@@ -197,11 +199,10 @@ class TestInvariants:
         for mode in ("ref_indegree", "overlap"):
             for ids, graph in sweep_graphs:
                 scores = disruption_batch(graph, list(ids), ls=THRESHOLDS, mode=mode)
-                # one row per (id, threshold), so each column reshapes to
-                # an (id, threshold) matrix
-                shape = (len(ids), len(THRESHOLDS))
-                assert scores.l.reshape(shape).tolist() == [list(THRESHOLDS)] * len(ids)
-                n_f, n_b, n_r = (c.reshape(shape) for c in (scores.n_f, scores.n_b, scores.n_r))
+                # one row per id, one column per threshold
+                assert scores.ls.tolist() == list(THRESHOLDS)
+                assert scores.d.shape == (len(ids), len(THRESHOLDS))
+                n_f, n_b, n_r = scores.n_f, scores.n_b, scores.n_r
                 assert (np.diff(n_b, axis=1) <= 0).all()
                 assert (np.diff(n_f, axis=1) >= 0).all()
                 if mode == "ref_indegree":
@@ -236,15 +237,20 @@ class TestInvariants:
 class TestBatch:
     def test_row_order_and_threshold_cleaning(self):
         graph = small_graph(EXAMPLE_HIGH)
-        scores = disruption_batch(graph, ["p4", "i"], ls=(5, 1, 3, 3))
-        keys = list(zip(scores.ids, scores.l.tolist()))
-        # input id order is preserved; thresholds are deduplicated and
-        # sorted ascending
-        assert keys == [("p4", 1), ("p4", 3), ("p4", 5),
-                        ("i", 1), ("i", 3), ("i", 5)]
+        scores = disruption_batch(graph, ["p4", "i", "p4"], ls=(5, 1, 3, 3))
+        # one row per input id, repeats kept; thresholds are deduplicated
+        # and sorted ascending
+        assert scores.ids == ("p4", "i", "p4")
+        assert scores.ls.tolist() == [1, 3, 5]
+        for column in (scores.n_f, scores.n_b, scores.n_r, scores.d):
+            assert column.shape == (3, 3)
+        assert counts(scores, 1, 0) == (3, 0, 1)
+        assert scores == disruption_batch(graph, ["p4", "i", "p4"], ls=(1, 3, 5))
 
     def test_empty_ids(self):
-        assert len(disruption_batch(small_graph(EXAMPLE_HIGH), [])) == 0
+        scores = disruption_batch(small_graph(EXAMPLE_HIGH), [])
+        assert len(scores) == 0
+        assert scores.d.shape == (0, len(disruption.DEFAULT_THRESHOLDS))
 
     def test_rejects_empty_thresholds(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -266,6 +272,25 @@ class TestBatch:
         seq = disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=1)
         par = disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=4)
         assert seq == par == whole
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+    def test_threads_never_outnumber_the_cpus(self, monkeypatch, cpus, pools):
+        # every thread builds its own citer matrix, so more threads than
+        # CPUs only add memory
+        graph = synth_graph(500, seed=11)
+        ids = list(graph.ids)
+        seen = []
+
+        class Recording(disruption.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(disruption, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        scores = disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=64)
+        assert seen == pools
+        assert scores == disruption_batch(graph, ids, ls=THRESHOLDS, n_jobs=1)
 
 
 def kernel_args(graph):
@@ -404,10 +429,10 @@ class TestScoreSerialization:
         path = tmp_path / "scores.csv"
         write_scores(scores, path)
         back = read_scores(path)
-        assert back.ids == ("a", "a", "lone", "lone")
-        assert back.l.tolist() == [1, 2, 1, 2]
+        assert back.ids == ("a", "lone")
+        assert back.ls.tolist() == [1, 2]
         assert counts(back) == counts(scores)
-        assert np.isnan(back.d[2]) and np.isnan(back.d[3])
+        assert np.isnan(back.d[1]).all() and back == scores
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -439,8 +464,8 @@ class TestScoreSerialization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = read_scores(path)
-        assert len(table) == 0
-        assert table.l.dtype == np.int64 and table.d.dtype == np.float64
+        assert len(table) == 0 and table.d.shape == (0, 0)
+        assert table.ls.dtype == np.int64 and table.d.dtype == np.float64
 
     def test_table_from_scores_matches_file(self, tmp_path):
         graph = small_graph(EXAMPLE_HIGH, extra_nodes=["lone"])
@@ -449,7 +474,7 @@ class TestScoreSerialization:
         write_scores(scores, path)
         table, back = scores, read_scores(path)
         assert table.ids == back.ids
-        for name in ("l", "n_f", "n_b", "n_r"):
+        for name in ("ls", "n_f", "n_b", "n_r"):
             np.testing.assert_array_equal(getattr(table, name), getattr(back, name))
         np.testing.assert_allclose(table.d, back.d, atol=5e-7)  # 6 decimals on disk
 
@@ -472,15 +497,15 @@ class TestScoreSerialization:
 
 def reference_scores_csv(table):
     """disruption.csv as the per-row writer wrote it: one csv row per
-    score, d as "%.6f" or NA."""
+    paper and threshold, paper by paper, d as "%.6f" or NA."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "l", "n_f", "n_b", "n_r", "d"])
-    for k in range(len(table)):
-        d = float(table.d[k])
-        writer.writerow([table.ids[k], int(table.l[k]), int(table.n_f[k]),
-                         int(table.n_b[k]), int(table.n_r[k]),
-                         "NA" if np.isnan(d) else "%.6f" % d])
+    for k, paper_id in enumerate(table.ids):
+        for j, l in enumerate(table.ls.tolist()):
+            d = float(table.d[k, j])
+            writer.writerow([paper_id, l, int(table.n_f[k, j]), int(table.n_b[k, j]),
+                             int(table.n_r[k, j]), "NA" if np.isnan(d) else "%.6f" % d])
     return buf.getvalue().encode("utf-8")
 
 
@@ -495,50 +520,77 @@ _IDS = st.one_of(
 
 @st.composite
 def score_tables(draw):
-    """ScoreTables as disruption_batch builds them, with awkward ids and
-    counts small enough that all-zero (NA) rows are common."""
-    n = draw(st.integers(0, 12))
-    ids = tuple(draw(st.lists(_IDS, min_size=n, max_size=n)))
-    counts = [np.array(draw(st.lists(st.integers(0, 3 if j < 3 else 10**6),
-                                     min_size=n, max_size=n)), dtype=np.int64)
-              for j in range(4)]
-    n_f, n_b, n_r, big = counts
+    """ScoreTables as disruption_batch builds them: 1-12 papers, ids
+    awkward and often repeated, 1-6 thresholds, and counts small enough
+    that all-zero (NA) scores are common."""
+    n = draw(st.integers(1, 12))
+    ids = tuple(draw(st.lists(st.sampled_from(draw(st.lists(_IDS, min_size=1, max_size=n))),
+                              min_size=n, max_size=n)))
+    ls = np.array(sorted(draw(st.sets(st.integers(1, 99), min_size=1, max_size=6))),
+                  dtype=np.int64)
+    shape = (n, len(ls))
+    n_f, n_b, n_r, big = (
+        np.array(draw(st.lists(st.integers(0, 3 if j < 3 else 10**6),
+                               min_size=n * len(ls), max_size=n * len(ls))),
+                 dtype=np.int64).reshape(shape) for j in range(4))
     n_r = np.where(big % 2 == 0, n_r, n_r * big)  # some large denominators
     denom = n_f + n_b + n_r
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(denom > 0, (n_f - n_b) / denom, np.nan)
-    l = np.array(draw(st.lists(st.integers(1, 99), min_size=n, max_size=n)), dtype=np.int64)
-    return ScoreTable(ids=ids, l=l, n_f=n_f, n_b=n_b, n_r=n_r, d=d)
+    return ScoreTable(ids=ids, ls=ls, n_f=n_f, n_b=n_b, n_r=n_r, d=d)
+
+
+def on_disk(table):
+    """``table`` with d as the file holds it, to 6 decimals."""
+    return dataclasses.replace(table, d=np.array([float("%.6f" % v) for v in table.d.flat])
+                               .reshape(table.d.shape))
 
 
 class TestScoreTableFile:
     @settings(max_examples=150, deadline=None)
     @given(score_tables())
-    @example(ScoreTable(ids=(), l=np.zeros(0, dtype=np.int64), n_f=np.zeros(0, dtype=np.int64),
-                        n_b=np.zeros(0, dtype=np.int64), n_r=np.zeros(0, dtype=np.int64),
-                        d=np.zeros(0)))
     def test_round_trip(self, table):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scores.csv"
             write_scores(table, path)
             back = read_scores(path)
-        assert back.ids == table.ids
-        for name in ("l", "n_f", "n_b", "n_r"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+        assert back == on_disk(table)
+        for name in ("ls", "n_f", "n_b", "n_r"):
             assert getattr(back, name).dtype == np.int64
-        assert np.array_equal(np.isnan(back.d), np.isnan(table.d))
-        defined = ~np.isnan(table.d)
-        assert back.d[defined].tolist() == [float("%.6f" % v) for v in table.d[defined]]
 
     @settings(max_examples=150, deadline=None)
     @given(score_tables())
-    @example(ScoreTable(ids=("a",), l=np.array([1]), n_f=np.array([0]), n_b=np.array([1]),
-                        n_r=np.array([3_000_000]), d=np.array([-1 / 3_000_001])))
+    @example(ScoreTable(ids=("a",), ls=np.array([1]), n_f=np.array([[0]]), n_b=np.array([[1]]),
+                        n_r=np.array([[3_000_000]]), d=np.array([[-1 / 3_000_001]])))
     def test_bytes_match_the_per_row_writer(self, table):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scores.csv"
             write_scores(table, path)
             assert path.read_bytes() == reference_scores_csv(table)
+
+    def test_no_papers_is_an_empty_body(self, tmp_path):
+        table = disruption_batch(small_graph(EXAMPLE_HIGH), [], ls=(1, 2))
+        write_scores(table, tmp_path / "scores.csv")
+        assert (tmp_path / "scores.csv").read_bytes() == b"id,l,n_f,n_b,n_r,d\n"
+
+    @pytest.mark.parametrize("rows, named", [
+        (["a,1", "a,2", "b,1"], "'b' at l = 1"),  # a paper short of a threshold
+        (["a,1", "a,2", "b,1", "b,2", "b,2"], "'b' at l = 2"),  # a score twice
+        (["a,1", "a,2", "b,1", "b,1"], "'b' at l = 1"),  # one in place of another
+        (["a,1", "a,2", "b,2", "b,1"], "'b' at l = 2"),  # thresholds out of order
+        (["a,2", "a,1", "b,2", "b,1"], "'a' at l = 1"),
+        (["a,1", "a,2", "b,1", "c,2"], "'c' at l = 2"),  # a paper changing mid-grid
+        (["a,1", "a,2", "b,1", "b,2", "b,3"], "'b' at l = 3"),  # a threshold the first lacks
+    ])
+    def test_a_body_that_is_not_a_grid_names_its_first_row_out_of_place(
+            self, tmp_path, rows, named):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,l,n_f,n_b,n_r,d\n" + "".join(f"{row},0,0,0,NA\n" for row in rows),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: the row of {named} is out of place; each id needs a row at each of "
+                f"l = ")):
+            read_scores(path)
 
     def test_batch_bytes_match_the_per_row_writer(self, tmp_path):
         ids, pairs = random_digraph(np.random.default_rng(4), 300, 0.01)

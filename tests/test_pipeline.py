@@ -26,7 +26,7 @@ from disruptkit.classify import LABELS, SOURCES, LabelTable
 from disruptkit.corpus import (CORPUS_FILES, EligibilityCriteria, corpus_files, load_corpus,
                                parse_corpus, write_corpus)
 from disruptkit import corpus as corpus_module, pipeline
-from disruptkit.disruption import MODES, ScoreTable, disruption_batch
+from disruptkit.disruption import MODES, disruption_batch, read_scores, write_scores
 from disruptkit.pipeline import (
     STAGE_FUNCTIONS,
     STAGE_TABLE,
@@ -212,6 +212,9 @@ class TestConfig:
         ("backoff_base = fast",
          "{path}: line {line}: config key 'backoff_base': expected a number, got 'fast'"),
         ("stub = maybe", "{path}: line {line}: config key 'stub': expected a boolean, got 'maybe'"),
+        # an empty path would name the working directory
+        *((f"{key} =", f"{{path}}: line {{line}}: config key '{key}': expected a path, got ''")
+          for key in ("corpus", "allowlist", "cache", "out_dir")),
     ])
     def test_values_a_stage_would_reject_fail_at_load(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.conf"
@@ -226,6 +229,19 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path), "--out-dir", str(out_dir)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_an_empty_out_dir_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        path = tmp_path / "run.conf"
+        text = fixture_conf_text(corpus=FIXTURES / "corpus.jsonl",
+                                 allowlist=FIXTURES / "journals.txt", out_dir="")
+        path.write_text(text)
+        monkeypatch.chdir(work)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: line {len(text.splitlines())}: "
+                                           f"config key 'out_dir': expected a path, got ''\n")
+        assert not list(work.iterdir())
 
     def test_missing_config_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "nonexist.conf"
@@ -1109,11 +1125,17 @@ class TestObservationRows:
         assert obs.ids == ("P000050",)
 
 
-def take_rows(scores, rows):
-    """The table's rows at the given positions, in that order."""
-    return ScoreTable(ids=tuple(scores.ids[k] for k in rows), l=scores.l[rows],
-                      n_f=scores.n_f[rows], n_b=scores.n_b[rows],
-                      n_r=scores.n_r[rows], d=scores.d[rows])
+def scores_file(path, rows):
+    """Write to ``path`` the fixture's disruption.csv rows at the given
+    positions, in that order: rows 0 to 5 as write_scores orders them,
+    (P000050, 1), (P000050, 2), ..., (P000070, 2), and row 6 P000080,
+    which is not eligible, at l = 1."""
+    _, _, _, scores = TestObservationRows().make_inputs()
+    write_scores(scores, path)
+    header, *body = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    body.append("P000080,1,0,0,0,NA\n")
+    path.write_text(header + "".join(body[k] for k in rows), encoding="utf-8")
+    return path
 
 
 class TestStaleScores:
@@ -1126,29 +1148,39 @@ class TestStaleScores:
     STALE = ("disruption.csv does not score each eligible paper at each threshold, in "
              "order; run stage 'disrupt' again")
 
-    # rows as disruption_batch orders them, (P000050, 1), (P000050, 2), ..., (P000070, 2)
-    @pytest.mark.parametrize("rows, thresholds", [
-        ([0, 1, 2, 3, 4], (1, 2)),  # a score missing
-        ([0, 1, 2, 3, 4, 5, 5], (1, 2)),  # a score twice
-        ([0, 1, 2, 3, 4, 4], (1, 2)),  # one in place of another
-        ([0, 1, 2, 3, 4, 5], (1,)),  # a threshold not configured
-        ([0, 1, 2, 3, 4, 5], (1, 2, 3)),  # a threshold not scored
-        ([5, 4, 3, 2, 1, 0], (1, 2)),  # every score, in another order
-        ([2, 3, 0, 1, 4, 5], (1, 2)),
+    # A body that is not a grid is refused as it is read, and a grid of
+    # other papers or thresholds when it is joined.
+    @pytest.mark.parametrize("rows, thresholds, refused_by", [
+        ([0, 1, 2, 3, 4], (1, 2), "read"),  # a score missing
+        ([0, 1, 2, 3, 4, 5, 5], (1, 2), "read"),  # a score twice
+        ([0, 1, 2, 3, 4, 4], (1, 2), "read"),  # one in place of another
+        ([0, 1, 2, 3, 4, 5], (1,), "join"),  # a threshold not configured
+        ([0, 1, 2, 3, 4, 5], (1, 2, 3), "join"),  # a threshold not scored
+        ([5, 4, 3, 2, 1, 0], (1, 2), "read"),  # every score, in another order
+        ([2, 3, 0, 1, 4, 5], (1, 2), "join"),  # the papers in another order
     ])
-    def test_rows_other_than_eligible_times_thresholds_fail(self, rows, thresholds):
-        _, _, _, scores = TestObservationRows().make_inputs()
+    def test_rows_other_than_eligible_times_thresholds_fail(self, tmp_path, rows, thresholds,
+                                                            refused_by):
+        path = scores_file(tmp_path / "disruption.csv", rows)
+        if refused_by == "read":
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the row of .* "
+                                                 f"is out of place"):
+                read_scores(path)
+            return
         with pytest.raises(ValueError) as excinfo:
-            self.join(take_rows(scores, rows), thresholds)
+            self.join(read_scores(path), thresholds)
         assert str(excinfo.value) == self.STALE
 
-    def test_score_for_a_paper_no_longer_eligible_fails(self):
-        _, _, _, scores = TestObservationRows().make_inputs()
-        extra = ScoreTable(ids=scores.ids + ("P000080",), l=np.append(scores.l, 1),
-                           n_f=np.append(scores.n_f, 0), n_b=np.append(scores.n_b, 0),
-                           n_r=np.append(scores.n_r, 0), d=np.append(scores.d, np.nan))
+    def test_score_for_a_paper_no_longer_eligible_fails(self, tmp_path):
+        path = scores_file(tmp_path / "disruption.csv", range(7))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: the row of 'P000080' at l = 1 is out of place")):
+            read_scores(path)
+        # the same paper scored at each threshold reads, and is refused in the join
+        path.write_text(path.read_text(encoding="utf-8") + "P000080,2,0,0,0,NA\n",
+                        encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
-            self.join(extra)
+            self.join(read_scores(path))
         assert str(excinfo.value) == self.STALE
 
     def test_graph_rerun_with_other_eligibility_needs_disrupt(self, tmp_path):

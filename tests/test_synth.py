@@ -159,7 +159,7 @@ class TestPlantedEffect:
         graph = graph_of(corpus)
         cited = [pid for pid, deg in zip(graph.ids, graph.in_deg.tolist()) if deg >= 3]
         scores = disruption_batch(graph, cited, ls=(1,))
-        d_by_id = {pid: d for pid, d in zip(scores.ids, scores.d.tolist()) if d == d}
+        d_by_id = {pid: d for pid, d in zip(scores.ids, scores.d[:, 0].tolist()) if d == d}
         con_cites, emp_cites, con_d, emp_d = [], [], [], []
         # node i of the graph is row i of the corpus
         for pid, deg, gold in zip(graph.ids, graph.in_deg.tolist(), corpus.gold_label):
