@@ -642,32 +642,32 @@ def _extract_texts(prompt: str) -> str:
 
 
 # A cue counts where it is a whole run of a-z letters in the lowercased
-# text, so "theory-driven" holds one cue and "theorys" none. Both lists
-# are alternatives of one pattern, read in a single scan.
-_CUE_PATTERN = re.compile(
-    r"(?<![a-z])(?:({})|({}))(?![a-z])".format(
-        "|".join(_CONCEPTUAL_CUES), "|".join(_EMPIRICAL_CUES))
-)
+# text, so "theory-driven" holds one cue and "theorys" none. In UTF-8 only
+# the ASCII letters give bytes a-z, so mapping every other byte to a space
+# and splitting yields exactly those runs; a lone surrogate encodes, with
+# surrogatepass, to three bytes outside a-z and so separates runs too.
+_LETTERS_ONLY = bytes(b if 0x61 <= b <= 0x7A else 0x20 for b in range(256))
+_CONCEPTUAL_WORDS = frozenset(cue.encode("ascii") for cue in _CONCEPTUAL_CUES)
+_EMPIRICAL_WORDS = frozenset(cue.encode("ascii") for cue in _EMPIRICAL_CUES)
 
 
 def _cue_scores(text: str) -> tuple[int, int]:
     """(conceptual, empirical) cue-word counts of one text."""
-    conceptual = empirical = 0
-    for is_conceptual, _ in _CUE_PATTERN.findall(text.lower()):
-        if is_conceptual:
-            conceptual += 1
-        else:
-            empirical += 1
-    return conceptual, empirical
+    words = text.lower().encode("utf-8", "surrogatepass").translate(_LETTERS_ONLY).split()
+    return (sum(map(_CONCEPTUAL_WORDS.__contains__, words)),
+            sum(map(_EMPIRICAL_WORDS.__contains__, words)))
 
 
 def stub_backend(prompt: str) -> str:
     """Offline stand-in for the chat backend.
 
-    A pure function of the prompt: the substituted title and abstract
-    are scored against two cue-word lists, the stronger side picks the
-    category, and an exact tie falls back to the parity of the prompt's
-    SHA-256 digest. The response always follows the requested template.
+    A pure function of any string: the substituted title and abstract
+    are scored against two cue-word lists, where a cue counts each time
+    it is a whole run of a-z letters in the lowercased text. The side
+    with more cues picks the category. An exact tie goes by the last byte
+    of the SHA-256 digest of the prompt's UTF-8 bytes, a lone surrogate
+    encoded as its three bytes: even picks conceptual, odd empirical.
+    The response always follows the requested template.
     """
     text = _extract_texts(prompt)
     conceptual, empirical = _cue_scores(text)
@@ -680,7 +680,7 @@ def stub_backend(prompt: str) -> str:
         reason = ("the title and abstract report organized observations "
                   f"({empirical} cue terms against {conceptual})")
     else:
-        digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+        digest = hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).digest()
         label = "conceptual" if digest[-1] % 2 == 0 else "empirical"
         reason = (f"cue terms tie at {conceptual} each and the content hash "
                   f"breaks the tie toward the {label} side")

@@ -357,6 +357,22 @@ class TestStubBackend:
         assert label.lower() == expected
         assert "tie" in rationale
 
+    def test_a_tied_prompt_with_a_lone_surrogate_breaks_on_its_surrogatepass_bytes(self):
+        for prompt in ("\ud800", render_prompt("Neutral \udfff title", "Nothing \ud800 here.")):
+            expected = "conceptual" if hashlib.sha256(
+                prompt.encode("utf-8", "surrogatepass")).digest()[-1] % 2 == 0 else "empirical"
+            label, rationale = parse_response(stub_backend(prompt))
+            assert label.lower() == expected
+            assert "tie at 0 each" in rationale
+
+    def test_a_lone_surrogate_separates_cues_and_never_glues_them(self):
+        # "the\ud800ory" is no cue; dropping the surrogate would make it one
+        response = stub_backend(render_prompt(
+            "the\ud800ory and the\ud800ory", "Survey\udfff data from a panel\ud800."))
+        assert parse_response(response) == (
+            "Empirical", "the title and abstract report organized observations "
+                         "(3 cue terms against 0).")
+
     def test_response_follows_requested_template(self):
         response = stub_backend(render_prompt("T", "A"))
         assert response.startswith("This article is in the ")
@@ -372,41 +388,97 @@ class TestStubBackend:
 
 def two_pass_cue_score(text, cues):
     """The stub's scorer before it read both cue lists in one scan: kept
-    as the reference the one-pass scorer must match."""
+    as a reference the set-lookup scorer must match."""
     words = re.findall(r"[a-z]+", text.lower())
     cue_set = set(cues)
     return sum(1 for w in words if w in cue_set)
 
 
+_ONE_PASS_CUE_PATTERN = re.compile(
+    r"(?<![a-z])(?:({})|({}))(?![a-z])".format(
+        "|".join(_CONCEPTUAL_CUES), "|".join(_EMPIRICAL_CUES))
+)
+
+
+def one_pass_cue_scores(text):
+    """The stub's scorer before it counted cues by set lookup: one regex
+    scan for both lists, kept as a second reference."""
+    conceptual = empirical = 0
+    for is_conceptual, _ in _ONE_PASS_CUE_PATTERN.findall(text.lower()):
+        if is_conceptual:
+            conceptual += 1
+        else:
+            empirical += 1
+    return conceptual, empirical
+
+
 _CUES = _CONCEPTUAL_CUES + _EMPIRICAL_CUES
 _NEAR_MISSES = ("theorys", "datasets", "frameworks", "atheory", "sampled",
                 "empiricals", "paneling", "surveyed", "constructive", "dat")
+# Characters with no a-z byte in their UTF-8 form that a byte-level
+# scorer could mishandle: lone surrogates (encodable only with
+# surrogatepass), NUL, and U+00FF and U+0100, whose UTF-8 bytes fall in
+# 0x80-0xBF.
+_ODD_CHARS = ("\ud800", "\udbff", "\udc00", "\udfff", "\x00", "\u00ff", "\u0100")
 # Separators, including none at all (glued words) and characters whose
 # lowercase form holds a-z letters (U+0130, the Kelvin sign U+212A).
 _GLUE = ("", " ", "-", ".", ",", "\n", "'", "_", "7", "\u00e9", "\u0130",
-         "\u212a", "\u00df", "\u03a3", "\u65e5\u672c")
+         "\u212a", "\u00df", "\u03a3", "\u65e5\u672c") + _ODD_CHARS
+_glued_cues = st.tuples(st.sampled_from(_CUES), st.sampled_from(_ODD_CHARS),
+                        st.sampled_from(_CUES)).map("".join)
 _pieces = st.one_of(
     st.sampled_from(_CUES + _NEAR_MISSES),
     st.sampled_from(_CUES).map(str.upper),
     st.sampled_from(_CUES).map(str.title),
     st.sampled_from(_GLUE),
+    _glued_cues,
     st.text(max_size=6),
 )
 
 
-class TestOnePassCueScores:
+class TestSetLookupCueScores:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_pieces, max_size=40).map("".join))
     @example("theory-driven data")
     @example("theorys datasets")
     @example("THEORY\u0130 \u212aonceptual datasurvey")
-    def test_matches_two_pass_scorer(self, text):
-        assert _cue_scores(text) == (two_pass_cue_score(text, _CONCEPTUAL_CUES),
-                                     two_pass_cue_score(text, _EMPIRICAL_CUES))
+    @example("the\ud800ory data\x00set theory\u00ffdata\u0100panel\udfffsurvey")
+    def test_matches_both_reference_scorers(self, text):
+        two_pass = (two_pass_cue_score(text, _CONCEPTUAL_CUES),
+                    two_pass_cue_score(text, _EMPIRICAL_CUES))
+        assert _cue_scores(text) == two_pass == one_pass_cue_scores(text)
 
     def test_cues_glued_to_punctuation_count_and_near_misses_do_not(self):
         assert _cue_scores("theory-driven, (data); propositions.") == (2, 1)
         assert _cue_scores("theorys datasets atheory") == (0, 0)
+
+
+class TestGoldenReplies:
+    """The stub's replies, pinned by digest: any changed label, cue count
+    or tie-break shows here."""
+
+    @staticmethod
+    def replies_digest(titles, abstracts):
+        replies = (stub_backend(render_prompt(t, a)) for t, a in zip(titles, abstracts))
+        return hashlib.sha256("\n".join(replies).encode("utf-8")).hexdigest()
+
+    def test_synthetic_corpus(self):
+        corpus = synth_corpus(2000, seed=5, effect=1.0)
+        assert self.replies_digest(corpus.title, corpus.abstract) == (
+            "1c910d4ec2d7e596bef8b81a3935d9f3871c6c0e38d4cd68f49454d598425720")
+
+    def test_fixture_corpus(self):
+        with open(Path(__file__).parent / "fixtures" / "corpus.jsonl", encoding="utf-8") as f:
+            corpus = parse_corpus(f)
+        assert self.replies_digest(corpus.title, corpus.abstract) == (
+            "2ec808efeb96bd8ccc4d2c34387990faed50ab6b395db8beefb8b8680da9d153")
+
+    def test_tied_prompts(self):
+        # neither corpus above has a tie; these 16 prompts each hold one
+        # cue of each side, and their hashes break 11 ties one way, 5 the other
+        titles = [f"Title {k}" for k in range(16)]
+        assert self.replies_digest(titles, ["An abstract with theory and data."] * 16) == (
+            "c065897f60d9e94b232066ce0311084df3f79771c04f6f948833c071326d8493")
 
 
 class Draws:

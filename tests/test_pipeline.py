@@ -1748,6 +1748,11 @@ class TestCli:
         heavy = ("scipy.sparse", "scipy.linalg", "requests", "urllib.request", "http.client")
         assert self.loaded_by_stage(tmp_path, "report", heavy) == "[]"
 
+    def test_stub_classify_process_leaves_heavy_modules_unloaded(self, tmp_path):
+        heavy = ("scipy.sparse", "scipy.special", "scipy.linalg", "http.client",
+                 "urllib.request")
+        assert self.loaded_by_stage(tmp_path, "classify", heavy) == "[]"
+
     def test_regress_process_loads_scipy_special_only(self, tmp_path):
         # the fits need numpy alone; p values need scipy.special
         scipy_modules = ("scipy.special", "scipy.linalg", "scipy.sparse")
